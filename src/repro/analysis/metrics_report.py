@@ -112,6 +112,11 @@ def format_metrics_report(metrics: Optional[Dict],
         f"({_fmt_count(fallbacks)} fallbacks), "
         f"{_fmt_count(engine.get('full_resolves', 0))} full solves"
     )
+    lines.append(
+        f"groups: {_fmt_count(engine.get('group_merges', 0))} merges, "
+        f"{_fmt_count(engine.get('vector_attaches', 0))} array-backed "
+        f"attaches"
+    )
     hist = engine.get("filling_level_histogram") or {}
     if hist:
         body = ", ".join(

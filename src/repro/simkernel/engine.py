@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    Callable, Generator, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -252,8 +252,17 @@ class _Group:
     incidence live in persistent NumPy arrays maintained incrementally
     by swap-remove slot management, so a re-rate performs no
     per-activity Python work at all.  While array-backed, the arrays —
-    not the activities' attributes — are authoritative for that state;
-    the attributes are restored on :meth:`Engine._devectorize`.
+    not the activities' attributes — are authoritative for that state.
+    Array-backing is monotone too: a vectorized group stays vectorized
+    and *absorbs* whatever it merges with by appending rows
+    (:meth:`Engine._merge_groups`); only a group that is itself being
+    absorbed hands its state back to the attributes.  Constraint
+    columns are created lazily, by a constraint's first user.
+
+    ``acts`` (like ``Constraint.users`` and the engine's dirty set) is
+    an insertion-ordered dict used as a set, so row order, summation
+    order and tie-breaks follow activity start order — the same in
+    every process — instead of object addresses.
     """
 
     __slots__ = (
@@ -273,7 +282,7 @@ class _Group:
 
     def __init__(self) -> None:
         self.cons: List[Constraint] = []
-        self.acts: Set[Activity] = set()
+        self.acts: Dict[Activity, None] = {}
         self.vectorized = False
         self.armed: Optional[Activity] = None
         self.seeds: Optional[Set[int]] = None
@@ -360,7 +369,7 @@ class Engine:
         self._ready: deque = deque()
         self._live_count = 0
         self._calendar = _Calendar()
-        self._dirty: Set[Constraint] = set()
+        self._dirty: Dict[Constraint, None] = {}
         # Calendar-compaction watermark: rebuild when the occupied-slot
         # prefix doubles past the live-entry count observed at the
         # previous compaction.
@@ -383,6 +392,11 @@ class Engine:
         self._full_resolves = 0
         self._calendar_rebuilds = 0
         self._level_hist: dict = {}
+        # Sharing-topology provenance (same pattern): group unions, and
+        # groups switched to array-backed state (each group at most
+        # once — see _merge_groups).
+        self._group_merges = 0
+        self._vector_attaches = 0
         # Optional telemetry; the counters themselves are loop-locals or
         # plain integer accumulators, so enabling metrics never changes
         # the arithmetic the hot paths execute.
@@ -497,6 +511,8 @@ class Engine:
         patch_fallbacks0 = self._patch_fallbacks
         full_resolves0 = self._full_resolves
         rebuilds0 = self._calendar_rebuilds
+        merges0 = self._group_merges
+        attaches0 = self._vector_attaches
         try:
             while True:
                 self._run_ready()
@@ -548,8 +564,8 @@ class Engine:
                             and len(cons.users) == 1):
                         self._idle_advances += 1
                         act.remaining = 0.0
-                        group.acts.discard(act)
-                        cons.users.discard(act)
+                        del group.acts[act]
+                        del cons.users[act]
                         act.registered = False
                         self._enter_phase(act, act.on_phase_end(self.now))
                         self._maybe_compact()
@@ -578,6 +594,9 @@ class Engine:
                                           - full_resolves0)
                 metrics.calendar_rebuilds += (self._calendar_rebuilds
                                               - rebuilds0)
+                metrics.group_merges += self._group_merges - merges0
+                metrics.vector_attaches += (self._vector_attaches
+                                            - attaches0)
                 mh = metrics.level_hist
                 for levels, count in hist.items():
                     mh[levels] = mh.get(levels, 0) + count
@@ -635,12 +654,12 @@ class Engine:
                     # the pending recompute re-derives this same state —
                     # redundant but correct.)
                     act.settled_at = self.now
-                    cons.users.add(act)
+                    cons.users[act] = None
                     if g is None:
                         g = _Group()
                         cons.group = g
                         g.cons.append(cons)
-                    g.acts.add(act)
+                    g.acts[act] = None
                     act.registered = True
                     self._idle_advances += 1
                     cap = cons.capacity
@@ -661,8 +680,8 @@ class Engine:
             dirty = self._dirty
             group: Optional[_Group] = None
             for cons in act.constraints:
-                cons.users.add(act)
-                dirty.add(cons)
+                cons.users[act] = None
+                dirty[cons] = None
                 g = cons.group
                 if g is not None and g is not group:
                     group = g if group is None \
@@ -676,7 +695,7 @@ class Engine:
                     if cons.group is not group:
                         cons.group = group
                         grouped.append(cons)
-                group.acts.add(act)
+                group.acts[act] = None
                 if group.vectorized:
                     self._vec_add(group, act)
             if not act.constraints:
@@ -695,23 +714,28 @@ class Engine:
             raise RuntimeError(f"unknown activity phase {phase!r}")
 
     def _merge_groups(self, a: _Group, b: _Group) -> _Group:
-        """Union two sharing groups (smaller absorbed into larger).
+        """Union two sharing groups; returns the survivor.
 
-        Array-backed groups are devectorized first — merges are rare
-        (they only happen while the sharing topology is still being
-        discovered), so the O(n) attribute restore is a non-event; the
-        merged group re-attaches on its next large re-rate.
+        An array-backed side always survives a scalar one, whatever
+        their sizes; otherwise the side with more constraints does.  An
+        array-backed survivor absorbs the other side in place, by
+        appending rows — O(absorbed), never O(survivor) — so a pipeline
+        wave that merges one more link into a thousand-activity group
+        per rank costs one row per merge, not a rebuild of the group.
+        The caller has already dirtied constraints on both sides, so
+        the merged group is re-rated at this same instant.
         """
-        if a.vectorized:
-            self._devectorize(a)
+        if (a.vectorized, len(a.cons)) < (b.vectorized, len(b.cons)):
+            a, b = b, a
         if b.vectorized:
             self._devectorize(b)
-        if len(a.cons) < len(b.cons):
-            a, b = b, a
         for cons in b.cons:
             cons.group = a
         a.cons.extend(b.cons)
-        a.acts |= b.acts
+        if a.vectorized:
+            self._vec_adopt(a, b.acts)
+        a.acts.update(b.acts)
+        self._group_merges += 1
         return a
 
     def _end_phase(self, act: Activity) -> None:
@@ -720,12 +744,13 @@ class Engine:
             constraints = act.constraints
             if constraints:
                 group = constraints[0].group
-                group.acts.discard(act)
+                del group.acts[act]
                 if group.vectorized:
                     self._vec_remove(group, act)
+            dirty = self._dirty
             for cons in constraints:
-                cons.users.discard(act)
-                self._dirty.add(cons)
+                del cons.users[act]
+                dirty[cons] = None
             act.registered = False
         self._enter_phase(act, act.on_phase_end(self.now))
 
@@ -740,22 +765,24 @@ class Engine:
         single-constraint fast path re-rated ``n`` activities, ``+n``
         when the generic solver handled ``n``.
         """
-        seeds, self._dirty = self._dirty, set()
+        seeds, self._dirty = self._dirty, {}
         # Fast path for the overwhelmingly common case — one dirty
         # constraint that is its whole sharing group, e.g. a compute
         # burst starting or ending on an otherwise idle CPU.
         if len(seeds) == 1:
             (cons,) = seeds
-            users = cons.users
-            if not users:
-                return 0
             group = cons.group
             if group is not None and len(group.cons) == 1:
                 # The whole group is this one constraint (so every user
                 # touches nothing else): equal shares with bounds, no
-                # generic filling needed.
+                # generic filling needed — and nothing at all once the
+                # last user left.  (A user-less constraint of a *larger*
+                # group takes the generic path: the group may still owe
+                # a re-rate that an inline-completion wave cut short.)
+                users = cons.users
                 size = len(users)
-                self._rerate_single_constraint(cons, users)
+                if size:
+                    self._rerate_single_constraint(cons, users)
                 return -size
         # One sharing group at a time.  Groups must be handled
         # independently: each arms its own earliest completion event, and
@@ -775,13 +802,9 @@ class Engine:
                 continue
             done_groups.add(gid)
             if group.vectorized:
-                if mode != "reference":
-                    total += group.n
-                    self._solve_group(group, now)
-                    continue
-                # A platform can be re-used by a reference-mode engine
-                # after an auto/vectorized run left groups array-backed.
-                self._devectorize(group)
+                total += group.n
+                self._solve_group(group, now)
+                continue
             acts = group.acts
             if not acts:
                 continue
@@ -844,80 +867,54 @@ class Engine:
         return new
 
     def _vec_attach(self, group: _Group) -> None:
-        """Switch a group to array-backed sharing state.
+        """Switch a group to array-backed sharing state, for good.
 
         From here on the group's arrays are authoritative for
-        remaining / rate / settled_at of its member activities; every
-        pending completion event is invalidated (epoch bump) so only
-        events armed from the arrays can fire.
+        remaining / rate / settled_at of its member activities.  The
+        arrays start empty and every member is appended like a late
+        arrival, so a column exists only for a constraint that has had
+        a user (an idle link of the group costs nothing until then).
         """
-        acts_list = list(group.acts)
-        n = len(acts_list)
-        cap = max(64, 2 * n)
-        rem = np.empty(cap)
-        rate = np.empty(cap)
-        settled = np.empty(cap)
-        bnd = np.empty(cap)
-        for i, a in enumerate(acts_list):
-            rem[i] = a.remaining
-            rate[i] = a.rate
-            settled[i] = a.settled_at
-            b = a.bound
-            bnd[i] = INF if b is None else b
-            a.epoch += 1
-        group.acts_list = acts_list
-        group.row = {a: i for i, a in enumerate(acts_list)}
-        group.n = n
-        group.rem, group.rate, group.settled, group.bnd = (
-            rem, rate, settled, bnd)
-        cons_list = group.cons
-        col = {c: j for j, c in enumerate(cons_list)}
-        ncols = len(cons_list)
-        caps = np.empty(max(64, 2 * ncols))
-        for j, c in enumerate(cons_list):
-            caps[j] = c.capacity
-        group.col = col
-        group.ncols = ncols
-        group.caps = caps
-        mem_of = {}
-        mv: List[int] = []
-        mc: List[int] = []
-        row = group.row
-        for a in acts_list:
-            i = row[a]
-            slots = []
-            for c in a.constraints:
-                slots.append(len(mv))
-                mv.append(i)
-                mc.append(col[c])
-            mem_of[a] = slots
-        m = len(mv)
-        mem_var = np.empty(max(256, 2 * m), dtype=np.intp)
-        mem_cons = np.empty(max(256, 2 * m), dtype=np.intp)
-        mem_var[:m] = mv
-        mem_cons[:m] = mc
-        group.mem_var, group.mem_cons, group.m = mem_var, mem_cons, m
-        group.mem_of = mem_of
-        # Per-constraint membership counts, maintained incrementally by
-        # _vec_add/_vec_remove.  Counts are integers, so the float adds
-        # are exact and the solver sees the same loads a bincount would
-        # produce — this just skips recomputing them every solve.
-        loadv = np.zeros(caps.shape[0])
-        if m:
-            loadv[:ncols] = np.bincount(mem_cons[:m], minlength=ncols)
-        group.loadv = loadv
+        # loadv: per-constraint membership counts, maintained
+        # incrementally by _vec_add/_vec_remove.  Counts are integers,
+        # so the float adds are exact and the solver sees the same loads
+        # a bincount would produce — this just skips recomputing them
+        # every solve.
+        for name in ("rem", "rate", "settled", "bnd", "caps", "loadv"):
+            setattr(group, name, np.empty(64))
+        group.mem_var = np.empty(256, dtype=np.intp)
+        group.mem_cons = np.empty(256, dtype=np.intp)
+        group.acts_list = []
+        group.row = {}
+        group.mem_of = {}
+        group.col = {}
+        group.n = group.m = group.ncols = 0
         group.work = {}
         group.armed = None
-        # The attribute-backed rates this snapshot inherits may predate
-        # pending membership changes without any seed record of them, so
-        # the first array solve must be a full one; it then certifies
-        # the rate array and arms the incremental path.
         group.seeds = set()
-        group.inc_ok = False
         group.vectorized = True
+        self._vector_attaches += 1
+        self._vec_adopt(group, group.acts)
+
+    def _vec_adopt(self, group: _Group, acts) -> None:
+        """Append rows for activities whose sharing state lived in their
+        attributes so far (a fresh attach, or the absorbed side of a
+        merge).  Every pending completion event of theirs is invalidated
+        (epoch bump) so only events armed from the arrays can fire.  The
+        rates they bring may predate pending membership changes without
+        any seed record of them, so the next array solve must be a full
+        one; it then certifies the rate array and (re)arms the
+        incremental path."""
+        for act in acts:
+            act.epoch += 1
+            self._vec_add(group, act)
+        group.inc_ok = False
 
     def _devectorize(self, group: _Group) -> None:
-        """Restore attribute-backed state (merges, mode changes)."""
+        """Hand an array-backed group's state back to its activities'
+        attributes.  Only a group about to be absorbed by another
+        array-backed one gets here (see _merge_groups); it is dropped
+        right after, so its arrays are simply left behind."""
         n = group.n
         for a, r, q, s in zip(group.acts_list, group.rem[:n].tolist(),
                               group.rate[:n].tolist(),
@@ -925,15 +922,6 @@ class Engine:
             a.remaining = r
             a.rate = q
             a.settled_at = s
-            a.epoch += 1
-        group.vectorized = False
-        group.armed = None
-        group.seeds = None
-        group.inc_ok = False
-        group.acts_list = group.row = group.mem_of = group.col = None
-        group.rem = group.rate = group.settled = group.bnd = None
-        group.mem_var = group.mem_cons = group.caps = None
-        group.loadv = group.work = None
 
     def _vec_add(self, group: _Group, act: Activity) -> None:
         """O(1) amortized: append one activity's row and memberships."""
@@ -1202,7 +1190,7 @@ class Engine:
         self._arm_earliest(users, now)
 
     @staticmethod
-    def _maxmin(acts: Set[Activity]) -> int:
+    def _maxmin(acts) -> int:
         """Equal-weight progressive filling with per-activity bounds.
         Returns the number of filling levels (telemetry)."""
         remaining_cap = {}
@@ -1214,7 +1202,7 @@ class Engine:
                 else:
                     load[cons] = 1
                     remaining_cap[cons] = cons.capacity
-        unfixed = set(acts)
+        unfixed = dict.fromkeys(acts)  # ordered, like every act set here
         iterations = 0
         while unfixed:
             iterations += 1
@@ -1246,7 +1234,7 @@ class Engine:
                 fixed = [(act, level) for act in unfixed]
             for act, rate in fixed:
                 act.rate = rate
-                unfixed.discard(act)
+                del unfixed[act]
                 for cons in act.constraints:
                     cap = remaining_cap[cons] - rate
                     remaining_cap[cons] = cap if cap > 0.0 else 0.0
@@ -1334,12 +1322,12 @@ class Engine:
             constraints = act.constraints
             if constraints:
                 group = constraints[0].group
-                group.acts.discard(act)
+                del group.acts[act]
                 if group.vectorized:
                     self._vec_remove(group, act)
             for cons in constraints:
-                cons.users.discard(act)
-                self._dirty.add(cons)
+                del cons.users[act]
+                self._dirty[cons] = None
             act.registered = False
         act.epoch += 1  # drop any armed completion/timer event
         act.finish_time = self.now
@@ -1359,7 +1347,7 @@ class Engine:
             if j is not None:
                 group.caps[j] = cons.capacity
                 group.seeds.add(j)
-        self._dirty.add(cons)
+        self._dirty[cons] = None
 
     def _complete(self, waitable: Waitable) -> None:
         waitable._fire()

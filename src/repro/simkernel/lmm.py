@@ -117,9 +117,11 @@ def native_fill(caps, bounds, weights, var_idx, cons_idx,
 class Constraint:
     """A shared resource with a finite capacity (bytes/s or flops/s).
 
-    ``users`` is maintained by the engine: the set of activities currently
-    consuming this constraint.  It is what makes partial (component-wise)
-    rate recomputation possible.
+    ``users`` is maintained by the engine: the activities currently
+    consuming this constraint, as insertion-ordered dict keys (iteration
+    order is then a function of the input, not of object addresses).
+    It is what makes partial (component-wise) rate recomputation
+    possible.
 
     ``capacity`` may change mid-run (link degradation, fault injection),
     but only through ``Engine.set_capacity`` — array-backed sharing groups
@@ -135,7 +137,7 @@ class Constraint:
             raise ValueError(f"constraint capacity must be >= 0, got {capacity}")
         self.capacity = float(capacity)
         self.name = name
-        self.users = set()
+        self.users = {}
         # Sharing-group handle, owned by the engine (see engine._Group):
         # constraints transitively connected through shared activities
         # point at the same group, so component recomputation needs no

@@ -368,6 +368,18 @@ class Platform:
             yield from cluster.iter_links()
         yield from self._wan.values()
 
+    def reset_sharing_state(self) -> None:
+        """Forget the sharing state an engine left on the constraints
+        (``users``, ``group``).  A platform outlives the engines that
+        run on it; a new engine must start from the same blank state
+        whether or not the platform has carried a run before — replay
+        is a pure function of its inputs."""
+        constraints = [host.cpu for host in self.hosts.values()]
+        constraints.extend(link.constraint for link in self.iter_links())
+        for cons in constraints:
+            cons.users = {}
+            cons.group = None
+
     def link(self, name: str) -> Link:
         """Look up a link by name (fault plans address links this way)."""
         for link in self.iter_links():

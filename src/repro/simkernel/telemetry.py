@@ -93,7 +93,8 @@ class EngineMetrics:
                  "component_acts", "max_component_acts",
                  "maxmin_iterations", "vectorized_recomputes",
                  "idle_advances", "incremental_patches", "patch_fallbacks",
-                 "full_resolves", "calendar_rebuilds", "level_hist")
+                 "full_resolves", "calendar_rebuilds", "group_merges",
+                 "vector_attaches", "level_hist")
 
     def __init__(self) -> None:
         self.reset()
@@ -115,6 +116,9 @@ class EngineMetrics:
         #                               full solve (loud, never silent)
         self.full_resolves = 0        # full progressive fillings of a group
         self.calendar_rebuilds = 0    # event-calendar compaction sweeps
+        self.group_merges = 0         # sharing-group unions
+        self.vector_attaches = 0      # groups switched to array-backed
+        #                               state (at most once per group)
         # Per-solve filling-level histogram {levels: solves} over the
         # generic solves (scalar, vectorized and certified patches; the
         # single-constraint fast path is not a filling and is excluded).
@@ -156,6 +160,12 @@ class EngineMetrics:
             # Event-calendar compaction sweeps (same value as the
             # legacy "heap_compactions" key above).
             "calendar_rebuilds": self.calendar_rebuilds,
+            # Sharing-topology provenance: group unions, and groups
+            # switched to array-backed state.  A merge never re-attaches
+            # (the array-backed side absorbs the other in place), so
+            # attaches stay a handful however many merges there are.
+            "group_merges": self.group_merges,
+            "vector_attaches": self.vector_attaches,
             # {filling levels -> solve count}, string keys for JSON;
             # shard/batch merges sum these per-bucket.
             "filling_level_histogram": {

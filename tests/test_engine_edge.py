@@ -324,3 +324,28 @@ def test_unconstrained_positive_bound_still_rated():
     engine.run()
     assert ends["bounded"] == pytest.approx(1.0)
     assert ends["unbounded"] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("lmm_mode,vector_threshold",
+                         [("reference", 48), ("auto", 48), ("auto", 2)])
+def test_survivor_is_rerated_after_a_simultaneous_completion_wave(
+        lmm_mode, vector_threshold):
+    """Flows b (l0+l1) and c (l1) drain at the same instant while a (l0)
+    is still running.  b's event fires; the re-rate that follows is cut
+    short by completing c inline, which re-dirties only l1 — now
+    user-less.  The user-less shortcut must not swallow the re-rate the
+    group still owes a (it used to, whenever b happened to be the armed
+    one: a was left rated but unarmed, and the run deadlocked)."""
+    engine = Engine(lmm_mode=lmm_mode, vector_threshold=vector_threshold)
+    l0, l1 = Constraint(1e8, "l0"), Constraint(1e8, "l1")
+    ends = {}
+
+    def flow(name, links, size):
+        yield engine.comm_activity(links, size=size, latency=0.0)
+        ends[name] = engine.now
+
+    engine.add_process("a", flow("a", [l0], 5e7))
+    engine.add_process("b", flow("b", [l0, l1], 2.5e7))
+    engine.add_process("c", flow("c", [l1], 2.5e7))
+    engine.run()
+    assert ends == {"b": 0.5, "c": 0.5, "a": 0.75}

@@ -356,6 +356,66 @@ def test_lu32_reports_byte_identical_across_every_lmm_config(lu32):
         sorted(k for k, doc in reports.items() if doc != baseline))
 
 
+def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
+    """Faults against the monotone array-backed groups (vector threshold
+    2, host links only: a flow a->b crosses a.up and b.down).
+
+    * 0->1 and 2->1 share c-1.down: an array-backed group from t=0;
+      4->5 runs alone, scalar.  At ~20 ms 2->5 bridges the two and the
+      array side absorbs 4->5.  The c-4.up outage at 40 ms then fails a
+      row that entered the arrays by absorption.
+    * c-8.down is degraded at 10 ms, before any flow used it (no column
+      yet: it is born degraded when 0->8 arrives); c-7.down at 80 ms,
+      under 0->7, on the column that flow created long after the
+      attach.
+
+    Every solver configuration reports the same bytes."""
+    from repro.core.actions import Isend, Recv
+
+    monkeypatch.setattr("repro.simkernel.engine._PATCH_MIN_LEVELS", 0)
+    n = 9
+    trace = InMemoryTrace()
+    for action in (
+        Send(0, 1, 4e6), Send(0, 7, 4e6), Send(0, 8, 2e6),
+        Irecv(1, 0, 4e6), Irecv(1, 2, 4e6), Wait(1), Wait(1),
+        Isend(2, 1, 4e6), Compute(2, 2e7), Send(2, 5, 4e6),
+        Send(4, 5, 2e7),
+        Irecv(5, 4, 2e7), Irecv(5, 2, 4e6), Wait(5), Wait(5),
+        Recv(7, 0, 4e6), Recv(8, 0, 2e6),
+        Compute(3, 1e6), Compute(6, 1e6),
+    ):
+        trace.emit(action)
+    plan = FaultPlan(events=(
+        LinkDegrade("c-8.down", 0.010, factor=0.5),
+        LinkDown("c-4.up", 0.040),
+        LinkDegrade("c-7.down", 0.080, factor=0.25),
+    ))
+
+    def replay(**kw):
+        platform = Platform("t")
+        platform.add_cluster("c", n, speed=1e9, link_bw=1.25e8,
+                             link_lat=1e-5, backbone_bw=1.25e9,
+                             backbone_lat=1e-5, backbone_sharing="fatpipe")
+        replayer = make_replayer(platform, n, fault_plan=plan, **kw)
+        replayer.engine.vector_threshold = 2
+        return replayer.replay(trace)
+
+    probe = replay(collect_metrics=True)
+    assert probe.metrics["engine"]["group_merges"] == 1
+    assert probe.metrics["engine"]["vector_attaches"] == 1
+    assert probe.metrics["faults"]["requests_failed"] > 0
+    assert probe.fault_report.failed_ranks == [4, 5]   # both ends of 4->5
+    # 0->7 (from ~64 ms) crawls at a quarter speed from 80 ms on, then
+    # 0->8 at half speed: ~176 ms instead of ~112.
+    assert probe.simulated_time == pytest.approx(0.176, rel=0.01)
+    baseline = probe.fault_report.to_json()
+    for mode in ("auto", "reference", "vectorized"):
+        for incremental in (True, False):
+            result = replay(lmm_mode=mode, lmm_incremental=incremental)
+            assert result.fault_report.to_json() == baseline, (
+                mode, incremental)
+
+
 # ---------------------------------------------------------------------------
 # Chaos harness
 # ---------------------------------------------------------------------------

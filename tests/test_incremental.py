@@ -19,12 +19,14 @@ The headline contracts:
   ``fill_vectorized``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Constraint, Engine
+from repro.simkernel import ActivityFailed, Constraint, Engine
 from repro.simkernel import _native
 from repro.simkernel.engine import _Calendar
 from repro.simkernel.lmm import (
@@ -388,3 +390,250 @@ def test_native_compiled_kernel_matches_vectorized():
     rates, levels = _native.fill(caps, bounds, None, var_idx, cons_idx)
     assert levels == ref_levels
     np.testing.assert_allclose(rates, ref_rates, rtol=1e-9, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Monotone array-backed groups: merges are absorbed in place
+# ---------------------------------------------------------------------------
+
+def _scripted_run(script, n_links, caps=None, metrics=None, lmm_mode="auto",
+                  incremental=True, faults=()):
+    """Run ``script`` — ``(start, link indices, size, bound)`` per flow —
+    on ``n_links`` fresh links with ``vector_threshold=2`` (any group of
+    two activities goes array-backed).  ``faults`` entries are
+    ``(when, "fail", flow index)``, ``(when, "cap", link, capacity)`` or
+    ``(when, "call", fn)`` (a probe, called with the links).
+    Returns ``(completion time or "failed" per flow, engine, links)``.
+    """
+    engine = Engine(metrics=metrics, lmm_mode=lmm_mode, vector_threshold=2,
+                    incremental=incremental)
+    caps = caps or [1e8] * n_links
+    links = [Constraint(c, f"l{i}") for i, c in enumerate(caps)]
+    ends = [None] * len(script)
+    acts = [None] * len(script)
+
+    def flow(k, start, idx, size, bound):
+        if start:
+            yield engine.timer(start)
+        acts[k] = engine.comm_activity([links[i] for i in idx], size=size,
+                                       latency=0.0, bound=bound)
+        try:
+            yield acts[k]
+            ends[k] = engine.now
+        except ActivityFailed:
+            ends[k] = "failed"
+
+    def saboteur():
+        clock = 0.0
+        for when, what, *args in sorted(faults, key=lambda f: f[0]):
+            yield engine.timer(when - clock)
+            clock = when
+            if what == "fail":
+                engine.fail_activity(acts[args[0]], "test")
+            elif what == "cap":
+                engine.set_capacity(links[args[0]], args[1])
+            else:
+                args[0](links)
+
+    for k, (start, idx, size, bound) in enumerate(script):
+        engine.add_process(f"f{k}", flow(k, start, idx, size, bound))
+    if faults:
+        engine.add_process("saboteur", saboteur(), daemon=True)
+    engine.run()
+    return ends, engine, links
+
+
+def _assert_ends_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, str) or isinstance(g, str):
+            assert g == w
+        else:
+            assert g == pytest.approx(w, rel=1e-9, abs=1e-12)
+
+
+def _assert_all_configs_agree(script, n_links, monkeypatch, **kw):
+    """Absorbing engine (patching on, every patch attempted) == absorbing
+    engine without patches == the scalar oracle, on every flow."""
+    monkeypatch.setattr("repro.simkernel.engine._PATCH_MIN_LEVELS", 0)
+    oracle, _, _ = _scripted_run(script, n_links, lmm_mode="reference", **kw)
+    assert None not in oracle
+    for mode, incremental in (("auto", True), ("auto", False),
+                              ("vectorized", True)):
+        got, _, _ = _scripted_run(script, n_links, lmm_mode=mode,
+                                  incremental=incremental, **kw)
+        _assert_ends_close(got, oracle)
+    return oracle
+
+
+def test_array_backed_group_survives_a_scalar_side_with_more_constraints(
+        monkeypatch):
+    """Flows 0-1 make a 2-link array-backed group; flow 2 sits alone on
+    three links (scalar: one activity is under the threshold).  Flow 3
+    bridges them: the array-backed side must survive although the
+    scalar side brings more constraints, and nothing re-attaches."""
+    script = [(0.0, (0, 1), 4e7, None), (0.0, (0, 1), 6e7, 3e7),
+              (0.0, (2, 3, 4), 9e7, None), (0.1, (1, 2), 2e7, None)]
+    seen = []
+
+    def probe(links):
+        groups = (links[0].group, links[2].group)
+        seen.append([(g, g.vectorized, len(g.cons)) for g in groups])
+
+    metrics = EngineMetrics()
+    _scripted_run(script, 5, metrics=metrics,
+                  faults=[(0.05, "call", probe), (0.15, "call", probe)])
+    (array_side, *before), (_, *scalar_before) = seen[0]
+    assert before == [True, 2] and scalar_before == [False, 3]
+    assert seen[1] == [(array_side, True, 5)] * 2
+    doc = metrics.as_dict()
+    assert doc["group_merges"] == 1
+    assert doc["vector_attaches"] == 1
+    _assert_all_configs_agree(script, 5, monkeypatch)
+
+
+def test_array_backed_group_absorbs_an_array_backed_group(monkeypatch):
+    """Two array-backed groups bridged by a fifth flow: one survives,
+    the other's rows are appended to it — two attaches in all, none
+    caused by the merge."""
+    script = [(0.0, (0, 1), 4e7, None), (0.0, (0, 1), 5e7, 2e7),
+              (0.0, (2, 3), 7e7, None), (0.0, (2, 3), 3e7, None),
+              (0.2, (1, 2), 6e7, None), (0.9, (0, 3), 1e7, None)]
+    metrics = EngineMetrics()
+    _, _, links = _scripted_run(script, 4, metrics=metrics)
+    doc = metrics.as_dict()
+    assert doc["group_merges"] == 1
+    assert doc["vector_attaches"] == 2
+    assert len({id(link.group) for link in links}) == 1
+    assert links[0].group.vectorized
+    _assert_all_configs_agree(script, 4, monkeypatch)
+
+
+def test_row_order_of_an_array_backed_group_is_activity_start_order():
+    """Iteration order is a function of the input: rows (hence fill
+    summation order and arg-min tie-breaks) follow activity start order,
+    through the attach and through an absorbed scalar group — never
+    object addresses."""
+    engine = Engine(vector_threshold=3)
+    links = [Constraint(1e8, f"l{i}") for i in range(6)]
+    started = []
+
+    def flow(k, start, idx):
+        if start:
+            yield engine.timer(start)
+        act = engine.comm_activity([links[i] for i in idx], size=1e9,
+                                   latency=0.0, name=f"a{k}")
+        started.append(act)
+        yield act
+
+    def probe():
+        yield engine.timer(0.5)
+        group = links[0].group
+        assert group.vectorized and group is links[4].group
+        names = [a.name for a in group.acts_list]
+        # Flows 0-3 attach in start order; flow 6 bridges to the scalar
+        # group of flows 4-5, whose members are appended in *their*
+        # start order, then flow 6 itself.
+        assert names == ["a0", "a1", "a2", "a3", "a4", "a5", "a6"]
+        assert list(group.acts) == group.acts_list
+        assert list(links[0].users) == [started[0], started[1],
+                                        started[2]]
+        for act in started:
+            engine.fail_activity(act, "probe done")
+
+    specs = [(0.0, (0, 1)), (0.0, (0, 1)), (0.0, (0, 2)), (0.1, (1, 2)),
+             (0.2, (3, 4)), (0.2, (4, 5)), (0.3, (2, 3))]
+    for k, (start, idx) in enumerate(specs):
+        engine.add_process(f"f{k}", flow(k, start, idx))
+    engine.add_process("probe", probe(), daemon=True)
+    engine.run()
+    assert len(started) == 7
+
+
+def test_fail_absorbed_activity_and_lazy_column_capacity_change(monkeypatch):
+    """fail_activity on an activity that entered the arrays by being
+    absorbed, and set_capacity on constraints whose column is created
+    lazily: l6 is a member of the array-backed group from the absorb on
+    (its flow is long gone: no row, no column) and l5 of no group at
+    all when their capacities change — nothing to patch, each column is
+    born with the new capacity when its first user arrives — then l5
+    and l1 again under load."""
+    script = [(0.0, (0, 1), 6e7, None), (0.0, (1, 2), 8e7, 5e7),
+              (0.05, (3, 4), 9e7, 4e7),       # scalar, absorbed at 0.1
+              (0.0, (4, 6), 2e6, None),       # done by 0.02: l6 idle
+              (0.1, (2, 3), 5e7, None),       # the bridge
+              (0.4, (4, 5), 3e7, None),       # l5's first user
+              (0.4, (5, 0), 2e7, None),
+              (0.4, (6, 0), 4e7, None)]       # l6's first array user
+    faults = [(0.2, "fail", 2), (0.3, "cap", 5, 2e7), (0.3, "cap", 6, 1e7),
+              (0.5, "cap", 5, 6e7), (0.6, "cap", 1, 3e7)]
+    ends = _assert_all_configs_agree(script, 7, monkeypatch, faults=faults)
+    assert ends[2] == "failed"
+    assert all(isinstance(t, float) for i, t in enumerate(ends) if i != 2)
+    # The lazily created column really carries the reduced capacity.
+    assert ends[7] >= 0.4 + 4e7 / 1e7
+
+    _, _, links = _scripted_run(script, 7, faults=faults[:3])
+    group = links[0].group
+    assert group.vectorized and links[6].group is group
+    assert links[6] in group.col and links[5] in group.col
+
+
+_INF = float("inf")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf * 0
+def test_absorbed_activities_with_infinite_rate_and_zero_remaining(
+        monkeypatch):
+    """Two corner rows an absorb must carry over intact.  Flow 3 runs
+    alone on an uncapped link (rate inf, completion armed for *now*)
+    when flow 4, started at the same instant, bridges it into the
+    array-backed group: the invalidated event must not lose it.  Flow 2
+    has drained to exactly zero at t=0.5, its completion still in the
+    calendar, when flow 5 (an earlier-armed timer) bridges it in."""
+    caps = [1e8, 1e8, _INF, 1e8]
+    script = [(0.0, (0, 1), 9e7, None), (0.0, (0, 1), 9e7, 2e7),
+              (0.0, (3,), 5e7, None),
+              (0.25, (2,), 5e7, None), (0.25, (1, 2), 1e7, None),
+              (0.5, (0, 3), 1e7, None)]
+    # Timers fire FIFO: registering the 0.5 bridge first puts it ahead
+    # of flow 2's completion event at that instant.
+    script = [script[5]] + script[:5]
+    ends = _assert_all_configs_agree(script, 4, monkeypatch, caps=caps)
+    assert ends[4] == 0.25      # the uncapped flow: instantaneous
+    assert ends[3] == 0.5       # the drained flow: on time
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf * 0
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_random_merge_histories_match_the_scalar_oracle(data):
+    """Random arrival/merge histories with array-backing forced
+    (threshold 2): array+scalar, array+array and scalar+array unions,
+    merges while the survivor holds an armed event, absorbed activities
+    with finite bounds, infinite rates (an uncapped link) and zero
+    remaining (starts quantised so that merges land on completion
+    instants).  Every completion time equals the reference engine's to
+    1e-9, with and without incremental patching."""
+    n_links = data.draw(st.integers(3, 8), label="links")
+    caps = [data.draw(st.sampled_from([1e8, 1e8, 5e7, 2.5e7, _INF]),
+                      label=f"cap{i}") for i in range(n_links)]
+    script = []
+    for k in range(data.draw(st.integers(2, 14), label="flows")):
+        width = data.draw(st.integers(1, min(3, n_links)))
+        idx = tuple(data.draw(st.permutations(range(n_links)))[:width])
+        script.append((
+            0.25 * data.draw(st.integers(0, 6)),
+            idx,
+            2.5e7 * data.draw(st.integers(1, 8)),
+            data.draw(st.sampled_from([None, None, 1e8, 5e7, 1.25e7])),
+        ))
+    oracle, _, _ = _scripted_run(script, n_links, caps=caps,
+                                 lmm_mode="reference")
+    assert None not in oracle
+    # (not the monkeypatch fixture: it is function-scoped, @given is not)
+    with mock.patch("repro.simkernel.engine._PATCH_MIN_LEVELS", 0):
+        for incremental in (True, False):
+            got, _, _ = _scripted_run(script, n_links, caps=caps,
+                                      incremental=incremental)
+            _assert_ends_close(got, oracle)

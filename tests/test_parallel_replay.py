@@ -231,6 +231,12 @@ def test_sharded_explicit_halo_and_metrics_merge(tmp_path):
     assert b.metrics["engine"]["aggregated_over_shards"] == 2
     assert b.metrics["per_rank"] == []
     assert b.metrics["replay"]["n_actions"] == a.metrics["replay"]["n_actions"]
+    # Sharing-topology counters are per-engine events and sum over the
+    # shard engines (each full-halo worker builds the point-to-point
+    # groups itself; the collectives' merges stay with the coordinator).
+    merges = a.metrics["engine"]["group_merges"]
+    assert 0 < merges < b.metrics["engine"]["group_merges"] <= 2 * merges
+    assert b.metrics["engine"]["vector_attaches"] == 0   # 16 ranks: scalar
 
 
 # ----------------------------------------------------------------------

@@ -243,3 +243,105 @@ def test_replay_gzipped_merged_trace(tmp_path):
     in_memory = make_replayer(4).replay(trace)
     assert from_gz.simulated_time == pytest.approx(in_memory.simulated_time)
     assert from_gz.n_actions == 12
+
+
+# ---------------------------------------------------------------------------
+# A platform outlives the engines that run on it
+# ---------------------------------------------------------------------------
+
+def _chain_trace(n_ranks):
+    """1-D open-chain ghost-cell exchange (the LU action mix): rendezvous
+    faces pipeline down the chain, so link groups keep merging."""
+    face = 1e5
+    actions = []
+    for rank in range(n_ranks):
+        peers = [p for p in (rank - 1, rank + 1) if 0 <= p < n_ranks]
+        actions.append(CommSize(rank, n_ranks))
+        actions += [Irecv(rank, p, face) for p in peers]
+        for p in peers:
+            actions += [Compute(rank, 1e4 * (1 + rank % 3)),
+                        Send(rank, p, face)]
+        actions += [Wait(rank) for _ in peers]
+        actions += [Compute(rank, 1e6), AllReduce(rank, 40, 10)]
+    return trace_of(actions)
+
+
+def _fatpipe_platform(n_hosts):
+    platform = Platform("t")
+    platform.add_cluster("c", n_hosts, speed=1e9, link_bw=1.25e9,
+                         link_lat=1e-6, backbone_bw=1.25e10,
+                         backbone_lat=1e-6, backbone_sharing="fatpipe")
+    return platform
+
+
+def test_replay_is_a_pure_function_of_its_inputs_on_a_reused_platform():
+    """Sharing groups are engine state parked on the platform's
+    constraints; a second replayer on the same platform must not
+    inherit the first one's merged, array-backed groups (it used to,
+    and came out different in the last bit)."""
+    n = 96
+    trace = _chain_trace(n)
+
+    def replay_on(platform, **kw):
+        replayer = TraceReplayer(platform,
+                                 round_robin_deployment(platform, n),
+                                 collect_metrics=True, **kw)
+        replayer.engine.vector_threshold = 4   # array-backed at 96 ranks
+        return replayer.replay(trace)
+
+    platform = _fatpipe_platform(n)
+    first = replay_on(platform)
+    assert any(link.constraint.group is not None
+               and link.constraint.group.vectorized
+               for link in platform.iter_links())
+    second = replay_on(platform)
+    assert second.simulated_time == first.simulated_time
+    assert second.per_rank_time == first.per_rank_time
+    # Same work, too: no inherited (pre-merged) groups to re-rate.
+    assert second.metrics["engine"] == first.metrics["engine"]
+    assert first.metrics["engine"]["group_merges"] > 0
+    assert replay_on(_fatpipe_platform(n)).per_rank_time \
+        == first.per_rank_time
+    # ... and a reference-mode engine after an auto one sees no arrays.
+    oracle = replay_on(platform, lmm_mode="reference")
+    assert oracle.simulated_time == pytest.approx(first.simulated_time,
+                                                  rel=1e-9)
+    assert oracle.per_rank_time == pytest.approx(first.per_rank_time,
+                                                 rel=1e-9)
+    assert not any(link.constraint.group is not None
+                   and link.constraint.group.vectorized
+                   for link in platform.iter_links())
+
+
+def test_chain_merges_never_reattach_an_array_backed_group(monkeypatch):
+    """256-rank chain: the pipeline wave merges about one link group per
+    rank into the big array-backed one.  Each merge used to devectorize
+    it and the next re-rate to rebuild it (55 attaches for 254 merges
+    here, ~one per rank at 1024); now the group absorbs in place, so
+    every attach is accounted for by an array-backed group that still
+    exists or was itself absorbed by another array-backed one."""
+    from repro.simkernel.engine import Engine
+
+    absorbed_arrays = []
+    devectorize = Engine._devectorize
+    monkeypatch.setattr(
+        Engine, "_devectorize",
+        lambda self, group: (absorbed_arrays.append(group),
+                             devectorize(self, group)))
+    n = 256
+    platform = _fatpipe_platform(n)
+    result = TraceReplayer(platform, round_robin_deployment(platform, n),
+                           collect_metrics=True).replay(_chain_trace(n))
+    engine = result.metrics["engine"]
+    groups = {id(link.constraint.group): link.constraint.group
+              for link in platform.iter_links()
+              if link.constraint.group is not None}
+    array_backed = sum(g.vectorized for g in groups.values())
+    assert array_backed >= 1
+    assert engine["group_merges"] >= n // 2
+    assert engine["vector_attaches"] == array_backed + len(absorbed_arrays)
+    assert engine["vector_attaches"] <= 4      # not one per merge
+    from repro.analysis import format_metrics_report
+    assert (f"{engine['group_merges']:,} merges, "
+            f"{engine['vector_attaches']:,} array-backed attaches"
+            ) in format_metrics_report(result.metrics)
