@@ -87,8 +87,8 @@ def format_metrics_report(metrics: Optional[Dict],
     lines.append(
         f"events: {_fmt_count(engine.get('events_popped', 0))} popped, "
         f"{_fmt_count(engine.get('stale_heap_entries_skipped', 0))} stale "
-        f"skipped, {_fmt_count(engine.get('heap_compactions', 0))} "
-        f"compactions"
+        f"skipped, {_fmt_count(engine.get('calendar_rebuilds', 0))} "
+        f"calendar rebuilds"
     )
     lines.append(
         f"sharing: {_fmt_count(engine.get('sharing_recomputes', 0))} "

@@ -34,9 +34,10 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.actions import (
     Action,
@@ -111,7 +112,7 @@ class _RankExtractor(TfrCallbacks):
         self._enter_time_us = 0.0
         # Current MPI state and per-call scratch.
         self._in_mpi: Optional[str] = None
-        self._pending_irecvs: List[int] = []  # indices into self.actions
+        self._pending_irecvs: Deque[int] = deque()  # indices into actions
         self._wait_resolved = False
         self._coll_vcomm = 0.0
         self._coll_vcomp = 0.0
@@ -203,7 +204,7 @@ class _RankExtractor(TfrCallbacks):
                     f"p{self.rank}: RecvMessage in MPI_Wait without a "
                     "pending MPI_Irecv"
                 )
-            index = self._pending_irecvs.pop(0)
+            index = self._pending_irecvs.popleft()
             self.actions[index] = Irecv(self.rank, src, float(size))
             self._wait_resolved = True
         else:

@@ -20,7 +20,7 @@ from ..tracer.events import (
     KIND_ENTRY_EXIT,
     unpack_message,
 )
-from ..tracer.tracefile import read_records
+from ..tracer.tracefile import iter_record_tuples
 
 __all__ = ["TfrCallbacks", "read_trace"]
 
@@ -80,34 +80,38 @@ def read_trace(trc_path: str, edf_path: str,
             callbacks.def_user_event(event_def.event_id, event_def.name,
                                      event_def.tag)
 
+    # The per-record loop: raw tuples from the one parser, callbacks
+    # and the {event_id: is_state} table bound to locals.
+    is_state = {event_id: event_def.kind == KIND_ENTRY_EXIT
+                for event_id, event_def in defs.items()}
+    enter_state = callbacks.enter_state
+    leave_state = callbacks.leave_state
+    event_trigger = callbacks.event_trigger
     n_records = 0
     nid: Optional[int] = None
     tid = 0
-    for rec in read_records(trc_path):
+    for event_id, nid, tid, param, time_us in iter_record_tuples(trc_path):
         n_records += 1
-        nid, tid = rec.nid, rec.tid
-        if rec.event_id == EV_SEND_MESSAGE:
-            dst, tag, size = unpack_message(rec.param)
-            callbacks.send_message(nid, tid, rec.time_us, dst, size, tag, 0)
+        if event_id == EV_SEND_MESSAGE:
+            dst, tag, size = unpack_message(param)
+            callbacks.send_message(nid, tid, time_us, dst, size, tag, 0)
             continue
-        if rec.event_id == EV_RECV_MESSAGE:
-            src, tag, size = unpack_message(rec.param)
-            callbacks.recv_message(nid, tid, rec.time_us, src, size, tag, 0)
+        if event_id == EV_RECV_MESSAGE:
+            src, tag, size = unpack_message(param)
+            callbacks.recv_message(nid, tid, time_us, src, size, tag, 0)
             continue
-        event_def = defs.get(rec.event_id)
-        if event_def is None:
+        state = is_state.get(event_id)
+        if state is None:
             raise ValueError(
-                f"{trc_path}: record references event id {rec.event_id} "
+                f"{trc_path}: record references event id {event_id} "
                 f"not declared in {edf_path}"
             )
-        if event_def.kind == KIND_ENTRY_EXIT:
-            if rec.param == ENTRY:
-                callbacks.enter_state(nid, tid, rec.time_us, rec.event_id)
-            else:
-                callbacks.leave_state(nid, tid, rec.time_us, rec.event_id)
+        if not state:
+            event_trigger(nid, tid, time_us, event_id, param)
+        elif param == ENTRY:
+            enter_state(nid, tid, time_us, event_id)
         else:
-            callbacks.event_trigger(nid, tid, rec.time_us, rec.event_id,
-                                    rec.param)
+            leave_state(nid, tid, time_us, event_id)
     if nid is not None:
         callbacks.end_trace(nid, tid)
     return n_records

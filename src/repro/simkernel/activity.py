@@ -111,7 +111,7 @@ class Activity(Waitable):
 
     __slots__ = ("name", "start_time", "finish_time",
                  "constraints", "bound", "remaining", "rate",
-                 "settled_at", "epoch", "registered", "cal_slot")
+                 "settled_at", "epoch", "registered")
 
     def __init__(self, name: str = "") -> None:
         super().__init__()
@@ -127,7 +127,6 @@ class Activity(Waitable):
         self.settled_at = 0.0
         self.epoch = 0
         self.registered = False  # constraints' user sets include self
-        self.cal_slot = -1       # owned event-calendar slot (engine)
 
     # -- hooks the engine calls ----------------------------------------
     def begin(self, now: float) -> str:

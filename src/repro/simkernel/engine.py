@@ -10,12 +10,11 @@ constraint records which activities currently use it, and when the
 activity mix changes, only the affected *sharing component* — activities
 transitively connected to the change through shared constraints — is
 settled (progress accrued at the old rate) and re-rated (max-min fair
-share recomputed).  Predicted completion instants live in an
-array-backed event calendar (:class:`_Calendar`) with epoch-validated
-lazy deletion and in-place re-arming.  The cost of an event is
-proportional to the size of its component, not to the number of
-activities in flight — which is what lets thousand-rank replays run in
-reasonable time.
+share recomputed).  Predicted completion instants live in a heap event
+calendar (:class:`_Calendar`) with epoch-validated lazy deletion.  The
+cost of an event is proportional to the size of its component, not to
+the number of activities in flight — which is what lets thousand-rank
+replays run in reasonable time.
 
 Re-rates of array-backed groups additionally try an *incremental*
 certified patch (:func:`repro.simkernel.lmm.patch_solve`) before paying
@@ -28,6 +27,7 @@ solve are counted (``patch_fallbacks``), never silent.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import (
     Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple,
 )
@@ -98,142 +98,52 @@ class WaitAny:
 
 
 class _Calendar:
-    """Array-backed completion-event calendar (the old heap-of-tuples).
+    """Completion-event calendar: a binary heap with lazy invalidation.
 
-    Entries live in parallel NumPy arrays — ``times`` / ``seqs`` /
-    ``epochs`` — plus a Python ``acts`` list, indexed by *slot*.  Each
-    activity owns at most one slot (``Activity.cal_slot``), so re-arming
-    an already-armed activity is three in-place array writes instead of
-    a push plus a lazily-invalidated leftover.  Freed slots go to a
-    free list; ``times`` is ``inf`` there, so the pop scan can treat
-    the whole ``[0, hi)`` prefix uniformly.
-
-    Ordering is exactly the old heap's: earliest time first, FIFO by a
-    monotone sequence number among simultaneous events.  Validity is
-    exactly the old heap's too: an entry fires only if its recorded
-    epoch still matches the activity's (and the activity is not done);
-    stale entries found on the way are released and counted in
-    ``stale``.  Pop is an ``argmin`` over the slot prefix — with the
-    engine's min-arming (one live event per sharing group) the prefix
-    stays at O(components), which is why the scan beats heap churn.
+    Entries are ``(time, seq, epoch, activity)`` tuples: earliest time
+    first, FIFO by a monotone sequence number among simultaneous events
+    (``seq`` is unique, so a comparison never reaches the activity).
+    An entry fires only if its recorded epoch still matches the
+    activity's and the activity is not done; re-arming is an epoch bump
+    plus a fresh push, and the leftover is discarded (and counted in
+    ``stale``) when it surfaces at :meth:`pop` or is swept by
+    :meth:`compact`.  Push and pop cost O(log entries) in C, whatever
+    the entry count — with the engine's min-arming (one live event per
+    sharing group) that is a handful of comparisons.
     """
 
-    __slots__ = ("times", "seqs", "epochs", "acts", "hi", "free",
-                 "seq", "stale")
+    __slots__ = ("heap", "seq", "stale")
 
     def __init__(self) -> None:
-        cap = 256
-        self.times = np.full(cap, INF)
-        self.seqs = np.zeros(cap, dtype=np.int64)
-        self.epochs = np.zeros(cap, dtype=np.int64)
-        self.acts: List[Optional[Activity]] = [None] * cap
-        self.hi = 0                 # slots [0, hi) are in use or freed
-        self.free: List[int] = []
+        # Live entries plus not-yet-discarded stale ones.
+        self.heap: List[Tuple[float, int, int, Activity]] = []
         self.seq = 0                # FIFO tie-break, monotone
         self.stale = 0              # invalidated entries discarded
 
-    def __len__(self) -> int:
-        """Occupied slots (live + not-yet-released stale entries)."""
-        return self.hi - len(self.free)
-
     def push(self, time_: float, act: Activity) -> None:
         self.seq += 1
-        slot = act.cal_slot
-        if 0 <= slot < self.hi and self.acts[slot] is act:
-            # In-place re-arm: overwrite the slot this activity already
-            # owns (whether its entry was still valid or stale).
-            self.times[slot] = time_
-            self.seqs[slot] = self.seq
-            self.epochs[slot] = act.epoch
-            return
-        if self.free:
-            slot = self.free.pop()
-        else:
-            slot = self.hi
-            if slot >= self.times.shape[0]:
-                self._grow()
-            self.hi = slot + 1
-        self.times[slot] = time_
-        self.seqs[slot] = self.seq
-        self.epochs[slot] = act.epoch
-        self.acts[slot] = act
-        act.cal_slot = slot
-
-    def _grow(self) -> None:
-        cap = 2 * self.times.shape[0]
-        for name in ("times", "seqs", "epochs"):
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[:old.shape[0]] = old
-            setattr(self, name, new)
-        self.times[self.hi:] = INF
-        self.acts.extend([None] * (cap - len(self.acts)))
-
-    def _release(self, slot: int) -> None:
-        act = self.acts[slot]
-        self.acts[slot] = None
-        self.times[slot] = INF
-        if act is not None and act.cal_slot == slot:
-            act.cal_slot = -1
-        self.free.append(slot)
+        heappush(self.heap, (time_, self.seq, act.epoch, act))
 
     def pop(self) -> Optional[Tuple[float, Activity]]:
         """The earliest valid ``(time, activity)`` event, or ``None``
         when no valid entry remains (the engine's deadlock signal)."""
-        times = self.times
-        seqs = self.seqs
-        epochs = self.epochs
-        acts = self.acts
-        while True:
-            hi = self.hi
-            if hi == 0:
-                return None
-            view = times[:hi]
-            k = int(view.argmin())
-            t = float(view[k])
-            if t == INF:
-                return None
-            ties = np.flatnonzero(view == t)
-            if ties.shape[0] > 1:
-                k = int(ties[seqs[ties].argmin()])
-            act = acts[k]
-            if act.done or epochs[k] != act.epoch:
+        heap = self.heap
+        while heap:
+            time_, _, epoch, act = heappop(heap)
+            if act.done or epoch != act.epoch:
                 self.stale += 1
-                self._release(k)
                 continue
-            self._release(k)
-            return t, act
+            return time_, act
+        return None
 
     def compact(self) -> None:
-        """Drop every stale entry and repack the survivors densely.
-
-        Survivors keep their ``(time, seq)`` keys, so pop order is
-        untouched; their slots change, so ``cal_slot`` is rewritten
-        (dangling ``cal_slot`` values on evicted activities are safe —
-        :meth:`push` verifies slot ownership before reusing one).
-        """
-        hi = self.hi
-        acts = self.acts
-        epochs = self.epochs
-        live = [s for s in range(hi)
-                if acts[s] is not None
-                and not acts[s].done and epochs[s] == acts[s].epoch]
-        self.stale += (hi - len(self.free)) - len(live)
-        n = len(live)
-        if n:
-            idx = np.asarray(live, dtype=np.intp)
-            self.times[:n] = self.times[idx]
-            self.seqs[:n] = self.seqs[idx]
-            self.epochs[:n] = self.epochs[idx]
-            survivors = [acts[s] for s in live]
-            for i, a in enumerate(survivors):
-                acts[i] = a
-                a.cal_slot = i
-        for s in range(n, hi):
-            acts[s] = None
-        self.times[n:hi] = INF
-        self.hi = n
-        self.free = []
+        """Drop every stale entry.  Survivors keep their ``(time, seq)``
+        keys, so pop order is untouched."""
+        heap = self.heap
+        live = [e for e in heap if not e[3].done and e[2] == e[3].epoch]
+        self.stale += len(heap) - len(live)
+        heapify(live)
+        self.heap = live
 
 
 class _Group:
@@ -370,9 +280,8 @@ class Engine:
         self._live_count = 0
         self._calendar = _Calendar()
         self._dirty: Dict[Constraint, None] = {}
-        # Calendar-compaction watermark: rebuild when the occupied-slot
-        # prefix doubles past the live-entry count observed at the
-        # previous compaction.
+        # Calendar-compaction watermark: rebuild when the heap doubles
+        # past the live-entry count observed at the previous compaction.
         self._heap_floor = 4096
         # Progressive-filling levels, accumulated unconditionally (one
         # integer add per filling) and windowed into the metrics by run().
@@ -1100,8 +1009,8 @@ class Engine:
         """Min-arm one array-backed group after a re-rate.
 
         O(1) invalidation: only the previously armed activity can hold
-        a live calendar event for this group, so one epoch bump (or an
-        in-place calendar re-arm) replaces the per-activity sweep.
+        a live calendar event for this group, so one epoch bump replaces
+        the per-activity sweep.
         """
         prev = group.armed
         if prev is not None:
@@ -1250,18 +1159,15 @@ class Engine:
     def _maybe_compact(self) -> None:
         """Drop stale calendar entries once they dominate (lazy deletion).
 
-        Triggered when the occupied-slot prefix doubles past the live
-        count seen at the previous compaction — amortised O(1) per
-        event.  The dropped-entry count flows into ``stale_skipped``
-        through the calendar's own ``stale`` counter (windowed by
-        ``run()``)."""
+        Triggered when the heap doubles past the live count seen at the
+        previous compaction — amortised O(1) per event.  The
+        dropped-entry count flows into ``stale_skipped`` through the
+        calendar's own ``stale`` counter (windowed by ``run()``)."""
         cal = self._calendar
-        if cal.hi > 2 * self._heap_floor:
+        if len(cal.heap) > 2 * self._heap_floor:
             cal.compact()
             self._calendar_rebuilds += 1
-            if self.metrics is not None:
-                self.metrics.compactions += 1
-            self._heap_floor = max(4096, cal.hi)
+            self._heap_floor = max(4096, len(cal.heap))
 
     # ------------------------------------------------------------------
     # Completion and process scheduling

@@ -23,8 +23,8 @@ budget (``benchmarks/bench_fig9_replay_time.py::test_fig9_metrics_overhead``):
 Three counter groups mirror the three layers of the replay pipeline:
 
 * :class:`EngineMetrics` — the discrete-event loop: events popped, stale
-  heap entries skipped, heap compactions, sharing-component sizes, and
-  max-min filling iterations.
+  calendar entries skipped, calendar rebuilds, sharing-component sizes,
+  and max-min filling iterations.
 * :class:`CommMetrics` — the matching/transfer layer: transfers and
   bytes split by eager vs. rendezvous protocol, match-queue depths, and
   route/model-factor cache hit rates.
@@ -88,7 +88,7 @@ class EngineMetrics:
     this object only reflects completed ``run()`` calls.
     """
 
-    __slots__ = ("events_popped", "stale_skipped", "compactions",
+    __slots__ = ("events_popped", "stale_skipped",
                  "fastpath_recomputes", "generic_recomputes",
                  "component_acts", "max_component_acts",
                  "maxmin_iterations", "vectorized_recomputes",
@@ -102,7 +102,6 @@ class EngineMetrics:
     def reset(self) -> None:
         self.events_popped = 0        # valid completion events processed
         self.stale_skipped = 0        # lazy-deleted calendar entries dropped
-        self.compactions = 0          # calendar compaction sweeps
         self.fastpath_recomputes = 0  # single-constraint fast path taken
         self.generic_recomputes = 0   # BFS + progressive-filling path
         self.component_acts = 0       # total activities settled+re-rated
@@ -131,7 +130,6 @@ class EngineMetrics:
         return {
             "events_popped": self.events_popped,
             "stale_heap_entries_skipped": self.stale_skipped,
-            "heap_compactions": self.compactions,
             "sharing_recomputes": recomputes,
             "fastpath_recomputes": fast,
             "component_activities_total": self.component_acts,
@@ -157,8 +155,7 @@ class EngineMetrics:
             "incremental_patches": self.incremental_patches,
             "patch_fallbacks": self.patch_fallbacks,
             "full_resolves": self.full_resolves,
-            # Event-calendar compaction sweeps (same value as the
-            # legacy "heap_compactions" key above).
+            # Event-calendar compaction sweeps.
             "calendar_rebuilds": self.calendar_rebuilds,
             # Sharing-topology provenance: group unions, and groups
             # switched to array-backed state.  A merge never re-attaches

@@ -160,8 +160,11 @@ class MpiRuntime:
                     if rank not in dead_ranks:
                         blocked[rank] = {"action": None,
                                          "pending_irecv_srcs": []}
-        if self.hooks is not None:
-            self.hooks.detach()
+        finally:
+            # Also on a deadlock or a rank program's exception: the
+            # tracer's buffered records are the post-mortem evidence.
+            if self.hooks is not None:
+                self.hooks.detach()
         fault_report = None
         if injector is not None:
             dead = {f.rank: f for f in rank_failures}

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Iterator
+from itertools import starmap
+from typing import Iterator, Tuple
 
 from .events import TraceRecord
 
 __all__ = [
     "RECORD_BYTES", "HEADER_BYTES",
     "trc_file_name", "edf_file_name",
-    "TraceFileWriter", "read_records", "record_count",
+    "TraceFileWriter", "iter_record_tuples", "read_records", "record_count",
 ]
 
 _MAGIC = b"TAUTRC01"
@@ -85,8 +86,11 @@ class TraceFileWriter:
         return HEADER_BYTES + RECORD_BYTES * self.n_records
 
 
-def read_records(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a timed trace file."""
+def iter_record_tuples(
+        path: str) -> Iterator[Tuple[int, int, int, int, float]]:
+    """Stream a timed trace file as raw ``(event_id, nid, tid, param,
+    time_us)`` tuples — the one parser of the format.  Header, version
+    and truncation problems raise :class:`ValueError` naming the file."""
     with open(path, "rb") as handle:
         header = handle.read(HEADER_BYTES)
         if len(header) != HEADER_BYTES:
@@ -102,11 +106,12 @@ def read_records(path: str) -> Iterator[TraceRecord]:
                 return
             if len(chunk) % RECORD_BYTES:
                 raise ValueError(f"{path}: truncated record at end of file")
-            for offset in range(0, len(chunk), RECORD_BYTES):
-                event_id, nid, tid, param, time_us = _RECORD.unpack_from(
-                    chunk, offset
-                )
-                yield TraceRecord(event_id, nid, tid, param, time_us)
+            yield from _RECORD.iter_unpack(chunk)
+
+
+def read_records(path: str) -> Iterator[TraceRecord]:
+    """Stream the records of a timed trace file."""
+    return starmap(TraceRecord, iter_record_tuples(path))
 
 
 def record_count(path: str) -> int:

@@ -1,5 +1,6 @@
 """Integration tests for the acquisition pipeline and its modes (§4)."""
 
+import hashlib
 import os
 
 import pytest
@@ -166,3 +167,30 @@ def test_acquisition_times_differ_but_jittered_traces_stay_close(tmp_path):
             if action_a.name == "compute":
                 rel = abs(action_a.volume - action_b.volume) / action_a.volume
                 assert rel < 0.01
+
+
+# SHA-256 over the sorted files (name, NUL, bytes) of the archives that
+# acquire(LU class S, 8 ranks, bordereau, papi_jitter=0.01, papi_seed=1)
+# leaves behind, computed at the commit before the tracer/reader were
+# touched for speed: neither may move one byte of either archive.
+_PINNED_TAU_SHA256 = \
+    "670cd0ddc84e5b971c1c95bc591de357a9b1c714730212b5e7155eddd0494bae"
+_PINNED_TI_SHA256 = \
+    "0f93651d0e77cdbdac75819d1c95dd56f718bef73aba389f2ca7c9cbabc84f6c"
+
+
+def _tree_sha256(root):
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        digest.update(name.encode() + b"\0")
+        with open(os.path.join(root, name), "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
+def test_acquired_archives_are_pinned_byte_for_byte(tmp_path):
+    result = acquire(LuWorkload("S", 8).program, bordereau(), 8,
+                     workdir=str(tmp_path), papi_jitter=0.01, papi_seed=1)
+    assert result.extraction.n_actions == 39447
+    assert _tree_sha256(str(tmp_path / "tau")) == _PINNED_TAU_SHA256
+    assert _tree_sha256(str(tmp_path / "ti")) == _PINNED_TI_SHA256

@@ -42,6 +42,45 @@ def test_truncated_header_detected(archive):
         list(read_records(path))
 
 
+def _corrupt_rank1_trc(kind, blob):
+    if kind == "truncated header":
+        return blob[:9]
+    if kind == "bad magic":
+        return b"NOTATRC0" + blob[8:]
+    if kind == "unsupported version":
+        return blob[:8] + struct.pack("<I", 7) + blob[12:]
+    if kind == "trailing partial record":
+        return blob + blob[16:16 + 11]
+    assert kind == "undeclared event id"
+    return blob + struct.pack("<IHHqd", 4242, 1, 0, 1, 9e9)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("truncated header", "truncated header"),
+    ("bad magic", "bad magic"),
+    ("unsupported version", "unsupported version 7"),
+    ("trailing partial record", "truncated record"),
+    ("undeclared event id", "event id 4242 not declared"),
+])
+def test_tau2simgrid_rejects_hostile_trace_file(archive, kind, message):
+    """The same hostile files through the real path: ``tau2simgrid``
+    drives the one record parser directly, so each failure is a
+    ``ValueError`` naming the offending file — never a ``struct.error``
+    or a silently shortened action list."""
+    path = os.path.join(archive, trc_file_name(1))
+    blob = open(path, "rb").read()
+    with open(path, "wb") as handle:
+        handle.write(_corrupt_rank1_trc(kind, blob))
+    with pytest.raises(ValueError) as err:
+        tau2simgrid(archive, 2, out_dir=None)
+    assert message in str(err.value)
+    assert path in str(err.value)
+    if kind != "undeclared event id":   # read_records sees no .edf
+        with pytest.raises(ValueError) as err:
+            list(read_records(path))
+        assert message in str(err.value)
+
+
 def test_trace_edf_mismatch_detected(archive):
     """Records referencing undeclared event ids mean gathering shipped
     inconsistent files; extraction must refuse."""

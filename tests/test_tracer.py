@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.simkernel import Platform
+from repro.simkernel import DeadlockError, Platform
 from repro.simkernel.pwl import IDENTITY_MODEL
 from repro.smpi import MpiRuntime, round_robin_deployment
 from repro.tracer import (
@@ -251,3 +251,41 @@ def test_tracer_single_use():
     make_runtime(2, tracer=tracer).run(simple_exchange)
     with pytest.raises(RuntimeError):
         make_runtime(2, tracer=tracer).run(simple_exchange)
+
+
+def test_failed_run_still_leaves_complete_trace_files(tmp_path):
+    """A traced run that deadlocks (or whose program raises) detaches the
+    tracer on the way out: every .trc is flushed and closed, and holds
+    the entry of the MPI_Recv each rank is stuck in — the post-mortem
+    evidence must not be lost in the writer's buffer."""
+    def both_receive_first(mpi):
+        yield from mpi.compute(1e6)
+        yield from mpi.recv(src=1 - mpi.rank)
+        yield from mpi.send(1 - mpi.rank, 1024)
+
+    tracer = Tracer(str(tmp_path))
+    runtime = make_runtime(2, tracer=tracer)
+    with pytest.raises(DeadlockError):
+        runtime.run(both_receive_first)
+    archive = tracer.archive
+    assert archive is not None
+    assert all(sink._handle is None for sink in tracer._sinks)
+    for rank in range(2):
+        assert record_count(archive.trc_path(rank)) \
+            == archive.records_per_rank[rank] > 0
+        defs = read_edf(archive.edf_path(rank))
+        recv_id = next(i for i, d in defs.items()
+                       if d.name.startswith("MPI_Recv"))
+        params = [r.param for r in read_records(archive.trc_path(rank))
+                  if r.event_id == recv_id]
+        assert params == [ENTRY]   # entered, never left
+
+    def raises(mpi):
+        yield from mpi.compute(1e6)
+        raise KeyError("application bug")
+
+    tracer = Tracer(str(tmp_path / "raised"))
+    with pytest.raises(KeyError):
+        make_runtime(2, tracer=tracer).run(raises)
+    assert tracer.archive.records_per_rank[0] \
+        == record_count(tracer.archive.trc_path(0)) > 0
