@@ -285,6 +285,12 @@ def execute_scenario(sdict: dict) -> dict:
 
 def _scenario_worker(conn, sdict: dict) -> None:
     """Process entry point: run, report through the pipe, exit."""
+    # A forked worker inherits the runner's SIGTERM *drain* handler,
+    # under which the timeout's terminate() only sets a flag in here
+    # and the hung scenario sleeps on.  A SIGTERM aimed at a worker
+    # kills it; SIGINT keeps Python's default (KeyboardInterrupt, which
+    # the worker reports through the pipe like any other failure).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         payload = execute_scenario(sdict)
         conn.send(("ok", payload))
@@ -296,6 +302,16 @@ def _scenario_worker(conn, sdict: dict) -> None:
         }))
     finally:
         conn.close()
+
+
+def stop_process(process, grace_s: float = 5.0) -> None:
+    """SIGTERM, wait at most ``grace_s``, then SIGKILL: never an
+    unbounded wait on a child that ignores the polite signal."""
+    process.terminate()
+    process.join(grace_s)
+    if process.is_alive():
+        process.kill()
+        process.join()
 
 
 # ----------------------------------------------------------------------
@@ -592,8 +608,7 @@ def run_campaign(
             # Enforce timeouts on whoever is still running.
             for conn in [c for c, e in live.items() if now >= e.deadline]:
                 entry = live.pop(conn)
-                entry.process.terminate()
-                entry.process.join()
+                stop_process(entry.process)
                 conn.close()
                 busy = now - entry.started
                 metrics.attempts += 1

@@ -284,13 +284,9 @@ class ReplaySpec:
     shard_halo: int = 0
 
     def __post_init__(self) -> None:
-        # Accepts every engine solver mode, including "native" (the
-        # optional Numba kernel) — availability of the extra is checked
-        # at replay construction, not here, so a campaign authored on a
-        # native-capable host still *parses* everywhere.  Deliberately
-        # no new spec field for the incremental toggle: the incremental
-        # patch is certified-identical to the full solve, so it is not
-        # part of a result's address.
+        # Deliberately no spec field for the incremental toggle: the
+        # incremental patch is certified-identical to the full solve,
+        # so it is not part of a result's address.
         from ..simkernel.lmm import LMM_MODES
 
         if self.lmm_mode not in LMM_MODES:

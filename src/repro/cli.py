@@ -403,15 +403,11 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--collectives", default="binomial",
                         choices=["binomial", "flat"])
     parser.add_argument("--lmm", default="auto",
-                        choices=["auto", "reference", "vectorized",
-                                 "native"],
+                        choices=["auto", "reference", "vectorized"],
                         help="max-min solver path: 'auto' vectorizes "
                              "large sharing components, 'reference' "
                              "forces the pure-Python oracle, 'vectorized' "
-                             "forces NumPy, 'native' runs the optional "
-                             "Numba kernel (needs the repro[native] "
-                             "extra; fails fast when it is missing) "
-                             "(default: auto)")
+                             "forces NumPy (default: auto)")
     parser.add_argument("--no-lmm-incremental", dest="lmm_incremental",
                         action="store_false", default=True,
                         help="disable the certified incremental max-min "
@@ -499,11 +495,10 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
             shards=args.shards,
             shard_halo=args.shard_halo,
         )
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         # Option mismatch (checkpoint-restart without a checkpoint
-        # block, --shards with --no-compiled, --lmm native without the
-        # repro[native] extra installed, ...) is an input error, not a
-        # replay failure.
+        # block, --shards with --no-compiled, ...) is an input error,
+        # not a replay failure.
         print(f"bad replay configuration: {exc}", file=sys.stderr)
         return 2
     try:

@@ -224,12 +224,11 @@ class TraceReplayer:
         # ``lmm_mode`` selects the engine's max-min implementation:
         # "auto" (vectorized above the component-size cutoff),
         # "reference" (the pure-Python oracle), "vectorized" (always
-        # NumPy), "native" (the optional Numba kernel; raises here when
-        # the repro[native] extra is missing).  Exposed as
-        # ``repro-replay --lmm``.  ``lmm_incremental`` gates the
-        # certified incremental patch re-solve of large sharing groups
-        # (on by default; the off switch exists for A/B benchmarking —
-        # results are 1e-9-identical either way by construction).
+        # NumPy).  Exposed as ``repro-replay --lmm``.
+        # ``lmm_incremental`` gates the certified incremental patch
+        # re-solve of large sharing groups (on by default; the off
+        # switch exists for A/B benchmarking — results are
+        # 1e-9-identical either way by construction).
         self.lmm_incremental = bool(lmm_incremental)
         self.engine = Engine(
             metrics=self.telemetry.engine if collect_metrics else None,

@@ -42,6 +42,7 @@ import traceback
 from dataclasses import replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..campaign.runner import stop_process
 from ..campaign.spec import CampaignSpec
 from ..campaign.store import CampaignStore
 from .artifacts import ArtifactStore
@@ -551,12 +552,7 @@ class Supervisor:
         """Graceful stop: drain every runner, re-queue what they were
         working on (resume on next start), release the queue DB."""
         for job_id, process in list(self._children.items()):
-            if process.is_alive():
-                process.terminate()
-            process.join(self.drain_timeout_s)
-            if process.is_alive():  # pragma: no cover - drain hung
-                process.kill()
-                process.join()
+            stop_process(process, self.drain_timeout_s)
         self._reap()
         for job in self.queue.unfinished_jobs():
             if self.dispatch == "workers" \

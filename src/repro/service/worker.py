@@ -49,6 +49,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..campaign.cache import digest_tree
+from ..campaign.runner import stop_process
 from .artifacts import pack_tree_tar, unpack_tree_tar
 from .client import ServiceClient, ServiceError
 
@@ -266,11 +267,7 @@ class Worker:
                     # speculative twin already won.  Stop burning CPU.
                     self._emit(f"[worker {self.name}] unit {unit_id}: "
                                f"lease lost ({exc.message}); aborting")
-                    process.terminate()
-                    process.join(5.0)
-                    if process.is_alive():
-                        process.kill()
-                        process.join()
+                    stop_process(process)
                     lost = True
                     break
                 # Unreachable server: keep computing, try again next beat.

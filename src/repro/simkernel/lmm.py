@@ -17,7 +17,7 @@ rate of a pinned task or a TCP-window limit); bounds are honoured by
 treating them as one-variable constraints.
 
 The solver is re-run from scratch whenever the set of active activities
-changes.  Three implementations coexist:
+changes.  Two implementations coexist:
 
 * :func:`solve_reference` — the original pure-Python progressive-filling
   loop, O(iterations x variables x constraints).  It stays as the
@@ -30,10 +30,6 @@ changes.  Three implementations coexist:
   scan.  Large sharing components (a 1024-rank communication wave over
   a congested backbone) are where this pays; tiny components are faster
   in pure Python, so :func:`solve` switches on :data:`VECTOR_THRESHOLD`.
-* ``fill_native`` (:mod:`repro.simkernel._native`, ``mode="native"``) —
-  the same filling as one Numba-compiled scalar loop.  Strictly
-  optional (the ``repro[native]`` extra); requesting it without a
-  usable numba raises a clear error and nothing else ever imports it.
 
 On top of any full filling, :func:`patch_solve` performs an
 *incremental* certified re-solve: given the rate vector of the previous
@@ -69,8 +65,6 @@ __all__ = [
     "solve_reference",
     "fill_vectorized",
     "patch_solve",
-    "native_fill",
-    "native_available",
     "VECTOR_THRESHOLD",
     "LMM_MODES",
 ]
@@ -91,27 +85,7 @@ VECTOR_THRESHOLD = 48
 #: Every max-min implementation selector accepted across the stack
 #: (``Engine(lmm_mode=...)``, ``TraceReplayer(lmm_mode=...)``,
 #: ``repro-replay --lmm``, ``ReplaySpec.lmm_mode``).
-LMM_MODES = ("auto", "reference", "vectorized", "native")
-
-
-def native_available() -> bool:
-    """True when the optional Numba filling kernel can be used."""
-    from . import _native
-
-    return _native.available()
-
-
-def native_fill(caps, bounds, weights, var_idx, cons_idx,
-                load=None, work=None):
-    """The Numba-compiled filling (same contract as
-    :func:`fill_vectorized`).  Raises :class:`RuntimeError` with an
-    actionable message when the ``repro[native]`` extra is missing —
-    callers reach this only when ``mode="native"`` was explicitly
-    requested, never from the default paths."""
-    from . import _native
-
-    return _native.fill(caps, bounds, weights, var_idx, cons_idx,
-                        load=load, work=work)
+LMM_MODES = ("auto", "reference", "vectorized")
 
 
 class Constraint:
@@ -212,17 +186,13 @@ def solve(variables: List[Variable], mode: str = "auto") -> None:
 
     ``mode`` selects the implementation: ``"auto"`` (vectorized at or above
     :data:`VECTOR_THRESHOLD` variables), ``"reference"`` (always the
-    pure-Python oracle), ``"vectorized"`` (always NumPy), ``"native"``
-    (the optional Numba kernel; raises a clear error when the
-    ``repro[native]`` extra is unavailable).  All agree to 1e-9 on the
-    resulting rate vector (property-tested).
+    pure-Python oracle), ``"vectorized"`` (always NumPy).  All agree to
+    1e-9 on the resulting rate vector (property-tested).
     """
     if mode == "reference":
         solve_reference(variables)
     elif mode == "vectorized":
         _solve_vectorized(variables)
-    elif mode == "native":
-        _solve_vectorized(variables, fill=native_fill)
     elif mode == "auto":
         if len(variables) >= VECTOR_THRESHOLD:
             _solve_vectorized(variables)
@@ -230,8 +200,7 @@ def solve(variables: List[Variable], mode: str = "auto") -> None:
             solve_reference(variables)
     else:
         raise ValueError(
-            f"unknown solve mode {mode!r}; use 'auto', 'reference', "
-            "'vectorized' or 'native'"
+            f"unknown solve mode {mode!r}; use one of {LMM_MODES}"
         )
 
 
@@ -444,8 +413,7 @@ def fill_vectorized(
     return rates, iterations
 
 
-def _solve_vectorized(variables: Sequence[Variable],
-                      fill=None) -> None:
+def _solve_vectorized(variables: Sequence[Variable]) -> None:
     """NumPy path of :func:`solve`: build arrays, fill, write back."""
     solved: List[Variable] = []
     bounds: List[float] = []
@@ -474,9 +442,7 @@ def _solve_vectorized(variables: Sequence[Variable],
             cons_idx.append(j)
     if not solved:
         return
-    if fill is None:
-        fill = fill_vectorized
-    rates, _ = fill(
+    rates, _ = fill_vectorized(
         np.asarray(caps, dtype=float),
         np.asarray(bounds, dtype=float),
         np.asarray(weights, dtype=float),
@@ -533,7 +499,6 @@ def patch_solve(
     var_idx: np.ndarray,
     cons_idx: np.ndarray,
     seed_cols: np.ndarray,
-    fill=None,
     cone_limit: Optional[int] = None,
 ) -> Tuple[bool, int, int]:
     """Incrementally re-solve an equal-weight max-min system in place.
@@ -639,9 +604,7 @@ def patch_solve(
     sub_caps = caps[sub_col_ids] - (usage[sub_col_ids]
                                     - cone_usage[sub_col_ids])
     np.maximum(sub_caps, 0.0, out=sub_caps)
-    if fill is None:
-        fill = fill_vectorized
-    sub_rates, levels = fill(
+    sub_rates, levels = fill_vectorized(
         sub_caps,
         bounds[sub_var_ids],
         None,

@@ -2,7 +2,9 @@
 fleet (retries, timeouts, graceful failure), and the CLI."""
 
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -279,13 +281,24 @@ def test_resume_supersedes_stale_failure_and_keeps_history(tmp_path):
     assert store.read_run("flaky").retry_history == record.retry_history
 
 
+def _run_hung_campaign(spec, out_dir):
+    """Run a campaign whose scenario outsleeps its ``timeout_s``: the
+    timeout must actually end the attempt (not wait out the sleep) and
+    leave no worker process behind."""
+    t0 = time.monotonic()
+    result = run_campaign(spec, out_dir)
+    assert time.monotonic() - t0 < 5.0
+    assert multiprocessing.active_children() == []
+    return result
+
+
 def test_campaign_timeout_retry_reason_is_recorded(tmp_path):
     spec = CampaignSpec(name="hang2", jobs=1, retry_backoff=0.05,
                         scenarios=[Scenario(
                             "stuck", 2,
                             trace=TraceSpec(kind="sleep", seconds=30.0),
                             timeout_s=0.3, max_retries=1)])
-    result = run_campaign(spec, str(tmp_path / "camp"))
+    result = _run_hung_campaign(spec, str(tmp_path / "camp"))
     record = result.records["stuck"]
     assert record.status == "timeout"
     assert [h["status"] for h in record.retry_history] == \
@@ -323,7 +336,7 @@ def test_campaign_times_out_a_hung_scenario(tmp_path):
     spec = CampaignSpec(name="hang", jobs=1, scenarios=[Scenario(
         "stuck", 2, trace=TraceSpec(kind="sleep", seconds=30.0),
         timeout_s=0.3, max_retries=0)])
-    result = run_campaign(spec, str(tmp_path / "camp"))
+    result = _run_hung_campaign(spec, str(tmp_path / "camp"))
     assert result.records["stuck"].status == "timeout"
     assert result.metrics.timeouts == 1
 

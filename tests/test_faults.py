@@ -330,19 +330,14 @@ def test_lu32_reports_byte_identical_across_lmm_solvers(lu32):
 
 
 def test_lu32_reports_byte_identical_across_every_lmm_config(lu32):
-    """Every selectable solver configuration — all lmm modes (native
-    when its extra is installed) crossed with the incremental re-solve
-    toggle — yields byte-for-byte the same fault report under the same
-    crash plan."""
-    from repro.simkernel.lmm import native_available
-
+    """Every selectable solver configuration — all lmm modes crossed
+    with the incremental re-solve toggle — yields byte-for-byte the same
+    fault report under the same crash plan."""
     n = 32
     fault_free = make_replayer(make_platform(n), n).replay(lu32)
     plan = FaultPlan(events=(
         HostCrash("c-5", 0.4 * fault_free.simulated_time),))
     modes = ["auto", "reference", "vectorized"]
-    if native_available():
-        modes.append("native")
     reports = {}
     for mode in modes:
         for incremental in (True, False):

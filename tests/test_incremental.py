@@ -1,5 +1,4 @@
-"""Incremental certified max-min re-solve, the heap event calendar,
-and the optional native filling kernel.
+"""Incremental certified max-min re-solve and the heap event calendar.
 
 The headline contracts:
 
@@ -12,11 +11,7 @@ The headline contracts:
   patch attempt is forced to fall back;
 * the ``_Calendar`` event heap pops in (time, FIFO-seq) order, skips
   and counts lazily invalidated entries, and compacts without changing
-  what is popped (model-checked against a sorted list);
-* ``lmm_mode="native"`` is strictly optional: without a usable numba
-  it raises one actionable error naming the ``repro[native]`` extra,
-  and the kernel's (interpreted) source produces the same rates as
-  ``fill_vectorized``.
+  what is popped (model-checked against a sorted list).
 """
 
 from unittest import mock
@@ -27,10 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simkernel import ActivityFailed, Constraint, Engine
-from repro.simkernel import _native
 from repro.simkernel.engine import _Calendar
 from repro.simkernel.lmm import (
-    Variable, fill_vectorized, native_fill, patch_solve, solve_reference,
+    Variable, fill_vectorized, patch_solve, solve_reference,
 )
 from repro.simkernel.telemetry import EngineMetrics
 
@@ -410,73 +404,6 @@ def test_incremental_toggle_defaults_and_validation():
     assert Engine(incremental=False).incremental is False
     with pytest.raises(ValueError, match="unknown lmm_mode"):
         Engine(lmm_mode="fancy")
-
-
-# ---------------------------------------------------------------------------
-# The optional native kernel
-# ---------------------------------------------------------------------------
-
-needs_numba = pytest.mark.skipif(not _native.available(),
-                                 reason="numba not installed")
-without_numba = pytest.mark.skipif(_native.available(),
-                                   reason="numba is installed")
-
-
-@without_numba
-def test_native_mode_fails_loudly_and_actionably():
-    """Requesting the native kernel without the extra must raise one
-    clear error naming ``repro[native]`` — at engine construction, not
-    mid-replay — and nothing on the default paths may import numba."""
-    with pytest.raises(RuntimeError, match=r"repro\[native\]"):
-        Engine(lmm_mode="native")
-    with pytest.raises(RuntimeError, match=r"repro\[native\]"):
-        native_fill(np.asarray([1.0]), np.asarray([np.inf]), None,
-                    np.asarray([0], dtype=np.intp),
-                    np.asarray([0], dtype=np.intp))
-    assert "numba" in _native.unavailable_reason()
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_native_kernel_source_matches_vectorized(data):
-    """The njit-compilable loop, run *interpreted* (so this property
-    holds with or without numba), against ``fill_vectorized`` on random
-    instances: same rates to 1e-9 and the same level count."""
-    ncols = data.draw(st.integers(1, 4))
-    caps = np.asarray(data.draw(st.lists(st.floats(0.1, 1e6),
-                                         min_size=ncols, max_size=ncols)))
-    n = data.draw(st.integers(1, 12))
-    var_idx, cons_idx, bounds = [], [], []
-    for vi in range(n):
-        bound = data.draw(st.one_of(st.none(), st.floats(0.1, 1e6)))
-        bounds.append(np.inf if bound is None else bound)
-        for c in data.draw(st.lists(st.integers(0, ncols - 1),
-                                    min_size=1, max_size=ncols,
-                                    unique=True)):
-            var_idx.append(vi)
-            cons_idx.append(c)
-    bounds = np.asarray(bounds)
-    var_idx = np.asarray(var_idx, dtype=np.intp)
-    cons_idx = np.asarray(cons_idx, dtype=np.intp)
-    ref_rates, ref_levels = fill_vectorized(caps, bounds, None,
-                                            var_idx, cons_idx)
-    rates, levels = _native.fill_python(caps, bounds, None,
-                                        var_idx, cons_idx)
-    assert levels == ref_levels
-    np.testing.assert_allclose(rates, ref_rates, rtol=1e-9, atol=1e-9)
-
-
-@needs_numba
-def test_native_compiled_kernel_matches_vectorized():
-    caps = np.asarray([100.0, 60.0])
-    bounds = np.asarray([np.inf, 25.0, np.inf])
-    var_idx = np.asarray([0, 0, 1, 2], dtype=np.intp)
-    cons_idx = np.asarray([0, 1, 0, 1], dtype=np.intp)
-    ref_rates, ref_levels = fill_vectorized(caps, bounds, None,
-                                            var_idx, cons_idx)
-    rates, levels = _native.fill(caps, bounds, None, var_idx, cons_idx)
-    assert levels == ref_levels
-    np.testing.assert_allclose(rates, ref_rates, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
