@@ -31,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import time
 from typing import Any, Dict, Optional
 
 from .spec import Scenario
+from .store import STATUS_OK, _write_json
 
 __all__ = ["CACHE_FORMAT_VERSION", "canonical_json", "digest_of",
            "digest_file", "digest_tree", "scenario_cache_key",
@@ -179,21 +180,20 @@ class ResultCache:
 
     def put(self, key: str, record: Dict[str, Any]) -> str:
         path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_json(path, record)
         return path
+
+    def put_result(self, key: str, scenario_name: str,
+                   payload: Dict[str, Any]) -> str:
+        """Record a successful scenario's result payload under its key."""
+        return self.put(key, {
+            "format": CACHE_FORMAT_VERSION,
+            "status": STATUS_OK,
+            "cache_key": key,
+            "scenario_name": scenario_name,
+            "result": payload,
+            "created_at": time.time(),
+        })
 
     def __len__(self) -> int:
         count = 0

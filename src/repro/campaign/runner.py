@@ -17,8 +17,9 @@ campaign after editing one platform file replay exactly the affected
 scenarios.
 
 The worker side, :func:`execute_scenario`, is an ordinary module-level
-function over the (picklable) scenario dict, so it is also the unit a
-different transport (a batch scheduler, a remote executor) would ship.
+function over the (picklable) scenario dict; one attempt at it in one
+child process is a :class:`ScenarioChild`, which is also the unit
+``repro-worker`` (:mod:`repro.service.worker`) ships.
 """
 
 from __future__ import annotations
@@ -35,18 +36,20 @@ from dataclasses import dataclass, field, replace as dc_replace
 from multiprocessing.connection import wait as conn_wait
 from typing import Callable, Dict, List, Optional
 
-from .cache import CACHE_FORMAT_VERSION, ResultCache, scenario_cache_key
+from .cache import ResultCache, scenario_cache_key
 from .spec import CampaignSpec, PlatformSpec, Scenario
 from .store import (
     STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, CampaignStore, RunRecord,
 )
 from .telemetry import CampaignMetrics
 
-__all__ = ["execute_scenario", "run_campaign", "CampaignResult"]
+__all__ = ["execute_scenario", "run_campaign", "CampaignResult",
+           "ScenarioChild"]
 
 # fork keeps worker start-up at O(page tables) and inherits the parent's
 # imports; spawn (macOS/Windows) re-imports this module, which works but
-# costs an interpreter start per attempt.
+# costs an interpreter start per attempt.  Every process the campaign and
+# service tiers start uses this method.
 _START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                  else "spawn")
 
@@ -56,26 +59,10 @@ _START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
 # ----------------------------------------------------------------------
 def _build_named_platform(pspec: PlatformSpec, ground_truth: bool,
                           speed: Optional[float] = None):
-    from ..platforms import bordereau, gdx, grid5000
-
-    factories = {"bordereau": bordereau, "gdx": gdx, "grid5000": grid5000}
-    try:
-        factory = factories[pspec.name]
-    except KeyError:
-        raise ValueError(
-            f"unknown platform {pspec.name!r}; choose from "
-            f"{sorted(factories)}"
-        ) from None
-    kwargs = {"ground_truth": ground_truth, "cores": pspec.cores}
-    if pspec.name == "grid5000":
-        if pspec.hosts:
-            kwargs.update(n_bordereau=pspec.hosts, n_gdx=pspec.hosts)
-    else:
-        if pspec.hosts:
-            kwargs["n_hosts"] = pspec.hosts
-        if speed is not None:
-            kwargs["speed"] = speed
-    return factory(**kwargs)
+    from ..platforms import named_platform
+    return named_platform(pspec.name, ground_truth,
+                          hosts=pspec.hosts or None, cores=pspec.cores,
+                          speed=speed)
 
 
 def _replay_platform(scenario: Scenario, speed: Optional[float]):
@@ -169,13 +156,16 @@ def execute_scenario(sdict: dict) -> dict:
         time.sleep(trace.stage_wait_s)
 
     # -- runner-exercise fixtures ---------------------------------------
-    if trace.kind == "sleep":
-        time.sleep(trace.seconds)
-        return {"simulated_time": trace.seconds, "actual_time": None,
+    def fixture_payload(simulated_time: float) -> dict:
+        return {"simulated_time": simulated_time, "actual_time": None,
                 "rel_error": None, "n_actions": 0, "n_ranks": scenario.ranks,
                 "replay_wall_seconds": 0.0, "stage_wait_s": trace.stage_wait_s,
                 "worker_wall_seconds": time.perf_counter() - t0,
                 "calibration": {"kind": "fixture"}, "metrics": None}
+
+    if trace.kind == "sleep":
+        time.sleep(trace.seconds)
+        return fixture_payload(trace.seconds)
     if trace.kind == "fail":
         seen = 0
         if trace.state_path and os.path.exists(trace.state_path):
@@ -188,11 +178,7 @@ def execute_scenario(sdict: dict) -> dict:
             raise RuntimeError(
                 f"injected failure {seen + 1}/{trace.fail_times}"
             )
-        return {"simulated_time": 0.0, "actual_time": None,
-                "rel_error": None, "n_actions": 0, "n_ranks": scenario.ranks,
-                "replay_wall_seconds": 0.0, "stage_wait_s": trace.stage_wait_s,
-                "worker_wall_seconds": time.perf_counter() - t0,
-                "calibration": {"kind": "fixture"}, "metrics": None}
+        return fixture_payload(0.0)
 
     speed, comm_model, calib_info = _resolve_calibration(scenario)
     fault_plan = None
@@ -293,9 +279,9 @@ def _scenario_worker(conn, sdict: dict) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         payload = execute_scenario(sdict)
-        conn.send(("ok", payload))
+        conn.send((STATUS_OK, payload))
     except BaseException as exc:  # noqa: BLE001 - the report IS the point
-        conn.send(("error", {
+        conn.send((STATUS_FAILED, {
             "type": type(exc).__name__,
             "message": str(exc),
             "traceback": traceback.format_exc(),
@@ -312,6 +298,62 @@ def stop_process(process, grace_s: float = 5.0) -> None:
     if process.is_alive():
         process.kill()
         process.join()
+
+
+class ScenarioChild:
+    """One attempt at one scenario in one child process, ended by a
+    result, a death, a deadline or an abort.
+
+    Wait on ``conn`` (``multiprocessing.connection.wait``) until it is
+    readable or ``deadline`` (monotonic) passes, then call exactly one
+    of :meth:`collect`, :meth:`expire`, :meth:`abort`.  The first two
+    return ``(status, body)`` in the :class:`RunRecord` vocabulary:
+    ``("ok", payload)``, or ``("failed" | "timeout", {type, message,
+    traceback})``.
+    """
+
+    def __init__(self, sdict: dict, timeout_s: float, name: str) -> None:
+        ctx = multiprocessing.get_context(_START_METHOD)
+        self.conn, send_conn = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(target=_scenario_worker,
+                                   args=(send_conn, sdict), name=name,
+                                   daemon=True)
+        self.process.start()
+        send_conn.close()
+        self.timeout_s = timeout_s
+        self.started = time.monotonic()
+        self.deadline = self.started + timeout_s
+
+    def collect(self):
+        """The verdict of a child whose ``conn`` became readable."""
+        try:
+            verdict = self.conn.recv()
+        except (EOFError, OSError):
+            verdict = None
+        self.conn.close()
+        self.process.join()
+        if verdict is None:
+            return STATUS_FAILED, {
+                "type": "WorkerDied",
+                "message": (f"worker exited without a result "
+                            f"(exitcode {self.process.exitcode})"),
+                "traceback": "",
+            }
+        return verdict
+
+    def expire(self):
+        """Stop a child that ran past its deadline: the timeout verdict."""
+        self.abort()
+        return STATUS_TIMEOUT, {
+            "type": "Timeout",
+            "message": f"attempt exceeded timeout_s={self.timeout_s:g}",
+            "traceback": "",
+        }
+
+    def abort(self) -> None:
+        """Stop the child; whatever it was computing is discarded."""
+        stop_process(self.process)
+        self.conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -331,10 +373,7 @@ class _Job:
 @dataclass
 class _Live:
     job: _Job
-    process: multiprocessing.Process
-    conn: object
-    started: float
-    deadline: float
+    child: ScenarioChild
 
 
 @dataclass
@@ -413,50 +452,22 @@ def run_campaign(
                  f"scenarios, launching nothing new")
 
     # -- phase 1: serve what is already known ---------------------------
+    lookup = cache.get if use_cache else (lambda _key: None)
     for scenario in spec.scenarios:
         key = scenario_cache_key(scenario)
-        served: Optional[dict] = None
-        source = ""
-        prior_history: List[dict] = []
-        if resume:
-            prior = store.read_run(scenario.name)
-            if prior is not None and prior.cache_key == key:
-                # The store already knows this exact experiment.  Its
-                # attempt history is provenance worth keeping whatever
-                # happens next — carry it forward (into the served
-                # record, or into the re-run that supersedes a stale
-                # failure), tagging carried entries as resumed.  The
-                # re-run overwrites runs/<name>.json and the manifest
-                # entry; records are never duplicated.
-                prior_history = [
-                    dict(entry, resumed=True)
-                    if not entry.get("resumed") else dict(entry)
-                    for entry in prior.retry_history
-                ]
-                if prior.ok:
-                    served, source = prior.result, "store"
-        if served is None and use_cache:
-            cached = cache.get(key)
-            if cached is not None and cached.get("status") == STATUS_OK:
-                served, source = cached.get("result", {}), "cache"
-        if served is not None:
-            record = RunRecord(
-                name=scenario.name, cache_key=key, status=STATUS_OK,
-                attempts=0, cache_hit=True, cache_source=source,
-                scenario=scenario.to_dict(), result=served,
-                retry_history=prior_history,
-            )
-            store.write_run(record)
-            records[scenario.name] = record
-            notify(record)
-            metrics.completed += 1
-            metrics.cached_hits += 1
-            if source == "store":
-                metrics.cached_from_store += 1
-            emit(f"[{spec.name}] {scenario.name}: served from {source} "
-                 f"(key {key[:12]})")
-        else:
+        record, prior_history = store.serve_known(scenario, key, lookup,
+                                                  resume)
+        if record is None:
             pending.append(_Job(scenario, key, history=prior_history))
+            continue
+        records[scenario.name] = record
+        notify(record)
+        metrics.completed += 1
+        metrics.cached_hits += 1
+        if record.cache_source == "store":
+            metrics.cached_from_store += 1
+        emit(f"[{spec.name}] {scenario.name}: served from "
+             f"{record.cache_source} (key {key[:12]})")
 
     # -- phase 2: the fleet ---------------------------------------------
     # The drain handler goes in only around the fleet (phase 1 is quick,
@@ -471,48 +482,35 @@ def run_campaign(
         except ValueError:  # pragma: no cover - embedded interpreters
             pass
 
-    ctx = multiprocessing.get_context(_START_METHOD)
     live: Dict[object, _Live] = {}
 
     def launch(job: _Job) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_scenario_worker,
-            args=(send_conn, job.scenario.to_dict()),
-            name=f"campaign-{job.scenario.name}",
-            daemon=True,
-        )
-        process.start()
-        send_conn.close()
-        now = time.monotonic()
-        live[recv_conn] = _Live(job, process, recv_conn, now,
-                                now + job.scenario.timeout_s)
+        child = ScenarioChild(job.scenario.to_dict(),
+                              job.scenario.timeout_s,
+                              name=f"campaign-{job.scenario.name}")
+        live[child.conn] = _Live(job, child)
         metrics.replays_executed += 1
         emit(f"[{spec.name}] {job.scenario.name}: attempt "
              f"{job.attempt} started")
 
-    def record_outcome(job: _Job, status: str, payload: dict,
-                       error: Optional[dict], busy: float) -> None:
+    def record_outcome(job: _Job, status: str, body: dict,
+                       busy: float) -> None:
+        """One attempt ended: ``body`` is the result payload when
+        ``status`` is ok, else the error document."""
+        metrics.attempts += 1
         metrics.worker_busy_seconds += busy
         scenario = job.scenario
         if status == STATUS_OK:
-            cache.put(job.key, {
-                "format": CACHE_FORMAT_VERSION,
-                "status": STATUS_OK,
-                "cache_key": job.key,
-                "scenario_name": scenario.name,
-                "result": payload,
-                "created_at": time.time(),
-            })
+            cache.put_result(job.key, scenario.name, body)
             record = RunRecord(
                 name=scenario.name, cache_key=job.key, status=STATUS_OK,
                 attempts=job.attempt, cache_hit=False,
                 wall_seconds=busy, scenario=scenario.to_dict(),
-                result=payload, retry_history=list(job.history),
+                result=body, retry_history=list(job.history),
             )
             metrics.completed += 1
             emit(f"[{spec.name}] {scenario.name}: ok "
-                 f"(simulated {payload.get('simulated_time', 0.0):.4g}s, "
+                 f"(simulated {body.get('simulated_time', 0.0):.4g}s, "
                  f"{busy:.2f}s wall)")
         else:
             # Every failed attempt is remembered — *why* it failed
@@ -520,8 +518,8 @@ def run_campaign(
             job.history.append({
                 "attempt": job.attempt,
                 "status": status,
-                "error_type": (error or {}).get("type", ""),
-                "message": (error or {}).get("message", ""),
+                "error_type": body.get("type", ""),
+                "message": body.get("message", ""),
                 "backoff_s": 0.0,
             })
             # Failed attempt: retry with backoff while budget remains —
@@ -541,12 +539,11 @@ def run_campaign(
                 name=scenario.name, cache_key=job.key, status=status,
                 attempts=job.attempt, cache_hit=False,
                 wall_seconds=busy, scenario=scenario.to_dict(),
-                error=error, retry_history=list(job.history),
+                error=body, retry_history=list(job.history),
             )
             metrics.failed += 1
             emit(f"[{spec.name}] {scenario.name}: {status} after "
-                 f"{job.attempt} attempt(s): "
-                 f"{(error or {}).get('message', '')}")
+                 f"{job.attempt} attempt(s): {body.get('message', '')}")
         store.write_run(record)
         records[scenario.name] = record
         notify(record)
@@ -574,8 +571,7 @@ def run_campaign(
                 continue
 
             # Wait for the next completion, timeout, or backoff expiry.
-            next_deadline = min(entry.deadline for entry in live.values())
-            horizon = next_deadline
+            horizon = min(entry.child.deadline for entry in live.values())
             ready_jobs = [job.ready_at for job in pending
                           if job.ready_at > now]
             if not draining["flag"] and len(live) < jobs and ready_jobs:
@@ -586,39 +582,16 @@ def run_campaign(
             now = time.monotonic()
             for conn in ready:
                 entry = live.pop(conn)
-                busy = now - entry.started
-                try:
-                    status, payload = conn.recv()
-                except (EOFError, OSError):
-                    status, payload = "error", {
-                        "type": "WorkerDied",
-                        "message": (f"worker exited without a result "
-                                    f"(exitcode {entry.process.exitcode})"),
-                        "traceback": "",
-                    }
-                conn.close()
-                entry.process.join()
-                metrics.attempts += 1
-                if status == "ok":
-                    record_outcome(entry.job, STATUS_OK, payload, None, busy)
-                else:
-                    record_outcome(entry.job, STATUS_FAILED, {}, payload,
-                                   busy)
+                record_outcome(entry.job, *entry.child.collect(),
+                               now - entry.child.started)
 
             # Enforce timeouts on whoever is still running.
-            for conn in [c for c, e in live.items() if now >= e.deadline]:
+            for conn in [c for c, e in live.items()
+                         if now >= e.child.deadline]:
                 entry = live.pop(conn)
-                stop_process(entry.process)
-                conn.close()
-                busy = now - entry.started
-                metrics.attempts += 1
                 metrics.timeouts += 1
-                record_outcome(entry.job, STATUS_TIMEOUT, {}, {
-                    "type": "Timeout",
-                    "message": (f"attempt exceeded timeout_s="
-                                f"{entry.job.scenario.timeout_s:g}"),
-                    "traceback": "",
-                }, busy)
+                record_outcome(entry.job, *entry.child.expire(),
+                               now - entry.child.started)
     finally:
         if handler_installed:
             signal.signal(signal.SIGTERM, prev_handler)

@@ -25,7 +25,7 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["RunRecord", "CampaignStore"]
 
@@ -72,6 +72,8 @@ class RunRecord:
 
 
 def _write_json(path: str, document: Any) -> None:
+    """The one atomic JSON writer of the campaign and service tiers:
+    same-directory temp file + ``os.replace``."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -112,6 +114,50 @@ class CampaignStore:
                 return RunRecord.from_dict(json.load(handle))
         except (FileNotFoundError, ValueError):
             return None
+
+    def serve_known(self, scenario, key: str,
+                    lookup: Callable[[str], Optional[Dict[str, Any]]],
+                    resume: bool
+                    ) -> Tuple[Optional[RunRecord], List[Dict[str, Any]]]:
+        """Serve a scenario without executing it, when its result is
+        already known: under ``resume`` from this store's own record of
+        the same cache key, else from ``lookup(key)`` (a result cache).
+
+        Returns ``(record, prior_history)``.  ``record`` is the written
+        cache-hit :class:`RunRecord`, or ``None`` when the scenario must
+        run.  ``prior_history`` is the stored attempt history of this
+        exact experiment — provenance worth keeping whatever happens
+        next, so the caller carries it into the run that supersedes a
+        stale failure; carried entries are tagged ``resumed``.  A re-run
+        overwrites ``runs/<name>.json``; records are never duplicated.
+        """
+        served: Optional[Dict[str, Any]] = None
+        source = ""
+        prior_history: List[Dict[str, Any]] = []
+        if resume:
+            prior = self.read_run(scenario.name)
+            if prior is not None and prior.cache_key == key:
+                prior_history = [
+                    dict(entry, resumed=True)
+                    if not entry.get("resumed") else dict(entry)
+                    for entry in prior.retry_history
+                ]
+                if prior.ok:
+                    served, source = prior.result, "store"
+        if served is None:
+            cached = lookup(key)
+            if cached is not None and cached.get("status") == STATUS_OK:
+                served, source = cached.get("result", {}), "cache"
+        if served is None:
+            return None, prior_history
+        record = RunRecord(
+            name=scenario.name, cache_key=key, status=STATUS_OK,
+            attempts=0, cache_hit=True, cache_source=source,
+            scenario=scenario.to_dict(), result=served,
+            retry_history=prior_history,
+        )
+        self.write_run(record)
+        return record, prior_history
 
     def read_runs(self) -> List[RunRecord]:
         if not os.path.isdir(self.runs_dir):

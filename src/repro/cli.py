@@ -31,7 +31,7 @@ from .core.acquisition import AcquisitionMode, acquire
 from .core.calibration import calibrate_flop_rate, calibrate_network
 from .core.replay import TraceReplayer
 from .extract import tau2simgrid
-from .platforms import bordereau, gdx, grid5000
+from .platforms import NAMED_PLATFORMS, named_platform
 from .simkernel import (
     dump_platform,
     load_deployment,
@@ -39,26 +39,14 @@ from .simkernel import (
 )
 from .smpi import round_robin_deployment
 
-_PLATFORMS = {"bordereau": bordereau, "gdx": gdx, "grid5000": grid5000}
-
 
 def _build_platform(name: str, n_hosts: Optional[int], ground_truth: bool,
                     cores: int = 1, speed: Optional[float] = None):
     try:
-        factory = _PLATFORMS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown platform {name!r}; choose from {sorted(_PLATFORMS)}"
-        )
-    kwargs = {"ground_truth": ground_truth, "cores": cores}
-    if name != "grid5000" and speed is not None:
-        kwargs["speed"] = speed
-    if n_hosts is not None:
-        if name == "grid5000":
-            kwargs.update(n_bordereau=n_hosts, n_gdx=n_hosts)
-        else:
-            kwargs["n_hosts"] = n_hosts
-    return factory(**kwargs)
+        return named_platform(name, ground_truth, hosts=n_hosts,
+                              cores=cores, speed=speed)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _build_program(args):
@@ -88,7 +76,7 @@ def _add_app_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stencil-size", type=int, default=256)
     parser.add_argument("--stencil-iterations", type=int, default=100)
     parser.add_argument("--platform", default="bordereau",
-                        choices=sorted(_PLATFORMS))
+                        choices=sorted(NAMED_PLATFORMS))
     parser.add_argument("--hosts", type=int, default=None,
                         help="number of hosts per cluster (default: full)")
     parser.add_argument("--cores", type=int, default=1,

@@ -3,8 +3,9 @@
 import os
 
 from .catalog import (
-    BORDEREAU_NODES, GDX_NODES, bordereau, default_sharing_model, gdx,
-    grid5000, npb_efficiency_model,
+    BORDEREAU_NODES, GDX_NODES, NAMED_PLATFORMS, bordereau,
+    default_sharing_model, gdx, grid5000, named_platform,
+    npb_efficiency_model,
 )
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -27,6 +28,7 @@ def platform_xml_path(name: str) -> str:
     return path
 
 __all__ = [
-    "BORDEREAU_NODES", "GDX_NODES", "bordereau", "default_sharing_model",
-    "gdx", "grid5000", "npb_efficiency_model", "platform_xml_path",
+    "BORDEREAU_NODES", "GDX_NODES", "NAMED_PLATFORMS", "bordereau",
+    "default_sharing_model", "gdx", "grid5000", "named_platform",
+    "npb_efficiency_model", "platform_xml_path",
 ]

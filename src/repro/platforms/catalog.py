@@ -37,7 +37,7 @@ from ..simkernel import Platform
 __all__ = [
     "BORDEREAU_NODES", "GDX_NODES",
     "npb_efficiency_model", "default_sharing_model",
-    "bordereau", "gdx", "grid5000",
+    "bordereau", "gdx", "grid5000", "NAMED_PLATFORMS", "named_platform",
 ]
 
 BORDEREAU_NODES = 93
@@ -193,3 +193,30 @@ def grid5000(
     plat.connect("bordereau", "gdx", bandwidth=WAN_BANDWIDTH,
                  latency=WAN_LATENCY)
     return plat
+
+
+NAMED_PLATFORMS = {"bordereau": bordereau, "gdx": gdx, "grid5000": grid5000}
+
+
+def named_platform(name: str, ground_truth: bool,
+                   hosts: Optional[int] = None, cores: int = 1,
+                   speed: Optional[float] = None) -> Platform:
+    """A catalog platform by name; ``hosts=None`` is the full cluster
+    (per site for ``grid5000``, which takes no ``speed`` override)."""
+    try:
+        factory = NAMED_PLATFORMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown platform {name!r}; choose from "
+            f"{sorted(NAMED_PLATFORMS)}"
+        ) from None
+    kwargs = {"ground_truth": ground_truth, "cores": cores}
+    if name == "grid5000":
+        if hosts is not None:
+            kwargs.update(n_bordereau=hosts, n_gdx=hosts)
+    else:
+        if hosts is not None:
+            kwargs["n_hosts"] = hosts
+        if speed is not None:
+            kwargs["speed"] = speed
+    return factory(**kwargs)

@@ -38,32 +38,15 @@ class ServiceClient:
     # -- transport -------------------------------------------------------
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method)
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout_s) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                message = json.loads(exc.read().decode("utf-8")) \
-                    .get("error", exc.reason)
-            except Exception:  # noqa: BLE001 - error body is best-effort
-                message = str(exc.reason)
-            raise ServiceError(exc.code, message) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                0, f"cannot reach {self.base_url}: {exc.reason}") from None
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        raw = self._request_raw(method, path, data, "application/json")
+        return json.loads(raw.decode("utf-8"))
 
     def _request_raw(self, method: str, path: str,
                      data: Optional[bytes] = None,
                      content_type: str = "application/x-tar") -> bytes:
-        """Binary transport (artifact fetch/push): raw bytes in/out."""
+        """The one HTTP round trip: raw bytes in/out (artifact fetch and
+        push use it directly, :meth:`_request` wraps it in JSON)."""
         headers = {}
         if data is not None:
             headers["Content-Type"] = content_type

@@ -31,13 +31,12 @@ restart (see :meth:`Supervisor.recover`).
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Any, Dict, List, Optional, Set
 
-from ..campaign.cache import (
-    CACHE_FORMAT_VERSION, canonical_json, scenario_cache_key,
-)
+from ..campaign.cache import canonical_json, scenario_cache_key
 from ..campaign.spec import CampaignSpec
 from ..campaign.store import (
     STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, CampaignStore, RunRecord,
@@ -47,6 +46,7 @@ from .queue import (
     UNIT_CANCELLED, UNIT_DONE, UNIT_LEASED, UNIT_PENDING, UNIT_QUARANTINED,
     Job, LeaseLostError, WorkUnit,
 )
+from .supervisor import append_event, append_scenario_event
 
 __all__ = ["Dispatcher", "deterministic_projection",
            "DETERMINISTIC_RESULT_FIELDS"]
@@ -91,7 +91,6 @@ class Dispatcher:
     def _spec(self, job_id: str) -> CampaignSpec:
         spec = self._specs.get(job_id)
         if spec is None:
-            import json
             with open(os.path.join(self.sup.job_dir(job_id), "spec.json"),
                       encoding="utf-8") as handle:
                 spec = CampaignSpec.from_dict(json.load(handle))
@@ -121,8 +120,6 @@ class Dispatcher:
         Idempotent: scenarios that already have a unit (a re-dispatched
         job after a server crash) are left exactly as they are.
         """
-        from .supervisor import append_event
-
         spec = self._spec(job.id)
         cstore = self._cstore(job.id)
         events = self.sup.events_path(job.id)
@@ -132,36 +129,12 @@ class Dispatcher:
             if scenario.name in existing:
                 continue
             key = scenario_cache_key(scenario)
-            payload: Optional[Dict[str, Any]] = None
-            source = ""
-            prior_history: List[Dict[str, Any]] = []
-            if job.resume:
-                prior = cstore.read_run(scenario.name)
-                if prior is not None and prior.cache_key == key:
-                    prior_history = [
-                        dict(entry, resumed=True)
-                        if not entry.get("resumed") else dict(entry)
-                        for entry in prior.retry_history
-                    ]
-                    if prior.ok:
-                        payload, source = prior.result, "store"
-            if payload is None:
-                cached = self.store.get_result(key, tenant=job.tenant)
-                if cached is not None and cached.get("status") == STATUS_OK:
-                    payload, source = cached.get("result", {}), "cache"
-            if payload is not None:
-                record = RunRecord(
-                    name=scenario.name, cache_key=key, status=STATUS_OK,
-                    attempts=0, cache_hit=True, cache_source=source,
-                    scenario=scenario.to_dict(), result=payload,
-                    retry_history=prior_history,
-                )
-                cstore.write_run(record)
-                append_event(
-                    events, "scenario", job=job.id, name=scenario.name,
-                    status=STATUS_OK, cache_hit=True, cache_source=source,
-                    attempts=0,
-                    simulated_time=payload.get("simulated_time"))
+            record, prior_history = cstore.serve_known(
+                scenario, key,
+                lambda k: self.store.get_result(k, tenant=job.tenant),
+                job.resume)
+            if record is not None:
+                append_scenario_event(events, job.id, record)
                 served += 1
                 continue
             digests = []
@@ -193,8 +166,6 @@ class Dispatcher:
         """A worker reports a unit outcome.  Raises KeyError (404) for an
         unknown unit and :class:`LeaseLostError` (409) for a superseded
         lease — first result wins, late results are discarded."""
-        from .supervisor import append_event
-
         unit = self.queue.get_unit(unit_id)
         job = self.queue.get(unit.job_id)
         events = self.sup.events_path(unit.job_id)
@@ -242,14 +213,8 @@ class Dispatcher:
                     f"result DIVERGES from cached copy — replay is "
                     f"supposed to be deterministic; keeping the first")
         else:
-            self.store.results.put(unit.cache_key, {
-                "format": CACHE_FORMAT_VERSION,
-                "status": STATUS_OK,
-                "cache_key": unit.cache_key,
-                "scenario_name": unit.name,
-                "result": payload,
-                "created_at": time.time(),
-            })
+            self.store.results.put_result(unit.cache_key, unit.name,
+                                          payload)
             if self.store.max_bytes:
                 self.store.evict(protect=self.sup.protected_digests())
 
@@ -260,12 +225,8 @@ class Dispatcher:
             result=payload, retry_history=unit.retry_history,
         )
         self._cstore(unit.job_id).write_run(record)
-        append_event(
-            events, "scenario", job=unit.job_id, name=unit.name,
-            status=STATUS_OK, cache_hit=False, cache_source="",
-            attempts=unit.attempts, worker=worker,
-            speculative_win=speculative_win,
-            simulated_time=payload.get("simulated_time"))
+        append_scenario_event(events, unit.job_id, record, worker=worker,
+                              speculative_win=speculative_win)
         self._maybe_finalize(unit.job_id)
         return {"accepted": True, "unit_state": UNIT_DONE,
                 "speculative_win": speculative_win}
@@ -287,19 +248,13 @@ class Dispatcher:
             retry_history=unit.retry_history,
         )
         self._cstore(unit.job_id).write_run(record)
-        from .supervisor import append_event
-        append_event(
-            self.sup.events_path(unit.job_id), "scenario", job=unit.job_id,
-            name=unit.name, status=STATUS_FAILED, cache_hit=False,
-            cache_source="", attempts=unit.attempts, quarantined=True,
-            simulated_time=None)
+        append_scenario_event(self.sup.events_path(unit.job_id),
+                              unit.job_id, record, quarantined=True)
 
     # -- periodic maintenance --------------------------------------------
     def tick(self, now: Optional[float] = None, *,
              resumed: bool = False) -> None:
         """Expire leases, mark stragglers, honour cancels, finalise."""
-        from .supervisor import append_event
-
         now = time.time() if now is None else now
         touched: Set[str] = set()
         for event in self.queue.expire_leases(now, resumed=resumed):
@@ -370,8 +325,6 @@ class Dispatcher:
 
     # -- finalisation ----------------------------------------------------
     def _maybe_finalize(self, job_id: str) -> None:
-        from .supervisor import append_event
-
         job = self.queue.get(job_id)
         if job.state != STATE_RUNNING:
             return
@@ -434,7 +387,7 @@ class Dispatcher:
         append_event(self.sup.events_path(job_id), "state", job=job_id,
                      state=job.state, error=error or None)
         self._specs.pop(job_id, None)
-        self.sup.settle_dispatched(job, metrics)
+        self.sup.settle(job, metrics)
         self.sup._emit(
             f"[service] job {job_id} -> {job.state}"
             f"{f' ({error})' if error else ''} "

@@ -36,15 +36,14 @@ import multiprocessing
 import os
 import signal
 import sys
-import tempfile
 import time
 import traceback
 from dataclasses import replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..campaign.runner import stop_process
+from ..campaign.runner import _START_METHOD, stop_process
 from ..campaign.spec import CampaignSpec
-from ..campaign.store import CampaignStore
+from ..campaign.store import CampaignStore, RunRecord, _write_json
 from .artifacts import ArtifactStore
 from .queue import (
     STATE_CANCELLED, STATE_DONE, STATE_FAILED, STATE_QUEUED, STATE_RUNNING,
@@ -52,9 +51,6 @@ from .queue import (
 )
 
 __all__ = ["Supervisor", "append_event", "read_events"]
-
-_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                 else "spawn")
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +69,16 @@ def append_event(path: str, event: str, **fields: Any) -> None:
         os.write(fd, line.encode("utf-8"))
     finally:
         os.close(fd)
+
+
+def append_scenario_event(path: str, job_id: str, record: RunRecord,
+                          **fields: Any) -> None:
+    """The ``scenario`` event of one finalised run record."""
+    append_event(
+        path, "scenario", job=job_id, name=record.name,
+        status=record.status, cache_hit=record.cache_hit,
+        cache_source=record.cache_source, attempts=record.attempts,
+        simulated_time=record.result.get("simulated_time"), **fields)
 
 
 def read_events(path: str, after: int = 0) -> Tuple[List[Dict[str, Any]], int]:
@@ -103,22 +109,6 @@ def read_events(path: str, after: int = 0) -> Tuple[List[Dict[str, Any]], int]:
         except (UnicodeDecodeError, ValueError):
             continue
     return events[after:], len(events)
-
-
-def _write_json_atomic(path: str, document: Any) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -152,17 +142,11 @@ def _job_main(job_id: str, job_dir: str, cache_dir: str,
                   encoding="utf-8") as handle:
             spec = CampaignSpec.from_dict(json.load(handle))
 
-        def on_record(record):
-            append_event(
-                events_path, "scenario", job=job_id, name=record.name,
-                status=record.status, cache_hit=record.cache_hit,
-                cache_source=record.cache_source, attempts=record.attempts,
-                simulated_time=record.result.get("simulated_time"),
-            )
-
-        result = run_campaign(spec, out_dir, cache_dir=cache_dir,
-                              resume=resume, on_record=on_record)
-        _write_json_atomic(outcome_path, {
+        result = run_campaign(
+            spec, out_dir, cache_dir=cache_dir, resume=resume,
+            on_record=lambda record: append_scenario_event(
+                events_path, job_id, record))
+        _write_json(outcome_path, {
             "ok": result.ok,
             "interrupted": result.interrupted,
             "failed": result.failed_names,
@@ -172,7 +156,7 @@ def _job_main(job_id: str, job_dir: str, cache_dir: str,
     except SystemExit:
         raise
     except BaseException as exc:  # noqa: BLE001 - the verdict IS the point
-        _write_json_atomic(outcome_path, {
+        _write_json(outcome_path, {
             "ok": False,
             "interrupted": False,
             "failed": [],
@@ -260,7 +244,7 @@ class Supervisor:
         os.makedirs(job_dir, exist_ok=True)
         # The *expanded* spec is what runs: grids resolved at submit time
         # so the job is self-contained and byte-stable from here on.
-        _write_json_atomic(os.path.join(job_dir, "spec.json"),
+        _write_json(os.path.join(job_dir, "spec.json"),
                            spec.to_dict())
         append_event(self.events_path(job.id), "state", job=job.id,
                      state=job.state, tenant=tenant, campaign=spec.name)
@@ -310,48 +294,43 @@ class Supervisor:
                 break
             self._start(job)
 
+    def _stage_or_fail(self, job: Job) -> bool:
+        """Stage a claimed job's traces; a staging error fails the job
+        (recorded, not fatal to the service) and returns False."""
+        events = self.events_path(job.id)
+        append_event(events, "state", job=job.id, state=job.state)
+        try:
+            digests, hits, misses = self._stage(job)
+        except BaseException as exc:  # noqa: BLE001 - recorded, not fatal
+            self.queue.set_state(job.id, STATE_FAILED,
+                                 error=f"staging failed: {exc}")
+            append_event(events, "state", job=job.id, state=STATE_FAILED,
+                         error=str(exc))
+            self._emit(f"[service] job {job.id}: staging failed: {exc}")
+            return False
+        self._staged[job.id] = digests
+        self._stage_counts[job.id] = (hits, misses)
+        return True
+
     def _start_dispatched(self, job: Job) -> None:
         """Workers mode: stage, then fan out into leased work units."""
-        events = self.events_path(job.id)
-        append_event(events, "state", job=job.id, state=job.state)
-        try:
-            digests, hits, misses = self._stage(job)
-        except BaseException as exc:  # noqa: BLE001 - recorded, not fatal
-            self.queue.set_state(job.id, STATE_FAILED,
-                                 error=f"staging failed: {exc}")
-            append_event(events, "state", job=job.id, state=STATE_FAILED,
-                         error=str(exc))
-            self._emit(f"[service] job {job.id}: staging failed: {exc}")
-            return
-        self._staged[job.id] = digests
-        self._stage_counts[job.id] = (hits, misses)
-        self.dispatcher.start_job(job)
+        if self._stage_or_fail(job):
+            self.dispatcher.start_job(job)
 
     def _start(self, job: Job) -> None:
-        job_dir = self.job_dir(job.id)
-        events = self.events_path(job.id)
-        append_event(events, "state", job=job.id, state=job.state)
-        try:
-            digests, hits, misses = self._stage(job)
-        except BaseException as exc:  # noqa: BLE001 - recorded, not fatal
-            self.queue.set_state(job.id, STATE_FAILED,
-                                 error=f"staging failed: {exc}")
-            append_event(events, "state", job=job.id, state=STATE_FAILED,
-                         error=str(exc))
-            self._emit(f"[service] job {job.id}: staging failed: {exc}")
+        if not self._stage_or_fail(job):
             return
-        self._staged[job.id] = digests
-        self._stage_counts[job.id] = (hits, misses)
         process = self._ctx.Process(
             target=_job_main,
-            args=(job.id, job_dir, self.store.results_dir, job.resume),
+            args=(job.id, self.job_dir(job.id), self.store.results_dir,
+                  job.resume),
             name=f"repro-job-{job.id}",
         )
         process.start()
         self._children[job.id] = process
         job = self.queue.set_state(job.id, STATE_RUNNING, pid=process.pid)
-        append_event(events, "state", job=job.id, state=job.state,
-                     pid=process.pid, resume=job.resume)
+        append_event(self.events_path(job.id), "state", job=job.id,
+                     state=job.state, pid=process.pid, resume=job.resume)
         self._emit(f"[service] job {job.id} running (pid {process.pid}"
                    f"{', resume' if job.resume else ''})")
         # A cancel that arrived between claim and start applies now.
@@ -384,7 +363,7 @@ class Supervisor:
             staged_scenarios.append(scenario)
         if changed:
             spec.scenarios = staged_scenarios
-            _write_json_atomic(spec_path, spec.to_dict())
+            _write_json(spec_path, spec.to_dict())
         return digests, hits, misses
 
     # -- reaping ---------------------------------------------------------
@@ -430,7 +409,7 @@ class Supervisor:
         append_event(self.events_path(job_id), "state", job=job_id,
                      state=job.state, error=error or None)
 
-        self._settle(job, metrics)
+        self.settle(job, metrics)
         self._emit(f"[service] job {job_id} -> {job.state}"
                    f"{f' ({error})' if error else ''}")
 
@@ -443,9 +422,11 @@ class Supervisor:
         protect |= self.dispatcher.pinned_digests()
         return protect
 
-    def _settle(self, job: Job, metrics: Dict[str, Any]) -> None:
+    def settle(self, job: Job, metrics: Dict[str, Any]) -> None:
         """Fold a finished job's economics into its tenant, then bound
-        the store (this job's traces are no longer pinned)."""
+        the store (this job's traces are no longer pinned).  Called at
+        reap for a local job and by the dispatcher when a units-backed
+        job reaches a terminal state."""
         stage_hits, stage_misses = self._stage_counts.pop(job.id, (0, 0))
         self._staged.pop(job.id, None)
         evicted = self.store.evict(protect=self.protected_digests())
@@ -458,11 +439,6 @@ class Supervisor:
             finished=job.state in (STATE_DONE, STATE_FAILED,
                                    STATE_CANCELLED),
         )
-
-    def settle_dispatched(self, job: Job, metrics: Dict[str, Any]) -> None:
-        """Dispatcher callback when a units-backed job reaches a
-        terminal state."""
-        self._settle(job, metrics)
 
     def _read_outcome(self, job_id: str) -> Dict[str, Any]:
         try:
@@ -575,17 +551,15 @@ class Supervisor:
     def job_status_doc(self, job_id: str,
                        events_after: int = 0) -> Dict[str, Any]:
         job = self.queue.get(job_id)            # KeyError -> 404
-        events, next_index = read_events(self.events_path(job_id),
-                                         after=events_after)
+        all_events, next_index = read_events(self.events_path(job_id))
         # Progress = distinct scenarios with a recorded completion (a
         # resumed job re-emits store-served scenarios; names dedupe).
-        all_events, _ = read_events(self.events_path(job_id))
         done = {e["name"] for e in all_events
                 if e.get("event") == "scenario"}
         doc = job.to_dict()
         doc["progress"] = {"scenarios_done": len(done),
                            "scenarios_total": job.n_scenarios}
-        doc["events"] = events
+        doc["events"] = all_events[events_after:]
         doc["events_next"] = next_index
         return doc
 

@@ -1,36 +1,31 @@
 """``repro-worker``: a remote execution worker for the campaign service.
 
 A worker is the distributed counterpart of one slot of the campaign
-runner's process fleet.  It is stdlib-only and owns a local *root*::
+runner's process fleet (protocol and recovery story:
+``docs/distributed.md``).  It is stdlib-only; its *root* holds only
+``traces/<digest>/...``, a content-addressed artifact cache mirroring
+the server store (it grows warm ``.tic`` sidecars).  The loop::
 
-    <root>/
-      traces/<digest>/...   # artifact cache, content-addressed, mirrors
-                            # the server store (grows warm .tic sidecars)
-      cache/...             # local ResultCache for re-executed units
-      units/<id>/           # scratch campaign dir of the unit in flight
+    register → lease → stage artifacts by digest → one child per unit
+             → heartbeat while it runs → post the verdict → lease …
 
-The loop::
+**Staging.**  A digest already present locally is always re-verified
+(``digest_tree``, which skips ``.tic`` sidecars) and reused: zero bytes
+move.  A missing or corrupt tree is fetched as a tar, verified, and
+published atomically; fetched vs. cached bytes are reported so the
+server can account ``bytes_shipped`` / ``bytes_saved_by_cache``.
 
-    register → lease → stage artifacts by digest → fork runner
-             → heartbeat while it runs → post result → lease …
-
-**Staging by content address.**  A unit names the trace digests it
-needs.  A digest already present locally is *verified*
-(``digest_tree``, which skips ``.tic`` sidecars — locally compiled
-programs survive verification) and reused: zero bytes move.  A missing
-or corrupt tree is fetched from ``GET /v1/artifacts/traces/<digest>``
-as a tar, verified, and published atomically.  The worker reports
-fetched vs. cached bytes so the server can account
-``bytes_shipped`` / ``bytes_saved_by_cache``.
-
-**Leases.**  The unit is executed by a forked child running the
-ordinary campaign runner (``jobs=1``, ``max_retries=0`` — the *server*
-owns the retry/backoff/quarantine policy).  While the child runs, the
-parent heartbeats every ``lease_s / 3``.  A 409 means the lease was
-lost (expired and requeued, or a speculative twin already won): the
-child is killed and nothing is posted.  A 409 on the result post means
-the same race was lost at the finish line — the result is discarded
-server-side and counted, and the worker simply moves on.
+**One unit, one child.**  A unit is one attempt at one scenario in one
+:class:`~repro.campaign.runner.ScenarioChild` — the same the campaign
+runner's fleet uses — whose verdict (result, exception, timeout, death)
+arrives over a pipe; the *server* owns retry/backoff/quarantine.  While
+the child runs, the parent heartbeats every ``lease_s / 3``.  A 409
+means the lease was lost (expired and requeued, or a speculative twin
+already won): the child is stopped on the spot and nothing is posted.
+A 409 on the result post is the same race lost at the finish line —
+the result is discarded server-side and counted, the worker moves on.
+An unreachable server is waited out: heartbeats are skipped and the
+post is retried every ``poll_s`` while the lease could still be valid.
 
 SIGTERM finishes the unit in flight, then exits (SIGKILL is the chaos
 path the service is designed to absorb).
@@ -46,26 +41,15 @@ import signal
 import socket
 import sys
 import time
+from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..campaign.cache import digest_tree
-from ..campaign.runner import stop_process
-from .artifacts import pack_tree_tar, unpack_tree_tar
+from ..campaign.runner import ScenarioChild
+from .artifacts import unpack_tree_tar
 from .client import ServiceClient, ServiceError
 
 __all__ = ["Worker", "main_worker"]
-
-
-def _unit_main(spec_doc: Dict[str, Any], out_dir: str,
-               cache_dir: str) -> None:
-    """Child entry: run the single-scenario campaign, exit 0/1."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    from ..campaign.runner import run_campaign
-    from ..campaign.spec import CampaignSpec
-
-    spec = CampaignSpec.from_dict(spec_doc)
-    result = run_campaign(spec, out_dir, jobs=1, cache_dir=cache_dir)
-    sys.exit(0 if result.ok else 1)
 
 
 class Worker:
@@ -75,7 +59,6 @@ class Worker:
                  name: Optional[str] = None, *,
                  lease_s: float = 15.0, poll_s: float = 1.0,
                  max_units: int = 0, idle_exit_s: float = 0.0,
-                 verify: bool = True,
                  log: Optional[Callable[[str], None]] = None) -> None:
         if lease_s <= 0:
             raise ValueError("lease_s must be > 0")
@@ -83,27 +66,16 @@ class Worker:
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.root = os.path.abspath(root)
         self.traces_dir = os.path.join(self.root, "traces")
-        self.cache_dir = os.path.join(self.root, "cache")
-        self.units_dir = os.path.join(self.root, "units")
-        for path in (self.traces_dir, self.cache_dir, self.units_dir):
-            os.makedirs(path, exist_ok=True)
+        os.makedirs(self.traces_dir, exist_ok=True)
         self.lease_s = lease_s
         self.poll_s = poll_s
         self.max_units = max_units
         self.idle_exit_s = idle_exit_s
-        self.verify = verify
         self._emit = log if log is not None else (lambda _msg: None)
         self._stop = False
-        import multiprocessing
-        start = ("fork"
-                 if "fork" in multiprocessing.get_all_start_methods()
-                 else "spawn")
-        self._ctx = multiprocessing.get_context(start)
         self.units_completed = 0
         self.units_failed = 0
         self.leases_lost = 0
-        self.bytes_fetched = 0
-        self.bytes_cached = 0
 
     # -- lifecycle -------------------------------------------------------
     def request_stop(self) -> None:
@@ -152,7 +124,7 @@ class Worker:
         ``(path, fetched_bytes, cached_bytes)``."""
         local = os.path.join(self.traces_dir, digest)
         if os.path.isdir(local):
-            if not self.verify or digest_tree(local) == digest:
+            if digest_tree(local) == digest:
                 size = sum(
                     os.path.getsize(os.path.join(dirpath, fname))
                     for dirpath, _dirs, files in os.walk(local)
@@ -214,8 +186,6 @@ class Worker:
             raise ValueError(
                 f"fault plan {plan_path!r} is not visible from this "
                 f"worker (use inline plan_json for distributed runs)")
-        # The server owns retries/backoff/quarantine; one attempt here.
-        scenario["max_retries"] = 0
         return scenario, fetched, cached
 
     # -- one unit --------------------------------------------------------
@@ -227,15 +197,15 @@ class Worker:
         self._emit(f"[worker {self.name}] unit {unit_id} ({name})"
                    f"{tag}: leased")
         t0 = time.monotonic()
+        # The lease is known good until here; heartbeats push it out.
+        lease_until = t0 + self.lease_s
         try:
             scenario, fetched, cached = self._stage_unit(unit)
         except (ServiceError, ValueError, OSError) as exc:
-            self._post_failure(unit_id, token, name, {
+            self._post(unit_id, token, name, "failed", {
                 "type": type(exc).__name__, "message": str(exc),
-                "traceback": ""}, time.monotonic() - t0)
+                "traceback": ""}, time.monotonic() - t0, lease_until)
             return
-        self.bytes_fetched += fetched
-        self.bytes_cached += cached
         try:
             self.client.ack_staged(unit_id, self.name,
                                    fetched_bytes=fetched,
@@ -243,99 +213,72 @@ class Worker:
         except ServiceError:
             pass    # accounting only; never worth failing the unit
 
-        spec_doc = {"name": f"unit-{unit_id}", "jobs": 1,
-                    "retry_backoff": 0.0, "scenarios": [scenario]}
-        out_dir = os.path.join(self.units_dir, unit_id)
-        shutil.rmtree(out_dir, ignore_errors=True)
-        process = self._ctx.Process(
-            target=_unit_main, args=(spec_doc, out_dir, self.cache_dir),
-            name=f"repro-unit-{unit_id}")
-        process.start()
-        lost = False
+        child = ScenarioChild(scenario, scenario["timeout_s"],
+                              name=f"repro-unit-{unit_id}")
         hb_due = time.monotonic() + self.lease_s / 3.0
-        while process.is_alive():
-            time.sleep(min(0.2, self.lease_s / 10.0))
-            if time.monotonic() < hb_due:
+        while True:
+            wake = min(hb_due, child.deadline)
+            if conn_wait([child.conn],
+                         timeout=max(0.0, wake - time.monotonic())):
+                status, body = child.collect()
+                break
+            now = time.monotonic()
+            if now >= child.deadline:
+                status, body = child.expire()
+                break
+            if now < hb_due:
                 continue
-            hb_due = time.monotonic() + self.lease_s / 3.0
+            hb_due = now + self.lease_s / 3.0
             try:
                 self.client.heartbeat(unit_id, self.name, token,
                                       self.lease_s)
+                lease_until = time.monotonic() + self.lease_s
             except ServiceError as exc:
                 if exc.status == 409:
                     # Superseded: expired + requeued, cancelled, or a
                     # speculative twin already won.  Stop burning CPU.
                     self._emit(f"[worker {self.name}] unit {unit_id}: "
                                f"lease lost ({exc.message}); aborting")
-                    stop_process(process)
-                    lost = True
-                    break
+                    child.abort()
+                    self.leases_lost += 1
+                    return
                 # Unreachable server: keep computing, try again next beat.
-        process.join()
-        wall = time.monotonic() - t0
-        if lost:
-            self.leases_lost += 1
-            shutil.rmtree(out_dir, ignore_errors=True)
-            return
-        self._report(unit_id, token, name, scenario, out_dir, wall)
-        shutil.rmtree(out_dir, ignore_errors=True)
+        self._post(unit_id, token, name, status, body,
+                   time.monotonic() - t0, lease_until)
 
-    def _report(self, unit_id: str, token: str, name: str,
-                scenario: Dict[str, Any], out_dir: str,
-                wall: float) -> None:
-        from ..campaign.store import CampaignStore
-
-        record = CampaignStore(out_dir).read_run(name)
-        if record is None:
-            self._post_failure(unit_id, token, name, {
-                "type": "WorkerDied",
-                "message": "unit runner exited without a record",
-                "traceback": ""}, wall)
-            return
-        if record.ok:
+    def _post(self, unit_id: str, token: str, name: str, status: str,
+              body: Dict[str, Any], wall: float,
+              lease_until: float) -> None:
+        """Post a unit's verdict: ``body`` is the result payload when
+        ``status`` is ok, else the error document.  An unreachable
+        server is retried every ``poll_s`` until the lease would have
+        run out; then (as on a 409) the verdict is dropped — expiry
+        requeues the unit server-side."""
+        ok = status == "ok"
+        doc = {"status": status, "wall_seconds": wall,
+               "result" if ok else "error": body}
+        if not ok:
+            self.units_failed += 1
+            self._emit(f"[worker {self.name}] unit {unit_id} ({name}): "
+                       f"{status}: {body.get('message', '')}")
+        while True:
             try:
-                self.client.post_result(unit_id, self.name, token, {
-                    "status": "ok", "result": record.result,
-                    "wall_seconds": wall})
+                self.client.post_result(unit_id, self.name, token, doc)
+                break
             except ServiceError as exc:
-                if exc.status != 409:
+                if exc.status == 0 and time.monotonic() < lease_until:
+                    time.sleep(self.poll_s)
+                    continue
+                if exc.status not in (0, 409):
                     raise
                 self.leases_lost += 1
-                self._emit(f"[worker {self.name}] unit {unit_id}: result "
-                           f"discarded (lease superseded)")
+                self._emit(f"[worker {self.name}] unit {unit_id}: verdict "
+                           f"discarded ({exc.message})")
                 return
+        if ok:
             self.units_completed += 1
             self._emit(f"[worker {self.name}] unit {unit_id} ({name}): "
                        f"ok in {wall:.2f}s")
-            return
-        error = record.error or {"type": "Unknown", "message": "",
-                                 "traceback": ""}
-        self._post_failure(unit_id, token, name, error, wall,
-                           status=record.status)
-
-    def _post_failure(self, unit_id: str, token: str, name: str,
-                      error: Dict[str, str], wall: float,
-                      status: str = "failed") -> None:
-        self.units_failed += 1
-        self._emit(f"[worker {self.name}] unit {unit_id} ({name}): "
-                   f"{status}: {error.get('message', '')}")
-        try:
-            self.client.post_result(unit_id, self.name, token, {
-                "status": status, "error": error, "wall_seconds": wall})
-        except ServiceError as exc:
-            if exc.status != 409:
-                raise
-            self.leases_lost += 1
-
-    # -- push-back (optional) --------------------------------------------
-    def push_trace(self, digest: str) -> bool:
-        """Push a locally staged tree (e.g. one that grew ``.tic``
-        sidecars) back to the server store; False when absent locally."""
-        local = os.path.join(self.traces_dir, digest)
-        if not os.path.isdir(local):
-            return False
-        self.client.push_trace(digest, pack_tree_tar(local))
-        return True
 
 
 def main_worker(argv: Optional[List[str]] = None) -> int:
@@ -343,12 +286,12 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
         prog="repro-worker",
         description="Remote execution worker for the repro campaign "
                     "service: leases work units, stages artifacts by "
-                    "content digest, runs them through the campaign "
-                    "runner, and streams results back.")
+                    "content digest, runs each in one child process, "
+                    "and streams results back.")
     parser.add_argument("--server", required=True,
                         help="service base URL, e.g. http://host:8642")
     parser.add_argument("--root", required=True,
-                        help="worker root (artifact cache + scratch)")
+                        help="worker root (the artifact cache)")
     parser.add_argument("--name", default=None,
                         help="worker name (default: <host>-<pid>)")
     parser.add_argument("--lease-s", type=float, default=15.0,
@@ -361,8 +304,6 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--idle-exit-s", type=float, default=0.0,
                         help="exit after this long with nothing to lease "
                              "(0 = never)")
-    parser.add_argument("--no-verify", action="store_true",
-                        help="skip re-hashing locally cached artifacts")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -370,7 +311,6 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
         args.server, args.root, args.name,
         lease_s=args.lease_s, poll_s=args.poll_s,
         max_units=args.max_units, idle_exit_s=args.idle_exit_s,
-        verify=not args.no_verify,
         log=(None if args.quiet else print))
     signal.signal(signal.SIGTERM,
                   lambda _s, _f: worker.request_stop())

@@ -341,6 +341,24 @@ def test_campaign_times_out_a_hung_scenario(tmp_path):
     assert result.metrics.timeouts == 1
 
 
+def _exit_3(conn, sdict):
+    os._exit(3)
+
+
+def test_campaign_records_a_worker_that_died_without_a_verdict(
+        tmp_path, monkeypatch):
+    from repro.campaign import runner
+    monkeypatch.setattr(runner, "_scenario_worker", _exit_3)
+    spec = CampaignSpec(name="dead", jobs=1, scenarios=[
+        lu_scenario("gone", max_retries=0)])
+    result = run_campaign(spec, str(tmp_path / "camp"))
+    record = result.records["gone"]
+    assert record.status == "failed" and record.attempts == 1
+    assert record.error["type"] == "WorkerDied"
+    assert "exitcode 3" in record.error["message"]
+    assert multiprocessing.active_children() == []
+
+
 def test_no_cache_forces_execution_and_resume_serves_from_store(tmp_path):
     spec = CampaignSpec(name="one", jobs=1, scenarios=[lu_scenario("a")])
     out = str(tmp_path / "camp")

@@ -309,3 +309,16 @@ def test_cli_replay_bad_fault_plan_exits_2(tmp_path, capsys):
                       "--ranks", "1", "--faults", str(plan_path),
                       "--fault-mode", "checkpoint-restart"])
     assert rc == 2
+
+
+def test_worker_cli_has_no_verification_off_switch(tmp_path, capsys):
+    from repro.service.worker import main_worker
+
+    with pytest.raises(SystemExit) as exc:
+        main_worker(["--server", "http://127.0.0.1:9", "--root",
+                     str(tmp_path / "w"), "--no-verify"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --no-verify" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "w").exists()

@@ -145,3 +145,17 @@ def test_work_inflation_includes_sharing_penalty():
     host.resident_ranks = 4
     assert host.work_inflation("x", 1.0) == pytest.approx(1.25)
     host.resident_ranks = 1
+
+
+def test_named_platform_is_the_one_catalog_lookup():
+    from repro.platforms import BORDEREAU_NODES, named_platform
+
+    small = named_platform("bordereau", False, hosts=3, speed=2e9)
+    assert len(small.hosts) == 3
+    assert all(h.speed == 2e9 for h in small.hosts.values())
+    assert len(named_platform("bordereau", True).hosts) == BORDEREAU_NODES
+    # grid5000: hosts per site, and no speed override to pass down.
+    assert len(named_platform("grid5000", True, hosts=2,
+                              speed=1.0).hosts) == 4
+    with pytest.raises(ValueError, match="choose from .*'gdx'"):
+        named_platform("nonexistent", True)
