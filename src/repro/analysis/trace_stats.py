@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..core.actions import (
-    AllReduce, Bcast, Compute, Irecv, Isend, Recv, Reduce, Send,
-)
+from ..core.actions import Compute, Irecv, Isend, Recv, Send, fields_of
 from ..core.trace import InMemoryTrace
 
 __all__ = ["TraceStats", "compute_trace_stats"]
@@ -129,9 +127,11 @@ def compute_trace_stats(trace: InMemoryTrace) -> TraceStats:
                 )
             elif isinstance(action, (Recv, Irecv)):
                 pass  # counted on the sender side
-            elif isinstance(action, Bcast):
-                stats.collective_bytes += action.volume
-            elif isinstance(action, (Reduce, AllReduce)):
-                stats.collective_bytes += action.vcomm
-                stats.collective_flops += action.vcomp
+            else:
+                # Every other row of the action table is a collective (or
+                # carries no volume at all): book its nominal bytes and
+                # operator flops straight from the table's fields.
+                _, _, vol, vol2, _ = fields_of(action)
+                stats.collective_bytes += vol
+                stats.collective_flops += vol2
     return stats

@@ -217,7 +217,8 @@ def main_convert(argv: Optional[List[str]] = None) -> int:
         elif args.target == "text" and os.path.exists(bin_path):
             out_path = os.path.join(args.dst_dir, trace_file_name(rank))
             with open(out_path, "w", encoding="ascii") as handle:
-                for action in read_binary_trace(bin_path):
+                for action in read_binary_trace(bin_path,
+                                                expect_rank=rank):
                     handle.write(format_action(action) + "\n")
             in_bytes += os.path.getsize(bin_path)
             out_bytes += os.path.getsize(out_path)

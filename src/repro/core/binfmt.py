@@ -5,13 +5,16 @@ size of the traces, e.g., using a binary format".  This module is that
 extension: a compact per-process encoding of the Table 1 action set.
 
 Layout: a 16-byte header (magic ``TIBIN001``, version u16, reserved u16,
-rank u32), then one record per action:
+rank u32), then one record per action, generic over the action table's
+shapes (:data:`repro.core.actions.ACTION_TABLE`, docs/trace-format.md):
 
 * one opcode byte — the action type, with the high bit set when a volume
   is not integral;
-* integral volumes and ranks as LEB128 varints (most LU volumes fit in
-  2-4 bytes);
-* non-integral volumes as IEEE-754 doubles (the escape hatch).
+* the integer field, if the shape has one (peer, communicator size,
+  split count), as a LEB128 varint;
+* the shape's volumes — all varints when every one is integral (most LU
+  volumes fit in 2-4 bytes), all IEEE-754 doubles otherwise (the escape
+  hatch).
 
 Typical LU traces shrink ~4x vs the text format before gzip, and the
 format round-trips exactly (including float volumes), so the replayer
@@ -20,27 +23,18 @@ accepts either representation.
 
 from __future__ import annotations
 
-import os
 import struct
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .actions import (
+    ACTION_TABLE,
+    NAME_OF_OPCODE,
+    OPCODE_OF,
+    OPCODE_SPACE_VERSION,
+    SHAPE_LAYOUT,
     Action,
-    AllGather,
-    AllReduce,
-    AllToAll,
-    AllToAllv,
-    Barrier,
-    Bcast,
-    CommSize,
-    Compute,
-    Irecv,
-    Isend,
-    Recv,
-    Reduce,
-    ReduceScatter,
-    Send,
-    Wait,
+    action_of,
+    fields_of,
 )
 
 __all__ = [
@@ -59,73 +53,11 @@ _HEADER = struct.Struct("<8sHHI")  # magic, version, reserved, rank
 _VERSION = 1
 _FLOAT_FLAG = 0x80
 
-# Opcode per action type (low 7 bits).
-_OP_COMPUTE = 1
-_OP_SEND = 2
-_OP_ISEND = 3
-_OP_RECV = 4
-_OP_IRECV = 5
-_OP_BCAST = 6
-_OP_REDUCE = 7
-_OP_ALLREDUCE = 8
-_OP_BARRIER = 9
-_OP_COMM_SIZE = 10
-_OP_WAIT = 11
-_OP_ALLTOALL = 12
-_OP_ALLGATHER = 13
-_OP_REDUCESCATTER = 14
-_OP_ALLTOALLV = 15
-
-#: Version of the opcode *space* (which opcodes exist and what their
-#: payloads mean), independent of the container formats that embed it.
-#: v1: the original Table 1 set (opcodes 1-11).
-#: v2: the AI-workload collectives allToAll/allGather/reduceScatter/
-#: allToAllv (opcodes 12-15).  Derived caches (the ``.tic`` sidecars of
-#: :mod:`repro.core.compile`) key on this so programs compiled under an
-#: older space recompile instead of mis-decoding new opcodes.
-OPCODE_SPACE_VERSION = 2
-
-#: Public opcode table: trace action keyword -> opcode.  Shared with the
-#: trace compiler (:mod:`repro.core.compile`), whose columnar programs
-#: use the same opcode space as the binary trace records, so the two
-#: encodings can never drift apart.
-OPCODE_OF = {
-    "compute": _OP_COMPUTE,
-    "send": _OP_SEND,
-    "Isend": _OP_ISEND,
-    "recv": _OP_RECV,
-    "Irecv": _OP_IRECV,
-    "bcast": _OP_BCAST,
-    "reduce": _OP_REDUCE,
-    "allReduce": _OP_ALLREDUCE,
-    "barrier": _OP_BARRIER,
-    "comm_size": _OP_COMM_SIZE,
-    "wait": _OP_WAIT,
-    "allToAll": _OP_ALLTOALL,
-    "allGather": _OP_ALLGATHER,
-    "reduceScatter": _OP_REDUCESCATTER,
-    "allToAllv": _OP_ALLTOALLV,
-}
-
-#: Inverse table, opcode -> keyword (list-indexable: opcodes are dense
-#: from 1; slot 0 is unused).
-NAME_OF_OPCODE = [""] * (max(OPCODE_OF.values()) + 1)
-for _name, _code in OPCODE_OF.items():
-    NAME_OF_OPCODE[_code] = _name
-
-_P2P_OPS = {
-    _OP_SEND: Send, _OP_ISEND: Isend, _OP_RECV: Recv, _OP_IRECV: Irecv,
-}
-_P2P_CODES = {Send: _OP_SEND, Isend: _OP_ISEND, Recv: _OP_RECV,
-              Irecv: _OP_IRECV}
-_RED_OPS = {_OP_REDUCE: Reduce, _OP_ALLREDUCE: AllReduce,
-            _OP_REDUCESCATTER: ReduceScatter}
-_RED_CODES = {Reduce: _OP_REDUCE, AllReduce: _OP_ALLREDUCE,
-              ReduceScatter: _OP_REDUCESCATTER}
-_VOL_OPS = {_OP_BCAST: Bcast, _OP_ALLTOALL: AllToAll,
-            _OP_ALLGATHER: AllGather}
-_VOL_CODES = {Bcast: _OP_BCAST, AllToAll: _OP_ALLTOALL,
-              AllGather: _OP_ALLGATHER}
+#: Record layout per opcode, from the action table's shapes: (has an
+#: integer field, volume count or None for "total + one per split").
+_LAYOUT = [None] * len(NAME_OF_OPCODE)
+for _row in ACTION_TABLE:
+    _LAYOUT[_row.opcode] = SHAPE_LAYOUT[_row.shape]
 
 #: Guard against absurd split counts in corrupt allToAllv records: no
 #: real communicator approaches this, and each split needs at least one
@@ -166,82 +98,22 @@ def _read_varint(buf: bytes, pos: int) -> tuple:
             raise ValueError("varint overflow in binary trace")
 
 
-def _write_volume(out: bytearray, opcode: int, volume: float) -> None:
-    if volume == int(volume) and 0 <= volume < 2 ** 63:
-        out.append(opcode)
-        _write_varint(out, int(volume))
-    else:
-        out.append(opcode | _FLOAT_FLAG)
-        out += struct.pack("<d", volume)
-
-
-def _read_volume(buf: bytes, pos: int, is_float: bool) -> tuple:
-    if is_float:
-        if pos + 8 > len(buf):
-            raise ValueError("truncated float volume in binary trace")
-        (value,) = struct.unpack_from("<d", buf, pos)
-        return value, pos + 8
-    value, pos = _read_varint(buf, pos)
-    return float(value), pos
-
-
 def encode_actions(actions: Iterable[Action]) -> bytes:
     """Encode one rank's actions (header excluded)."""
     out = bytearray()
     for action in actions:
-        cls = type(action)
-        if cls is Compute:
-            _write_volume(out, _OP_COMPUTE, action.volume)
-        elif cls in _P2P_CODES:
-            opcode = _P2P_CODES[cls]
-            # Peer first (always integral), then the volume.
-            if action.volume == int(action.volume) and \
-                    0 <= action.volume < 2 ** 63:
-                out.append(opcode)
-                _write_varint(out, action.peer)
-                _write_varint(out, int(action.volume))
-            else:
-                out.append(opcode | _FLOAT_FLAG)
-                _write_varint(out, action.peer)
-                out += struct.pack("<d", action.volume)
-        elif cls in _VOL_CODES:
-            _write_volume(out, _VOL_CODES[cls], action.volume)
-        elif cls is AllToAllv:
-            # Varint split count, then total + splits — all varints when
-            # integral, all doubles behind the float flag otherwise.
-            values = (action.total,) + action.splits
-            integral = all(v == int(v) and 0 <= v < 2 ** 63 for v in values)
-            if integral:
-                out.append(_OP_ALLTOALLV)
-                _write_varint(out, len(action.splits))
-                for v in values:
-                    _write_varint(out, int(v))
-            else:
-                out.append(_OP_ALLTOALLV | _FLOAT_FLAG)
-                _write_varint(out, len(action.splits))
-                out += struct.pack(f"<{len(values)}d", *values)
-        elif cls in _RED_CODES:
-            opcode = _RED_CODES[cls]
-            integral = (action.vcomm == int(action.vcomm)
-                        and action.vcomp == int(action.vcomp)
-                        and 0 <= action.vcomm < 2 ** 63
-                        and 0 <= action.vcomp < 2 ** 63)
-            if integral:
-                out.append(opcode)
-                _write_varint(out, int(action.vcomm))
-                _write_varint(out, int(action.vcomp))
-            else:
-                out.append(opcode | _FLOAT_FLAG)
-                out += struct.pack("<dd", action.vcomm, action.vcomp)
-        elif cls is Barrier:
-            out.append(_OP_BARRIER)
-        elif cls is CommSize:
-            out.append(_OP_COMM_SIZE)
-            _write_varint(out, action.size)
-        elif cls is Wait:
-            out.append(_OP_WAIT)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot encode {cls.__name__}")
+        op, arg, vol, vol2, splits = fields_of(action)
+        has_int, n_vols = _LAYOUT[op]
+        vols = (vol, *splits) if n_vols is None else (vol, vol2)[:n_vols]
+        integral = all(v == int(v) and 0 <= v < 2 ** 63 for v in vols)
+        out.append(op if integral else op | _FLOAT_FLAG)
+        if has_int:
+            _write_varint(out, arg)
+        if integral:
+            for v in vols:
+                _write_varint(out, int(v))
+        else:
+            out += struct.pack(f"<{len(vols)}d", *vols)
     return bytes(out)
 
 
@@ -254,58 +126,37 @@ def _decode_record(buf: bytes, pos: int, rank: int) -> tuple:
     """
     byte = buf[pos]
     pos += 1
-    opcode = byte & 0x7F
-    is_float = bool(byte & _FLOAT_FLAG)
-    if opcode == _OP_COMPUTE:
-        volume, pos = _read_volume(buf, pos, is_float)
-        return Compute(rank, volume), pos
-    if opcode in _P2P_OPS:
-        peer, pos = _read_varint(buf, pos)
-        volume, pos = _read_volume(buf, pos, is_float)
-        return _P2P_OPS[opcode](rank, peer, volume), pos
-    if opcode in _VOL_OPS:
-        volume, pos = _read_volume(buf, pos, is_float)
-        return _VOL_OPS[opcode](rank, volume), pos
-    if opcode == _OP_ALLTOALLV:
-        count, pos = _read_varint(buf, pos)
-        if count < 1 or count > _MAX_SPLITS:
+    op = byte & 0x7F
+    layout = _LAYOUT[op] if op < len(_LAYOUT) else None
+    if layout is None:
+        raise ValueError(f"unknown opcode {op} in binary trace")
+    has_int, n_vols = layout
+    arg = 0
+    if has_int:
+        arg, pos = _read_varint(buf, pos)
+    variadic = n_vols is None
+    if variadic:
+        if arg < 1 or arg > _MAX_SPLITS:
             raise ValueError(
-                f"allToAllv record declares {count} split sizes — "
+                f"allToAllv record declares {arg} split sizes — "
                 "inconsistent binary trace")
-        if is_float:
-            need = 8 * (count + 1)
-            if pos + need > len(buf):
-                raise ValueError("truncated allToAllv volumes")
-            values = struct.unpack_from(f"<{count + 1}d", buf, pos)
-            pos += need
-            total, splits = values[0], values[1:]
-        else:
-            total, pos = _read_varint(buf, pos)
-            splits = []
-            for _ in range(count):
-                s, pos = _read_varint(buf, pos)
-                splits.append(float(s))
-        # The constructor enforces the split-sum consistency contract
-        # (ValueError, never a silently wrong volume).
-        return AllToAllv(rank, float(total), tuple(splits)), pos
-    if opcode in _RED_OPS:
-        if is_float:
-            if pos + 16 > len(buf):
-                raise ValueError("truncated reduce volumes")
-            vcomm, vcomp = struct.unpack_from("<dd", buf, pos)
-            pos += 16
-        else:
-            vcomm, pos = _read_varint(buf, pos)
-            vcomp, pos = _read_varint(buf, pos)
-        return _RED_OPS[opcode](rank, float(vcomm), float(vcomp)), pos
-    if opcode == _OP_BARRIER:
-        return Barrier(rank), pos
-    if opcode == _OP_COMM_SIZE:
-        size, pos = _read_varint(buf, pos)
-        return CommSize(rank, size), pos
-    if opcode == _OP_WAIT:
-        return Wait(rank), pos
-    raise ValueError(f"unknown opcode {opcode} in binary trace")
+        n_vols = arg + 1
+    if byte & _FLOAT_FLAG:
+        if pos + 8 * n_vols > len(buf):
+            raise ValueError("truncated float volumes in binary trace")
+        vols = struct.unpack_from(f"<{n_vols}d", buf, pos)
+        pos += 8 * n_vols
+    else:
+        vols = []
+        for _ in range(n_vols):
+            value, pos = _read_varint(buf, pos)
+            vols.append(float(value))
+    vol = vols[0] if n_vols else 0.0
+    vol2 = vols[1] if n_vols == 2 and not variadic else 0.0
+    splits = tuple(vols[1:]) if variadic else None
+    # The Action constructors enforce the format's contracts (the
+    # allToAllv split sum included): ValueError, never a wrong volume.
+    return action_of(rank, op, arg, vol, vol2, splits), pos
 
 
 def decode_actions(buf: bytes, rank: int) -> Iterator[Action]:
@@ -332,9 +183,10 @@ def write_binary_trace(actions: Iterable[Action], rank: int,
 _CHUNK_SIZE = 1 << 16
 
 
-def read_binary_trace(path: str,
+def read_binary_trace(path: str, expect_rank: Optional[int] = None,
                       chunk_size: int = _CHUNK_SIZE) -> Iterator[Action]:
-    """Stream one rank's binary trace back as actions.
+    """Stream one rank's binary trace back as actions; with
+    ``expect_rank``, a header naming another rank is a :class:`ValueError`.
 
     The file is decoded in ``chunk_size`` slices: peak memory is one
     chunk (plus at most one partial record carried across the boundary),
@@ -350,6 +202,9 @@ def read_binary_trace(path: str,
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if expect_rank is not None and rank != expect_rank:
+            raise ValueError(
+                f"{path}: header says p{rank}, expected p{expect_rank}")
         buf = b""
         pos = 0
         while True:

@@ -4,11 +4,14 @@ The replay hot path used to re-tokenize one text line and make one dict
 dispatch per action.  This module compiles a trace — text, binary, or
 in-memory — *once* into parallel NumPy columns::
 
-    ops   uint8    the action opcode (the binfmt opcode space)
-    arg   int32    peer rank (p2p) / communicator size (comm_size) / 0
-    vol   float64  flops (compute) or bytes (p2p, bcast, reduce vcomm)
-    vol2  float64  reduce/allReduce vcomp; 0 otherwise
+    ops   uint8    the action opcode
+    arg   int32    peer rank / communicator size / split count / 0
+    vol   float64  the action's (first) volume, flops or bytes
+    vol2  float64  the second volume of a two-volume action; 0 otherwise
 
+— the ``(op, arg, vol, vol2)`` fields of the action table
+(:data:`repro.core.actions.ACTION_TABLE`, docs/trace-format.md), one
+column each; allToAllv split tables ride in a per-op ``aux`` plane —
 plus an optional ``nsrc`` (uint32) column counting how many *source*
 actions each compiled op stands for — 1 everywhere except fused compute
 runs (see :func:`fuse_computes`).  No strings survive compilation, so
@@ -35,44 +38,36 @@ granularity).
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import logging
-import math
 import os
 import struct
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .actions import format_volume
-from .binfmt import NAME_OF_OPCODE, OPCODE_OF, OPCODE_SPACE_VERSION
+from .actions import (
+    ACTION_TABLE, OPCODE_SPACE_VERSION, decode_tokens, encode_tokens,
+    fields_of,
+)
+from .binfmt import read_binary_trace
+from .trace import (
+    InMemoryTrace, discover_trace_paths, merged_file_tokens,
+    rank_file_tokens,
+)
+
+# OP_COMPUTE, OP_SEND, ... OP_ALLTOALLV: one constant per table row.
+_OP_NAMES = {f"OP_{row.keyword.upper()}": row.opcode for row in ACTION_TABLE}
+globals().update(_OP_NAMES)
 
 __all__ = [
     "CompiledProgram", "CompileReport", "compile_source", "fuse_computes",
-    "op_tokens", "tic_path_for", "TIC_SUFFIX",
-    "OP_COMPUTE", "OP_SEND", "OP_ISEND", "OP_RECV", "OP_IRECV", "OP_BCAST",
-    "OP_REDUCE", "OP_ALLREDUCE", "OP_BARRIER", "OP_COMM_SIZE", "OP_WAIT",
-    "OP_ALLTOALL", "OP_ALLGATHER", "OP_REDUCESCATTER", "OP_ALLTOALLV",
+    "op_tokens", "tic_path_for", "TIC_SUFFIX", *_OP_NAMES,
 ]
-
-OP_COMPUTE = OPCODE_OF["compute"]
-OP_SEND = OPCODE_OF["send"]
-OP_ISEND = OPCODE_OF["Isend"]
-OP_RECV = OPCODE_OF["recv"]
-OP_IRECV = OPCODE_OF["Irecv"]
-OP_BCAST = OPCODE_OF["bcast"]
-OP_REDUCE = OPCODE_OF["reduce"]
-OP_ALLREDUCE = OPCODE_OF["allReduce"]
-OP_BARRIER = OPCODE_OF["barrier"]
-OP_COMM_SIZE = OPCODE_OF["comm_size"]
-OP_WAIT = OPCODE_OF["wait"]
-OP_ALLTOALL = OPCODE_OF["allToAll"]
-OP_ALLGATHER = OPCODE_OF["allGather"]
-OP_REDUCESCATTER = OPCODE_OF["reduceScatter"]
-OP_ALLTOALLV = OPCODE_OF["allToAllv"]
 
 #: Compiled-program sidecar suffix, appended to the source file name.
 TIC_SUFFIX = ".tic"
@@ -162,141 +157,33 @@ class _Builder:
                  for i, v in self.aux.items()} or None,
         )
 
-
-def _compile_tokens(builder: _Builder, tokens: List[str], rank: int) -> None:
-    """Append one trace line's op; mirrors the token-stream handlers'
-    parsing (and their error wording) exactly."""
-    try:
-        name = tokens[1]
-        code = OPCODE_OF.get(name)
-        if code is None:
-            raise ValueError(
-                f"p{rank}: unregistered action {name!r}"
-            )
-        if (code == OP_COMPUTE or code == OP_BCAST
-                or code == OP_ALLTOALL or code == OP_ALLGATHER):
-            builder.arg.append(0)
-            builder.vol.append(float(tokens[2]))
-            builder.vol2.append(0.0)
-        elif OP_SEND <= code <= OP_IRECV:
-            builder.arg.append(int(tokens[2][1:]))
-            builder.vol.append(float(tokens[3]))
-            builder.vol2.append(0.0)
-        elif (code == OP_REDUCE or code == OP_ALLREDUCE
-                or code == OP_REDUCESCATTER):
-            builder.arg.append(0)
-            builder.vol.append(float(tokens[2]))
-            builder.vol2.append(float(tokens[3]))
-        elif code == OP_ALLTOALLV:
-            total = float(tokens[2])
-            splits = [float(t) for t in tokens[3:]]
-            _check_splits(total, splits, rank)
-            builder.aux[len(builder.ops)] = splits
-            builder.arg.append(len(splits))
-            builder.vol.append(total)
-            builder.vol2.append(0.0)
-        elif code == OP_COMM_SIZE:
-            builder.arg.append(int(tokens[2]))
-            builder.vol.append(0.0)
-            builder.vol2.append(0.0)
-        else:  # barrier / wait
-            builder.arg.append(0)
-            builder.vol.append(0.0)
-            builder.vol2.append(0.0)
-        builder.ops.append(code)
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, ValueError) and (
-                "unregistered action" in str(exc)
-                or "allToAllv" in str(exc)):
-            raise
-        raise ValueError(
-            f"p{rank}: malformed trace line {' '.join(tokens)!r}"
-        ) from None
+    def extend(self, records) -> None:
+        """Append a stream of ``(op, arg, vol, vol2, splits)`` records
+        (what :func:`~.actions.decode_tokens` and
+        :func:`~.actions.fields_of` return)."""
+        ops, arg = self.ops.append, self.arg.append
+        vol, vol2 = self.vol.append, self.vol2.append
+        for op, a, v, v2, splits in records:
+            if splits is not None:
+                self.aux[len(self.ops)] = splits
+            ops(op)
+            arg(a)
+            vol(v)
+            vol2(v2)
 
 
-def _check_splits(total: float, splits: List[float], rank: int) -> None:
-    """The allToAllv consistency contract, worded like the token
-    handlers': split sizes finite, non-negative, and summing to the
-    declared total."""
-    from .actions import SPLIT_SUM_ATOL, SPLIT_SUM_RTOL
-
-    if not splits:
-        raise ValueError(
-            f"p{rank}: allToAllv needs at least one split size")
-    for s in splits:
-        if not math.isfinite(s) or s < 0:
-            raise ValueError(
-                f"p{rank}: allToAllv split sizes must be >= 0 and "
-                f"finite, got {s}")
-    s = math.fsum(splits)
-    if abs(s - total) > SPLIT_SUM_ATOL + SPLIT_SUM_RTOL * abs(total):
-        raise ValueError(
-            f"p{rank}: allToAllv split sizes sum to {s:g} but the "
-            f"total says {total:g} — inconsistent record")
-
-
-def _compile_actions(actions, rank: int) -> CompiledProgram:
-    """Compile a stream of :class:`~repro.core.actions.Action` objects."""
+def _compile_records(records, rank: int) -> CompiledProgram:
     builder = _Builder()
-    ops = builder.ops
-    arg = builder.arg
-    vol = builder.vol
-    vol2 = builder.vol2
-    for action in actions:
-        code = OPCODE_OF[action.name]
-        if OP_SEND <= code <= OP_IRECV:
-            arg.append(action.peer)
-            vol.append(action.volume)
-            vol2.append(0.0)
-        elif (code == OP_COMPUTE or code == OP_BCAST
-                or code == OP_ALLTOALL or code == OP_ALLGATHER):
-            arg.append(0)
-            vol.append(action.volume)
-            vol2.append(0.0)
-        elif (code == OP_REDUCE or code == OP_ALLREDUCE
-                or code == OP_REDUCESCATTER):
-            arg.append(0)
-            vol.append(action.vcomm)
-            vol2.append(action.vcomp)
-        elif code == OP_ALLTOALLV:
-            builder.aux[len(ops)] = list(action.splits)
-            arg.append(len(action.splits))
-            vol.append(action.total)
-            vol2.append(0.0)
-        elif code == OP_COMM_SIZE:
-            arg.append(action.size)
-            vol.append(0.0)
-            vol2.append(0.0)
-        else:
-            arg.append(0)
-            vol.append(0.0)
-            vol2.append(0.0)
-        ops.append(code)
-    return builder.finish(rank)
-
-
-def _compile_text_file(path: str, rank: int) -> CompiledProgram:
-    builder = _Builder()
-    opener = gzip.open if path.endswith(".gz") else open
-    prefix = f"p{rank}"
-    with opener(path, "rt", encoding="ascii") as handle:
-        for line in handle:
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if tokens[0] != prefix:
-                raise ValueError(
-                    f"{path}: line for {tokens[0]} in trace of p{rank}"
-                )
-            _compile_tokens(builder, tokens, rank)
+    builder.extend(records)
     return builder.finish(rank)
 
 
 def _compile_rank_file(path: str, rank: int) -> CompiledProgram:
     if path.endswith(".btrace"):
-        from .binfmt import read_binary_trace
-        return _compile_actions(read_binary_trace(path), rank)
-    return _compile_text_file(path, rank)
+        return _compile_records(
+            map(fields_of, read_binary_trace(path, expect_rank=rank)), rank)
+    return _compile_records(
+        map(decode_tokens, rank_file_tokens(path, rank)), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +243,10 @@ def op_tokens(prog: CompiledProgram, index: int) -> List[str]:
     """The trace-line token list of op ``index`` — built lazily for
     deadlock/fault diagnostics only, never on the replay hot path.  A
     fused compute renders as the summed compute it executes as."""
-    code = int(prog.ops[index])
-    name = NAME_OF_OPCODE[code]
-    head = [f"p{prog.rank}", name]
-    if (code == OP_COMPUTE or code == OP_BCAST
-            or code == OP_ALLTOALL or code == OP_ALLGATHER):
-        return head + [format_volume(float(prog.vol[index]))]
-    if OP_SEND <= code <= OP_IRECV:
-        return head + [f"p{int(prog.arg[index])}",
-                       format_volume(float(prog.vol[index]))]
-    if (code == OP_REDUCE or code == OP_ALLREDUCE
-            or code == OP_REDUCESCATTER):
-        return head + [format_volume(float(prog.vol[index])),
-                       format_volume(float(prog.vol2[index]))]
-    if code == OP_ALLTOALLV:
-        splits = (prog.aux or {}).get(index)
-        tail = ([format_volume(float(s)) for s in splits]
-                if splits is not None else [])
-        return head + [format_volume(float(prog.vol[index]))] + tail
-    if code == OP_COMM_SIZE:
-        return head + [str(int(prog.arg[index]))]
-    return head  # barrier / wait
+    splits = (prog.aux or {}).get(index, ())
+    return encode_tokens(prog.rank, int(prog.ops[index]),
+                         int(prog.arg[index]), float(prog.vol[index]),
+                         float(prog.vol2[index]), splits)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +390,6 @@ def compile_source(source, cache: bool = True,
     sidecar cache (unless ``cache`` is False); ``force`` recompiles even
     when a fresh sidecar exists (and refreshes it).
     """
-    from .trace import InMemoryTrace
-
     t0 = time.perf_counter()
     report = CompileReport()
     if isinstance(source, InMemoryTrace):
@@ -530,8 +398,9 @@ def compile_source(source, cache: bool = True,
             raise ValueError(
                 f"trace ranks are not contiguous: {ranks[:10]}"
             )
-        programs = [_compile_actions(source.actions_of(rank), rank)
-                    for rank in ranks]
+        programs = [
+            _compile_records(map(fields_of, source.actions_of(rank)), rank)
+            for rank in ranks]
         report.cache_misses = len(programs)
     elif isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
@@ -553,8 +422,6 @@ def compile_source(source, cache: bool = True,
 
 def _compile_dir(directory: str, cache: bool, force: bool,
                  report: CompileReport) -> List[CompiledProgram]:
-    from .trace import discover_trace_paths
-
     programs = []
     for rank, path in enumerate(discover_trace_paths(directory)):
         sidecar = tic_path_for(path)
@@ -584,18 +451,13 @@ def _compile_merged(path: str, cache: bool, force: bool,
         if loaded is not None:
             report.cache_hits += len(loaded)
             return loaded
-    opener = gzip.open if path.endswith(".gz") else open
     builders: Dict[int, _Builder] = {}
-    with opener(path, "rt", encoding="ascii") as handle:
-        for line in handle:
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            rank = int(tokens[0][1:])
-            builder = builders.get(rank)
-            if builder is None:
-                builder = builders[rank] = _Builder()
-            _compile_tokens(builder, tokens, rank)
+    # One extend() per run of consecutive lines of the same rank.
+    for rank, run in groupby(merged_file_tokens(path), key=itemgetter(0)):
+        builder = builders.get(rank)
+        if builder is None:
+            builder = builders[rank] = _Builder()
+        builder.extend(decode_tokens(tokens) for _, tokens in run)
     rank_list = sorted(builders)
     if rank_list != list(range(len(rank_list))):
         raise ValueError(

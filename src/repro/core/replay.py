@@ -12,7 +12,10 @@ receive the raw token list of the trace line (MSG passes an
 ``xbt_dynar_t`` of strings, §5), so user-defined actions can be plugged
 in with :meth:`TraceReplayer.register_action`.
 
-Replay semantics:
+The action set and the shape of each trace line live in one table
+(:data:`repro.core.actions.ACTION_TABLE`, docs/trace-format.md); every
+built-in handler takes its fields from that table's ``decode_tokens``.
+Replay semantics (docs/replay-semantics.md has the long form):
 
 * ``compute v`` — execute ``v`` flops on the rank's host.
 * ``send/recv`` — blocking point-to-point, matched by source rank through
@@ -22,30 +25,28 @@ Replay semantics:
 * ``Irecv``/``wait`` — Irecv posts a receive into the rank's pending
   queue; ``wait`` completes the *oldest* pending one (SimGrid's replay
   does the same, and the extractor mirrors it).
-* ``bcast/reduce/allReduce/barrier`` — decomposed into point-to-point
-  messages over binomial trees rooted at process 0 (§3), or flat trees
-  with ``collective_algorithm="flat"`` (the ablation of the monolithic-
-  collective simplification discussed in §2).
+* collectives — decomposed into point-to-point messages in one place,
+  :meth:`TraceReplayer._collective`: binomial trees rooted at process 0
+  (§3), or flat trees with ``collective_algorithm="flat"`` (the ablation
+  of the monolithic-collective simplification discussed in §2).
 * ``comm_size`` — declares the communicator; required before the first
   collective (§3).
 """
 
 from __future__ import annotations
 
-import gzip
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..faults.plan import FaultPlan, LinkDegrade, LinkDown
 from ..faults.report import FaultReport, RankFailure, build_fault_report
 from ..simkernel import CommSystem, DeadlockError, Engine, Host, Platform, Telemetry
 from ..simkernel.pwl import DEFAULT_MPI_MODEL, PiecewiseLinearModel
 from ..smpi import collectives
+from .actions import ACTION_NAMES, NAME_OF_OPCODE, decode_tokens
 from .batch import CollectiveBatcher, batch_eligible
-from .binfmt import NAME_OF_OPCODE
 from .compile import (
     OP_ALLGATHER,
     OP_ALLREDUCE,
@@ -63,12 +64,11 @@ from .compile import (
     OP_SEND,
     OP_WAIT,
     CompiledProgram,
-    _check_splits,
     compile_source,
     fuse_computes,
     op_tokens,
 )
-from .trace import InMemoryTrace
+from .trace import InMemoryTrace, token_streams
 
 __all__ = ["TraceReplayer", "ReplayResult"]
 
@@ -146,8 +146,9 @@ class TraceReplayer:
     """Replays time-independent traces on a simulated platform."""
 
     #: Maximum lines the merged-file demux will buffer for any single
-    #: rank before refusing (see :meth:`_merged_stream`).  Class-level so
-    #: callers with genuinely skewed-but-small traces can raise it.
+    #: rank before refusing (see :func:`~.trace.token_streams`).
+    #: Class-level so callers with genuinely skewed-but-small traces can
+    #: raise it.
     merged_spill_limit = 1_000_000
 
     def __init__(
@@ -269,23 +270,19 @@ class TraceReplayer:
         # CompileReport of the most recent compiled replay (None when the
         # token path ran).
         self.last_compile_report = None
-        self._handlers: Dict[str, Callable] = {
+        # One handler per table keyword: every action that is not one of
+        # the seven below is a collective.
+        self._handlers: Dict[str, Callable] = dict.fromkeys(
+            ACTION_NAMES, self._do_collective)
+        self._handlers.update({
             "compute": self._do_compute,
             "send": self._do_send,
             "Isend": self._do_isend,
             "recv": self._do_recv,
             "Irecv": self._do_irecv,
             "wait": self._do_wait,
-            "bcast": self._do_bcast,
-            "reduce": self._do_reduce,
-            "allReduce": self._do_allreduce,
-            "barrier": self._do_barrier,
             "comm_size": self._do_comm_size,
-            "allToAll": self._do_alltoall,
-            "allToAllv": self._do_alltoallv,
-            "allGather": self._do_allgather,
-            "reduceScatter": self._do_reducescatter,
-        }
+        })
 
     # ------------------------------------------------------------------
     # Public API
@@ -405,7 +402,7 @@ class TraceReplayer:
         """
         programs = self._compiled_programs(source, fault_events)
         if programs is None:
-            streams = self._token_streams(source)
+            streams = token_streams(source, self.merged_spill_limit)
             n_ranks = len(streams)
         else:
             streams = None
@@ -516,9 +513,8 @@ class TraceReplayer:
                 # Metering path.  The baseline already performs one dict
                 # lookup per action (the handler dispatch); the counting
                 # cell IS the dispatch entry — ``[handler, count, volume,
-                # time, vol_idx]`` — so metering adds no lookup and
-                # touches a single extra object per action (see
-                # ReplayMetrics).
+                # time]`` — so metering adds no lookup and touches a
+                # single extra object per action (see ReplayMetrics).
                 new_cell = replay_metrics.new_cell
                 cells_get = replay_metrics.rank_cells[ctx.rank].get
                 for tokens in stream:
@@ -526,49 +522,23 @@ class TraceReplayer:
                     ctx.current_action = tokens
                     try:
                         cell = cells_get(tokens[1])
-                    except IndexError:
-                        raise ValueError(
-                            f"p{ctx.rank}: malformed trace line "
-                            f"{' '.join(tokens)!r}"
-                        ) from None
-                    if cell is None:
-                        name = tokens[1]
-                        try:
-                            handler = handlers[name]
-                        except KeyError:
-                            raise ValueError(
-                                f"p{ctx.rank}: unregistered action {name!r}"
-                            ) from None
-                        cell = new_cell(ctx.rank, name)
-                        cell[0] = handler
-                    handler = cell[0]
-                    # Handlers return the volume they parsed anyway (or
+                        if cell is None:
+                            handler = handlers[tokens[1]]
+                            cell = new_cell(ctx.rank, tokens[1])
+                            cell[0] = handler
+                    except LookupError:
+                        # No keyword, or an unregistered one: the
+                        # decoder words both errors.
+                        decode_tokens(tokens)
+                        raise
+                    # Handlers return the volume they decoded anyway (or
                     # None), carried for free by the StopIteration that
                     # ends the delegation — no token re-parse here.
-                    # Missing argument tokens (a truncated line) surface
-                    # as IndexError inside the handler; retype them so
-                    # corrupt input never escapes as a bare IndexError.
-                    try:
-                        volume = yield from handler(ctx, tokens)
-                    except IndexError:
-                        raise ValueError(
-                            f"p{ctx.rank}: malformed trace line "
-                            f"{' '.join(tokens)!r}"
-                        ) from None
+                    volume = yield from cell[0](ctx, tokens)
                     end = engine.now
                     cell[1] += 1
                     if volume is not None:
-                        cell[2] += volume
-                    elif cell[4] >= 0:
-                        # Fallback for handlers that do not report a
-                        # volume (Irecv posts, custom actions): parse
-                        # the trace token.  try/except is free until it
-                        # fires (and a malformed or truncated volume
-                        # token just contributes nothing).
-                        try:
-                            cell[2] += float(tokens[cell[4]])
-                        except (ValueError, IndexError):
-                            pass
+                        cell[2] = (cell[2] or 0.0) + volume
                     if end is not start:
                         # The clock only ever advances by rebinding
                         # ``now``, so identity == "no time passed":
@@ -582,31 +552,16 @@ class TraceReplayer:
                 for tokens in stream:
                     try:
                         handler = handlers[tokens[1]]
-                    except KeyError:
-                        raise ValueError(
-                            f"p{ctx.rank}: unregistered action {tokens[1]!r}"
-                        ) from None
-                    except IndexError:
-                        raise ValueError(
-                            f"p{ctx.rank}: malformed trace line "
-                            f"{' '.join(tokens)!r}"
-                        ) from None
+                    except LookupError:
+                        decode_tokens(tokens)
+                        raise
                     ctx.n_actions += 1
                     ctx.current_action = tokens
-                    try:
-                        if record:
-                            yield from handler(ctx, tokens)
-                            end = engine.now
-                            timed_trace.append((ctx.rank, tokens[1],
-                                                start, end))
-                            start = end
-                        else:
-                            yield from handler(ctx, tokens)
-                    except IndexError:
-                        raise ValueError(
-                            f"p{ctx.rank}: malformed trace line "
-                            f"{' '.join(tokens)!r}"
-                        ) from None
+                    yield from handler(ctx, tokens)
+                    if record:
+                        end = engine.now
+                        timed_trace.append((ctx.rank, tokens[1], start, end))
+                        start = end
             ctx.current_action = None
             finish[ctx.rank] = self.engine.now
 
@@ -730,7 +685,6 @@ class TraceReplayer:
         work = host.work_inflation
         pending = ctx.pending_irecvs
         rank = ctx.rank
-        binomial = self.collective_algorithm == "binomial"
         # One C-level conversion per column; list indexing beats NumPy
         # scalar extraction ~3x in a per-op loop.
         ops = prog.ops.tolist()
@@ -781,105 +735,36 @@ class TraceReplayer:
                 req = comms.irecv(rank, src=arg[i])
                 yield req
                 volume = req.size
-            elif op == OP_ALLREDUCE:
-                self._require_comm_size(ctx, "allReduce")
-                v = vol[i]
-                volume = v
-                if batcher is not None:
-                    # Phase-batched: one dependency graph replaces the
-                    # whole per-rank protocol; this rank parks on its
-                    # exit node.  coll_seq still advances so batched and
-                    # generator replays number collectives identically.
-                    ctx.coll_seq += 1
+            elif op == OP_COMM_SIZE:
+                self._declare_comm_size(ctx, arg[i])
+            elif batcher is not None and (op == OP_ALLREDUCE
+                                          or op == OP_BARRIER):
+                # Phase-batched: one dependency graph replaces the whole
+                # per-rank protocol; this rank parks on its exit node.
+                # coll_seq still advances so batched and generator
+                # replays number collectives identically.
+                self._require_comm_size(ctx, NAME_OF_OPCODE[op])
+                ctx.coll_seq += 1
+                if op == OP_ALLREDUCE:
+                    volume = vol[i]
                     yield batcher.arrive(rank, ctx.coll_seq, "allReduce",
-                                         v, vol2[i], ctx.declared_size)
+                                         volume, vol2[i], ctx.declared_size)
                 else:
-                    coll = self._coll_ops(ctx)
-                    if binomial:
-                        yield from collectives.reduce_then_bcast_allreduce(
-                            coll, v, flops=vol2[i], tag=coll.tag)
-                    else:
-                        yield from _flat_reduce(coll, v, vol2[i])
-                        yield from _flat_bcast(coll, v)
-            elif op == OP_BCAST:
-                self._require_comm_size(ctx, "bcast")
-                v = vol[i]
-                volume = v
-                coll = self._coll_ops(ctx)
-                if binomial:
-                    yield from collectives.binomial_bcast(
-                        coll, v, root=0, tag=coll.tag)
-                else:
-                    yield from _flat_bcast(coll, v)
-            elif op == OP_REDUCE:
-                self._require_comm_size(ctx, "reduce")
-                v = vol[i]
-                volume = v
-                coll = self._coll_ops(ctx)
-                if binomial:
-                    yield from collectives.binomial_reduce(
-                        coll, v, flops=vol2[i], root=0, tag=coll.tag)
-                else:
-                    yield from _flat_reduce(coll, v, vol2[i])
-            elif op == OP_BARRIER:
-                self._require_comm_size(ctx, "barrier")
-                if batcher is not None:
-                    ctx.coll_seq += 1
                     yield batcher.arrive(
                         rank, ctx.coll_seq, "barrier",
                         float(collectives.BARRIER_TOKEN_BYTES), 0.0,
                         ctx.declared_size)
-                else:
-                    coll = self._coll_ops(ctx)
-                    yield from collectives.barrier(coll, tag=coll.tag)
-            elif op == OP_COMM_SIZE:
-                size = arg[i]
-                if size != comms.size and size > len(self.deployment):
-                    raise ValueError(
-                        f"p{rank}: comm_size {size} exceeds the "
-                        f"deployment ({len(self.deployment)} hosts)"
-                    )
-                ctx.declared_size = size
-            elif op == OP_ALLTOALL:
-                self._require_comm_size(ctx, "allToAll")
-                v = vol[i]
-                volume = v
-                coll = self._coll_ops(ctx)
-                yield from collectives.pairwise_alltoall(
-                    coll, v, tag=coll.tag)
-            elif op == OP_ALLTOALLV:
-                self._require_comm_size(ctx, "allToAllv")
-                v = vol[i]
-                volume = v
-                splits = None if aux is None else aux.get(i)
-                if splits is None or len(splits) != arg[i]:
-                    raise ValueError(
-                        f"p{rank}: compiled allToAllv op {i} lost its "
-                        "split table (corrupt program)"
-                    )
-                coll = self._coll_ops(ctx)
-                yield from collectives.pairwise_alltoallv(
-                    coll, splits, tag=coll.tag)
-            elif op == OP_ALLGATHER:
-                self._require_comm_size(ctx, "allGather")
-                v = vol[i]
-                volume = v
-                coll = self._coll_ops(ctx)
-                if binomial:
-                    yield from collectives.gather_then_bcast_allgather(
-                        coll, v, tag=coll.tag)
-                else:
-                    yield from _flat_allgather(coll, v)
-            elif op == OP_REDUCESCATTER:
-                self._require_comm_size(ctx, "reduceScatter")
-                v = vol[i]
-                volume = v
-                coll = self._coll_ops(ctx)
-                if binomial:
-                    yield from collectives.reduce_then_scatter(
-                        coll, v, flops=vol2[i], tag=coll.tag)
-                else:
-                    yield from _flat_reducescatter(coll, v, vol2[i])
+            else:
+                splits = None
+                if op == OP_ALLTOALLV:
+                    splits = aux.get(i) if aux else None
+                    if splits is None or len(splits) != arg[i]:
+                        raise ValueError(
+                            f"p{rank}: compiled allToAllv op {i} lost its "
+                            "split table (corrupt program)"
+                        )
+                volume = yield from self._collective(
+                    ctx, op, vol[i], vol2[i], splits)
             if metered:
                 cell = cells[op]
                 if cell is None:
@@ -887,7 +772,7 @@ class TraceReplayer:
                 end = engine.now
                 cell[1] += nsrc[i] if nsrc is not None else 1
                 if volume is not None:
-                    cell[2] += volume
+                    cell[2] = (cell[2] or 0.0) + volume
                 if end is not start:
                     cell[3] += end - start
                 start = end
@@ -955,7 +840,7 @@ class TraceReplayer:
     # action function; §5 shows `compute` in C)
     # ------------------------------------------------------------------
     def _do_compute(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        volume = float(tokens[2])
+        volume = decode_tokens(tokens)[2]
         if volume > 0:
             amount = volume * ctx.host.work_inflation("compute", volume)
             yield self.engine.exec_activity(
@@ -964,40 +849,50 @@ class TraceReplayer:
         return volume
 
     def _do_send(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        dst = int(tokens[2][1:])
-        size = float(tokens[3])
-        req = self.comms.isend(ctx.rank, dst, size)
-        yield req
+        _, dst, size, _, _ = decode_tokens(tokens)
+        yield self.comms.isend(ctx.rank, dst, size)
         return size
 
     def _do_isend(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        dst = int(tokens[2][1:])
-        size = float(tokens[3])
+        _, dst, size, _, _ = decode_tokens(tokens)
         self.comms.isend(ctx.rank, dst, size)
         return size
         yield  # pragma: no cover - makes this a generator
 
     def _do_recv(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        src = int(tokens[2][1:])
-        req = self.comms.irecv(ctx.rank, src=src)
+        req = self.comms.irecv(ctx.rank, src=decode_tokens(tokens)[1])
         yield req
         # The matched sender's size == the trace volume for consistent
-        # traces; returning it spares the metering a token re-parse.
+        # traces, and is what the compiled driver meters too.
         return req.size
 
     def _do_irecv(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        src = int(tokens[2][1:])
+        _, src, size, _, _ = decode_tokens(tokens)
         ctx.pending_irecvs.append(self.comms.irecv(ctx.rank, src=src))
-        return
+        return size
         yield  # pragma: no cover - makes this a generator
 
     def _do_wait(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
+        decode_tokens(tokens)
         if not ctx.pending_irecvs:
             raise ValueError(
                 f"p{ctx.rank}: 'wait' with no pending Irecv (trace is "
                 "inconsistent)"
             )
         yield ctx.pending_irecvs.popleft()
+
+    def _do_comm_size(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
+        self._declare_comm_size(ctx, decode_tokens(tokens)[1])
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def _declare_comm_size(self, ctx: _RankContext, size: int) -> None:
+        if size != self.comms.size and size > len(self.deployment):
+            raise ValueError(
+                f"p{ctx.rank}: comm_size {size} exceeds the deployment "
+                f"({len(self.deployment)} hosts)"
+            )
+        ctx.declared_size = size
 
     # -- collectives ------------------------------------------------------
     def _require_comm_size(self, ctx: _RankContext, what: str) -> None:
@@ -1007,256 +902,66 @@ class TraceReplayer:
                 "requires comm_size ahead of any collective (§3)"
             )
 
-    def _coll_ops(self, ctx: _RankContext) -> "_CollOps":
+    def _do_collective(self, ctx: _RankContext,
+                       tokens: List[str]) -> Iterator:
+        op, _, vol, vol2, splits = decode_tokens(tokens)
+        return (yield from self._collective(ctx, op, vol, vol2, splits))
+
+    def _collective(self, ctx: _RankContext, op: int, vol: float,
+                    vol2: float, splits) -> Iterator:
+        """The one place a collective turns into point-to-point
+        messages, for both drivers; returns the volume to meter."""
+        self._require_comm_size(ctx, NAME_OF_OPCODE[op])
         ctx.coll_seq += 1
-        return _CollOps(self, ctx, tag=-2 - ctx.coll_seq)
-
-    def _do_comm_size(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        size = int(tokens[2])
-        if size != self.comms.size and size > len(self.deployment):
+        ops = _CollOps(self, ctx, tag=-2 - ctx.coll_seq)
+        binomial = self.collective_algorithm == "binomial"
+        if op == OP_ALLREDUCE:
+            if binomial:
+                yield from collectives.reduce_then_bcast_allreduce(
+                    ops, vol, flops=vol2, tag=ops.tag)
+            else:
+                yield from _flat_reduce(ops, vol, vol2)
+                yield from _flat_bcast(ops, vol)
+        elif op == OP_BCAST:
+            if binomial:
+                yield from collectives.binomial_bcast(ops, vol, root=0,
+                                                      tag=ops.tag)
+            else:
+                yield from _flat_bcast(ops, vol)
+        elif op == OP_REDUCE:
+            if binomial:
+                yield from collectives.binomial_reduce(
+                    ops, vol, flops=vol2, root=0, tag=ops.tag)
+            else:
+                yield from _flat_reduce(ops, vol, vol2)
+        elif op == OP_BARRIER:
+            yield from collectives.barrier(ops, tag=ops.tag)
+            return None
+        elif op == OP_ALLTOALL:
+            # Pairwise exchange under both algorithm settings: flat-tree
+            # has no root to flatten onto — the pairwise schedule *is*
+            # the flat decomposition of an all-to-all.
+            yield from collectives.pairwise_alltoall(ops, vol, tag=ops.tag)
+        elif op == OP_ALLTOALLV:
+            yield from collectives.pairwise_alltoallv(ops, splits,
+                                                      tag=ops.tag)
+        elif op == OP_ALLGATHER:
+            if binomial:
+                yield from collectives.gather_then_bcast_allgather(
+                    ops, vol, tag=ops.tag)
+            else:
+                yield from _flat_allgather(ops, vol)
+        elif op == OP_REDUCESCATTER:
+            if binomial:
+                yield from collectives.reduce_then_scatter(
+                    ops, vol, flops=vol2, tag=ops.tag)
+            else:
+                yield from _flat_reducescatter(ops, vol, vol2)
+        else:
             raise ValueError(
-                f"p{ctx.rank}: comm_size {size} exceeds the deployment "
-                f"({len(self.deployment)} hosts)"
-            )
-        ctx.declared_size = size
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def _do_bcast(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "bcast")
-        volume = float(tokens[2])
-        ops = self._coll_ops(ctx)
-        if self.collective_algorithm == "binomial":
-            yield from collectives.binomial_bcast(ops, volume, root=0,
-                                                  tag=ops.tag)
-        else:
-            yield from _flat_bcast(ops, volume)
-        return volume
-
-    def _do_reduce(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "reduce")
-        vcomm, vcomp = float(tokens[2]), float(tokens[3])
-        ops = self._coll_ops(ctx)
-        if self.collective_algorithm == "binomial":
-            yield from collectives.binomial_reduce(ops, vcomm, flops=vcomp,
-                                                   root=0, tag=ops.tag)
-        else:
-            yield from _flat_reduce(ops, vcomm, vcomp)
-        return vcomm
-
-    def _do_allreduce(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "allReduce")
-        vcomm, vcomp = float(tokens[2]), float(tokens[3])
-        ops = self._coll_ops(ctx)
-        if self.collective_algorithm == "binomial":
-            yield from collectives.reduce_then_bcast_allreduce(
-                ops, vcomm, flops=vcomp, tag=ops.tag
-            )
-        else:
-            yield from _flat_reduce(ops, vcomm, vcomp)
-            yield from _flat_bcast(ops, vcomm)
-        return vcomm
-
-    def _do_barrier(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "barrier")
-        ops = self._coll_ops(ctx)
-        yield from collectives.barrier(ops, tag=ops.tag)
-
-    def _do_alltoall(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "allToAll")
-        volume = float(tokens[2])
-        ops = self._coll_ops(ctx)
-        # Pairwise exchange under both algorithm settings: flat-tree has
-        # no root to flatten onto — the pairwise schedule *is* the flat
-        # decomposition of an all-to-all.
-        yield from collectives.pairwise_alltoall(ops, volume, tag=ops.tag)
-        return volume
-
-    def _do_alltoallv(self, ctx: _RankContext,
-                      tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "allToAllv")
-        if len(tokens) < 4:
-            raise ValueError(
-                f"p{ctx.rank}: allToAllv needs a total and at least one "
-                "split size")
-        # Token streams bypass parse_action, so the consistency contract
-        # is enforced here too — same wording as the compiler's.
-        total = float(tokens[2])
-        splits = [float(t) for t in tokens[3:]]
-        _check_splits(total, splits, ctx.rank)
-        ops = self._coll_ops(ctx)
-        yield from collectives.pairwise_alltoallv(ops, splits, tag=ops.tag)
-        return total
-
-    def _do_allgather(self, ctx: _RankContext,
-                      tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "allGather")
-        volume = float(tokens[2])
-        ops = self._coll_ops(ctx)
-        if self.collective_algorithm == "binomial":
-            yield from collectives.gather_then_bcast_allgather(
-                ops, volume, tag=ops.tag)
-        else:
-            yield from _flat_allgather(ops, volume)
-        return volume
-
-    def _do_reducescatter(self, ctx: _RankContext,
-                          tokens: List[str]) -> Iterator:
-        self._require_comm_size(ctx, "reduceScatter")
-        vcomm, vcomp = float(tokens[2]), float(tokens[3])
-        ops = self._coll_ops(ctx)
-        if self.collective_algorithm == "binomial":
-            yield from collectives.reduce_then_scatter(
-                ops, vcomm, flops=vcomp, tag=ops.tag)
-        else:
-            yield from _flat_reducescatter(ops, vcomm, vcomp)
-        return vcomm
-
-    # ------------------------------------------------------------------
-    # Trace sources
-    # ------------------------------------------------------------------
-    def _token_streams(self, source) -> List[Iterable[List[str]]]:
-        if isinstance(source, InMemoryTrace):
-            ranks = source.ranks()
-            if ranks != list(range(len(ranks))):
-                raise ValueError(f"trace ranks are not contiguous: {ranks[:10]}")
-
-            # Lazy per-rank tokenization: the trace is resident anyway,
-            # but the token lists (3-4x the Action objects' footprint)
-            # need never exist all at once.
-            def stream(rank: int) -> Iterator[List[str]]:
-                for line in source.lines_of(rank):
-                    yield line.split()
-
-            return [stream(rank) for rank in ranks]
-        if isinstance(source, (str, os.PathLike)):
-            path = os.fspath(source)
-            if os.path.isdir(path):
-                return self._dir_streams(path)
-            return self._merged_stream(path)
-        raise TypeError(
-            f"unsupported trace source {type(source).__name__}; pass an "
-            "InMemoryTrace, a trace directory, or a merged trace file"
-        )
-
-    def _dir_streams(self, directory: str) -> List[Iterable[List[str]]]:
-        """Streaming ingestion of the Fig. 2 per-process layout.
-
-        Each rank's stream holds one open file and decodes on demand —
-        peak resident ingestion state is O(ranks), independent of the
-        per-rank event count.  This is the layout to use at scale.
-        """
-        from .binfmt import read_binary_trace
-        from .trace import discover_trace_paths
-
-        def binary_stream(path: str) -> Iterator[List[str]]:
-            from .actions import format_action
-            for action in read_binary_trace(path):
-                yield format_action(action).split()
-
-        def stream(path: str, expect_rank: int) -> Iterator[List[str]]:
-            opener = (gzip.open if path.endswith(".gz") else open)
-            with opener(path, "rt", encoding="ascii") as handle:
-                for line in handle:
-                    tokens = line.split()
-                    if not tokens or tokens[0].startswith("#"):
-                        continue
-                    if tokens[0] != f"p{expect_rank}":
-                        raise ValueError(
-                            f"{path}: line for {tokens[0]} in trace of "
-                            f"p{expect_rank}"
-                        )
-                    yield tokens
-
-        return [
-            binary_stream(path) if path.endswith(".btrace")
-            else stream(path, rank)
-            for rank, path in enumerate(discover_trace_paths(directory))
-        ]
-
-    def _merged_stream(self, path: str) -> List[Iterable[List[str]]]:
-        """Demultiplex a merged (Fig. 1) file without loading it whole.
-
-        One shared cursor walks the file; each rank's stream drains its
-        own buffer and, when empty, advances the cursor — buffering lines
-        for *other* ranks as they scroll past.  For interleaved merged
-        traces the buffers stay near-empty (O(ranks + interleaving skew)
-        resident).  A rank-major merged file is the worst case: rank k's
-        first action sits after every line of ranks < k, so buffering
-        degrades to O(events) — inherent to the layout, not the reader.
-        The per-process directory layout is the scalable representation;
-        this path exists for the small-instance convenience format.
-        Rather than degrade silently, the demux refuses to buffer more
-        than :attr:`merged_spill_limit` lines for any single rank and
-        names the offender.
-        """
-        opener = gzip.open if path.endswith(".gz") else open
-        limit = self.merged_spill_limit
-        # Pass 1: the rank set (needed up front to build one stream per
-        # rank).  Reads prefixes only; retains O(ranks) state.
-        ranks = set()
-        with opener(path, "rt", encoding="ascii") as handle:
-            for line in handle:
-                head = line.split(None, 1)
-                if not head or head[0].startswith("#"):
-                    continue
-                ranks.add(int(head[0][1:]))
-        rank_list = sorted(ranks)
-        if rank_list != list(range(len(rank_list))):
-            raise ValueError(
-                f"{path}: ranks are not contiguous: {rank_list[:10]}"
-            )
-
-        # Pass 2: shared-cursor demux.
-        buffers: List[deque] = [deque() for _ in rank_list]
-        handle = opener(path, "rt", encoding="ascii")
-        exhausted = [False]
-
-        def pump_until(rank: int) -> bool:
-            """Advance the shared cursor until a line for ``rank`` lands
-            in its buffer; returns False at end of file."""
-            if exhausted[0]:
-                return False
-            for line in handle:
-                tokens = line.split()
-                if not tokens or tokens[0].startswith("#"):
-                    continue
-                dest = int(tokens[0][1:])
-                buf = buffers[dest]
-                buf.append(tokens)
-                if buffers[rank]:
-                    return True
-                if len(buf) > limit:
-                    # One rank's lines are heavily skewed ahead of the
-                    # rank being pumped (a rank-major merged file is the
-                    # canonical trigger): the buffer would otherwise grow
-                    # to O(events).  Fail with provenance instead.
-                    # Mark the cursor exhausted first so sibling streams
-                    # see a clean end-of-file rather than a closed-handle
-                    # error that would mask this one.
-                    exhausted[0] = True
-                    handle.close()
-                    raise ValueError(
-                        f"{path}: merged-trace demux buffered over "
-                        f"{limit} lines for p{dest} while seeking a "
-                        f"line for p{rank}; the layout is too skewed "
-                        "for streaming demux — convert to the "
-                        "per-process directory layout (repro-convert) "
-                        "or raise TraceReplayer.merged_spill_limit"
-                    )
-            exhausted[0] = True
-            handle.close()
-            return False
-
-        def stream(rank: int) -> Iterator[List[str]]:
-            buf = buffers[rank]
-            while True:
-                if buf:
-                    yield buf.popleft()
-                elif not pump_until(rank):
-                    return
-
-        return [stream(rank) for rank in rank_list]
+                f"p{ctx.rank}: no collective decomposition for "
+                f"{NAME_OF_OPCODE[op]!r}")
+        return vol
 
 
 class _CollOps:

@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import gzip
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .actions import Action, format_action, parse_action
+from .actions import (
+    Action, action_of, decode_tokens, encode_tokens, fields_of,
+    format_action, parse_process_id,
+)
+from .binfmt import binary_trace_file_name, read_binary_trace
 
 __all__ = [
     "TraceSink",
@@ -37,6 +42,9 @@ __all__ = [
     "stream_trace_dir",
     "read_merged_trace",
     "write_merged_trace",
+    "rank_file_tokens",
+    "merged_file_tokens",
+    "token_streams",
     "estimate_gzip_ratio",
 ]
 
@@ -187,21 +195,48 @@ def _open_maybe_gzip(path: str):
     return open(path, "r", encoding="ascii")
 
 
-def read_trace_file(path: str, expect_rank: Optional[int] = None
-                    ) -> Iterator[Action]:
-    """Stream the actions of one per-process trace file."""
+def rank_file_tokens(path: str, rank: int) -> Iterator[List[str]]:
+    """The token lists of one per-process text trace file: blank and
+    ``#`` lines skipped, every line checked to belong to ``p<rank>``."""
+    prefix = f"p{rank}"
     with _open_maybe_gzip(path) as handle:
         for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            action = parse_action(line)
-            if expect_rank is not None and action.rank != expect_rank:
+            tokens = line.split()
+            if tokens and tokens[0] == prefix:
+                yield tokens
+            elif tokens and not tokens[0].startswith("#"):
                 raise ValueError(
-                    f"{path}: found action of p{action.rank}, expected "
-                    f"p{expect_rank}"
+                    f"{path}: line for {tokens[0]} in trace of p{rank}"
                 )
-            yield action
+
+
+def merged_file_tokens(path: str) -> Iterator[Tuple[int, List[str]]]:
+    """``(rank, tokens)`` per line of a merged (Fig. 1) trace file, with
+    the process id strictly ``p<digits>``."""
+    with _open_maybe_gzip(path) as handle:
+        for line in handle:
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            try:
+                rank = parse_process_id(tokens[0])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: {exc} in trace line {line.strip()!r}"
+                ) from None
+            yield rank, tokens
+
+
+def read_trace_file(path: str, expect_rank: Optional[int] = None
+                    ) -> Iterator[Action]:
+    """Stream the actions of one trace file: per-process with
+    ``expect_rank``, any ranks (the merged layout) without."""
+    if expect_rank is None:
+        for rank, tokens in merged_file_tokens(path):
+            yield action_of(rank, *decode_tokens(tokens))
+    else:
+        for tokens in rank_file_tokens(path, expect_rank):
+            yield action_of(expect_rank, *decode_tokens(tokens))
 
 
 def discover_trace_paths(directory: str,
@@ -215,8 +250,6 @@ def discover_trace_paths(directory: str,
     replayer's streaming ingestion, so the two can never disagree on
     which files make up a trace set.
     """
-    from .binfmt import binary_trace_file_name
-
     paths: List[str] = []
     rank = 0
     while True:
@@ -250,11 +283,9 @@ def stream_trace_dir(directory: str) -> List[Iterator[Action]]:
     :func:`read_trace_dir` when an indexable :class:`InMemoryTrace` is
     actually needed.
     """
-    from .binfmt import read_binary_trace
-
     def stream(path: str, rank: int) -> Iterator[Action]:
         if path.endswith(".btrace"):
-            return read_binary_trace(path)
+            return read_binary_trace(path, expect_rank=rank)
         return read_trace_file(path, expect_rank=rank)
 
     return [stream(path, rank)
@@ -277,6 +308,112 @@ def read_merged_trace(path: str) -> InMemoryTrace:
     for action in read_trace_file(path):
         trace.emit(action)
     return trace
+
+
+# ---------------------------------------------------------------------------
+# Token streams: what the replayer's token driver consumes
+# ---------------------------------------------------------------------------
+
+def token_streams(source, spill_limit: int) -> List[Iterable[List[str]]]:
+    """One lazy stream of trace-line token lists per rank, for any
+    source :meth:`TraceReplayer.replay` accepts."""
+    if isinstance(source, InMemoryTrace):
+        ranks = source.ranks()
+        if ranks != list(range(len(ranks))):
+            raise ValueError(f"trace ranks are not contiguous: {ranks[:10]}")
+        # Lazy per-rank tokenization: the trace is resident anyway, but
+        # the token lists (3-4x the Action objects' footprint) need
+        # never exist all at once.
+        return [_action_tokens(source.actions_of(rank)) for rank in ranks]
+    if isinstance(source, (str, os.PathLike)):
+        path = os.fspath(source)
+        if os.path.isdir(path):
+            # The Fig. 2 per-process layout: each rank's stream holds one
+            # open file and decodes on demand — peak resident ingestion
+            # state is O(ranks), independent of the per-rank event
+            # count.  This is the layout to use at scale.
+            return [
+                _action_tokens(read_binary_trace(p, expect_rank=rank))
+                if p.endswith(".btrace") else rank_file_tokens(p, rank)
+                for rank, p in enumerate(discover_trace_paths(path))
+            ]
+        return _merged_token_streams(path, spill_limit)
+    raise TypeError(
+        f"unsupported trace source {type(source).__name__}; pass an "
+        "InMemoryTrace, a trace directory, or a merged trace file"
+    )
+
+
+def _action_tokens(actions: Iterable[Action]) -> Iterator[List[str]]:
+    for action in actions:
+        yield encode_tokens(action.rank, *fields_of(action))
+
+
+def _merged_token_streams(path: str,
+                          limit: int) -> List[Iterable[List[str]]]:
+    """Demultiplex a merged (Fig. 1) file without loading it whole.
+
+    One shared cursor walks the file; each rank's stream drains its
+    own buffer and, when empty, advances the cursor — buffering lines
+    for *other* ranks as they scroll past.  For interleaved merged
+    traces the buffers stay near-empty (O(ranks + interleaving skew)
+    resident).  A rank-major merged file is the worst case: rank k's
+    first action sits after every line of ranks < k, so buffering
+    degrades to O(events) — inherent to the layout, not the reader.
+    The per-process directory layout is the scalable representation;
+    this path exists for the small-instance convenience format.
+    Rather than degrade silently, the demux refuses to buffer more
+    than ``limit`` lines (:attr:`TraceReplayer.merged_spill_limit`) for
+    any single rank and names the offender.
+    """
+    # Pass 1: the rank set (needed up front to build one stream per
+    # rank).  Retains O(ranks) state.
+    rank_list = sorted({rank for rank, _ in merged_file_tokens(path)})
+    if rank_list != list(range(len(rank_list))):
+        raise ValueError(
+            f"{path}: ranks are not contiguous: {rank_list[:10]}"
+        )
+
+    # Pass 2: shared-cursor demux.
+    buffers: List[deque] = [deque() for _ in rank_list]
+    cursor = merged_file_tokens(path)
+
+    def pump_until(rank: int) -> bool:
+        """Advance the shared cursor until a line for ``rank`` lands
+        in its buffer; returns False at end of file."""
+        for dest, tokens in cursor:
+            buf = buffers[dest]
+            buf.append(tokens)
+            if buffers[rank]:
+                return True
+            if len(buf) > limit:
+                # One rank's lines are heavily skewed ahead of the
+                # rank being pumped (a rank-major merged file is the
+                # canonical trigger): the buffer would otherwise grow
+                # to O(events).  Fail with provenance instead.
+                # Close the cursor first so sibling streams see a clean
+                # end-of-file rather than an error that would mask
+                # this one.
+                cursor.close()
+                raise ValueError(
+                    f"{path}: merged-trace demux buffered over "
+                    f"{limit} lines for p{dest} while seeking a "
+                    f"line for p{rank}; the layout is too skewed "
+                    "for streaming demux — convert to the "
+                    "per-process directory layout (repro-convert) "
+                    "or raise TraceReplayer.merged_spill_limit"
+                )
+        return False
+
+    def stream(rank: int) -> Iterator[List[str]]:
+        buf = buffers[rank]
+        while True:
+            if buf:
+                yield buf.popleft()
+            elif not pump_until(rank):
+                return
+
+    return [stream(rank) for rank in rank_list]
 
 
 def write_merged_trace(trace: InMemoryTrace, path: str) -> int:

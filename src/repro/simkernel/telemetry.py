@@ -16,7 +16,7 @@ budget (``benchmarks/bench_fig9_replay_time.py::test_fig9_metrics_overhead``):
   anyway, via begin/finish snapshots — only the eager count and the
   match-queue high-water marks are tracked live;
 * the replayer aggregates into a per-(rank, action-name) *cell*
-  ``[handler, count, volume, time, vol_idx]`` that doubles as the
+  ``[handler, count, volume, time]`` that doubles as the
   dispatch entry, so the same dict lookup that finds the action's
   handler also yields its counters.
 
@@ -61,19 +61,6 @@ ACTION_CATEGORIES: Dict[str, str] = {
 }
 
 _CATEGORY_KEYS = ("compute", "comm", "wait", "other")
-
-# Which token of a trace line carries the action's volume (flops for
-# compute, bytes otherwise).  Token 0 is the process id, token 1 the
-# action keyword; -1 means the action has no volume.
-_VOLUME_TOKEN: Dict[str, int] = {
-    "compute": 2,
-    "send": 3, "Isend": 3, "recv": 3, "Irecv": 3,
-    "bcast": 2, "reduce": 2, "allReduce": 2,
-    # For allToAllv token 2 is the row total (the nominal volume);
-    # reduceScatter meters vcomm, matching the allReduce convention.
-    "allToAll": 2, "allToAllv": 2, "allGather": 2, "reduceScatter": 2,
-}
-
 
 def action_category(name: str) -> str:
     """The attribution bucket of a trace action keyword."""
@@ -248,12 +235,12 @@ class ReplayMetrics:
     """Per-rank and per-action-type counters for the replayer.
 
     The replay loop charges each action through a mutable cell
-    ``[handler, count, volume, time, vol_idx]`` which doubles as the
-    dispatch entry: the *same* per-rank dict lookup that finds the
-    action's handler yields its counters, so with metrics enabled each
-    action touches exactly one extra object.  Slot 0 is owned by the
-    replayer (the bound handler); ``vol_idx`` locates the volume token
-    in the trace line (-1: the action has no volume); per-category time
+    ``[handler, count, volume, time]`` which doubles as the dispatch
+    entry: the *same* per-rank dict lookup that finds the action's
+    handler yields its counters, so with metrics enabled each action
+    touches exactly one extra object.  Slot 0 is owned by the replayer
+    (the bound handler); ``volume`` stays ``None`` until a handler
+    reports one (actions without a volume never do); per-category time
     splits are derived from the cells at :meth:`as_dict` time via
     :data:`ACTION_CATEGORIES`.
     """
@@ -263,7 +250,7 @@ class ReplayMetrics:
 
     def __init__(self) -> None:
         self.n_ranks = 0
-        # Per rank: {action name: [handler, count, volume, time, vol_idx]}.
+        # Per rank: {action name: [handler, count, volume, time]}.
         self.rank_cells: List[Dict[str, list]] = []
         # Compiled-driver provenance: how many compiled ops drove this
         # replay (0: the token path ran) and how many source compute
@@ -289,7 +276,7 @@ class ReplayMetrics:
     def new_cell(self, rank: int, name: str) -> list:
         """Build (and register) the counting cell for one (rank, action).
         The caller fills slot 0 with whatever it dispatches on."""
-        cell = [None, 0, 0.0, 0.0, _VOLUME_TOKEN.get(name, -1)]
+        cell = [None, 0, None, 0.0]
         self.rank_cells[rank][name] = cell
         return cell
 
@@ -307,10 +294,10 @@ class ReplayMetrics:
             cells = self.rank_cells[rank]
             rank_counts = {}
             times = {cat: 0.0 for cat in _CATEGORY_KEYS}
-            for name, (_h, count, volume, seconds, vol_idx) in cells.items():
+            for name, (_h, count, volume, seconds) in cells.items():
                 rank_counts[name] = count
                 action_counts[name] = action_counts.get(name, 0) + count
-                if vol_idx >= 0:
+                if volume is not None:
                     action_volumes[name] = (action_volumes.get(name, 0.0)
                                             + volume)
                 times[ACTION_CATEGORIES.get(name, "other")] += seconds

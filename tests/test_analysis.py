@@ -209,6 +209,21 @@ def test_trace_stats_aggregates():
     assert "p0 -> p1" in text
 
 
+def test_trace_stats_books_the_ai_collectives():
+    from repro.analysis import compute_trace_stats
+    from repro.core.actions import (
+        AllGather, AllToAll, AllToAllv, Barrier, CommSize, ReduceScatter,
+    )
+
+    stats = compute_trace_stats(trace_of([
+        CommSize(0, 2), AllToAll(0, 4096), AllToAllv(0, 300, (100, 200)),
+        AllGather(0, 2048), ReduceScatter(0, 8192, 50), Barrier(0),
+    ]))
+    assert stats.collective_bytes == 4096 + 300 + 2048 + 8192
+    assert stats.collective_flops == 50
+    assert stats.total_flops == 0 and stats.p2p_bytes == 0
+
+
 def test_trace_stats_pure_compute():
     from repro.analysis import compute_trace_stats
     stats = compute_trace_stats(trace_of([Compute(0, 5e9)]))

@@ -399,8 +399,6 @@ def test_compile_time_errors_match_token_wording(tmp_path, lines, match):
 
 
 def test_compile_rejects_unparseable_volume(tmp_path):
-    # The token path surfaces the raw float() error here; the compiler
-    # rewraps it with the rank and full line, which is strictly clearer.
     directory = write_one_rank(tmp_path, ["p0 compute banana"])
     with pytest.raises(ValueError, match="malformed trace line"):
         compile_source(directory)
