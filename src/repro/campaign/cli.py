@@ -18,7 +18,7 @@ client (see :mod:`repro.service`):
 * ``repro-campaign results JOB --server URL [--output FILE]`` — manifest
   plus run records of a finished job.
 * ``repro-campaign cancel JOB --server URL`` — cancel (queued jobs die
-  immediately; running jobs drain to a resumable manifest).
+  immediately; a running job's unfinished units are stopped).
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def _remote_command(args: argparse.Namespace) -> int:
         job = client.cancel(args.job)
         print(f"job {job['id']} -> {job['state']}"
               + ("" if job["state"] == "CANCELLED"
-                 else " (cancel requested; running job will drain)"))
+                 else " (cancel requested; its units will be stopped)"))
         return 0
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)

@@ -276,6 +276,12 @@ def _scenario_worker(conn, sdict: dict) -> None:
     # and the hung scenario sleeps on.  A SIGTERM aimed at a worker
     # kills it; SIGINT keeps Python's default (KeyboardInterrupt, which
     # the worker reports through the pipe like any other failure).
+    # Forked from the asyncio service: drop the inherited wakeup fd too,
+    # or a signal caught in here is echoed to the server's event loop.
+    try:
+        signal.set_wakeup_fd(-1)
+    except (ValueError, OSError):  # pragma: no cover - non-main thread
+        pass
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         payload = execute_scenario(sdict)
@@ -406,7 +412,6 @@ def run_campaign(
     resume: bool = False,
     cache_dir: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
-    on_record: Optional[Callable[[RunRecord], None]] = None,
 ) -> CampaignResult:
     """Execute a campaign: cache lookups, then the bounded worker fleet.
 
@@ -415,11 +420,6 @@ def run_campaign(
     serves scenarios whose stored run record already succeeded with the
     same cache key.  ``use_cache=False`` forces every scenario to
     execute (records are still written to the cache for next time).
-
-    ``on_record`` is called with every finalised :class:`RunRecord` the
-    moment it is stored — cache-served and executed alike — which is how
-    a supervisor (the replay service) streams per-scenario completion
-    events to polling clients without waiting for the campaign to end.
 
     **Graceful shutdown**: when the calling thread is the main thread, a
     ``SIGTERM`` received mid-campaign drains the fleet instead of
@@ -433,7 +433,6 @@ def run_campaign(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     emit = log if log is not None else (lambda _msg: None)
-    notify = on_record if on_record is not None else (lambda _rec: None)
     store = CampaignStore(out_dir)
     cache = ResultCache(cache_dir or os.path.join(out_dir, "cache"))
     metrics = CampaignMetrics(jobs)
@@ -461,7 +460,6 @@ def run_campaign(
             pending.append(_Job(scenario, key, history=prior_history))
             continue
         records[scenario.name] = record
-        notify(record)
         metrics.completed += 1
         metrics.cached_hits += 1
         if record.cache_source == "store":
@@ -546,7 +544,6 @@ def run_campaign(
                  f"{job.attempt} attempt(s): {body.get('message', '')}")
         store.write_run(record)
         records[scenario.name] = record
-        notify(record)
 
     try:
         while pending or live:

@@ -4,7 +4,7 @@ The campaign subsystem (:mod:`repro.campaign`) made re-execution cheap:
 acquire a time-independent trace once, then sweep it across platform
 scenarios with content-addressed result caching.  This package makes it
 *shared*: a long-running server owns a persistent job queue, a bounded
-pool of campaign-runner processes, and a multi-tenant artifact store, so
+pool of scenario slots, and a multi-tenant artifact store, so
 many clients (CLIs, notebooks, CI) submit campaign specs over HTTP and
 poll incremental results — the "heavy traffic" shape of the ROADMAP,
 with the existing ``repro-campaign`` CLI as just one thin client.
@@ -18,12 +18,12 @@ Layering (each module usable on its own):
   content-addressed result cache plus staged trace trees (with their
   warm ``.tic`` sidecars) under one size-bounded, LRU-evicted root.
 * :mod:`repro.service.supervisor` — :class:`Supervisor`: claims jobs
-  fair-share, stages artifacts, drives :func:`repro.campaign.run_campaign`
-  in child processes, streams per-scenario events, and resumes
-  interrupted jobs across server restarts via ``--resume``.
-* :mod:`repro.service.dispatch` — :class:`Dispatcher`: fans a campaign
-  out as per-scenario *work units* with leases, heartbeats, speculative
-  re-execution of stragglers, and poison-unit quarantine.
+  fair-share, stages artifacts, hands them to the dispatcher, runs
+  units in its own in-process slots (``local`` dispatch), and adopts
+  unfinished jobs across server restarts.
+* :mod:`repro.service.dispatch` — :class:`Dispatcher`: fans every
+  campaign out as per-scenario *work units* with leases, heartbeats,
+  speculative re-execution of stragglers, and poison-unit quarantine.
 * :mod:`repro.service.worker` — :class:`Worker` / ``repro-worker``: the
   remote execution process that leases units, stages artifacts by
   content digest, runs them, and streams results back.

@@ -31,7 +31,7 @@ temp tree + ``os.rename`` for traces); readers take no locks: a reader
 racing a writer sees the old artifact or the new one, never a torn one.
 Per-tenant counters kept here are in-process views (the server folds the
 authoritative per-tenant totals into the queue DB from each job's
-campaign metrics — see :meth:`Supervisor._reap`).
+campaign metrics — see :meth:`Supervisor.settle`).
 """
 
 from __future__ import annotations

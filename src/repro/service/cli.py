@@ -5,11 +5,12 @@
     repro-service --root /var/lib/repro --port 8642 --max-jobs 4 \\
         --cache-bytes 2000000000 --tenant-weight ml=3 --tenant-weight ci=1
 
-The server owns everything under ``--root``: the SQLite job queue, the
-multi-tenant artifact store, and one directory per job.  SIGTERM/SIGINT
-drain running campaigns (they write resumable manifests) and re-queue
-unfinished jobs, so ``repro-service`` can be restarted at any time
-without losing work.
+The server owns everything under ``--root``: the SQLite job queue (jobs
+and their work units), the multi-tenant artifact store, and one
+directory per job.  SIGTERM/SIGINT stop the units running in the
+server's own slots and hand their leases back; a restarted server
+re-leases them, so ``repro-service`` can be restarted at any time
+without losing recorded work.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def main_service(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=8642,
                         help="listen port (0 picks a free one)")
     parser.add_argument("--max-jobs", type=int, default=2,
-                        help="campaigns run concurrently (each uses its "
-                             "spec's own worker count)")
+                        help="jobs RUNNING at once (in local dispatch "
+                             "each runs as many units at once as its "
+                             "spec's 'jobs')")
     parser.add_argument("--cache-bytes", type=int, default=0,
                         help="artifact-store size bound in bytes "
                              "(0 = unbounded)")
@@ -65,10 +67,10 @@ def main_service(argv: Optional[List[str]] = None) -> int:
                         help="scheduler tick interval in seconds")
     parser.add_argument("--dispatch", choices=("local", "workers"),
                         default="local",
-                        help="'local' runs campaigns in server-side child "
-                             "processes; 'workers' fans scenarios out as "
-                             "leased work units to repro-worker processes "
-                             "(see docs/distributed.md)")
+                        help="'local' also runs work units in the "
+                             "server's own slots; 'workers' leaves them to "
+                             "repro-worker processes, which may lease in "
+                             "either mode (see docs/distributed.md)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-event log lines")
     args = parser.parse_args(argv)

@@ -1,10 +1,12 @@
 """Server-side dispatch: fan a job out into leased work units.
 
-In ``--dispatch workers`` mode the supervisor stops forking a local
-runner per job.  Instead the :class:`Dispatcher` shards each claimed
+Every claimed job goes through the :class:`Dispatcher`: it shards the
 campaign into per-scenario *work units* (:mod:`repro.service.queue`),
-serves everything the shared result cache already knows, and hands the
-rest to remote ``repro-worker`` processes over HTTP leases:
+serves everything the shared result cache already knows, and settles
+the verdicts of whoever leases the rest — the server's own local slots
+(worker ``local``, in-process) or remote ``repro-worker`` processes
+over HTTP, both posting the same document
+(:func:`~repro.service.worker.verdict_doc`).  Its duties:
 
 * **fan-out** — one unit per cache-missing scenario, created
   idempotently (a re-dispatched job keeps its DONE units and re-creates
@@ -109,9 +111,6 @@ class Dispatcher:
             for unit in self.queue.list_units(state):
                 pins.update(unit.digests)
         return pins
-
-    def has_units(self, job_id: str) -> bool:
-        return bool(self.queue.units_for_job(job_id))
 
     # -- fan-out ---------------------------------------------------------
     def start_job(self, job: Job) -> None:
@@ -256,7 +255,6 @@ class Dispatcher:
              resumed: bool = False) -> None:
         """Expire leases, mark stragglers, honour cancels, finalise."""
         now = time.time() if now is None else now
-        touched: Set[str] = set()
         for event in self.queue.expire_leases(now, resumed=resumed):
             append_event(
                 self.sup.events_path(event["job_id"]), "unit",
@@ -264,7 +262,6 @@ class Dispatcher:
                 name=event["name"], action="lease_expired",
                 worker=event["worker"], attempt=event["attempt"],
                 requeued=event["requeued"], resumed=resumed)
-            touched.add(event["job_id"])
 
         # Straggler scan: a single-lease unit far past its tenant's p95
         # becomes eligible for one speculative copy.
@@ -308,20 +305,15 @@ class Dispatcher:
                 self._record_quarantine(
                     self.queue.get(unit.job_id), unit,
                     {"type": "LeaseExpired"})
-                touched.add(unit.job_id)
 
         for job in self.queue.list_jobs(state=STATE_RUNNING):
-            if job.cancel_requested and self.has_units(job.id):
+            if job.cancel_requested:
                 dropped = self.queue.cancel_units(job.id)
                 if dropped:
                     append_event(
                         self.sup.events_path(job.id), "unit", job=job.id,
                         action="cancelled", units_dropped=dropped)
-                touched.add(job.id)
-            elif self.has_units(job.id):
-                touched.add(job.id)
-        for job_id in touched:
-            self._maybe_finalize(job_id)
+            self._maybe_finalize(job.id)
 
     # -- finalisation ----------------------------------------------------
     def _maybe_finalize(self, job_id: str) -> None:

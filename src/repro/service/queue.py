@@ -3,7 +3,7 @@
 One job = one campaign spec submitted by one *tenant*.  The queue is a
 single SQLite file (WAL mode) inside the service root, so every
 transition survives a server crash — on restart the supervisor finds
-exactly the jobs it was running and re-queues them for ``--resume``.
+exactly the jobs and work units it was running and adopts them.
 
 **Lifecycle.**  Every job walks the explicit state machine::
 
@@ -99,7 +99,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     submitted_at    REAL NOT NULL,
     started_at      REAL,
     finished_at     REAL,
-    pid             INTEGER,
     resume          INTEGER NOT NULL DEFAULT 0,
     cancel_requested INTEGER NOT NULL DEFAULT 0,
     error           TEXT NOT NULL DEFAULT '',
@@ -172,7 +171,6 @@ class Job:
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    pid: Optional[int] = None
     resume: bool = False
     cancel_requested: bool = False
     error: str = ""
@@ -208,7 +206,7 @@ def _row_to_job(row: sqlite3.Row) -> Job:
         state=row["state"], campaign=row["campaign"],
         n_scenarios=row["n_scenarios"], submitted_at=row["submitted_at"],
         started_at=row["started_at"], finished_at=row["finished_at"],
-        pid=row["pid"], resume=bool(row["resume"]),
+        resume=bool(row["resume"]),
         cancel_requested=bool(row["cancel_requested"]),
         error=row["error"], metrics=metrics,
     )
@@ -389,7 +387,6 @@ class JobQueue:
 
     # -- lifecycle -------------------------------------------------------
     def set_state(self, job_id: str, state: str, *,
-                  pid: Optional[int] = None,
                   error: Optional[str] = None,
                   resume: Optional[bool] = None,
                   metrics: Optional[Dict[str, Any]] = None) -> Job:
@@ -410,11 +407,6 @@ class JobQueue:
         if state in TERMINAL_STATES:
             sets.append("finished_at = ?")
             args.append(now)
-        if state == STATE_QUEUED:   # crash-recovery requeue
-            sets.append("pid = NULL")
-        if pid is not None:
-            sets.append("pid = ?")
-            args.append(int(pid))
         if error is not None:
             sets.append("error = ?")
             args.append(error)
@@ -432,7 +424,8 @@ class JobQueue:
 
     def request_cancel(self, job_id: str) -> Job:
         """Cancel a job.  QUEUED cancels immediately; STAGING/RUNNING is
-        flagged for the supervisor to drain; terminal states refuse."""
+        flagged, and the dispatcher cancels its unfinished units;
+        terminal states refuse."""
         job = self.get(job_id)
         if job.terminal:
             raise ValueError(
@@ -556,31 +549,36 @@ class JobQueue:
 
     # -- lease lifecycle -------------------------------------------------
     def lease_unit(self, worker: str, lease_s: float,
-                   now: Optional[float] = None) -> Optional[Dict[str, Any]]:
+                   now: Optional[float] = None,
+                   job_id: Optional[str] = None) -> Optional[Dict[str, Any]]:
         """Grant the next unit to ``worker`` under a fresh lease.
 
         PENDING units go first (oldest job, then shard order); when none
         is ready, a straggling LEASED unit marked ``speculative_eligible``
         may be re-leased to a *different* worker (one extra copy at most —
-        first result wins).  Returns ``{"unit", "token", "deadline",
-        "speculative"}`` or None when there is nothing to hand out.
+        first result wins).  ``job_id`` limits both to one job's units.
+        Returns ``{"unit", "token", "deadline", "speculative"}`` or None
+        when there is nothing to hand out.
         """
         now = time.time() if now is None else now
         self.worker_seen(worker, now)
+        only_job = " AND u.job_id = ?" if job_id is not None else ""
+        job_arg = (job_id,) if job_id is not None else ()
         row = self._db.execute(
             "SELECT u.id FROM units u JOIN jobs j ON u.job_id = j.id"
-            " WHERE u.state = ? AND u.ready_at <= ?"
+            " WHERE u.state = ? AND u.ready_at <= ?" + only_job +
             " ORDER BY j.submitted_at ASC, u.seq ASC, u.rowid ASC LIMIT 1",
-            (UNIT_PENDING, now)).fetchone()
+            (UNIT_PENDING, now) + job_arg).fetchone()
         speculative = False
         unit: Optional[WorkUnit] = None
         if row is not None:
             unit = self.get_unit(row["id"])
         else:
             for cand in self._db.execute(
-                    "SELECT * FROM units WHERE state = ?"
-                    " AND speculative_eligible = 1"
-                    " ORDER BY started_at ASC, rowid ASC", (UNIT_LEASED,)):
+                    "SELECT * FROM units u WHERE state = ?"
+                    " AND speculative_eligible = 1" + only_job +
+                    " ORDER BY started_at ASC, rowid ASC",
+                    (UNIT_LEASED,) + job_arg):
                 candidate = _row_to_unit(cand)
                 if (len(candidate.leases) == 1
                         and candidate.leases[0]["worker"] != worker):
@@ -631,6 +629,24 @@ class JobQueue:
         lease["deadline"] = now + float(lease_s)
         self._update_unit(unit, leases=unit.leases)
         return lease["deadline"]
+
+    def release_unit(self, unit_id: str, worker: str, token: str,
+                     now: Optional[float] = None) -> None:
+        """Hand a lease back unspent: the holder is stopping, the unit did
+        not fail.  A unit left leaseless is PENDING again at once and its
+        attempt is refunded, so a server restart never counts towards
+        ``max_attempts``.  A lease already gone is a no-op."""
+        now = time.time() if now is None else now
+        unit = self.get_unit(unit_id)
+        if self._find_lease(unit, worker, token) is None:
+            return
+        keep = [l for l in unit.leases if l["token"] != token]
+        if keep:            # a speculative twin runs on
+            self._update_unit(unit, leases=keep)
+            return
+        self._update_unit(unit, state=UNIT_PENDING, leases=[],
+                          attempts=unit.attempts - 1, ready_at=now,
+                          speculative_eligible=0)
 
     def complete_unit(self, unit_id: str, worker: str, token: str, *,
                       duration: Optional[float] = None,

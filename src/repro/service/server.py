@@ -14,11 +14,11 @@ POST    /v1/jobs                       submit {spec, tenant?, priority?}
 GET     /v1/jobs[?tenant=&state=]      list jobs
 GET     /v1/jobs/<id>[?events_after=]  status + incremental events
 GET     /v1/jobs/<id>/results          manifest + run records
-POST    /v1/jobs/<id>/cancel           cancel (queued: now; running: drain)
+POST    /v1/jobs/<id>/cancel           cancel (queued: now; running: units)
 POST    /v1/tenants                    {name, weight} — fair-share weight
 GET     /v1/metrics                    queue/tenant/artifact-store counters
 GET     /v1/health                     liveness + fleet occupancy
-GET     /v1/jobs/<id>/units            the job's work units (workers mode)
+GET     /v1/jobs/<id>/units            the job's work units
 POST    /v1/workers                    register {name, info?}
 GET     /v1/workers                    worker fleet + heartbeat ages
 POST    /v1/lease                      {worker, lease_s?} — claim a unit
@@ -47,7 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .queue import LeaseLostError
-from .supervisor import Supervisor
+from .supervisor import LOCAL_WORKER, Supervisor
 
 __all__ = ["ServiceServer", "serve"]
 
@@ -97,12 +97,25 @@ class ServiceServer:
         self.supervisor.shutdown()
 
     async def _tick_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             try:
                 self.supervisor.tick()
+                fds = [c.fileno() for c in self.supervisor.local_conns()]
             except Exception:  # pragma: no cover - keep the pump alive
+                fds = []
+            # One tick apart at most; a local unit's verdict wakes the
+            # next tick at once, so a slot never idles for the rest.
+            woken = asyncio.Event()
+            for fd in fds:
+                loop.add_reader(fd, woken.set)
+            try:
+                await asyncio.wait_for(woken.wait(), self.tick_s)
+            except asyncio.TimeoutError:
                 pass
-            await asyncio.sleep(self.tick_s)
+            finally:
+                for fd in fds:
+                    loop.remove_reader(fd)
 
     # -- HTTP plumbing ---------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -224,23 +237,21 @@ class ServiceServer:
         # -- distributed execution: workers, leases, units, artifacts ----
         if tail == ["workers"]:
             if method == "POST":
-                name = body.get("name")
-                if not name:
-                    raise _HttpError(400, "worker needs a 'name'")
+                name = self._remote_worker(body.get("name"),
+                                           "worker needs a 'name'")
                 doc = self.supervisor.queue.register_worker(
-                    str(name), info=body.get("info") or {})
+                    name, info=body.get("info") or {})
                 return 201, {"worker": doc}
             self._need(method, "GET")
             return 200, {"workers": self.supervisor.queue.workers_doc()}
         if tail == ["lease"]:
             self._need(method, "POST")
-            worker = body.get("worker")
-            if not worker:
-                raise _HttpError(400, "lease request needs a 'worker'")
+            worker = self._remote_worker(body.get("worker"),
+                                         "lease request needs a 'worker'")
             lease_s = float(body.get("lease_s", 15.0))
             if lease_s <= 0:
                 raise _HttpError(400, "lease_s must be > 0")
-            grant = self.supervisor.queue.lease_unit(str(worker), lease_s)
+            grant = self.supervisor.queue.lease_unit(worker, lease_s)
             if grant is None:
                 return 200, {"unit": None}
             return 200, {"unit": grant["unit"].to_dict(),
@@ -327,6 +338,17 @@ class ServiceServer:
             raise _HttpError(404, f"unknown unit {unit_id!r}")
 
     @staticmethod
+    def _remote_worker(name: Any, missing: str) -> str:
+        """A remote worker's name: given, and not the one the server's
+        own slots lease under."""
+        if not name:
+            raise _HttpError(400, missing)
+        if str(name) == LOCAL_WORKER:
+            raise _HttpError(400, f"worker name {LOCAL_WORKER!r} is "
+                                  f"reserved for the server's own slots")
+        return str(name)
+
+    @staticmethod
     def _lease_fields(body: Dict[str, Any]) -> Tuple[str, str]:
         worker, token = body.get("worker"), body.get("token")
         if not worker or not token:
@@ -375,7 +397,8 @@ async def serve(root: str, host: str = "127.0.0.1", port: int = 8642,
                 tenant_weights: Optional[Dict[str, float]] = None,
                 tick_s: float = 0.2, dispatch: str = "local",
                 log=print) -> None:
-    """Run the service until SIGTERM/SIGINT, then drain and re-queue."""
+    """Run the service until SIGTERM/SIGINT, then stop the local
+    slots and hand their leases back."""
     supervisor = Supervisor(root, max_jobs=max_jobs,
                             cache_max_bytes=cache_max_bytes,
                             tenant_weights=tenant_weights,
@@ -384,7 +407,8 @@ async def serve(root: str, host: str = "127.0.0.1", port: int = 8642,
     await server.start()
     if log:
         log(f"repro.service listening on http://{server.host}:{server.port}"
-            f" (root {supervisor.root}, {max_jobs} job slot(s))")
+            f" (root {supervisor.root}, {max_jobs} job(s) at once, "
+            f"dispatch {dispatch})")
     loop = asyncio.get_running_loop()
     stop = loop.create_future()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -394,6 +418,6 @@ async def serve(root: str, host: str = "127.0.0.1", port: int = 8642,
         await stop
     finally:
         if log:
-            log("repro.service stopping: draining runners, "
-                "re-queueing unfinished jobs")
+            log("repro.service stopping: local units stopped, their "
+                "leases released for the next start")
         await server.stop()

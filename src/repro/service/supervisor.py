@@ -1,54 +1,58 @@
-"""The worker-pool supervisor: queue ↔ campaign runner ↔ artifact store.
+"""The service supervisor: queue ↔ dispatcher ↔ artifact store.
 
 One :class:`Supervisor` owns a service *root*::
 
     <root>/
-      queue.db                  # the persistent JobQueue
+      queue.db                  # the persistent JobQueue (jobs + units)
       artifacts/                # the shared ArtifactStore
       jobs/<id>/spec.json       # the (expanded, staged) campaign spec
-      jobs/<id>/events.jsonl    # streamed lifecycle + scenario events
-      jobs/<id>/outcome.json    # the job runner's final verdict
+      jobs/<id>/events.jsonl    # streamed state, unit + scenario events
       jobs/<id>/campaign/       # runs/ + manifest.json (CampaignStore)
 
-Each claimed job is staged (``dir`` traces copied into the artifact
-store by content address), then executed by a dedicated child process
-running the ordinary :func:`repro.campaign.run_campaign` against the
-shared result cache.  The child streams one event line per finished
-scenario (the runner's ``on_record`` hook), so a polling client watches
-progress without any server-side session state.
+Every claimed job walks one path: it is staged (``dir`` traces copied
+into the artifact store by content address), then the
+:class:`~repro.service.dispatch.Dispatcher` serves what the shared
+result cache and the campaign store already hold and turns each missing
+scenario into a leased *work unit*.  Each finished scenario appends one
+event line, so a polling client watches progress without any
+server-side session state.
 
-**Cancellation** rides the runner's graceful-drain path: the supervisor
-sends the child SIGTERM, in-flight scenarios finish and are recorded,
-and the campaign manifest stays resumable.
+Who executes units is the one thing ``dispatch`` decides.  In ``local``
+mode :meth:`Supervisor.tick` also steps in-process slots that lease
+units as worker ``local`` — one child per unit, exactly as a
+``repro-worker`` runs them, and per RUNNING job as many at once as its
+spec's ``jobs``; in ``workers`` mode only remote workers execute.
+Remote workers may lease in either mode.
 
-**Crash recovery**: on startup :meth:`Supervisor.recover` re-queues
-every job a previous server left in STAGING/RUNNING (terminating any
-orphaned runner first) with ``resume=True`` — the re-run serves every
-already-recorded scenario from the campaign store and re-executes only
-what is missing, retry/resume provenance intact.
+**Cancellation** cancels the job's unfinished units; a local slot whose
+lease is gone stops its child at once, and nothing is recorded for it.
+
+**Restart**: the units table is the durable state.  A graceful
+:meth:`Supervisor.shutdown` stops the local children and hands their
+leases back unspent (the attempt does not count), so the next server
+re-leases those units at once; :meth:`Supervisor.recover` does the same
+for leases a dead predecessor's slots still hold.  No process is ever
+signalled by PID.
 """
 
 from __future__ import annotations
 
-import errno
 import json
-import multiprocessing
 import os
-import signal
-import sys
 import time
-import traceback
-from dataclasses import replace as dc_replace
+from collections import Counter
+from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..campaign.runner import _START_METHOD, stop_process
+from ..campaign.runner import ScenarioChild
 from ..campaign.spec import CampaignSpec
 from ..campaign.store import CampaignStore, RunRecord, _write_json
 from .artifacts import ArtifactStore
 from .queue import (
     STATE_CANCELLED, STATE_DONE, STATE_FAILED, STATE_QUEUED, STATE_RUNNING,
-    STATE_STAGING, Job, JobQueue,
+    STATE_STAGING, UNIT_LEASED, Job, JobQueue, LeaseLostError,
 )
+from .worker import verdict_doc
 
 __all__ = ["Supervisor", "append_event", "read_events"]
 
@@ -112,79 +116,118 @@ def read_events(path: str, after: int = 0) -> Tuple[List[Dict[str, Any]], int]:
 
 
 # ----------------------------------------------------------------------
-# The job runner (child-process side)
+# The local slots: an in-process worker speaking the lease protocol
 # ----------------------------------------------------------------------
-def _job_main(job_id: str, job_dir: str, cache_dir: str,
-              resume: bool) -> None:
-    """Child entry point: run the campaign, stream events, verdict out.
+#: The worker name the server's own slots lease units under.
+LOCAL_WORKER = "local"
+#: A local slot's lease; it is renewed every third of it.
+LOCAL_LEASE_S = 15.0
 
-    SIGTERM here is handled *by the campaign runner* (graceful drain);
-    after a drain this function still writes ``outcome.json`` with
-    ``interrupted: true`` and exits 0 — the supervisor, not the child,
-    decides whether that means cancelled or resumable.
+
+@dataclass
+class _Slot:
+    job_id: str
+    unit_id: str
+    token: str
+    child: ScenarioChild
+    renew_at: float         # monotonic instant of the next heartbeat
+
+
+class _LocalSlots:
+    """Execution slots inside the server process.
+
+    Each RUNNING job gets as many slots as its spec's ``jobs`` — the
+    width its own ``run_campaign`` would have — so running jobs progress
+    side by side, and ``max_jobs`` bounds how many run.  Each slot does
+    what one ``repro-worker`` does, minus HTTP and artifact staging
+    (staged trees are already local): lease one of its job's units as
+    worker ``local``, run it in one :class:`ScenarioChild`, renew the
+    lease every ``LOCAL_LEASE_S / 3``, post the verdict to
+    :meth:`Dispatcher.on_result`.  A slot whose lease is gone —
+    cancelled, expired, or won by a speculative twin — stops its child
+    at the next :meth:`reap`, and nothing is posted.
     """
-    from ..campaign.runner import run_campaign
 
-    # Forked from the asyncio server: drop the inherited signal plumbing,
-    # or a SIGTERM aimed at THIS child gets echoed down the shared wakeup
-    # socketpair and the parent's event loop shuts the whole service down.
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    def __init__(self, dispatcher: Any, enabled: bool) -> None:
+        self.queue: JobQueue = dispatcher.queue
+        self.dispatcher = dispatcher
+        self.enabled = enabled
+        self.live: List[_Slot] = []
 
-    events_path = os.path.join(job_dir, "events.jsonl")
-    out_dir = os.path.join(job_dir, "campaign")
-    outcome_path = os.path.join(job_dir, "outcome.json")
-    try:
-        with open(os.path.join(job_dir, "spec.json"),
-                  encoding="utf-8") as handle:
-            spec = CampaignSpec.from_dict(json.load(handle))
+    def reap(self) -> None:
+        now = time.monotonic()
+        for slot in list(self.live):
+            child = slot.child
+            if child.conn.poll():
+                verdict = child.collect()
+            elif now >= child.deadline:
+                verdict = child.expire()
+            elif self._lease_held(slot, now):
+                continue
+            else:
+                verdict = None
+                child.abort()
+            self.live.remove(slot)
+            if verdict is None:
+                continue
+            try:
+                self.dispatcher.on_result(
+                    slot.unit_id, LOCAL_WORKER, slot.token,
+                    verdict_doc(*verdict, now - child.started))
+            except LeaseLostError:
+                pass        # lost at the finish line: the first result won
 
-        result = run_campaign(
-            spec, out_dir, cache_dir=cache_dir, resume=resume,
-            on_record=lambda record: append_scenario_event(
-                events_path, job_id, record))
-        _write_json(outcome_path, {
-            "ok": result.ok,
-            "interrupted": result.interrupted,
-            "failed": result.failed_names,
-            "metrics": result.metrics.as_dict(),
-        })
-        sys.exit(0)
-    except SystemExit:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - the verdict IS the point
-        _write_json(outcome_path, {
-            "ok": False,
-            "interrupted": False,
-            "failed": [],
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-            "metrics": {},
-        })
-        sys.exit(1)
+    def fill(self) -> None:
+        if not self.enabled:
+            return
+        busy = Counter(slot.job_id for slot in self.live)
+        for job in self.queue.list_jobs(state=STATE_RUNNING):
+            free = self.dispatcher._spec(job.id).jobs - busy[job.id]
+            for _ in range(free):
+                grant = self.queue.lease_unit(LOCAL_WORKER, LOCAL_LEASE_S,
+                                              job_id=job.id)
+                if grant is None:
+                    break
+                unit = grant["unit"]
+                child = ScenarioChild(unit.scenario,
+                                      unit.scenario["timeout_s"],
+                                      name=f"repro-unit-{unit.id}")
+                self.live.append(_Slot(job.id, unit.id, grant["token"],
+                                       child,
+                                       child.started + LOCAL_LEASE_S / 3))
 
+    def stop(self) -> None:
+        """Post the verdicts already in, then stop every live child and
+        hand its lease back unspent."""
+        self.reap()
+        for slot in self.live:
+            slot.child.abort()
+            self.queue.release_unit(slot.unit_id, LOCAL_WORKER, slot.token)
+        self.live = []
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except OSError as exc:
-        return exc.errno == errno.EPERM
-    return True
+    def _lease_held(self, slot: _Slot, now: float) -> bool:
+        """Renew the lease when due, else check it still stands."""
+        if now < slot.renew_at:
+            leases = self.queue.get_unit(slot.unit_id).leases
+            return any(lease["token"] == slot.token for lease in leases)
+        try:
+            self.queue.heartbeat_unit(slot.unit_id, LOCAL_WORKER,
+                                      slot.token, LOCAL_LEASE_S)
+        except LeaseLostError:
+            return False
+        slot.renew_at = now + LOCAL_LEASE_S / 3
+        return True
 
 
 # ----------------------------------------------------------------------
 # The supervisor (server side)
 # ----------------------------------------------------------------------
 class Supervisor:
-    """Claims jobs fair-share and drives one runner process per job."""
+    """Claims jobs fair-share, stages them and fans them out as units."""
 
     def __init__(self, root: str, max_jobs: int = 2,
                  cache_max_bytes: int = 0,
                  tenant_weights: Optional[Dict[str, float]] = None,
-                 drain_timeout_s: float = 30.0,
                  dispatch: str = "local",
                  log: Optional[Callable[[str], None]] = None) -> None:
         if max_jobs < 1:
@@ -193,7 +236,6 @@ class Supervisor:
             raise ValueError("dispatch must be 'local' or 'workers'")
         self.root = os.path.abspath(root)
         self.max_jobs = max_jobs
-        self.drain_timeout_s = drain_timeout_s
         self.dispatch = dispatch
         self.jobs_dir = os.path.join(self.root, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
@@ -203,22 +245,22 @@ class Supervisor:
         for name, weight in (tenant_weights or {}).items():
             self.queue.ensure_tenant(name, weight)
         self._emit = log if log is not None else (lambda _msg: None)
-        self._ctx = multiprocessing.get_context(_START_METHOD)
-        self._children: Dict[str, multiprocessing.Process] = {}
-        #: Trace digests staged for live jobs — protected from eviction.
-        self._staged: Dict[str, Set[str]] = {}
-        #: Staging hit/miss per live job, folded into the tenant at reap.
+        #: Staging hit/miss per live job, folded into the tenant at settle.
         self._stage_counts: Dict[str, Tuple[int, int]] = {}
-        self._cancel_signalled: Set[str] = set()
-        # The dispatcher exists in both modes (its read-side endpoints —
-        # units, workers, counters — always answer); only in "workers"
-        # mode does the tick hand jobs to it instead of forking.
-        from .dispatch import Dispatcher
+        from .dispatch import Dispatcher     # it imports the event log
         self.dispatcher = Dispatcher(self)
+        # The one mode decision: does this server run units itself?
+        self._slots = _LocalSlots(self.dispatcher, dispatch == "local")
 
     @property
     def running_jobs(self) -> int:
-        return len(self._children)
+        return len(self.queue.list_jobs(state=STATE_RUNNING))
+
+    def local_conns(self) -> List[Any]:
+        """The pipes of the units in local slots; one turns readable
+        when its unit's verdict (or death) is in, and the next
+        :meth:`tick` collects it."""
+        return [slot.child.conn for slot in self._slots.live]
 
     # -- paths -----------------------------------------------------------
     def job_dir(self, job_id: str) -> str:
@@ -254,97 +296,55 @@ class Supervisor:
         return job
 
     def cancel(self, job_id: str) -> Job:
+        """QUEUED cancels now; a running job's unfinished units are
+        cancelled at the next tick, stopping any local child running
+        one."""
         job = self.queue.request_cancel(job_id)
         if job.state == STATE_CANCELLED:
             append_event(self.events_path(job_id), "state", job=job_id,
                          state=job.state)
             self._emit(f"[service] job {job_id} cancelled while queued")
-        else:
-            self._signal_cancel(job_id)
         return job
-
-    def _signal_cancel(self, job_id: str) -> None:
-        process = self._children.get(job_id)
-        if process is not None and process.is_alive() \
-                and job_id not in self._cancel_signalled:
-            process.terminate()      # SIGTERM -> the runner drains
-            self._cancel_signalled.add(job_id)
-            append_event(self.events_path(job_id), "cancelling",
-                         job=job_id)
-            self._emit(f"[service] job {job_id}: SIGTERM sent, draining")
 
     # -- scheduling ------------------------------------------------------
     def tick(self) -> None:
-        """One supervisor step: reap finished runners, launch claimable
-        jobs while worker slots are free.  Cheap; call it often."""
-        if self.dispatch == "workers":
-            self.dispatcher.tick()
-            running = len(self.queue.list_jobs(state=STATE_RUNNING))
-            while running < self.max_jobs:
-                job = self.queue.claim_next()
-                if job is None:
-                    break
-                self._start_dispatched(job)
-                running += 1
-            return
-        self._reap()
-        while len(self._children) < self.max_jobs:
+        """One scheduler step: sweep leases and cancels, collect local
+        verdicts, claim jobs while fewer than ``max_jobs`` run, fill free
+        local slots.  Cheap; call it often."""
+        self.dispatcher.tick()
+        self._slots.reap()
+        while self.running_jobs < self.max_jobs:
             job = self.queue.claim_next()
             if job is None:
                 break
             self._start(job)
+        self._slots.fill()
 
-    def _stage_or_fail(self, job: Job) -> bool:
-        """Stage a claimed job's traces; a staging error fails the job
-        (recorded, not fatal to the service) and returns False."""
+    def _start(self, job: Job) -> None:
+        """STAGING: stage the traces (an error fails the job, recorded,
+        not fatal to the service), then fan out into work units."""
         events = self.events_path(job.id)
         append_event(events, "state", job=job.id, state=job.state)
         try:
-            digests, hits, misses = self._stage(job)
+            hits, misses = self._stage(job)
         except BaseException as exc:  # noqa: BLE001 - recorded, not fatal
             self.queue.set_state(job.id, STATE_FAILED,
                                  error=f"staging failed: {exc}")
             append_event(events, "state", job=job.id, state=STATE_FAILED,
                          error=str(exc))
             self._emit(f"[service] job {job.id}: staging failed: {exc}")
-            return False
-        self._staged[job.id] = digests
-        self._stage_counts[job.id] = (hits, misses)
-        return True
-
-    def _start_dispatched(self, job: Job) -> None:
-        """Workers mode: stage, then fan out into leased work units."""
-        if self._stage_or_fail(job):
-            self.dispatcher.start_job(job)
-
-    def _start(self, job: Job) -> None:
-        if not self._stage_or_fail(job):
             return
-        process = self._ctx.Process(
-            target=_job_main,
-            args=(job.id, self.job_dir(job.id), self.store.results_dir,
-                  job.resume),
-            name=f"repro-job-{job.id}",
-        )
-        process.start()
-        self._children[job.id] = process
-        job = self.queue.set_state(job.id, STATE_RUNNING, pid=process.pid)
-        append_event(self.events_path(job.id), "state", job=job.id,
-                     state=job.state, pid=process.pid, resume=job.resume)
-        self._emit(f"[service] job {job.id} running (pid {process.pid}"
-                   f"{', resume' if job.resume else ''})")
-        # A cancel that arrived between claim and start applies now.
-        if job.cancel_requested:
-            self._signal_cancel(job.id)
+        self._stage_counts[job.id] = (hits, misses)
+        self.dispatcher.start_job(job)
 
-    def _stage(self, job: Job) -> Tuple[Set[str], int, int]:
+    def _stage(self, job: Job) -> Tuple[int, int]:
         """Copy ``dir`` traces into the artifact store and point the
-        spec at the staged trees.  Idempotent: a resumed job re-stages
-        to the same content addresses (hits)."""
+        spec at the staged trees; returns staging (hits, misses).
+        Idempotent: a resumed job re-stages to the same content
+        addresses (hits)."""
         spec_path = os.path.join(self.job_dir(job.id), "spec.json")
         with open(spec_path, encoding="utf-8") as handle:
             spec = CampaignSpec.from_dict(json.load(handle))
-        digests: Set[str] = set()
         hits = misses = 0
         staged_scenarios = []
         changed = False
@@ -352,7 +352,6 @@ class Supervisor:
             if scenario.trace.kind == "dir":
                 staged, hit = self.store.stage_trace_dir(
                     scenario.trace.path, tenant=job.tenant)
-                digests.add(os.path.basename(staged))
                 hits += 1 if hit else 0
                 misses += 0 if hit else 1
                 if staged != scenario.trace.path:
@@ -364,71 +363,19 @@ class Supervisor:
         if changed:
             spec.scenarios = staged_scenarios
             _write_json(spec_path, spec.to_dict())
-        return digests, hits, misses
-
-    # -- reaping ---------------------------------------------------------
-    def _reap(self) -> None:
-        for job_id in list(self._children):
-            process = self._children[job_id]
-            if process.is_alive():
-                # Enforce a cancel that arrived since the last tick.
-                if self.queue.get(job_id).cancel_requested:
-                    self._signal_cancel(job_id)
-                continue
-            process.join()
-            del self._children[job_id]
-            self._cancel_signalled.discard(job_id)
-            self._finish(job_id, process.exitcode)
-
-    def _finish(self, job_id: str, exitcode: Optional[int]) -> None:
-        job = self.queue.get(job_id)
-        outcome = self._read_outcome(job_id)
-        metrics = outcome.get("metrics") or {}
-        if outcome.get("ok") and not outcome.get("interrupted"):
-            state, error = STATE_DONE, ""
-        elif job.cancel_requested:
-            state = STATE_CANCELLED
-            error = "cancelled: drained in-flight scenarios"
-        elif not outcome:
-            state = STATE_FAILED
-            error = (f"job runner died without a verdict "
-                     f"(exitcode {exitcode})")
-        elif outcome.get("interrupted"):
-            # Drained by a SIGTERM we did not send (external operator):
-            # the campaign is resumable, so hand it back to the queue.
-            state, error = STATE_QUEUED, ""
-        else:
-            state = STATE_FAILED
-            error = outcome.get("error") or (
-                "scenarios failed: " + ", ".join(outcome.get("failed", []))
-                if outcome.get("failed") else
-                f"job runner exited {exitcode}")
-        job = self.queue.set_state(
-            job_id, state, error=error, metrics=metrics,
-            resume=True if state == STATE_QUEUED else None)
-        append_event(self.events_path(job_id), "state", job=job_id,
-                     state=job.state, error=error or None)
-
-        self.settle(job, metrics)
-        self._emit(f"[service] job {job_id} -> {job.state}"
-                   f"{f' ({error})' if error else ''}")
+        return hits, misses
 
     def protected_digests(self) -> Set[str]:
-        """Every trace digest eviction must spare: trees staged for live
-        local jobs plus trees referenced by live work units (pinned from
-        lease grant until the result is acknowledged)."""
-        protect = set().union(*self._staged.values()) if self._staged \
-            else set()
-        protect |= self.dispatcher.pinned_digests()
-        return protect
+        """Every trace digest eviction must spare: trees referenced by
+        live work units (pinned from fan-out until the result is
+        acknowledged)."""
+        return self.dispatcher.pinned_digests()
 
     def settle(self, job: Job, metrics: Dict[str, Any]) -> None:
         """Fold a finished job's economics into its tenant, then bound
-        the store (this job's traces are no longer pinned).  Called at
-        reap for a local job and by the dispatcher when a units-backed
-        job reaches a terminal state."""
+        the store.  Called by the dispatcher when a job reaches a
+        terminal state."""
         stage_hits, stage_misses = self._stage_counts.pop(job.id, (0, 0))
-        self._staged.pop(job.id, None)
         evicted = self.store.evict(protect=self.protected_digests())
         self.queue.charge(
             job.tenant, float(metrics.get("wall_seconds", 0.0)),
@@ -440,111 +387,43 @@ class Supervisor:
                                    STATE_CANCELLED),
         )
 
-    def _read_outcome(self, job_id: str) -> Dict[str, Any]:
-        try:
-            with open(os.path.join(self.job_dir(job_id), "outcome.json"),
-                      encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return {}
-
     # -- restart / shutdown ----------------------------------------------
     def recover(self) -> List[Job]:
-        """Adopt a root a previous server left behind: terminate any
-        orphaned runners, then re-queue their jobs with ``resume=True``
-        (or finalise them CANCELLED if that was already requested)."""
+        """Adopt a root a previous server left behind.  The units table
+        is the durable state: leases the predecessor's local slots still
+        hold are handed back unspent, and a RUNNING job with units stays
+        RUNNING.  A job caught mid-fan-out (STAGING), or a RUNNING job
+        without units, goes back to QUEUED with ``resume=True``:
+        re-dispatch keeps existing units and serves recorded scenarios
+        from the campaign store.  No process is signalled."""
+        for unit in self.queue.list_units(UNIT_LEASED):
+            for lease in unit.leases:
+                if lease["worker"] == LOCAL_WORKER:
+                    self.queue.release_unit(unit.id, LOCAL_WORKER,
+                                            lease["token"])
         recovered = []
         for job in self.queue.unfinished_jobs():
-            if self.queue.units_for_job(job.id):
-                if self.dispatch == "workers":
-                    recovered.append(self._recover_dispatched(job))
-                    continue
-                # A workers-mode root adopted by a local-mode server:
-                # drop the leftover units and re-run locally with
-                # resume — recorded scenarios are served from the store.
-                self.queue.cancel_units(job.id)
-            if job.pid and _pid_alive(job.pid):
-                self._terminate_pid(job.pid)
-            # The orphan may have finished the whole campaign before (or
-            # while) being told to stop — in that case the job is DONE,
-            # not requeued.
-            outcome = self._read_outcome(job.id)
-            if outcome.get("ok") and not outcome.get("interrupted"):
-                job = self.queue.set_state(
-                    job.id, STATE_DONE, metrics=outcome.get("metrics") or {})
-            elif job.cancel_requested:
-                job = self.queue.set_state(
-                    job.id, STATE_CANCELLED,
-                    error="cancelled (server restarted)")
-            else:
+            if job.state == STATE_STAGING \
+                    or not self.queue.units_for_job(job.id):
                 job = self.queue.set_state(job.id, STATE_QUEUED,
                                            resume=True)
             append_event(self.events_path(job.id), "state", job=job.id,
                          state=job.state, recovered=True)
             self._emit(f"[service] recovered job {job.id} -> {job.state}")
             recovered.append(job)
-        if self.dispatch == "workers":
-            # Crash-recovery lease sweep: workers that died with (or
-            # without) the server hold leases that are now past their
-            # deadline — drop them, tagged ``resumed``, so their units
-            # requeue immediately.  Live workers' leases stay valid (the
-            # tokens persist in SQLite) and their next heartbeat renews.
-            self.dispatcher.tick(resumed=True)
+        # Crash-recovery lease sweep, tagged ``resumed``: leases of
+        # workers that died meanwhile requeue now.  Live workers' leases
+        # stay valid (the tokens persist in SQLite) and their next
+        # heartbeat renews them.
+        self.dispatcher.tick(resumed=True)
         return recovered
 
-    def _recover_dispatched(self, job: Job) -> Job:
-        """A units-backed job: the durable state IS the units table.
-
-        A RUNNING job stays RUNNING — surviving workers still hold valid
-        leases (tokens live in the queue DB) and keep heartbeating; dead
-        workers' leases expire and their units requeue.  A job caught
-        mid-fan-out (STAGING) goes back to QUEUED and is re-dispatched
-        idempotently: existing units (DONE ones included) are kept.
-        """
-        if job.state == STATE_STAGING:
-            job = self.queue.set_state(job.id, STATE_QUEUED, resume=True)
-        append_event(self.events_path(job.id), "state", job=job.id,
-                     state=job.state, recovered=True, dispatched=True)
-        self._emit(f"[service] recovered dispatched job {job.id} "
-                   f"-> {job.state}")
-        return job
-
-    def _terminate_pid(self, pid: int) -> None:
-        try:
-            os.kill(pid, signal.SIGTERM)
-        except OSError:
-            return
-        deadline = time.monotonic() + self.drain_timeout_s
-        while time.monotonic() < deadline:
-            if not _pid_alive(pid):
-                return
-            time.sleep(0.05)
-        try:
-            os.kill(pid, signal.SIGKILL)  # drain budget exhausted
-        except OSError:
-            pass
-
     def shutdown(self) -> None:
-        """Graceful stop: drain every runner, re-queue what they were
-        working on (resume on next start), release the queue DB."""
-        for job_id, process in list(self._children.items()):
-            stop_process(process, self.drain_timeout_s)
-        self._reap()
-        for job in self.queue.unfinished_jobs():
-            if self.dispatch == "workers" \
-                    and self.queue.units_for_job(job.id):
-                # Units-backed jobs are already durable: leases expire
-                # while the server is down and recover() re-adopts the
-                # job on restart — nothing to requeue here.
-                continue
-            if job.cancel_requested:
-                job = self.queue.set_state(job.id, STATE_CANCELLED,
-                                           error="cancelled at shutdown")
-            else:
-                job = self.queue.set_state(job.id, STATE_QUEUED,
-                                           resume=True)
-            append_event(self.events_path(job.id), "state", job=job.id,
-                         state=job.state, shutdown=True)
+        """Graceful stop: stop the local slots' children and hand their
+        leases back unspent (their units are PENDING again, for whichever
+        server or worker leases next), release the queue DB.  Jobs stay
+        RUNNING; :meth:`recover` adopts them on restart."""
+        self._slots.stop()
         self.queue.close()
 
     # -- read-side documents ---------------------------------------------
@@ -573,7 +452,7 @@ class Supervisor:
 
     def metrics_doc(self) -> Dict[str, Any]:
         doc = self.queue.counters_doc()
-        doc["running_jobs"] = len(self._children)
+        doc["running_jobs"] = self.running_jobs
         doc["max_jobs"] = self.max_jobs
         doc["dispatch_mode"] = self.dispatch
         doc["artifact_store"] = self.store.counters_doc()

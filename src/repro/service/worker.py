@@ -1,8 +1,8 @@
 """``repro-worker``: a remote execution worker for the campaign service.
 
-A worker is the distributed counterpart of one slot of the campaign
-runner's process fleet (protocol and recovery story:
-``docs/distributed.md``).  It is stdlib-only; its *root* holds only
+A worker is the remote counterpart of one of the server's local slots
+(protocol and recovery story: ``docs/distributed.md``).  It is
+stdlib-only; its *root* holds only
 ``traces/<digest>/...``, a content-addressed artifact cache mirroring
 the server store (it grows warm ``.tic`` sidecars).  The loop::
 
@@ -49,7 +49,17 @@ from ..campaign.runner import ScenarioChild
 from .artifacts import unpack_tree_tar
 from .client import ServiceClient, ServiceError
 
-__all__ = ["Worker", "main_worker"]
+__all__ = ["Worker", "main_worker", "verdict_doc"]
+
+
+def verdict_doc(status: str, body: Dict[str, Any],
+                wall_seconds: float) -> Dict[str, Any]:
+    """The result document :meth:`Dispatcher.on_result` reads: ``body``
+    is the result payload when ``status`` is ok, else the error
+    document.  Remote workers post it; the server's local slots hand it
+    over in-process."""
+    return {"status": status, "wall_seconds": wall_seconds,
+            "result" if status == "ok" else "error": body}
 
 
 class Worker:
@@ -249,14 +259,12 @@ class Worker:
     def _post(self, unit_id: str, token: str, name: str, status: str,
               body: Dict[str, Any], wall: float,
               lease_until: float) -> None:
-        """Post a unit's verdict: ``body`` is the result payload when
-        ``status`` is ok, else the error document.  An unreachable
+        """Post a unit's verdict (:func:`verdict_doc`).  An unreachable
         server is retried every ``poll_s`` until the lease would have
         run out; then (as on a 409) the verdict is dropped — expiry
         requeues the unit server-side."""
         ok = status == "ok"
-        doc = {"status": status, "wall_seconds": wall,
-               "result" if ok else "error": body}
+        doc = verdict_doc(status, body, wall)
         if not ok:
             self.units_failed += 1
             self._emit(f"[worker {self.name}] unit {unit_id} ({name}): "

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -15,12 +16,14 @@ import time
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign.store import CampaignStore
 from repro.core.synth import write_synthetic_lu_trace
 from repro.service import (
     STATE_CANCELLED, STATE_DONE, STATE_QUEUED, STATE_RUNNING,
-    STATE_STAGING, ArtifactStore, JobQueue, ServiceClient, ServiceError,
-    Supervisor,
+    STATE_STAGING, UNIT_DONE, UNIT_LEASED, UNIT_PENDING, ArtifactStore,
+    JobQueue, ServiceClient, ServiceError, Supervisor,
 )
+from repro.service.server import ServiceServer
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -61,7 +64,7 @@ def test_queue_lifecycle_graph_is_enforced(tmp_path):
     # The claim IS the QUEUED -> STAGING transition.
     claimed = queue.claim_next()
     assert claimed.id == job.id and claimed.state == STATE_STAGING
-    queue.set_state(job.id, STATE_RUNNING, pid=1234)
+    queue.set_state(job.id, STATE_RUNNING)
     assert queue.get(job.id).started_at is not None
     done = queue.set_state(job.id, STATE_DONE,
                            metrics={"wall_seconds": 1.0})
@@ -82,18 +85,16 @@ def test_queue_persists_across_reopen(tmp_path):
     queue = JobQueue(path)
     job = queue.submit("alice", "camp", 2, priority=7)
     queue.claim_next()
-    queue.set_state(job.id, STATE_RUNNING, pid=42)
+    queue.set_state(job.id, STATE_RUNNING)
     queue.close()
 
     reopened = JobQueue(path)
     job = reopened.get(job.id)
-    assert job.state == STATE_RUNNING and job.pid == 42 \
-        and job.priority == 7
+    assert job.state == STATE_RUNNING and job.priority == 7
     assert [j.id for j in reopened.unfinished_jobs()] == [job.id]
-    # Crash-recovery requeue clears the stale pid and arms --resume.
+    # Crash-recovery requeue arms --resume.
     requeued = reopened.set_state(job.id, STATE_QUEUED, resume=True)
-    assert requeued.state == STATE_QUEUED and requeued.pid is None \
-        and requeued.resume
+    assert requeued.state == STATE_QUEUED and requeued.resume
 
 
 def test_fair_share_interleaves_tenants_by_weighted_vtime(tmp_path):
@@ -147,7 +148,8 @@ def test_cancel_semantics_per_state(tmp_path):
     queued = queue.submit("a", "c1", 1)
     cancelled = queue.request_cancel(queued.id)
     assert cancelled.state == STATE_CANCELLED
-    # Running jobs are only *flagged*; the supervisor drains them.
+    # Running jobs are only *flagged*; the dispatcher cancels their
+    # unfinished units.
     running = queue.submit("a", "c2", 1)
     queue.claim_next()
     queue.set_state(running.id, STATE_RUNNING)
@@ -253,15 +255,21 @@ def test_result_hit_refreshes_lru_position(tmp_path):
 # ----------------------------------------------------------------------
 # Supervisor driven inline (no HTTP): staging + shared store
 # ----------------------------------------------------------------------
-def drive(supervisor, job_id, timeout_s=90.0):
+def tick_until(supervisor, predicate, timeout_s=30.0):
     deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
+    while True:
         supervisor.tick()
-        job = supervisor.queue.get(job_id)
-        if job.terminal:
-            return job
+        value = predicate()
+        if value:
+            return value
+        assert time.monotonic() < deadline, "condition never held"
         time.sleep(0.05)
-    raise AssertionError(f"job {job_id} did not finish in {timeout_s}s")
+
+
+def drive(supervisor, job_id, timeout_s=90.0):
+    tick_until(supervisor, lambda: supervisor.queue.get(job_id).terminal,
+               timeout_s)
+    return supervisor.queue.get(job_id)
 
 
 def test_supervisor_runs_dir_trace_jobs_with_shared_staging(tmp_path):
@@ -311,6 +319,202 @@ def test_supervisor_rejects_bad_spec_at_submit(tmp_path):
             supervisor.submit({"name": "x", "scenarios": [
                 {"name": "bad", "ranks": 2,
                  "trace": {"kind": "nope"}}]})
+    finally:
+        supervisor.shutdown()
+
+
+def test_recover_never_signals_a_pid_an_older_server_recorded(tmp_path):
+    # A root written by a server that kept a runner PID per RUNNING job,
+    # adopted after a reboot: the PID now belongs to an unrelated process.
+    helper = subprocess.Popen(["sleep", "30"])
+    root = str(tmp_path / "root")
+    try:
+        old = Supervisor(root)
+        job = old.submit(sleepy_spec_doc(n=1))
+        old.queue.claim_next()
+        old.queue.set_state(job.id, STATE_RUNNING)
+        old.queue.close()
+        db = sqlite3.connect(os.path.join(root, "queue.db"))
+        if "pid" not in {row[1] for row in
+                         db.execute("PRAGMA table_info(jobs)")}:
+            db.execute("ALTER TABLE jobs ADD COLUMN pid INTEGER")
+        db.execute("UPDATE jobs SET pid = ? WHERE id = ?",
+                   (helper.pid, job.id))
+        db.commit()
+        db.close()
+
+        restarted = Supervisor(root)
+        try:
+            restarted.recover()
+            assert helper.poll() is None, "recover() signalled a stranger"
+            adopted = restarted.queue.get(job.id)
+            assert adopted.state == STATE_QUEUED and adopted.resume
+        finally:
+            restarted.shutdown()
+    finally:
+        helper.kill()
+        helper.wait()
+
+
+# ----------------------------------------------------------------------
+# The local slots: the server's own in-process worker
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<tid>/children")
+def test_a_local_unit_is_one_child_with_no_children_of_its_own(tmp_path):
+    from tests.test_worker import _children
+
+    me = os.getpid()
+    before = set(_children(me))
+    seen = set()
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=1)
+    try:
+        job = supervisor.submit(sleepy_spec_doc(n=2, seconds=0.4))
+
+        def snapshot():
+            mine = set(_children(me)) - before
+            assert len(mine) <= 1
+            assert [_children(pid) for pid in mine] == [[]] * len(mine)
+            seen.update(mine)
+            return supervisor.queue.get(job.id).terminal
+
+        tick_until(supervisor, snapshot)
+        assert supervisor.queue.get(job.id).state == STATE_DONE
+        assert len(seen) == 2       # one child per executed unit
+    finally:
+        supervisor.shutdown()
+
+
+def test_cancelled_unit_stops_its_local_child_within_one_tick(tmp_path):
+    ran = tmp_path / "ran"
+    spec_doc = {"name": "doomed", "scenarios": [{
+        "name": "d", "ranks": 2,
+        "trace": {"kind": "fail", "stage_wait_s": 1.0,
+                  "state_path": str(ran)},
+        "platform": {"name": "bordereau", "hosts": 4},
+        "calibration": {"kind": "fixed", "speed": 2e9}}]}
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=1)
+    try:
+        job = supervisor.submit(spec_doc)
+        supervisor.tick()           # claim, fan out, lease, start
+        [unit] = supervisor.queue.units_for_job(job.id)
+        assert unit.state == UNIT_LEASED
+        assert unit.leases[0]["worker"] == "local"
+        assert len(multiprocessing.active_children()) == 1
+
+        supervisor.queue.cancel_units(job.id)
+        supervisor.tick()
+        assert multiprocessing.active_children() == []
+        assert supervisor.queue.get(job.id).state == STATE_CANCELLED
+        assert CampaignStore(supervisor.campaign_dir(job.id)).read_run(
+            "d") is None
+        # Nothing is left to finish the scenario once its wait is over.
+        time.sleep(1.5)
+        assert not ran.exists()
+    finally:
+        supervisor.shutdown()
+
+
+def test_local_unit_past_timeout_is_requeued_under_the_unit_policy(
+        tmp_path):
+    spec_doc = sleepy_spec_doc("hung", n=1, seconds=5.0)
+    spec_doc["base"].update(timeout_s=0.3, max_retries=0)
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=1)
+    try:
+        job = supervisor.submit(spec_doc)
+        t0 = time.monotonic()
+        unit = tick_until(supervisor, lambda: [
+            u for u in supervisor.queue.units_for_job(job.id)
+            if u.retry_history])[0]
+        assert time.monotonic() - t0 < 2.0
+        assert multiprocessing.active_children() == []
+        [entry] = unit.retry_history
+        assert entry["status"] == "timeout" and entry["worker"] == "local"
+        # Requeued with backoff, not quarantined: max(3, 0 + 1) attempts.
+        assert unit.state == UNIT_PENDING
+        assert (unit.attempts, unit.max_attempts) == (1, 3)
+        assert entry["backoff_s"] == pytest.approx(0.5)
+        assert supervisor.queue.get(job.id).state == STATE_RUNNING
+    finally:
+        supervisor.shutdown()
+
+
+@pytest.mark.parametrize("dispatch", ["local", "workers"])
+def test_running_jobs_is_the_queue_running_count(tmp_path, dispatch):
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=2,
+                            dispatch=dispatch)
+    try:
+        for i in range(3):
+            supervisor.submit(sleepy_spec_doc(f"s{i}", n=1, seconds=5.0))
+        supervisor.tick()
+        running = len(supervisor.queue.list_jobs(state=STATE_RUNNING))
+        assert running == 2
+        _status, health = ServiceServer(supervisor)._route(
+            "GET", "/v1/health", {}, {})
+        assert health["running_jobs"] == running
+        assert supervisor.metrics_doc()["running_jobs"] == running
+        # Only local dispatch runs units in the server itself.
+        assert len(multiprocessing.active_children()) == \
+            (2 if dispatch == "local" else 0)
+    finally:
+        supervisor.shutdown()
+    assert multiprocessing.active_children() == []
+
+
+def test_running_jobs_progress_side_by_side_each_as_wide_as_its_spec(
+        tmp_path):
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=2)
+    try:
+        big_doc = sleepy_spec_doc("big", n=8, seconds=0.5)
+        big_doc["jobs"] = 2
+        big = supervisor.submit(big_doc, tenant="a")
+        small = supervisor.submit(sleepy_spec_doc("small", n=2, seconds=0.5),
+                                  tenant="b")
+        supervisor.tick()
+        leased = {job.id: sum(u.state == UNIT_LEASED for u in
+                              supervisor.queue.units_for_job(job.id))
+                  for job in (big, small)}
+        assert leased == {big.id: 2, small.id: 1}
+        assert len(multiprocessing.active_children()) == 3
+        # The small job does not wait behind the big one's units.
+        tick_until(supervisor,
+                   lambda: supervisor.queue.get(small.id).terminal)
+        assert supervisor.queue.get(small.id).state == STATE_DONE
+        assert supervisor.queue.get(big.id).state == STATE_RUNNING
+    finally:
+        supervisor.shutdown()
+
+
+def test_stopping_the_server_mid_unit_never_spends_an_attempt(tmp_path):
+    # Three stops with the same unit in flight, two graceful and one
+    # crash, would use up its max(3, 0 + 1) attempts if a hand-back
+    # counted, and the job would end FAILED.
+    root = str(tmp_path / "root")
+    job_id = None
+    for stop in ("graceful", "graceful", "crash"):
+        supervisor = Supervisor(root, max_jobs=1)
+        supervisor.recover()
+        if job_id is None:
+            job_id = supervisor.submit(sleepy_spec_doc(n=1, seconds=1.0)).id
+        [unit] = tick_until(supervisor, lambda: [
+            u for u in supervisor.queue.units_for_job(job_id)
+            if u.state == UNIT_LEASED])
+        assert unit.attempts == 1
+        if stop == "graceful":
+            supervisor.shutdown()
+        else:   # the server dies: its child goes, its lease stays behind
+            for child in multiprocessing.active_children():
+                child.terminate()
+                child.join()
+            supervisor.queue.close()
+
+    supervisor = Supervisor(root, max_jobs=1)
+    try:
+        supervisor.recover()
+        assert drive(supervisor, job_id).state == STATE_DONE
+        [unit] = supervisor.queue.units_for_job(job_id)
+        assert unit.attempts == 1 and unit.retry_history == []
     finally:
         supervisor.shutdown()
 
@@ -453,8 +657,8 @@ def test_http_cancel_queued_and_running(server):
     assert cancelled["state"] == STATE_CANCELLED
     assert client.job(queued["id"])["state"] == STATE_CANCELLED
 
-    # Cancelling a running job drains it: in-flight scenario recorded,
-    # terminal state CANCELLED.
+    # Cancelling a running job stops its in-flight units: terminal
+    # state CANCELLED, nothing recorded for what was stopped.
     target = running[0]["id"]
     deadline = time.monotonic() + 60
     while client.job(target)["state"] != STATE_RUNNING:
@@ -463,7 +667,7 @@ def test_http_cancel_queued_and_running(server):
     client.cancel(target)
     done = client.wait(target, timeout_s=60, poll_s=0.1)
     assert done["state"] == STATE_CANCELLED
-    assert "drained" in done["error"]
+    assert "cancelled" in done["error"]
     # The other running job is untouched.
     other = client.wait(running[1]["id"], timeout_s=60, poll_s=0.1)
     assert other["state"] == STATE_DONE
@@ -475,7 +679,7 @@ def test_server_restart_resumes_running_job_to_done(tmp_path):
     try:
         client = ServiceClient(first.url)
         job = client.submit(sleepy_spec_doc(n=3, seconds=1.2))
-        # Wait for the first scenario to land, then kill the server.
+        # Wait for the first scenario to land, then stop the server.
         deadline = time.monotonic() + 60
         while True:
             doc = client.job(job["id"])
@@ -484,11 +688,16 @@ def test_server_restart_resumes_running_job_to_done(tmp_path):
             assert time.monotonic() < deadline
             time.sleep(0.1)
         first.sigterm()
-        # The drain re-queued the job for resume.
+        # The units table is the durable state: the job stays RUNNING,
+        # and the unit in flight was handed back, not left LEASED.
         queue = JobQueue(str(tmp_path / "root" / "queue.db"))
-        requeued = queue.get(job["id"])
+        assert queue.get(job["id"]).state == STATE_RUNNING
+        units = queue.units_for_job(job["id"])
         queue.close()
-        assert requeued.state == STATE_QUEUED and requeued.resume
+        assert len(units) == 3
+        assert UNIT_LEASED not in {u.state for u in units}
+        done_before = {u.name for u in units if u.state == UNIT_DONE}
+        assert done_before
     finally:
         first.stop()
 
@@ -501,9 +710,20 @@ def test_server_restart_resumes_running_job_to_done(tmp_path):
         by_name = {r["scenario"]["name"]: r for r in results["records"]}
         assert len(by_name) == 3
         assert all(r["status"] == "ok" for r in by_name.values())
-        # The scenarios recorded before the kill were *resumed* from the
-        # campaign store, not replayed.
-        sources = [r.get("cache_source") for r in by_name.values()]
-        assert "store" in sources
+        # What finished before the stop was not run again, and the unit
+        # handed back at the stop did not spend an attempt.
+        units = client.job_units(job["id"])
+        assert [u["attempts"] for u in units] == [1, 1, 1]
     finally:
         second.stop()
+
+
+def test_http_reserves_the_local_worker_name(server):
+    client = ServiceClient(server.url)
+    for call in (lambda: client.register_worker("local"),
+                 lambda: client.lease("local")):
+        with pytest.raises(ServiceError) as exc:
+            call()
+        assert exc.value.status == 400
+    assert client.register_worker("w1")["name"] == "w1"
+    assert client.lease("w1") is None
