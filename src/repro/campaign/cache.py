@@ -32,13 +32,13 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .spec import Scenario
 from .store import STATUS_OK, _write_json
 
 __all__ = ["CACHE_FORMAT_VERSION", "canonical_json", "digest_of",
-           "digest_file", "digest_tree", "scenario_cache_key",
+           "digest_file", "digest_tree", "tree_files", "scenario_cache_key",
            "ResultCache"]
 
 #: Bump when the record schema or key composition changes; part of every
@@ -73,28 +73,31 @@ def digest_file(path: str) -> str:
     return h.hexdigest()
 
 
-def digest_tree(directory: str) -> str:
-    """SHA-256 over a directory's (relative name, bytes) pairs, walked in
-    sorted order — byte-identical trees digest identically regardless of
-    mtime or inode churn."""
-    h = hashlib.sha256()
-    for root, dirs, files in sorted(os.walk(directory)):
-        dirs.sort()
+def tree_files(directory: str) -> Iterator[Tuple[str, str]]:
+    """``(path, relative name)`` of every file of a trace tree, in sorted
+    order.  ``.tic`` sidecars are left out: they are derived artifacts
+    keyed to their source's bytes (repro.core.compile), so they are not
+    part of the tree's content address, never ship, and are not counted
+    as bytes a cache saved."""
+    for root, _dirs, files in sorted(os.walk(directory)):
         for name in sorted(files):
-            if name.endswith(".tic"):
-                # Compiled-program sidecars are derived artifacts keyed
-                # to their source's bytes (repro.core.compile): hashing
-                # them would make a warm compile cache change the trace's
-                # content address.
-                continue
-            path = os.path.join(root, name)
-            rel = os.path.relpath(path, directory)
-            h.update(rel.encode("utf-8"))
-            h.update(b"\0")
-            with open(path, "rb") as handle:
-                for chunk in iter(lambda: handle.read(1 << 20), b""):
-                    h.update(chunk)
-            h.update(b"\0")
+            if not name.endswith(".tic"):
+                path = os.path.join(root, name)
+                yield path, os.path.relpath(path, directory)
+
+
+def digest_tree(directory: str) -> str:
+    """SHA-256 over a directory's (relative name, bytes) pairs
+    (:func:`tree_files`) — byte-identical trees digest identically
+    regardless of mtime, inode churn or warm sidecars."""
+    h = hashlib.sha256()
+    for path, rel in tree_files(directory):
+        h.update(rel.encode("utf-8"))
+        h.update(b"\0")
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                h.update(chunk)
+        h.update(b"\0")
     return h.hexdigest()
 
 

@@ -24,6 +24,7 @@ child process is a :class:`ScenarioChild`, which is also the unit
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import signal
@@ -46,12 +47,30 @@ from .telemetry import CampaignMetrics
 __all__ = ["execute_scenario", "run_campaign", "CampaignResult",
            "ScenarioChild"]
 
-# fork keeps worker start-up at O(page tables) and inherits the parent's
-# imports; spawn (macOS/Windows) re-imports this module, which works but
-# costs an interpreter start per attempt.  Every process the campaign and
-# service tiers start uses this method.
+# fork keeps worker start-up at O(page tables), and the child inherits
+# every module the parent holds (see _UNIT_MODULES); spawn (macOS/Windows)
+# re-imports this module, which works but costs an interpreter start per
+# attempt.  Every process the campaign and service tiers start uses this
+# method.
 _START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                  else "spawn")
+
+#: Every module a unit may import lazily, whatever its trace kind,
+#: calibration kind or replay options (sharded replay, the fault modes
+#: and moe's RNG included).  The entry points never import them, so they
+#: start light; the first ScenarioChild of a process imports them, and
+#: every child forked after that inherits them instead of spending ~0.2 s
+#: re-importing numpy and the kernel.  Forking after numpy's import is
+#: safe: OpenBLAS quiesces its thread pool around fork (pthread_atfork).
+_UNIT_MODULES = (
+    "numpy.random",
+    "repro.apps", "repro.apps.classes", "repro.platforms",
+    "repro.core.acquisition", "repro.core.calibration",
+    "repro.core.replay", "repro.core.shard",
+    "repro.core.synth", "repro.core.synth_ai",
+    "repro.faults.checkpoint", "repro.faults.injector",
+    "repro.simkernel", "repro.simkernel.pwl", "repro.smpi",
+)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +338,10 @@ class ScenarioChild:
     """
 
     def __init__(self, sdict: dict, timeout_s: float, name: str) -> None:
+        # The warm fork: a no-op lookup per module once the first child
+        # of this process has paid for the imports.
+        for module in _UNIT_MODULES:
+            importlib.import_module(module)
         ctx = multiprocessing.get_context(_START_METHOD)
         self.conn, send_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(target=_scenario_worker,

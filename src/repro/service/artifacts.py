@@ -43,24 +43,22 @@ import tarfile
 import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..campaign.cache import ResultCache, digest_tree
+from ..campaign.cache import ResultCache, digest_tree, tree_files
 
 __all__ = ["ArtifactStore", "pack_tree_tar", "unpack_tree_tar"]
 
 
 def pack_tree_tar(root: str) -> bytes:
-    """A directory tree as an (uncompressed) tar archive, members in
-    sorted order — the wire format of the artifact fetch/push endpoints.
-    Trace bytes are already dense; compression would cost CPU on the
-    single-threaded server for little."""
+    """A trace tree as an (uncompressed) tar archive — the wire format of
+    the artifact fetch/push endpoints.  Members are exactly the files its
+    digest covers (:func:`tree_files`): a ``.tic`` sidecar would arrive
+    unverified, so it never ships.  Trace bytes are already dense;
+    compression would cost CPU on the single-threaded server for
+    little."""
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w") as tar:
-        for dirpath, dirs, files in os.walk(root):
-            dirs.sort()
-            for name in sorted(files):
-                full = os.path.join(dirpath, name)
-                tar.add(full, arcname=os.path.relpath(full, root),
-                        recursive=False)
+        for path, rel in tree_files(root):
+            tar.add(path, arcname=rel, recursive=False)
     return buf.getvalue()
 
 

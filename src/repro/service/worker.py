@@ -18,7 +18,9 @@ server can account ``bytes_shipped`` / ``bytes_saved_by_cache``.
 **One unit, one child.**  A unit is one attempt at one scenario in one
 :class:`~repro.campaign.runner.ScenarioChild` — the same the campaign
 runner's fleet uses — whose verdict (result, exception, timeout, death)
-arrives over a pipe; the *server* owns retry/backoff/quarantine.  While
+arrives over a pipe; the *server* owns retry/backoff/quarantine.  The
+worker starts without the replay stack; its first unit imports it, and
+every child after that is forked warm.  While
 the child runs, the parent heartbeats every ``lease_s / 3``.  A 409
 means the lease was lost (expired and requeued, or a speculative twin
 already won): the child is stopped on the spot and nothing is posted.
@@ -44,7 +46,7 @@ import time
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..campaign.cache import digest_tree
+from ..campaign.cache import digest_tree, tree_files
 from ..campaign.runner import ScenarioChild
 from .artifacts import unpack_tree_tar
 from .client import ServiceClient, ServiceError
@@ -135,10 +137,10 @@ class Worker:
         local = os.path.join(self.traces_dir, digest)
         if os.path.isdir(local):
             if digest_tree(local) == digest:
-                size = sum(
-                    os.path.getsize(os.path.join(dirpath, fname))
-                    for dirpath, _dirs, files in os.walk(local)
-                    for fname in files)
+                # The bytes a fetch would have shipped: sidecars this
+                # worker compiled itself do not count.
+                size = sum(os.path.getsize(path)
+                           for path, _rel in tree_files(local))
                 return local, 0, size
             # Corrupt local copy (torn fetch, disk trouble, chaos):
             # refuse to replay garbage — drop it and fetch fresh bytes.

@@ -5,17 +5,20 @@ content digest, the remote worker end-to-end over HTTP, and the chaos
 path — SIGKILLed workers, corrupted staged artifacts, and a server
 restart mid-campaign — all converging to byte-identical results."""
 
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tarfile
 import time
 
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.cache import canonical_json, digest_tree
+from repro.core.compile import compile_source
 from repro.core.synth import write_synthetic_lu_trace
 from repro.service import (
     STATE_DONE, STATE_RUNNING, UNIT_DONE, UNIT_LEASED, UNIT_PENDING,
@@ -265,6 +268,22 @@ def test_trace_tar_round_trip_is_content_addressed(tmp_path):
     assert pack_tree_tar(dst) == data
 
 
+def test_sidecars_grown_in_the_store_never_ship(tmp_path):
+    src = str(tmp_path / "trace")
+    write_synthetic_lu_trace(src, 4, 2, cls="S", inorm=1)
+    store = ArtifactStore(str(tmp_path / "store"))
+    staged, _hit = store.stage_trace_dir(src)
+    digest = digest_tree(src)
+    cold = store.export_trace_tar(digest)
+    compile_source(staged)      # what the server's own replays leave
+    assert any(name.endswith(".tic") for name in os.listdir(staged))
+    data = store.export_trace_tar(digest)
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        names = tar.getnames()
+    assert names and not [name for name in names if name.endswith(".tic")]
+    assert data == cold
+
+
 def test_import_trace_tar_refuses_corrupt_bytes(tmp_path):
     src = str(tmp_path / "trace")
     write_synthetic_lu_trace(src, 2, 1, cls="S", inorm=1)
@@ -282,9 +301,6 @@ def test_import_trace_tar_refuses_corrupt_bytes(tmp_path):
 
 
 def test_unpack_refuses_traversal_and_specials(tmp_path):
-    import io
-    import tarfile
-
     for name in ("/etc/evil", "../escape", "a/../../b"):
         buf = io.BytesIO()
         with tarfile.open(fileobj=buf, mode="w") as tar:

@@ -1,17 +1,21 @@
 """In-process ``Worker`` over a fake client: what one leased unit turns
 into (ok / failed / timeout / died), and what the worker promises while
 it runs — one child per unit, heartbeats, a lost lease stops the
-scenario, an unreachable server is waited out."""
+scenario, an unreachable server is waited out — and what staging a
+cached artifact reports."""
 
 import multiprocessing
 import os
+import shutil
 import signal
 import time
 
 import pytest
 
 from repro.campaign import Scenario, TraceSpec, runner
+from repro.campaign.cache import digest_tree
 from repro.campaign.runner import execute_scenario
+from repro.core.synth import write_synthetic_lu_trace
 from repro.service import ServiceError, Worker, deterministic_projection
 
 from tests.test_campaign import _exit_3, lu_scenario
@@ -201,6 +205,24 @@ def test_sigterm_finishes_the_unit_in_flight_then_stops(tmp_path):
         signal.signal(signal.SIGTERM, previous)
     assert [doc["status"] for doc in client.posted] == ["ok"]
     assert len(client.grants) == 1      # the second unit was never leased
+
+
+# ----------------------------------------------------------------------
+# Staging
+# ----------------------------------------------------------------------
+def test_cached_bytes_leave_out_the_sidecars_a_replay_adds(tmp_path):
+    src = str(tmp_path / "trace")
+    write_synthetic_lu_trace(src, 4, 2, cls="S", inorm=1)
+    digest = digest_tree(src)
+    worker = make_worker(tmp_path, FakeClient())
+    shutil.copytree(src, os.path.join(worker.traces_dir, digest))
+    local, fetched, cached = worker._stage_digest(digest)
+    assert (fetched, cached) == (0, sum(
+        os.path.getsize(os.path.join(src, name)) for name in os.listdir(src)))
+    execute_scenario(lu_scenario(
+        trace=TraceSpec(kind="dir", path=local)).to_dict())
+    assert any(name.endswith(".tic") for name in os.listdir(local))
+    assert worker._stage_digest(digest) == (local, 0, cached)
 
 
 # ----------------------------------------------------------------------
