@@ -75,10 +75,10 @@ def run_campaign_bench():
         "",
         f"{'configuration':<28} {'wall':>8} {'speedup':>8} {'util':>6}",
         f"{'serial (jobs=1)':<28} {serial.metrics.wall_seconds:>7.2f}s "
-        f"{1.0:>7.2f}x {100 * serial.metrics.utilization:>5.0f}%",
+        f"{1.0:>7.2f}x {100 * serial.metrics.worker_utilization:>5.0f}%",
         f"{'fleet (jobs=' + str(JOBS) + ')':<28} "
         f"{parallel.metrics.wall_seconds:>7.2f}s {speedup:>7.2f}x "
-        f"{100 * parallel.metrics.utilization:>5.0f}%",
+        f"{100 * parallel.metrics.worker_utilization:>5.0f}%",
         f"{'rerun (content cache)':<28} "
         f"{rerun.metrics.wall_seconds:>7.2f}s "
         f"{serial.metrics.wall_seconds / rerun.metrics.wall_seconds:>7.2f}x "
@@ -105,4 +105,4 @@ def test_campaign_runner_speedup_and_cache(benchmark):
     assert rerun.metrics.replays_executed == 0
     assert rerun.metrics.wall_seconds < 2.0
     # The fleet ran genuinely overlapped, not accidentally serial.
-    assert parallel.metrics.utilization > 0.5
+    assert parallel.metrics.worker_utilization > 0.5

@@ -102,7 +102,7 @@ def run_fig8():
         f"(calibrated flop rate: {flops.rate:.4g} flop/s, "
         f"spread {100 * flops.spread:.2f}%)",
         f"(campaign of {campaign.metrics.scenarios_total} scenarios, "
-        f"{campaign.metrics.workers} workers, "
+        f"{campaign.metrics.jobs} workers, "
         f"{campaign.metrics.cached_hits} cache hits)",
         "",
         f"{'inst.':>6} {'actual':>10} {'simulated':>10} {'rel.err':>9}",

@@ -8,8 +8,11 @@ objects:
 
 * :mod:`~repro.campaign.spec` — declarative scenario/campaign
   descriptions with cross-product grid expansion;
-* :mod:`~repro.campaign.runner` — a bounded worker-process fleet with
-  per-scenario timeouts, bounded retries, and graceful degradation;
+* :mod:`~repro.campaign.runner` — one scenario in one child process,
+  and ``run_campaign``, which runs a campaign as one job of work units;
+* :mod:`~repro.campaign.queue` / :mod:`~repro.campaign.dispatch` — the
+  persistent job queue and the dispatcher with its one retry policy,
+  shared with :mod:`repro.service`;
 * :mod:`~repro.campaign.cache` — content-addressed result caching, so a
   re-run only replays what actually changed;
 * :mod:`~repro.campaign.store` / :mod:`~repro.campaign.report` — JSON

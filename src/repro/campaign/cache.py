@@ -197,11 +197,3 @@ class ResultCache:
             "result": payload,
             "created_at": time.time(),
         })
-
-    def __len__(self) -> int:
-        count = 0
-        if not os.path.isdir(self.root):
-            return 0
-        for _root, _dirs, files in os.walk(self.root):
-            count += sum(1 for f in files if f.endswith(".json"))
-        return count

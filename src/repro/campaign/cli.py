@@ -144,6 +144,13 @@ def main_campaign(argv: Optional[List[str]] = None) -> int:
               f"({metrics.cached_hits} cached, {metrics.failed} failed, "
               f"{metrics.replays_executed} replays executed) in "
               f"{metrics.wall_seconds:.2f}s")
+        if result.interrupted:
+            unlaunched = [s.name for s in spec.scenarios
+                          if s.name not in result.records]
+            print(f"interrupted: {len(unlaunched)} scenario(s) not run: "
+                  f"{', '.join(unlaunched)}; rerun with --resume to "
+                  f"finish", file=sys.stderr)
+            return 1
         if not result.ok:
             print(f"failed: {', '.join(result.failed_names)}",
                   file=sys.stderr)

@@ -1,9 +1,10 @@
 """Persistent job queue with weighted fair-share across tenants.
 
 One job = one campaign spec submitted by one *tenant*.  The queue is a
-single SQLite file (WAL mode) inside the service root, so every
-transition survives a server crash — on restart the supervisor finds
-exactly the jobs and work units it was running and adopts them.
+single SQLite file (WAL mode) inside the campaign directory
+(``run_campaign``) or the service root, so every transition survives a
+crash — on restart the supervisor finds exactly the jobs and work units
+it was running and adopts them.
 
 **Lifecycle.**  Every job walks the explicit state machine::
 
@@ -35,16 +36,22 @@ import os
 import sqlite3
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from .store import STATUS_FAILED
+
 __all__ = [
-    "Job", "JobQueue", "WorkUnit", "LeaseLostError",
+    "Job", "JobQueue", "WorkUnit", "LeaseLostError", "LOCAL_WORKER",
     "STATE_QUEUED", "STATE_STAGING", "STATE_RUNNING", "STATE_DONE",
     "STATE_FAILED", "STATE_CANCELLED", "TERMINAL_STATES",
     "UNIT_PENDING", "UNIT_LEASED", "UNIT_DONE", "UNIT_QUARANTINED",
-    "UNIT_CANCELLED", "UNIT_TERMINAL_STATES",
+    "UNIT_CANCELLED", "UNIT_STATES",
 ]
+
+#: The worker name in-process slots lease units under (reserved: a
+#: remote worker may not register it).
+LOCAL_WORKER = "local"
 
 STATE_QUEUED = "QUEUED"
 STATE_STAGING = "STAGING"
@@ -73,8 +80,8 @@ UNIT_DONE = "DONE"
 UNIT_QUARANTINED = "QUARANTINED"
 UNIT_CANCELLED = "CANCELLED"
 
-UNIT_TERMINAL_STATES = frozenset(
-    {UNIT_DONE, UNIT_QUARANTINED, UNIT_CANCELLED})
+UNIT_STATES = (UNIT_PENDING, UNIT_LEASED, UNIT_DONE, UNIT_QUARANTINED,
+               UNIT_CANCELLED)
 
 
 class LeaseLostError(Exception):
@@ -181,17 +188,7 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id, "tenant": self.tenant,
-            "priority": self.priority, "state": self.state,
-            "campaign": self.campaign, "n_scenarios": self.n_scenarios,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "resume": self.resume,
-            "cancel_requested": self.cancel_requested,
-            "error": self.error, "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 def _row_to_job(row: sqlite3.Row) -> Job:
@@ -227,9 +224,13 @@ class WorkUnit:
 
     ``leases`` is the list of *active* leases — normally one; two during
     a speculative re-execution window (first result wins).  ``attempts``
-    counts lease grants, and every lost attempt (expiry or failure)
-    lands in ``retry_history`` with the same shape the campaign runner
-    uses, plus ``worker``/``resumed``/``speculative`` tags.
+    counts lease grants, and every lost attempt lands in
+    ``retry_history`` as ``{attempt, status, error_type, message,
+    backoff_s, worker, wall_seconds}`` — ``status`` in the
+    :class:`~repro.campaign.store.RunRecord` vocabulary (``failed``,
+    ``timeout``) or ``lease_expired``, ``backoff_s`` 0.0 unless the
+    unit was requeued with a backoff — plus ``resumed`` /
+    ``speculative`` tags.
     """
 
     id: str
@@ -254,25 +255,8 @@ class WorkUnit:
     finished_at: Optional[float] = None
     duration: Optional[float] = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in UNIT_TERMINAL_STATES
-
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id, "job_id": self.job_id, "seq": self.seq,
-            "name": self.name, "scenario": self.scenario,
-            "cache_key": self.cache_key, "digests": list(self.digests),
-            "state": self.state, "attempts": self.attempts,
-            "max_attempts": self.max_attempts, "backoff_s": self.backoff_s,
-            "ready_at": self.ready_at,
-            "speculative_eligible": self.speculative_eligible,
-            "leases": list(self.leases),
-            "retry_history": list(self.retry_history),
-            "error": self.error, "winner": self.winner,
-            "created_at": self.created_at, "started_at": self.started_at,
-            "finished_at": self.finished_at, "duration": self.duration,
-        }
+        return asdict(self)
 
 
 def _row_to_unit(row: sqlite3.Row) -> WorkUnit:
@@ -296,6 +280,19 @@ def _row_to_unit(row: sqlite3.Row) -> WorkUnit:
         created_at=row["created_at"], started_at=row["started_at"],
         finished_at=row["finished_at"], duration=row["duration"],
     )
+
+
+def _history_entry(lease: Dict[str, Any], status: str, error_type: str,
+                   message: str, backoff_s: float,
+                   wall_seconds: float) -> Dict[str, Any]:
+    """The ``retry_history`` entry of one lost attempt."""
+    entry = {"attempt": lease["attempt"], "status": status,
+             "error_type": error_type, "message": str(message)[:1000],
+             "backoff_s": round(backoff_s, 6), "worker": lease["worker"],
+             "wall_seconds": round(wall_seconds, 6)}
+    if lease.get("speculative"):
+        entry["speculative"] = True
+    return entry
 
 
 class JobQueue:
@@ -525,15 +522,10 @@ class JobQueue:
             "SELECT * FROM units WHERE job_id = ? ORDER BY seq ASC",
             (job_id,))]
 
-    def list_units(self, state: Optional[str] = None) -> List[WorkUnit]:
-        if state:
-            rows = self._db.execute(
-                "SELECT * FROM units WHERE state = ?"
-                " ORDER BY created_at ASC, rowid ASC", (state,))
-        else:
-            rows = self._db.execute(
-                "SELECT * FROM units ORDER BY created_at ASC, rowid ASC")
-        return [_row_to_unit(r) for r in rows]
+    def list_units(self, state: str) -> List[WorkUnit]:
+        return [_row_to_unit(r) for r in self._db.execute(
+            "SELECT * FROM units WHERE state = ?"
+            " ORDER BY created_at ASC, rowid ASC", (state,))]
 
     def _update_unit(self, unit: WorkUnit, **cols: Any) -> None:
         sets, args = [], []
@@ -680,10 +672,12 @@ class JobQueue:
                 "superseded": superseded}
 
     def fail_unit(self, unit_id: str, worker: str, token: str, *,
-                  error: str, status: str = "error",
+                  error: str, status: str = STATUS_FAILED,
+                  error_type: str = "", wall_seconds: float = 0.0,
                   now: Optional[float] = None) -> WorkUnit:
-        """A worker reports an attempt failed: drop its lease, requeue
-        with exponential backoff, or quarantine after ``max_attempts``."""
+        """A worker reports an attempt ``failed`` (or ``timeout``) with
+        ``error_type: error``: drop its lease, requeue with exponential
+        backoff, or quarantine after ``max_attempts``."""
         now = time.time() if now is None else now
         unit = self.get_unit(unit_id)
         self.worker_seen(worker, now)
@@ -693,13 +687,11 @@ class JobQueue:
                 f"unit {unit_id}: failure report from superseded lease"
                 f" of {worker!r} ignored (unit is {unit.state})")
         remaining = [l for l in unit.leases if l["token"] != token]
-        backoff = unit.backoff_s * (2 ** max(0, unit.attempts - 1))
-        entry = {"attempt": lease["attempt"], "status": status,
-                 "worker": worker, "message": str(error)[:1000],
-                 "backoff_s": round(backoff, 6)}
-        if lease.get("speculative"):
-            entry["speculative"] = True
-        history = unit.retry_history + [entry]
+        requeue = not remaining and unit.attempts < unit.max_attempts
+        backoff = (unit.backoff_s * (2 ** max(0, unit.attempts - 1))
+                   if requeue else 0.0)
+        history = unit.retry_history + [_history_entry(
+            lease, status, error_type, error, backoff, wall_seconds)]
         self._db.execute(
             "UPDATE workers SET units_failed = units_failed + 1"
             " WHERE name = ?", (worker,))
@@ -707,14 +699,14 @@ class JobQueue:
             # The other (speculative) copy is still running; let it race.
             self._update_unit(unit, leases=remaining,
                               retry_history=history)
-        elif unit.attempts >= unit.max_attempts:
-            self._quarantine(unit, history, error, now)
-        else:
+        elif requeue:
             self._update_unit(
                 unit, state=UNIT_PENDING, leases=[],
                 retry_history=history, ready_at=now + backoff,
                 speculative_eligible=0)
             self.incr_counter("units_requeued")
+        else:
+            self._quarantine(unit, history, error, now)
         return self.get_unit(unit_id)
 
     def _quarantine(self, unit: WorkUnit, history: List[Dict[str, Any]],
@@ -742,11 +734,10 @@ class JobQueue:
                 continue
             history = list(unit.retry_history)
             for lease in dropped:
-                entry = {"attempt": lease["attempt"],
-                         "status": "lease_expired",
-                         "worker": lease["worker"], "backoff_s": 0.0}
-                if lease.get("speculative"):
-                    entry["speculative"] = True
+                entry = _history_entry(
+                    lease, "lease_expired", "LeaseExpired",
+                    f"lease of worker {lease['worker']} expired", 0.0,
+                    now - lease["granted_at"])
                 if resumed:
                     entry["resumed"] = True
                 history.append(entry)
@@ -764,7 +755,8 @@ class JobQueue:
                     f"lease expired on final attempt {unit.attempts}"
                     f" (worker {dropped[-1]['worker']})", now)
             else:
-                # Worker death is not the unit's fault: requeue with no
+                # The attempt is spent, as on a WorkerDied verdict, but
+                # worker death is not the unit's fault: requeue with no
                 # backoff so recovery is immediate.
                 self._update_unit(
                     unit, state=UNIT_PENDING, leases=[],
@@ -789,14 +781,22 @@ class JobQueue:
         self._db.commit()
         return cur.rowcount
 
-    def unit_states_for_job(self, job_id: str) -> Dict[str, int]:
-        states = {UNIT_PENDING: 0, UNIT_LEASED: 0, UNIT_DONE: 0,
-                  UNIT_QUARANTINED: 0, UNIT_CANCELLED: 0}
+    def unit_states(self, job_id: Optional[str] = None) -> Dict[str, int]:
+        """Units by state: one job's, or the whole queue's."""
+        where, args = ("WHERE job_id = ?", (job_id,)) if job_id else ("", ())
+        states = dict.fromkeys(UNIT_STATES, 0)
         for row in self._db.execute(
-                "SELECT state, COUNT(*) AS n FROM units WHERE job_id = ?"
-                " GROUP BY state", (job_id,)):
+                f"SELECT state, COUNT(*) AS n FROM units {where}"
+                " GROUP BY state", args):
             states[row["state"]] = row["n"]
         return states
+
+    def next_ready_at(self, job_id: str, after: float) -> Optional[float]:
+        """When the job's next backing-off unit becomes leasable (unix
+        time later than ``after``), or None."""
+        return self._db.execute(
+            "SELECT MIN(ready_at) FROM units WHERE job_id = ? AND state = ?"
+            " AND ready_at > ?", (job_id, UNIT_PENDING, after)).fetchone()[0]
 
     def done_unit_durations(self, tenant: str) -> List[float]:
         """Durations of this tenant's DONE units (straggler p95 input)."""
@@ -879,11 +879,3 @@ class JobQueue:
         for row in self._db.execute("SELECT name, value FROM dcounters"):
             counters[row["name"]] = row["value"]
         return counters
-
-    def units_by_state_doc(self) -> Dict[str, int]:
-        states = {UNIT_PENDING: 0, UNIT_LEASED: 0, UNIT_DONE: 0,
-                  UNIT_QUARANTINED: 0, UNIT_CANCELLED: 0}
-        for row in self._db.execute(
-                "SELECT state, COUNT(*) AS n FROM units GROUP BY state"):
-            states[row["state"]] = row["n"]
-        return states

@@ -1,25 +1,21 @@
-"""Campaign execution: a managed fleet of replay workers.
-
-``run_campaign`` turns a :class:`~repro.campaign.spec.CampaignSpec` into
-results: each scenario becomes one worker *process* (the replay kernel is
-pure Python — processes, not threads, are the unit of parallelism), at
-most ``jobs`` of them alive at once, each bounded by the scenario's
-``timeout_s`` and retried with exponential backoff up to its
-``max_retries``.  A scenario that keeps failing is *recorded* — status,
-last traceback — and the campaign moves on; one broken point never kills
-a sweep (§6's tables want every cell that can be produced).
-
-Before anything is launched, every scenario is looked up in the
-content-addressed :class:`~repro.campaign.cache.ResultCache` (and, under
-``--resume``, in the campaign's own run store): a hit is served without
-spawning a worker, which is what makes re-running a dozens-of-scenarios
-campaign after editing one platform file replay exactly the affected
-scenarios.
+"""Campaign execution: one scenario in one child, and ``run_campaign``.
 
 The worker side, :func:`execute_scenario`, is an ordinary module-level
-function over the (picklable) scenario dict; one attempt at it in one
-child process is a :class:`ScenarioChild`, which is also the unit
-``repro-worker`` (:mod:`repro.service.worker`) ships.
+function over the (picklable) scenario dict.  One attempt at it in one
+child process is a :class:`ScenarioChild` (the replay kernel is pure
+Python: processes, not threads, are the unit of parallelism) — the unit
+``run_campaign``, the service's local slots and ``repro-worker`` all
+run.
+
+``run_campaign`` turns a :class:`~repro.campaign.spec.CampaignSpec` into
+results as one job of work units (:mod:`repro.campaign.dispatch`) run in
+this process.  Cached scenarios are served without a child, which is
+what makes re-running a dozens-of-scenarios campaign after editing one
+platform file replay exactly the affected scenarios; the rest run
+``jobs`` at a time under the dispatcher's retry policy.  A scenario that
+keeps failing is *recorded* — status, last traceback — and the campaign
+moves on; one broken point never kills a sweep (§6's tables want every
+cell that can be produced).
 """
 
 from __future__ import annotations
@@ -29,19 +25,15 @@ import multiprocessing
 import os
 import signal
 import tempfile
-import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
-from multiprocessing.connection import wait as conn_wait
 from typing import Callable, Dict, List, Optional
 
-from .cache import ResultCache, scenario_cache_key
+from .cache import ResultCache
+from .queue import STATE_CANCELLED, STATE_STAGING, JobQueue
 from .spec import CampaignSpec, PlatformSpec, Scenario
-from .store import (
-    STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, CampaignStore, RunRecord,
-)
+from .store import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, RunRecord
 from .telemetry import CampaignMetrics
 
 __all__ = ["execute_scenario", "run_campaign", "CampaignResult",
@@ -290,10 +282,10 @@ def execute_scenario(sdict: dict) -> dict:
 
 def _scenario_worker(conn, sdict: dict) -> None:
     """Process entry point: run, report through the pipe, exit."""
-    # A forked worker inherits the runner's SIGTERM *drain* handler,
-    # under which the timeout's terminate() only sets a flag in here
-    # and the hung scenario sleeps on.  A SIGTERM aimed at a worker
-    # kills it; SIGINT keeps Python's default (KeyboardInterrupt, which
+    # A forked worker inherits the local slots' SIGTERM handler, under
+    # which the timeout's terminate() would cancel the whole campaign
+    # and the hung scenario would sleep on.  A SIGTERM aimed at a
+    # worker kills it; SIGINT keeps Python's default (KeyboardInterrupt, which
     # the worker reports through the pipe like any other failure).
     # Forked from the asyncio service: drop the inherited wakeup fd too,
     # or a signal caught in here is echoed to the server's event loop.
@@ -385,26 +377,11 @@ class ScenarioChild:
         self.conn.close()
 
 
+
+
 # ----------------------------------------------------------------------
-# Scheduler side
+# The campaign as one job
 # ----------------------------------------------------------------------
-@dataclass
-class _Job:
-    scenario: Scenario
-    key: str
-    attempt: int = 0          # completed attempts so far
-    ready_at: float = 0.0     # monotonic instant the job may launch
-    #: Why each failed attempt failed: {attempt, status, error_type,
-    #: message, backoff_s}.  Lands on the RunRecord as retry_history.
-    history: List[dict] = field(default_factory=list)
-
-
-@dataclass
-class _Live:
-    job: _Job
-    child: ScenarioChild
-
-
 @dataclass
 class CampaignResult:
     """What ``run_campaign`` hands back (everything is also on disk)."""
@@ -412,10 +389,10 @@ class CampaignResult:
     out_dir: str
     records: Dict[str, RunRecord] = field(default_factory=dict)
     metrics: Optional[CampaignMetrics] = None
-    #: True when a SIGTERM drained the campaign early: in-flight
-    #: scenarios were finished and recorded, the rest never launched.
-    #: The manifest then carries ``interrupted: true`` and the campaign
-    #: is resumable (``--resume`` re-runs exactly the missing records).
+    #: True when a SIGTERM cancelled the campaign: in-flight scenarios
+    #: were stopped and nothing was recorded for them.  The manifest
+    #: then carries ``interrupted: true`` and the campaign is resumable
+    #: (``--resume`` re-runs exactly the missing records).
     interrupted: bool = False
 
     @property
@@ -436,206 +413,50 @@ def run_campaign(
     cache_dir: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> CampaignResult:
-    """Execute a campaign: cache lookups, then the bounded worker fleet.
+    """Execute a campaign as one job of work units, run in this process.
 
-    ``out_dir`` receives ``runs/`` + ``manifest.json`` (+ the cache,
-    unless ``cache_dir`` points elsewhere).  ``resume`` additionally
-    serves scenarios whose stored run record already succeeded with the
-    same cache key.  ``use_cache=False`` forces every scenario to
-    execute (records are still written to the cache for next time).
+    ``out_dir`` receives ``runs/`` + ``manifest.json``, the job's
+    ``queue.db`` and ``events.jsonl`` (+ the cache, unless ``cache_dir``
+    points elsewhere).  The job runs ``spec.jobs`` units at once, or
+    ``jobs`` when given.  ``resume`` additionally serves scenarios whose
+    stored run record already succeeded with the same cache key.
+    ``use_cache=False`` forces every scenario to execute (results are
+    still cached for next time).
 
-    **Graceful shutdown**: when the calling thread is the main thread, a
-    ``SIGTERM`` received mid-campaign drains the fleet instead of
-    killing it — nothing new launches, in-flight scenarios run to their
-    natural end (timeouts still enforced) and are recorded, and the
-    manifest is written with ``interrupted: true`` plus the names never
-    launched.  A later ``--resume`` run re-executes exactly the missing
-    records; everything drained is served from the store.
+    **SIGTERM cancels** when the calling thread is the main thread: the
+    job's units are cancelled, in-flight children are stopped and
+    nothing is recorded for them, and the manifest says ``interrupted:
+    true`` with the scenarios left ``unlaunched``.  A later ``--resume``
+    serves what was recorded and runs the rest.
     """
-    jobs = jobs if jobs is not None else spec.jobs
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    emit = log if log is not None else (lambda _msg: None)
-    store = CampaignStore(out_dir)
+    # Imported here: dispatch imports ScenarioChild from this module.
+    from .dispatch import Dispatcher, _LocalSlots
+
+    if jobs is not None:
+        spec = dc_replace(spec, jobs=jobs)
     cache = ResultCache(cache_dir or os.path.join(out_dir, "cache"))
-    metrics = CampaignMetrics(jobs)
-    metrics.scenarios_total = len(spec.scenarios)
-    records: Dict[str, RunRecord] = {}
-    pending: deque = deque()
-    t_start = time.perf_counter()
-
-    # -- graceful-drain plumbing ----------------------------------------
-    draining = {"flag": False}
-
-    def _on_sigterm(_signum, _frame):
-        if not draining["flag"]:
-            draining["flag"] = True
-            emit(f"[{spec.name}] SIGTERM: draining — finishing in-flight "
-                 f"scenarios, launching nothing new")
-
-    # -- phase 1: serve what is already known ---------------------------
-    lookup = cache.get if use_cache else (lambda _key: None)
-    for scenario in spec.scenarios:
-        key = scenario_cache_key(scenario)
-        record, prior_history = store.serve_known(scenario, key, lookup,
-                                                  resume)
-        if record is None:
-            pending.append(_Job(scenario, key, history=prior_history))
-            continue
-        records[scenario.name] = record
-        metrics.completed += 1
-        metrics.cached_hits += 1
-        if record.cache_source == "store":
-            metrics.cached_from_store += 1
-        emit(f"[{spec.name}] {scenario.name}: served from "
-             f"{record.cache_source} (key {key[:12]})")
-
-    # -- phase 2: the fleet ---------------------------------------------
-    # The drain handler goes in only around the fleet (phase 1 is quick,
-    # pure bookkeeping) and only on the main thread — a campaign driven
-    # from a worker thread keeps the process's own SIGTERM semantics.
-    prev_handler = None
-    handler_installed = False
-    if threading.current_thread() is threading.main_thread():
-        try:
-            prev_handler = signal.signal(signal.SIGTERM, _on_sigterm)
-            handler_installed = True
-        except ValueError:  # pragma: no cover - embedded interpreters
-            pass
-
-    live: Dict[object, _Live] = {}
-
-    def launch(job: _Job) -> None:
-        child = ScenarioChild(job.scenario.to_dict(),
-                              job.scenario.timeout_s,
-                              name=f"campaign-{job.scenario.name}")
-        live[child.conn] = _Live(job, child)
-        metrics.replays_executed += 1
-        emit(f"[{spec.name}] {job.scenario.name}: attempt "
-             f"{job.attempt} started")
-
-    def record_outcome(job: _Job, status: str, body: dict,
-                       busy: float) -> None:
-        """One attempt ended: ``body`` is the result payload when
-        ``status`` is ok, else the error document."""
-        metrics.attempts += 1
-        metrics.worker_busy_seconds += busy
-        scenario = job.scenario
-        if status == STATUS_OK:
-            cache.put_result(job.key, scenario.name, body)
-            record = RunRecord(
-                name=scenario.name, cache_key=job.key, status=STATUS_OK,
-                attempts=job.attempt, cache_hit=False,
-                wall_seconds=busy, scenario=scenario.to_dict(),
-                result=body, retry_history=list(job.history),
-            )
-            metrics.completed += 1
-            emit(f"[{spec.name}] {scenario.name}: ok "
-                 f"(simulated {body.get('simulated_time', 0.0):.4g}s, "
-                 f"{busy:.2f}s wall)")
-        else:
-            # Every failed attempt is remembered — *why* it failed
-            # (timeout vs exception) and the backoff it triggered.
-            job.history.append({
-                "attempt": job.attempt,
-                "status": status,
-                "error_type": body.get("type", ""),
-                "message": body.get("message", ""),
-                "backoff_s": 0.0,
-            })
-            # Failed attempt: retry with backoff while budget remains —
-            # unless the campaign is draining, in which case a retry
-            # would never launch and the failure is recorded as final.
-            if job.attempt <= scenario.max_retries and not draining["flag"]:
-                delay = spec.retry_backoff * (2 ** (job.attempt - 1))
-                job.history[-1]["backoff_s"] = delay
-                job.ready_at = time.monotonic() + delay
-                pending.append(job)
-                metrics.retries += 1
-                emit(f"[{spec.name}] {scenario.name}: attempt "
-                     f"{job.attempt} {status}; retrying in {delay:.2f}s "
-                     f"({scenario.max_retries - job.attempt + 1} left)")
-                return
-            record = RunRecord(
-                name=scenario.name, cache_key=job.key, status=status,
-                attempts=job.attempt, cache_hit=False,
-                wall_seconds=busy, scenario=scenario.to_dict(),
-                error=body, retry_history=list(job.history),
-            )
-            metrics.failed += 1
-            emit(f"[{spec.name}] {scenario.name}: {status} after "
-                 f"{job.attempt} attempt(s): {body.get('message', '')}")
-        store.write_run(record)
-        records[scenario.name] = record
-
+    events = os.path.join(out_dir, "events.jsonl")
+    queue = JobQueue(os.path.join(out_dir, "queue.db"))
+    dispatcher = Dispatcher(
+        queue, cache, spec=lambda _job_id: spec,
+        campaign_dir=lambda _job_id: out_dir,
+        events_path=lambda _job_id: events,
+        lookup=lambda _job, key: cache.get(key) if use_cache else None,
+        log=log)
     try:
-        while pending or live:
-            now = time.monotonic()
-            # Launch every ready job a free worker slot can take.
-            if not draining["flag"] and len(live) < jobs and pending:
-                deferred: List[_Job] = []
-                while pending and len(live) < jobs:
-                    job = pending.popleft()
-                    if job.ready_at <= now:
-                        job.attempt += 1
-                        launch(job)
-                    else:
-                        deferred.append(job)
-                pending.extendleft(reversed(deferred))
-            if not live:
-                if draining["flag"]:
-                    break   # drained: whatever is pending never launches
-                # Everything pending is backing off; sleep to the earliest.
-                wake = min(job.ready_at for job in pending)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            # Wait for the next completion, timeout, or backoff expiry.
-            horizon = min(entry.child.deadline for entry in live.values())
-            ready_jobs = [job.ready_at for job in pending
-                          if job.ready_at > now]
-            if not draining["flag"] and len(live) < jobs and ready_jobs:
-                horizon = min(horizon, min(ready_jobs))
-            ready = conn_wait(list(live.keys()),
-                              timeout=max(0.0, horizon - time.monotonic()))
-
-            now = time.monotonic()
-            for conn in ready:
-                entry = live.pop(conn)
-                record_outcome(entry.job, *entry.child.collect(),
-                               now - entry.child.started)
-
-            # Enforce timeouts on whoever is still running.
-            for conn in [c for c, e in live.items()
-                         if now >= e.child.deadline]:
-                entry = live.pop(conn)
-                metrics.timeouts += 1
-                record_outcome(entry.job, *entry.child.expire(),
-                               now - entry.child.started)
+        # A run killed outright leaves its job behind; none of its units
+        # may run as part of this one.
+        for stale in queue.unfinished_jobs():
+            queue.cancel_units(stale.id)
+            queue.set_state(stale.id, STATE_CANCELLED,
+                            error="abandoned by a run that did not finish")
+        job_id = queue.submit("default", spec.name, len(spec.scenarios)).id
+        dispatcher.start_job(queue.set_state(job_id, STATE_STAGING,
+                                             resume=resume))
+        job = _LocalSlots(dispatcher).run(job_id)
+        records = dispatcher.records(job_id)
     finally:
-        if handler_installed:
-            signal.signal(signal.SIGTERM, prev_handler)
-
-    interrupted = draining["flag"]
-    metrics.wall_seconds = time.perf_counter() - t_start
-    # Manifest in spec order, whatever order scenarios finished in.
-    ordered = [records[s.name] for s in spec.scenarios if s.name in records]
-    extra = None
-    if interrupted:
-        unlaunched = [s.name for s in spec.scenarios
-                      if s.name not in records]
-        extra = {"interrupted": True, "unlaunched": unlaunched}
-    store.write_manifest(spec.to_dict(), metrics.as_dict(), ordered,
-                         extra=extra)
-    if interrupted:
-        emit(f"[{spec.name}] drained: {metrics.completed} recorded, "
-             f"{len(spec.scenarios) - len(records)} never launched; "
-             f"manifest is resumable")
-    else:
-        emit(f"[{spec.name}] done: "
-             f"{metrics.completed}/{metrics.scenarios_total} "
-             f"ok ({metrics.cached_hits} cached, {metrics.failed} failed) "
-             f"in {metrics.wall_seconds:.2f}s, utilization "
-             f"{100 * metrics.utilization:.0f}%")
-    return CampaignResult(out_dir=out_dir, records=records, metrics=metrics,
-                          interrupted=interrupted)
+        queue.close()
+    return CampaignResult(out_dir=out_dir, records=records,
+                          metrics=CampaignMetrics(**job.metrics),
+                          interrupted=job.state == STATE_CANCELLED)

@@ -130,13 +130,6 @@ class ArtifactStore:
                     "result_hits" if record is not None else "result_misses")
         return record
 
-    def put_result(self, key: str, record: Dict[str, Any],
-                   tenant: str = "default") -> str:
-        path = self.results.put(key, record)
-        if self.max_bytes:
-            self.evict()
-        return path
-
     # -- staged trace trees ----------------------------------------------
     def trace_path(self, digest: str) -> str:
         return os.path.join(self.traces_dir, digest)

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["ServiceClient", "ServiceError"]
 
-#: Job states a client may wait for (mirrors repro.service.queue).
+#: Job states a client may wait for (mirrors repro.campaign.queue).
 _TERMINAL = {"DONE", "FAILED", "CANCELLED"}
 
 

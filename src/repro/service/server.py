@@ -46,8 +46,8 @@ import signal
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .queue import LeaseLostError
-from .supervisor import LOCAL_WORKER, Supervisor
+from ..campaign.queue import LOCAL_WORKER, LeaseLostError
+from .supervisor import Supervisor
 
 __all__ = ["ServiceServer", "serve"]
 

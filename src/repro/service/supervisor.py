@@ -9,13 +9,13 @@ One :class:`Supervisor` owns a service *root*::
       jobs/<id>/events.jsonl    # streamed state, unit + scenario events
       jobs/<id>/campaign/       # runs/ + manifest.json (CampaignStore)
 
-Every claimed job walks one path: it is staged (``dir`` traces copied
-into the artifact store by content address), then the
-:class:`~repro.service.dispatch.Dispatcher` serves what the shared
-result cache and the campaign store already hold and turns each missing
-scenario into a leased *work unit*.  Each finished scenario appends one
-event line, so a polling client watches progress without any
-server-side session state.
+Every claimed job is staged (``dir`` traces copied into the artifact
+store by content address), then run by the campaign tier's
+:class:`~repro.campaign.dispatch.Dispatcher`, as a ``repro-campaign
+run`` is; the supervisor adds the service's part: per-tenant cache reads
+and charges, and eviction from the bounded store.  Each finished
+scenario appends one event line, so a polling client watches progress
+without any server-side session state.
 
 Who executes units is the one thing ``dispatch`` decides.  In ``local``
 mode :meth:`Supervisor.tick` also steps in-process slots that lease
@@ -39,184 +39,21 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from collections import Counter
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..campaign.runner import ScenarioChild
-from ..campaign.spec import CampaignSpec
-from ..campaign.store import CampaignStore, RunRecord, _write_json
-from .artifacts import ArtifactStore
-from .queue import (
-    STATE_CANCELLED, STATE_DONE, STATE_FAILED, STATE_QUEUED, STATE_RUNNING,
-    STATE_STAGING, UNIT_LEASED, Job, JobQueue, LeaseLostError,
+from ..campaign.dispatch import (
+    Dispatcher, _LocalSlots, append_event, read_events,
 )
-from .worker import verdict_doc
+from ..campaign.queue import (
+    LOCAL_WORKER, STATE_CANCELLED, STATE_DONE, STATE_FAILED, STATE_QUEUED,
+    STATE_RUNNING, STATE_STAGING, UNIT_LEASED, UNIT_PENDING, Job, JobQueue,
+)
+from ..campaign.spec import CampaignSpec
+from ..campaign.store import CampaignStore, _write_json
+from .artifacts import ArtifactStore
 
 __all__ = ["Supervisor", "append_event", "read_events"]
-
-
-# ----------------------------------------------------------------------
-# Event log: JSON lines, append-only, multi-writer safe
-# ----------------------------------------------------------------------
-def append_event(path: str, event: str, **fields: Any) -> None:
-    """Append one event line.  Single ``write()`` of one ``O_APPEND``
-    line — atomic on POSIX for our line sizes, so the supervisor (state
-    changes) and the job runner (scenario completions) can share the
-    file without locks."""
-    doc = {"t": time.time(), "event": event}
-    doc.update(fields)
-    line = json.dumps(doc, sort_keys=True) + "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        os.write(fd, line.encode("utf-8"))
-    finally:
-        os.close(fd)
-
-
-def append_scenario_event(path: str, job_id: str, record: RunRecord,
-                          **fields: Any) -> None:
-    """The ``scenario`` event of one finalised run record."""
-    append_event(
-        path, "scenario", job=job_id, name=record.name,
-        status=record.status, cache_hit=record.cache_hit,
-        cache_source=record.cache_source, attempts=record.attempts,
-        simulated_time=record.result.get("simulated_time"), **fields)
-
-
-def read_events(path: str, after: int = 0) -> Tuple[List[Dict[str, Any]], int]:
-    """Events ``after`` the given index (0 = from the start) plus the
-    next index to poll from.
-
-    Robust against a concurrent writer: the file is read as *bytes* and
-    only newline-terminated lines are surfaced, so a torn final line —
-    a reader racing ``append_event`` mid-write, including a torn
-    multi-byte UTF-8 sequence that would not even decode — is simply
-    not visible yet, and the cursor stays stable until the writer
-    finishes it.  A complete-but-corrupt line (disk trouble) is skipped
-    instead of hiding every event after it.
-    """
-    events: List[Dict[str, Any]] = []
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return [], 0
-    # Drop the final fragment: either b"" (file ends with a newline) or
-    # a line still being appended.
-    for line in data.split(b"\n")[:-1]:
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line.decode("utf-8")))
-        except (UnicodeDecodeError, ValueError):
-            continue
-    return events[after:], len(events)
-
-
-# ----------------------------------------------------------------------
-# The local slots: an in-process worker speaking the lease protocol
-# ----------------------------------------------------------------------
-#: The worker name the server's own slots lease units under.
-LOCAL_WORKER = "local"
-#: A local slot's lease; it is renewed every third of it.
-LOCAL_LEASE_S = 15.0
-
-
-@dataclass
-class _Slot:
-    job_id: str
-    unit_id: str
-    token: str
-    child: ScenarioChild
-    renew_at: float         # monotonic instant of the next heartbeat
-
-
-class _LocalSlots:
-    """Execution slots inside the server process.
-
-    Each RUNNING job gets as many slots as its spec's ``jobs`` — the
-    width its own ``run_campaign`` would have — so running jobs progress
-    side by side, and ``max_jobs`` bounds how many run.  Each slot does
-    what one ``repro-worker`` does, minus HTTP and artifact staging
-    (staged trees are already local): lease one of its job's units as
-    worker ``local``, run it in one :class:`ScenarioChild`, renew the
-    lease every ``LOCAL_LEASE_S / 3``, post the verdict to
-    :meth:`Dispatcher.on_result`.  A slot whose lease is gone —
-    cancelled, expired, or won by a speculative twin — stops its child
-    at the next :meth:`reap`, and nothing is posted.
-    """
-
-    def __init__(self, dispatcher: Any, enabled: bool) -> None:
-        self.queue: JobQueue = dispatcher.queue
-        self.dispatcher = dispatcher
-        self.enabled = enabled
-        self.live: List[_Slot] = []
-
-    def reap(self) -> None:
-        now = time.monotonic()
-        for slot in list(self.live):
-            child = slot.child
-            if child.conn.poll():
-                verdict = child.collect()
-            elif now >= child.deadline:
-                verdict = child.expire()
-            elif self._lease_held(slot, now):
-                continue
-            else:
-                verdict = None
-                child.abort()
-            self.live.remove(slot)
-            if verdict is None:
-                continue
-            try:
-                self.dispatcher.on_result(
-                    slot.unit_id, LOCAL_WORKER, slot.token,
-                    verdict_doc(*verdict, now - child.started))
-            except LeaseLostError:
-                pass        # lost at the finish line: the first result won
-
-    def fill(self) -> None:
-        if not self.enabled:
-            return
-        busy = Counter(slot.job_id for slot in self.live)
-        for job in self.queue.list_jobs(state=STATE_RUNNING):
-            free = self.dispatcher._spec(job.id).jobs - busy[job.id]
-            for _ in range(free):
-                grant = self.queue.lease_unit(LOCAL_WORKER, LOCAL_LEASE_S,
-                                              job_id=job.id)
-                if grant is None:
-                    break
-                unit = grant["unit"]
-                child = ScenarioChild(unit.scenario,
-                                      unit.scenario["timeout_s"],
-                                      name=f"repro-unit-{unit.id}")
-                self.live.append(_Slot(job.id, unit.id, grant["token"],
-                                       child,
-                                       child.started + LOCAL_LEASE_S / 3))
-
-    def stop(self) -> None:
-        """Post the verdicts already in, then stop every live child and
-        hand its lease back unspent."""
-        self.reap()
-        for slot in self.live:
-            slot.child.abort()
-            self.queue.release_unit(slot.unit_id, LOCAL_WORKER, slot.token)
-        self.live = []
-
-    def _lease_held(self, slot: _Slot, now: float) -> bool:
-        """Renew the lease when due, else check it still stands."""
-        if now < slot.renew_at:
-            leases = self.queue.get_unit(slot.unit_id).leases
-            return any(lease["token"] == slot.token for lease in leases)
-        try:
-            self.queue.heartbeat_unit(slot.unit_id, LOCAL_WORKER,
-                                      slot.token, LOCAL_LEASE_S)
-        except LeaseLostError:
-            return False
-        slot.renew_at = now + LOCAL_LEASE_S / 3
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -247,10 +84,13 @@ class Supervisor:
         self._emit = log if log is not None else (lambda _msg: None)
         #: Staging hit/miss per live job, folded into the tenant at settle.
         self._stage_counts: Dict[str, Tuple[int, int]] = {}
-        from .dispatch import Dispatcher     # it imports the event log
-        self.dispatcher = Dispatcher(self)
-        # The one mode decision: does this server run units itself?
-        self._slots = _LocalSlots(self.dispatcher, dispatch == "local")
+        self.dispatcher = Dispatcher(
+            self.queue, self.store.results, spec=self._load_spec,
+            campaign_dir=self.campaign_dir, events_path=self.events_path,
+            lookup=lambda job, key: self.store.get_result(
+                key, tenant=job.tenant),
+            settle=self.settle, log=self._emit)
+        self._slots = _LocalSlots(self.dispatcher)
 
     @property
     def running_jobs(self) -> int:
@@ -265,6 +105,11 @@ class Supervisor:
     # -- paths -----------------------------------------------------------
     def job_dir(self, job_id: str) -> str:
         return os.path.join(self.jobs_dir, job_id)
+
+    def _load_spec(self, job_id: str) -> CampaignSpec:
+        with open(os.path.join(self.job_dir(job_id), "spec.json"),
+                  encoding="utf-8") as handle:
+            return CampaignSpec.from_dict(json.load(handle))
 
     def events_path(self, job_id: str) -> str:
         return os.path.join(self.job_dir(job_id), "events.jsonl")
@@ -318,7 +163,8 @@ class Supervisor:
             if job is None:
                 break
             self._start(job)
-        self._slots.fill()
+        if self.dispatch == "local":    # the one mode decision
+            self._slots.fill()
 
     def _start(self, job: Job) -> None:
         """STAGING: stage the traces (an error fails the job, recorded,
@@ -342,9 +188,7 @@ class Supervisor:
         spec at the staged trees; returns staging (hits, misses).
         Idempotent: a resumed job re-stages to the same content
         addresses (hits)."""
-        spec_path = os.path.join(self.job_dir(job.id), "spec.json")
-        with open(spec_path, encoding="utf-8") as handle:
-            spec = CampaignSpec.from_dict(json.load(handle))
+        spec = self._load_spec(job.id)
         hits = misses = 0
         staged_scenarios = []
         changed = False
@@ -362,25 +206,29 @@ class Supervisor:
             staged_scenarios.append(scenario)
         if changed:
             spec.scenarios = staged_scenarios
-            _write_json(spec_path, spec.to_dict())
+            _write_json(os.path.join(self.job_dir(job.id), "spec.json"),
+                        spec.to_dict())
         return hits, misses
 
     def protected_digests(self) -> Set[str]:
         """Every trace digest eviction must spare: trees referenced by
-        live work units (pinned from fan-out until the result is
-        acknowledged)."""
-        return self.dispatcher.pinned_digests()
+        live (PENDING or LEASED) work units — pinned from fan-out until
+        the result is acknowledged, so a bounded store can never drop a
+        tree a worker is fetching."""
+        return {digest for state in (UNIT_PENDING, UNIT_LEASED)
+                for unit in self.queue.list_units(state)
+                for digest in unit.digests}
 
     def settle(self, job: Job, metrics: Dict[str, Any]) -> None:
-        """Fold a finished job's economics into its tenant, then bound
-        the store.  Called by the dispatcher when a job reaches a
-        terminal state."""
+        """Fold a finished job's economics into its tenant (every unit
+        was a result-cache miss), then bound the store.  Called by the
+        dispatcher when a job reaches a terminal state."""
         stage_hits, stage_misses = self._stage_counts.pop(job.id, (0, 0))
         evicted = self.store.evict(protect=self.protected_digests())
         self.queue.charge(
-            job.tenant, float(metrics.get("wall_seconds", 0.0)),
-            result_hits=int(metrics.get("cached_hits", 0)),
-            result_misses=int(metrics.get("replays_executed", 0)),
+            job.tenant, metrics["wall_seconds"],
+            result_hits=metrics["cached_hits"],
+            result_misses=sum(metrics["units"].values()),
             stage_hits=stage_hits, stage_misses=stage_misses,
             evictions=len(evicted),
             finished=job.state in (STATE_DONE, STATE_FAILED,
@@ -458,7 +306,7 @@ class Supervisor:
         doc["artifact_store"] = self.store.counters_doc()
         doc["dispatch"] = {
             "counters": self.queue.dispatch_counters(),
-            "units_by_state": self.queue.units_by_state_doc(),
+            "units_by_state": self.queue.unit_states(),
             "workers": self.queue.workers_doc(),
         }
         return doc

@@ -16,9 +16,9 @@ published atomically; fetched vs. cached bytes are reported so the
 server can account ``bytes_shipped`` / ``bytes_saved_by_cache``.
 
 **One unit, one child.**  A unit is one attempt at one scenario in one
-:class:`~repro.campaign.runner.ScenarioChild` — the same the campaign
-runner's fleet uses — whose verdict (result, exception, timeout, death)
-arrives over a pipe; the *server* owns retry/backoff/quarantine.  The
+:class:`~repro.campaign.runner.ScenarioChild` — the same a local slot
+runs — whose verdict (result, exception, timeout, death) arrives over a
+pipe; the *server's* dispatcher owns retry/backoff/quarantine.  The
 worker starts without the replay stack; its first unit imports it, and
 every child after that is forked warm.  While
 the child runs, the parent heartbeats every ``lease_s / 3``.  A 409
@@ -47,21 +47,12 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..campaign.cache import digest_tree, tree_files
+from ..campaign.dispatch import verdict_doc
 from ..campaign.runner import ScenarioChild
 from .artifacts import unpack_tree_tar
 from .client import ServiceClient, ServiceError
 
-__all__ = ["Worker", "main_worker", "verdict_doc"]
-
-
-def verdict_doc(status: str, body: Dict[str, Any],
-                wall_seconds: float) -> Dict[str, Any]:
-    """The result document :meth:`Dispatcher.on_result` reads: ``body``
-    is the result payload when ``status`` is ok, else the error
-    document.  Remote workers post it; the server's local slots hand it
-    over in-process."""
-    return {"status": status, "wall_seconds": wall_seconds,
-            "result" if status == "ok" else "error": body}
+__all__ = ["Worker", "main_worker"]
 
 
 class Worker:

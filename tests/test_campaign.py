@@ -4,6 +4,8 @@ fleet (retries, timeouts, graceful failure), and the CLI."""
 import json
 import multiprocessing
 import os
+import signal
+import sys
 import time
 
 import pytest
@@ -439,8 +441,36 @@ def test_campaign_cli_failure_exits_nonzero(tmp_path, capsys):
     assert "failed: bad" in capsys.readouterr().err
 
 
+def _cli_child(argv, err_path):
+    with open(err_path, "w", encoding="utf-8") as handle:
+        sys.stderr = handle
+        rc = main_campaign(argv)
+    os._exit(rc)
+
+
+def test_campaign_cli_exits_nonzero_when_sigterm_cut_the_sweep(tmp_path):
+    # Only ok records, but a partial sweep: a script must not mistake it
+    # for a complete one.
+    spec_path = str(tmp_path / "spec.json")
+    with open(spec_path, "w", encoding="utf-8") as handle:
+        json.dump({"name": "cut", "jobs": 1,
+                   "base": {"ranks": 2,
+                            "trace": {"kind": "sleep", "seconds": 0.5}},
+                   "vary": {"ranks": [2, 3, 4]}}, handle)
+    out = str(tmp_path / "camp")
+    err = str(tmp_path / "stderr.txt")
+    exitcode = _sigterm_after_first_record(
+        _cli_child, (["run", spec_path, "--out", out, "--quiet"], err), out)
+    assert exitcode == 1
+    with open(err, encoding="utf-8") as handle:
+        message = handle.read()
+    unlaunched = CampaignStore(out).read_manifest()["unlaunched"]
+    assert unlaunched and all(name in message for name in unlaunched)
+    assert "--resume" in message
+
+
 # ----------------------------------------------------------------------
-# Crash-safety: truncated manifests, SIGTERM drain, concurrent caches
+# Crash-safety: truncated manifests, SIGTERM cancel, concurrent caches
 # ----------------------------------------------------------------------
 def test_truncated_manifest_is_detected_and_rebuilt(tmp_path):
     from repro.campaign.report import render_status
@@ -479,32 +509,12 @@ def test_truncated_manifest_is_detected_and_rebuilt(tmp_path):
     assert empty.load_or_rebuild_manifest() is None
 
 
-def _drain_child(spec_doc, out):
-    """Child: run a slow campaign; SIGTERM should drain, not kill."""
-    spec = CampaignSpec.from_dict(spec_doc)
-    result = run_campaign(spec, out, log=None)
-    # Exit code encodes the drain verdict for the parent to assert on.
-    os._exit(0 if result.interrupted else 7)
-
-
-def test_sigterm_drains_inflight_and_resume_completes(tmp_path):
-    import multiprocessing
-    import signal
-    import time
-
-    spec = CampaignSpec(
-        name="drainme", jobs=1,
-        # Distinct ranks: three distinct cache keys, so the resume below
-        # must really *replay* the unlaunched one, not cache-hit it.
-        scenarios=[Scenario(f"s{i}", 2 + i,
-                            trace=TraceSpec(kind="sleep", seconds=1.0))
-                   for i in range(3)])
-    out = str(tmp_path / "camp")
-    ctx = multiprocessing.get_context("fork")
-    child = ctx.Process(target=_drain_child, args=(spec.to_dict(), out))
+def _sigterm_after_first_record(target, args, out):
+    """Fork ``target(*args)``, SIGTERM it once the campaign in ``out``
+    has recorded a scenario, and return its exit code."""
+    child = multiprocessing.get_context("fork").Process(target=target,
+                                                        args=args)
     child.start()
-
-    # Wait for the first scenario to be recorded, then ask for a drain.
     store = CampaignStore(out)
     deadline = time.monotonic() + 60
     while not store.read_runs():
@@ -512,14 +522,42 @@ def test_sigterm_drains_inflight_and_resume_completes(tmp_path):
         time.sleep(0.05)
     os.kill(child.pid, signal.SIGTERM)
     child.join(30)
-    assert child.exitcode == 0      # drained gracefully, not killed
+    return child.exitcode
 
-    # The manifest is resumable: interrupted, with the in-flight
-    # scenario recorded and the never-launched ones listed.
+
+def _cancel_child(spec_doc, out, alive_path):
+    """Child: run a slow campaign; SIGTERM should cancel, not kill."""
+    spec = CampaignSpec.from_dict(spec_doc)
+    result = run_campaign(spec, out, log=None)
+    with open(alive_path, "w", encoding="utf-8") as handle:
+        json.dump([p.pid for p in multiprocessing.active_children()], handle)
+    # Exit code encodes the cancel verdict for the parent to assert on.
+    os._exit(0 if result.interrupted else 7)
+
+
+def test_sigterm_cancels_inflight_and_resume_completes(tmp_path):
+    spec = CampaignSpec(
+        name="cancelme", jobs=1,
+        # Distinct ranks: three distinct cache keys, so the resume below
+        # must really *replay* the unlaunched one, not cache-hit it.
+        scenarios=[Scenario(f"s{i}", 2 + i,
+                            trace=TraceSpec(kind="sleep", seconds=1.0))
+                   for i in range(3)])
+    out = str(tmp_path / "camp")
+    alive = str(tmp_path / "alive.json")
+    exitcode = _sigterm_after_first_record(
+        _cancel_child, (spec.to_dict(), out, alive), out)
+    assert exitcode == 0            # cancelled gracefully, not killed
+    with open(alive, encoding="utf-8") as handle:
+        assert json.load(handle) == []      # no scenario child outlived it
+
+    # The manifest is resumable: interrupted, with what finished before
+    # the SIGTERM recorded and everything else listed.
+    store = CampaignStore(out)
     manifest = store.read_manifest()
     assert manifest["interrupted"] is True
     recorded = {r.name for r in store.read_runs()}
-    assert recorded                      # in-flight work was not lost
+    assert recorded                      # finished work was not lost
     assert set(manifest["unlaunched"]) == \
         {f"s{i}" for i in range(3)} - recorded
 

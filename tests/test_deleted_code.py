@@ -27,6 +27,15 @@ DELETED = [
      ("src/repro/core", "!src/repro/core/actions.py",
       "!src/repro/core/validate.py"),
      "token positions and action shapes outside the action table"),
+    (r"_on_sigterm|class _Live\b|class _Job\b",
+     ("src",),
+     "run_campaign's own fleet loop and SIGTERM drain"),
+    (r"max\(3, ",
+     ("src/repro", "docs"),
+     "the queue's second retry policy"),
+    (r"^\s*(from|import)\s+(\.\.service|repro\.service)",
+     ("src/repro/campaign", "!src/repro/campaign/cli.py"),
+     "the campaign tier importing the service (but the remote client)"),
 ]
 
 

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign.report import render_report
 from repro.campaign.store import CampaignStore
 from repro.core.synth import write_synthetic_lu_trace
 from repro.service import (
@@ -419,7 +420,7 @@ def test_cancelled_unit_stops_its_local_child_within_one_tick(tmp_path):
 def test_local_unit_past_timeout_is_requeued_under_the_unit_policy(
         tmp_path):
     spec_doc = sleepy_spec_doc("hung", n=1, seconds=5.0)
-    spec_doc["base"].update(timeout_s=0.3, max_retries=0)
+    spec_doc["base"].update(timeout_s=0.3, max_retries=1)
     supervisor = Supervisor(str(tmp_path / "root"), max_jobs=1)
     try:
         job = supervisor.submit(spec_doc)
@@ -431,13 +432,47 @@ def test_local_unit_past_timeout_is_requeued_under_the_unit_policy(
         assert multiprocessing.active_children() == []
         [entry] = unit.retry_history
         assert entry["status"] == "timeout" and entry["worker"] == "local"
-        # Requeued with backoff, not quarantined: max(3, 0 + 1) attempts.
+        # Requeued with backoff, not quarantined: max_retries + 1 attempts.
         assert unit.state == UNIT_PENDING
-        assert (unit.attempts, unit.max_attempts) == (1, 3)
+        assert (unit.attempts, unit.max_attempts) == (1, 2)
         assert entry["backoff_s"] == pytest.approx(0.5)
         assert supervisor.queue.get(job.id).state == STATE_RUNNING
     finally:
         supervisor.shutdown()
+
+
+def test_report_of_a_local_job_says_why_it_gave_up(tmp_path):
+    spec_doc = sleepy_spec_doc("flaky", n=1)
+    spec_doc["retry_backoff"] = 0.05
+    spec_doc["base"].update(trace={"kind": "fail", "fail_times": 9},
+                            max_retries=1)
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=1)
+    try:
+        job = drive(supervisor, supervisor.submit(spec_doc).id)
+        report = render_report(supervisor.campaign_dir(job.id))
+    finally:
+        supervisor.shutdown()
+    retried = [line for line in report.splitlines() if " attempt " in line]
+    assert len(retried) == 2
+    assert retried[0].endswith("retried after 0.05s")
+    assert "[RuntimeError]" in retried[-1]
+    assert retried[-1].endswith("gave up")
+
+
+def test_run_campaign_and_a_service_job_write_one_metrics_key_set(tmp_path):
+    spec_doc = sleepy_spec_doc("same", n=2, seconds=0.0)
+    run_campaign(CampaignSpec.from_dict(spec_doc), str(tmp_path / "local"),
+                 log=None)
+    local = CampaignStore(str(tmp_path / "local")).read_manifest()
+    supervisor = Supervisor(str(tmp_path / "root"), max_jobs=1)
+    try:
+        job = drive(supervisor, supervisor.submit(spec_doc).id)
+        served = CampaignStore(
+            supervisor.campaign_dir(job.id)).read_manifest()
+    finally:
+        supervisor.shutdown()
+    assert set(served["metrics"]) == set(local["metrics"])
+    assert set(job.metrics) == set(local["metrics"])
 
 
 @pytest.mark.parametrize("dispatch", ["local", "workers"])
@@ -488,7 +523,7 @@ def test_running_jobs_progress_side_by_side_each_as_wide_as_its_spec(
 
 def test_stopping_the_server_mid_unit_never_spends_an_attempt(tmp_path):
     # Three stops with the same unit in flight, two graceful and one
-    # crash, would use up its max(3, 0 + 1) attempts if a hand-back
+    # crash, would use up its max_retries + 1 = 2 attempts if a hand-back
     # counted, and the job would end FAILED.
     root = str(tmp_path / "root")
     job_id = None

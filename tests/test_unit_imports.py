@@ -1,8 +1,9 @@
 """What a work unit imports, checked in fresh interpreters (pytest's own
-imports would hide a miss): the entry points stay light, and once a
-process has started one :class:`ScenarioChild`, running a scenario of
-any trace or calibration kind imports nothing more — every unit child is
-forked warm."""
+imports would hide a miss): the entry points stay light, ``run_campaign``
+never loads the service tier built on it, and once a process has
+started one :class:`ScenarioChild`, running a scenario of any trace or
+calibration kind imports nothing more — every unit child is forked
+warm."""
 
 import json
 import os
@@ -31,6 +32,20 @@ def test_entry_points_import_neither_numpy_nor_the_replay_stack():
         "import sys\n"
         "import repro.campaign.cli, repro.service.cli, repro.service.worker\n"
         "print(sorted({'numpy', 'repro.core.replay'} & set(sys.modules)))")
+    assert loaded == "[]"
+
+
+def test_run_campaign_imports_nothing_from_the_service(tmp_path):
+    loaded = run_fresh(
+        "import sys\n"
+        "from repro.campaign import CampaignSpec, run_campaign\n"
+        "spec = CampaignSpec.from_dict({'name': 'nap', 'scenarios': [\n"
+        "    {'name': 'nap', 'ranks': 2,\n"
+        "     'trace': {'kind': 'sleep', 'seconds': 0.0}}]})\n"
+        "assert run_campaign(spec, sys.argv[1]).ok\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.service')))",
+        str(tmp_path / "camp"))
     assert loaded == "[]"
 
 
