@@ -37,6 +37,7 @@ from .simkernel import (
     load_deployment,
     load_platform,
 )
+from .simkernel.lmm import LMM_MODES
 from .smpi import round_robin_deployment
 
 
@@ -391,12 +392,11 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
                         help="rank count when no deployment file is given")
     parser.add_argument("--collectives", default="binomial",
                         choices=["binomial", "flat"])
-    parser.add_argument("--lmm", default="auto",
-                        choices=["auto", "reference", "vectorized"],
-                        help="max-min solver path: 'auto' vectorizes "
-                             "large sharing components, 'reference' "
-                             "forces the pure-Python oracle, 'vectorized' "
-                             "forces NumPy (default: auto)")
+    parser.add_argument("--lmm", default="auto", choices=LMM_MODES,
+                        help="max-min solver: 'auto' moves large sharing "
+                             "groups to the array solver, 'reference' "
+                             "keeps every group on the scalar oracle "
+                             "(default: auto)")
     parser.add_argument("--no-lmm-incremental", dest="lmm_incremental",
                         action="store_false", default=True,
                         help="disable the certified incremental max-min "

@@ -222,10 +222,9 @@ class TraceReplayer:
         self.platform = platform
         self.deployment = list(deployment)
         self.telemetry = Telemetry() if collect_metrics else None
-        # ``lmm_mode`` selects the engine's max-min implementation:
-        # "auto" (vectorized above the component-size cutoff),
-        # "reference" (the pure-Python oracle), "vectorized" (always
-        # NumPy).  Exposed as ``repro-replay --lmm``.
+        # ``lmm_mode`` (``repro-replay --lmm``): "auto" moves sharing
+        # groups to the array solver above the size cutoff, "reference"
+        # keeps every group on the scalar oracle.
         # ``lmm_incremental`` gates the certified incremental patch
         # re-solve of large sharing groups (on by default; the off
         # switch exists for A/B benchmarking — results are

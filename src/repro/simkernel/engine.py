@@ -39,6 +39,7 @@ from .activity import (
 )
 from .lmm import (
     Constraint, LMM_MODES, VECTOR_THRESHOLD, fill_vectorized, patch_solve,
+    solve_reference,
 )
 from .telemetry import EngineMetrics
 
@@ -250,13 +251,14 @@ class Engine:
             raise ValueError(
                 f"unknown lmm_mode {lmm_mode!r}; use one of {LMM_MODES}"
             )
-        # Which max-min implementation re-rates sharing components:
-        # "auto" uses the NumPy filling for components of at least
-        # ``vector_threshold`` activities and the pure-Python one below it
-        # (small components are faster without array-building overhead);
-        # "reference"/"vectorized" force one path (oracle tests, benches).
-        self.lmm_mode = lmm_mode
-        self.vector_threshold = int(vector_threshold)
+        # A multi-constraint sharing group of at least
+        # ``vector_threshold`` activities goes array-backed
+        # (fill_vectorized / patch_solve); smaller ones are re-rated by
+        # lmm.solve_reference (small groups are faster without
+        # array-building overhead).  "reference" is the threshold at
+        # infinity: every group stays on the scalar oracle.
+        self.vector_threshold = (INF if lmm_mode == "reference"
+                                 else int(vector_threshold))
         # Incremental certified re-solve of array-backed groups
         # (lmm.patch_solve).  On by default; the off switch exists for
         # A/B benchmarking and for bisecting a suspected patch bug —
@@ -688,7 +690,7 @@ class Engine:
         # No graph walk happens here — every dirty constraint already
         # points at its group (maintained by _enter_phase/_end_phase).
         now = self.now
-        mode = self.lmm_mode
+        threshold = self.vector_threshold
         done_groups: Set[int] = set()
         total = 0
         for seed in seeds:
@@ -710,43 +712,13 @@ class Engine:
             if len(group.cons) == 1:
                 self._rerate_single_constraint(group.cons[0], acts)
                 continue
-            if mode == "vectorized" or (
-                mode == "auto" and len(acts) >= self.vector_threshold
-            ):
+            if len(acts) >= threshold:
                 self._vec_attach(group)
                 self._solve_group(group, now)
                 continue
-            # Scalar settle at the old rates, collecting drained
-            # activities.
-            finished: Optional[List[Activity]] = None
-            for act in acts:
-                rate = act.rate
-                if rate:
-                    act.remaining -= (
-                        INF if rate == INF
-                        else rate * (now - act.settled_at)
-                    )
-                    if act.remaining < 0.0:
-                        act.remaining = 0.0
-                act.settled_at = now
-                if act.remaining <= 0.0:
-                    if finished is None:
-                        finished = [act]
-                    else:
-                        finished.append(act)
-            if finished is not None:
-                # Complete the drained activities *inline* instead of
-                # arming now-events and re-entering here once per pop: a
-                # synchronized wave of n simultaneous completions costs
-                # O(n) this way, not n recomputes of O(n).  Completion
-                # re-dirties the touched constraints, so the survivors
-                # are re-rated on the main loop's immediately following
-                # pass (their settle then is a no-op — the clock has not
-                # moved).
-                for act in finished:
-                    self._end_phase(act)
+            if self._settle(acts, now):
                 continue
-            iterations = self._maxmin(acts)
+            iterations = solve_reference(acts)
             self._maxmin_iters += iterations
             self._full_resolves += 1
             hist = self._level_hist
@@ -937,7 +909,7 @@ class Engine:
             settled[:] = now
             done = rem <= 0.0
             if done.any():
-                # Inline-completion contract — see _recompute_dirty:
+                # Inline-completion contract — see _settle:
                 # finish the drained wave now (each completion
                 # swap-removes its rows), survivors re-rate on the main
                 # loop's immediately following pass.
@@ -977,7 +949,6 @@ class Engine:
         rates, iterations = fill_vectorized(
             group.caps[:group.ncols],
             group.bnd[:n],
-            None,  # engine activities are equal-weight
             group.mem_var[:group.m],
             group.mem_cons[:group.m],
             load=group.loadv[:group.ncols],
@@ -1042,12 +1013,19 @@ class Engine:
         if best is not None:
             self._push(best_t, best)
 
-    def _rerate_single_constraint(self, cons: Constraint, users) -> None:
-        """Max-min over one constraint: bounded users below the fair share
-        keep their bound; the rest split what remains equally."""
-        now = self.now
+    def _settle(self, acts, now: float) -> bool:
+        """Accrue the scalar activities' progress at their old rates.
+
+        Drained activities are completed *inline* instead of arming
+        now-events and re-entering the recompute once per pop: a
+        synchronized wave of n simultaneous completions costs O(n) this
+        way, not n recomputes of O(n).  Returns True when some
+        completed; completion re-dirties the touched constraints, so the
+        survivors are re-rated on the main loop's immediately following
+        pass (their settle then is a no-op — the clock has not moved).
+        """
         finished = None
-        for act in users:
+        for act in acts:
             rate = act.rate
             if rate:
                 act.remaining -= (INF if rate == INF else
@@ -1060,11 +1038,17 @@ class Engine:
                     finished = [act]
                 else:
                     finished.append(act)
-        if finished is not None:
-            # Same inline-completion contract as _recompute_dirty (the
-            # survivors re-rate on the next main-loop pass).
-            for act in finished:
-                self._end_phase(act)
+        if finished is None:
+            return False
+        for act in finished:
+            self._end_phase(act)
+        return True
+
+    def _rerate_single_constraint(self, cons: Constraint, users) -> None:
+        """Max-min over one constraint: bounded users below the fair share
+        keep their bound; the rest split what remains equally."""
+        now = self.now
+        if self._settle(users, now):
             return
         remaining_cap = cons.capacity
         unfixed = sorted(
@@ -1085,58 +1069,6 @@ class Engine:
                     unfixed[j].rate = share
                 break
         self._arm_earliest(users, now)
-
-    @staticmethod
-    def _maxmin(acts) -> int:
-        """Equal-weight progressive filling with per-activity bounds.
-        Returns the number of filling levels (telemetry)."""
-        remaining_cap = {}
-        load = {}
-        for act in acts:
-            for cons in act.constraints:
-                if cons in load:
-                    load[cons] += 1
-                else:
-                    load[cons] = 1
-                    remaining_cap[cons] = cons.capacity
-        unfixed = dict.fromkeys(acts)  # ordered, like every act set here
-        iterations = 0
-        while unfixed:
-            iterations += 1
-            level = INF
-            for cons, weight in load.items():
-                if weight > 0:
-                    share = remaining_cap[cons] / weight
-                    if share < level:
-                        level = share
-            for act in unfixed:
-                if act.bound is not None and act.bound < level:
-                    level = act.bound
-            if level == INF:
-                for act in unfixed:
-                    act.rate = INF
-                break
-            threshold = level + 1e-12 * (level if level > 1.0 else 1.0)
-            fixed = []
-            for act in unfixed:
-                if act.bound is not None and act.bound <= threshold:
-                    fixed.append((act, act.bound))
-                    continue
-                for cons in act.constraints:
-                    weight = load[cons]
-                    if weight > 0 and remaining_cap[cons] / weight <= threshold:
-                        fixed.append((act, level))
-                        break
-            if not fixed:  # numerical corner: force progress
-                fixed = [(act, level) for act in unfixed]
-            for act, rate in fixed:
-                act.rate = rate
-                del unfixed[act]
-                for cons in act.constraints:
-                    cap = remaining_cap[cons] - rate
-                    remaining_cap[cons] = cap if cap > 0.0 else 0.0
-                    load[cons] -= 1
-        return iterations
 
     # ------------------------------------------------------------------
     # Event-calendar plumbing
@@ -1232,7 +1164,7 @@ class Engine:
         restoration) and re-price its in-flight users through the lazy
         recompute path.  Array-backed sharing groups snapshot capacities,
         so the snapshot is patched too."""
-        if capacity < 0:
+        if not capacity >= 0:   # NaN too
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         cons.capacity = float(capacity)
         group = cons.group

@@ -4,11 +4,11 @@ This is the resource-sharing heart of the simulation kernel, mirroring the
 role of SimGrid's ``lmm`` solver: every shared resource (a network link, a
 CPU) is a *constraint* with a capacity, every running activity (a data flow,
 a compute burst) is a *variable* that consumes one or more constraints, and
-the solver assigns each variable a rate by *progressive filling* (weighted
-max-min fairness):
+the solver assigns each variable a rate by *progressive filling* (max-min
+fairness, every variable weighing the same):
 
-1. For each unsaturated constraint, compute the fair share
-   ``remaining_capacity / total_weight_of_unfixed_variables``.
+1. For each constraint still crossed by unfixed variables, compute the
+   fair share ``remaining_capacity / unfixed_users``.
 2. Fix every variable crossing the most restrictive constraint at that
    share, subtract its usage everywhere, and repeat.
 
@@ -16,20 +16,24 @@ Variables may carry a ``bound`` (a private rate cap, e.g. the peak flop
 rate of a pinned task or a TCP-window limit); bounds are honoured by
 treating them as one-variable constraints.
 
-The solver is re-run from scratch whenever the set of active activities
-changes.  Two implementations coexist:
+The filling is written twice, once per shape of sharing group:
 
-* :func:`solve_reference` — the original pure-Python progressive-filling
-  loop, O(iterations x variables x constraints).  It stays as the
-  readable specification and as the oracle the vectorized path is
-  property-tested against (``mode="reference"`` forces it).
+* :func:`solve_reference` — the scalar filling: one Python pass per
+  level over the variables and a dict of constraint loads.  The engine
+  runs it on every multi-constraint group below
+  :data:`VECTOR_THRESHOLD` activities (on every group under
+  ``lmm_mode="reference"``), and it is the oracle the array path is
+  tested against.
 * :func:`fill_vectorized` — the same filling expressed over NumPy
-  arrays: constraint remaining/load vectors, variable weight/bound
-  vectors, and boolean fix masks, so one filling level costs a handful
-  of O(variables + memberships) array operations instead of a Python
-  scan.  Large sharing components (a 1024-rank communication wave over
-  a congested backbone) are where this pays; tiny components are faster
-  in pure Python, so :func:`solve` switches on :data:`VECTOR_THRESHOLD`.
+  arrays: constraint remaining/load vectors, a variable bound vector,
+  and boolean fix masks, so one filling level costs a handful of
+  O(variables + memberships) array operations instead of a Python
+  scan.  Large sharing groups (a 1024-rank communication wave over a
+  congested backbone) are where this pays; tiny ones are faster in
+  pure Python.
+
+(A group of one constraint needs no filling at all: the engine's
+``_rerate_single_constraint`` splits it directly.)
 
 On top of any full filling, :func:`patch_solve` performs an
 *incremental* certified re-solve: given the rate vector of the previous
@@ -47,21 +51,20 @@ applying.
 Fatpipe constraints (non-shared resources; the model of a non-blocking
 switch fabric) must never reach the solver: the engine converts them to
 per-activity bounds when an activity is built (see
-:class:`~repro.simkernel.activity.CommActivity`).  :func:`solve` enforces
-that contract by raising on any fatpipe constraint, because silently
-sharing one max-min style would under-allocate every crossing flow.
+:class:`~repro.simkernel.activity.CommActivity`), and :class:`Variable`
+refuses one at construction, because silently sharing one max-min
+style would under-allocate every crossing flow.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "Constraint",
     "Variable",
-    "solve",
     "solve_reference",
     "fill_vectorized",
     "patch_solve",
@@ -70,9 +73,10 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+INF = float("inf")
 
-#: Component size at which :func:`solve` (and the engine's lazy recompute)
-#: switches from the pure-Python filling to the vectorized one.  Picked
+#: Group size at which the engine's lazy recompute switches from
+#: :func:`solve_reference` to :func:`fill_vectorized`.  Picked
 #: from the ``EngineMetrics`` component-size counters of replay telemetry:
 #: replay traffic is bimodal — single-digit components for point-to-point
 #: wavefronts and folded CPU bursts (where NumPy call overhead loses), and
@@ -82,10 +86,12 @@ _EPS = 1e-12
 #: measurement behind this number.
 VECTOR_THRESHOLD = 48
 
-#: Every max-min implementation selector accepted across the stack
-#: (``Engine(lmm_mode=...)``, ``TraceReplayer(lmm_mode=...)``,
-#: ``repro-replay --lmm``, ``ReplaySpec.lmm_mode``).
-LMM_MODES = ("auto", "reference", "vectorized")
+#: Every solver mode accepted across the stack (``Engine(lmm_mode=...)``,
+#: ``TraceReplayer(lmm_mode=...)``, ``repro-replay --lmm``,
+#: ``ReplaySpec.lmm_mode``): ``"auto"`` switches on
+#: :data:`VECTOR_THRESHOLD`, ``"reference"`` keeps every group on
+#: :func:`solve_reference`.
+LMM_MODES = ("auto", "reference")
 
 
 class Constraint:
@@ -107,7 +113,7 @@ class Constraint:
 
     def __init__(self, capacity: float, name: str = "",
                  fatpipe: bool = False) -> None:
-        if capacity < 0:
+        if not capacity >= 0:   # NaN too: it would never win a comparison
             raise ValueError(f"constraint capacity must be >= 0, got {capacity}")
         self.capacity = float(capacity)
         self.name = name
@@ -136,136 +142,96 @@ class Constraint:
 
 
 class Variable:
-    """An activity's demand on a set of constraints.
-
-    ``weight`` scales consumption: a variable running at rate ``r`` consumes
-    ``weight * r`` of each constraint it crosses.  ``bound`` caps the rate
-    regardless of what fairness would allow.  After :func:`solve`, ``value``
-    holds the allocated rate.
+    """A demand on a set of constraints, in the shape the solver reads:
+    ``constraints``, an optional ``bound`` (a private rate cap) and the
+    ``rate`` :func:`solve_reference` writes — the same three attributes
+    an engine :class:`~repro.simkernel.activity.Activity` carries.
     """
 
-    __slots__ = ("constraints", "weight", "bound", "value", "name")
+    __slots__ = ("constraints", "bound", "rate", "name")
 
     def __init__(
         self,
         constraints: Iterable[Constraint],
-        weight: float = 1.0,
         bound: Optional[float] = None,
         name: str = "",
     ) -> None:
         self.constraints: List[Constraint] = list(constraints)
-        if weight <= 0:
-            raise ValueError(f"variable weight must be > 0, got {weight}")
+        for cons in self.constraints:
+            if cons.fatpipe:
+                raise ValueError(
+                    f"fatpipe constraint {cons.name or id(cons)!r} handed "
+                    "to the max-min solver; fatpipe resources are "
+                    "per-activity caps and must be folded into the "
+                    "bound (CommActivity does this for routes)"
+                )
         if bound is not None and bound < 0:
             raise ValueError(f"variable bound must be >= 0, got {bound}")
-        self.weight = float(weight)
         self.bound = bound
-        self.value = 0.0
+        self.rate = 0.0
         self.name = name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Variable({self.name or id(self)}, value={self.value:g})"
+        return f"Variable({self.name or id(self)}, rate={self.rate:g})"
 
 
-def _reject_fatpipe(cons: Constraint) -> None:
-    if cons.fatpipe:
-        raise ValueError(
-            f"fatpipe constraint {cons.name or id(cons)!r} reached the "
-            "max-min solver; fatpipe resources are per-activity caps and "
-            "must be folded into the variable's bound before solving "
-            "(CommActivity does this for routes)"
-        )
+def solve_reference(variables: Collection[Variable]) -> int:
+    """Assign every variable its max-min fair ``rate``, in place, by
+    scalar progressive filling; returns the number of filling levels.
 
-
-def solve(variables: List[Variable], mode: str = "auto") -> None:
-    """Assign a max-min fair rate to every variable, in place.
-
-    A variable crossing no constraint and carrying no bound is unconstrained;
-    it gets ``float('inf')`` (callers treat infinite-rate activities as
-    completing instantly after their latency phase).
-
-    ``mode`` selects the implementation: ``"auto"`` (vectorized at or above
-    :data:`VECTOR_THRESHOLD` variables), ``"reference"`` (always the
-    pure-Python oracle), ``"vectorized"`` (always NumPy).  All agree to
-    1e-9 on the resulting rate vector (property-tested).
+    ``variables`` is any collection of objects with ``constraints``,
+    ``bound`` and ``rate`` — :class:`Variable` or engine activities.
+    Ties are broken by its iteration order.  A variable crossing no
+    constraint and carrying no bound gets ``inf`` (callers treat an
+    infinite rate as completing instantly).
     """
-    if mode == "reference":
-        solve_reference(variables)
-    elif mode == "vectorized":
-        _solve_vectorized(variables)
-    elif mode == "auto":
-        if len(variables) >= VECTOR_THRESHOLD:
-            _solve_vectorized(variables)
-        else:
-            solve_reference(variables)
-    else:
-        raise ValueError(
-            f"unknown solve mode {mode!r}; use one of {LMM_MODES}"
-        )
-
-
-def solve_reference(variables: List[Variable]) -> None:
-    """The pure-Python progressive-filling oracle (see :func:`solve`)."""
-    # Reset and collect the constraint set.
-    remaining: Dict[Constraint, float] = {}
-    load: Dict[Constraint, float] = {}  # total weight of unfixed variables
-    unfixed: List[Variable] = []
+    remaining_cap = {}
+    load = {}
     for var in variables:
-        var.value = 0.0
-        if not var.constraints and var.bound is None:
-            var.value = float("inf")
-            continue
-        unfixed.append(var)
         for cons in var.constraints:
-            if cons not in remaining:
-                _reject_fatpipe(cons)
-                remaining[cons] = cons.capacity
-                load[cons] = 0.0
-            load[cons] += var.weight
-
+            if cons in load:
+                load[cons] += 1
+            else:
+                load[cons] = 1
+                remaining_cap[cons] = cons.capacity
+    unfixed = dict.fromkeys(variables)
+    iterations = 0
     while unfixed:
-        # Most restrictive fair share across saturating constraints...
-        share = float("inf")
-        for cons, rem in remaining.items():
-            w = load[cons]
-            if w > _EPS:
-                share = min(share, rem / w)
-        # ... and across private bounds.
-        bounded = [v for v in unfixed if v.bound is not None]
-        min_bound = min((v.bound for v in bounded), default=float("inf"))
-        level = min(share, min_bound)
-
-        if level == float("inf"):
-            # Only unconstrained-but-unbounded leftovers (e.g. every
-            # crossing constraint already saturated by others at 0 load).
-            for var in unfixed:
-                var.value = float("inf")
-            break
-
-        # Fix: every variable whose bound is reached, plus every variable
-        # crossing a constraint saturated at this level.
-        to_fix = []
+        iterations += 1
+        level = INF
+        for cons, weight in load.items():
+            if weight > 0:
+                share = remaining_cap[cons] / weight
+                if share < level:
+                    level = share
         for var in unfixed:
-            if var.bound is not None and var.bound <= level + _EPS * max(1.0, level):
-                to_fix.append((var, var.bound))
+            if var.bound is not None and var.bound < level:
+                level = var.bound
+        if level == INF:
+            for var in unfixed:
+                var.rate = INF
+            break
+        threshold = level + _EPS * (level if level > 1.0 else 1.0)
+        fixed = []
+        for var in unfixed:
+            if var.bound is not None and var.bound <= threshold:
+                fixed.append((var, var.bound))
                 continue
             for cons in var.constraints:
-                w = load[cons]
-                if w > _EPS and remaining[cons] / w <= level + _EPS * max(1.0, level):
-                    to_fix.append((var, level))
+                weight = load[cons]
+                if weight > 0 and remaining_cap[cons] / weight <= threshold:
+                    fixed.append((var, level))
                     break
-        if not to_fix:
-            # Numerical corner: nothing saturates exactly; fix everything at
-            # the level to guarantee termination.
-            to_fix = [(var, level) for var in unfixed]
-
-        fixed_set = {id(v) for v, _ in to_fix}
-        for var, rate in to_fix:
-            var.value = rate
+        if not fixed:  # numerical corner: force progress
+            fixed = [(var, level) for var in unfixed]
+        for var, rate in fixed:
+            var.rate = rate
+            del unfixed[var]
             for cons in var.constraints:
-                remaining[cons] = max(0.0, remaining[cons] - var.weight * rate)
-                load[cons] -= var.weight
-        unfixed = [v for v in unfixed if id(v) not in fixed_set]
+                cap = remaining_cap[cons] - rate
+                remaining_cap[cons] = cap if cap > 0.0 else 0.0
+                load[cons] -= 1
+    return iterations
 
 
 def _scratch(work: dict, key: str, n: int, dtype=float) -> np.ndarray:
@@ -281,23 +247,21 @@ def _scratch(work: dict, key: str, n: int, dtype=float) -> np.ndarray:
 def fill_vectorized(
     caps: np.ndarray,
     bounds: np.ndarray,
-    weights: Optional[np.ndarray],
     var_idx: np.ndarray,
     cons_idx: np.ndarray,
     load: Optional[np.ndarray] = None,
     work: Optional[dict] = None,
 ) -> Tuple[np.ndarray, int]:
-    """Vectorized weighted max-min progressive filling over arrays.
+    """Vectorized max-min progressive filling over arrays.
 
     ``caps[j]`` is the capacity of constraint ``j``; ``bounds[i]`` the
-    private cap of variable ``i`` (``inf`` for none); ``weights[i]`` its
-    consumption weight (``None`` means all 1 — the engine's equal-weight
-    case); ``var_idx``/``cons_idx`` are parallel membership arrays, one
-    entry per (variable, constraint) incidence.  Returns the rate vector
-    and the number of filling levels (the telemetry iteration count).
+    private cap of variable ``i`` (``inf`` for none); ``var_idx`` /
+    ``cons_idx`` are parallel membership arrays, one entry per
+    (variable, constraint) incidence.  Returns the rate vector and the
+    number of filling levels (the telemetry iteration count).
 
-    ``load`` (equal-weight only) lets a caller that maintains per-
-    constraint membership counts incrementally skip the ``bincount`` —
+    ``load`` lets a caller that maintains per-constraint membership
+    counts incrementally skip the ``bincount`` —
     the counts are integers, so the arithmetic is unchanged.  ``work``
     is an optional scratch-buffer dict (see :func:`_scratch`) that
     eliminates every per-call allocation; when given, the returned rate
@@ -322,19 +286,14 @@ def fill_vectorized(
         np.copyto(remaining, caps)
         share = _scratch(work, "share", n_cons)
         touches_saturated = _scratch(work, "touches", n_vars, dtype=bool)
-    if weights is None:
-        pair_weight = None
-        if load is None:
-            load = np.bincount(cons_idx, minlength=n_cons).astype(float)
-        elif work is None:
-            load = load.astype(float, copy=True)
-        else:
-            scratch = _scratch(work, "load", n_cons)
-            np.copyto(scratch, load)
-            load = scratch
+    if load is None:
+        load = np.bincount(cons_idx, minlength=n_cons).astype(float)
+    elif work is None:
+        load = load.astype(float, copy=True)
     else:
-        pair_weight = weights[var_idx]
-        load = np.bincount(cons_idx, weights=pair_weight, minlength=n_cons)
+        scratch = _scratch(work, "load", n_cons)
+        np.copyto(scratch, load)
+        load = scratch
     unfixed = None  # lazily materialized: the first level fixes all vars
     n_unfixed = n_vars
     iterations = 0
@@ -397,13 +356,7 @@ def fill_vectorized(
         if pair_fixed.any():
             fixed_cons = cons_idx[pair_fixed]
             usage = rates[var_idx[pair_fixed]]
-            if pair_weight is None:
-                dropped = np.bincount(fixed_cons, minlength=n_cons)
-            else:
-                usage = usage * pair_weight[pair_fixed]
-                dropped = np.bincount(fixed_cons,
-                                      weights=pair_weight[pair_fixed],
-                                      minlength=n_cons)
+            dropped = np.bincount(fixed_cons, minlength=n_cons)
             remaining -= np.bincount(fixed_cons, weights=usage,
                                      minlength=n_cons)
             np.maximum(remaining, 0.0, out=remaining)
@@ -411,46 +364,6 @@ def fill_vectorized(
         unfixed &= ~fixed
         n_unfixed -= n_fixed
     return rates, iterations
-
-
-def _solve_vectorized(variables: Sequence[Variable]) -> None:
-    """NumPy path of :func:`solve`: build arrays, fill, write back."""
-    solved: List[Variable] = []
-    bounds: List[float] = []
-    weights: List[float] = []
-    caps: List[float] = []
-    var_idx: List[int] = []
-    cons_idx: List[int] = []
-    cons_index: Dict[int, int] = {}
-    for var in variables:
-        var.value = 0.0
-        if not var.constraints and var.bound is None:
-            var.value = float("inf")
-            continue
-        i = len(solved)
-        solved.append(var)
-        bounds.append(float("inf") if var.bound is None else var.bound)
-        weights.append(var.weight)
-        for cons in var.constraints:
-            j = cons_index.get(id(cons))
-            if j is None:
-                _reject_fatpipe(cons)
-                j = len(caps)
-                cons_index[id(cons)] = j
-                caps.append(cons.capacity)
-            var_idx.append(i)
-            cons_idx.append(j)
-    if not solved:
-        return
-    rates, _ = fill_vectorized(
-        np.asarray(caps, dtype=float),
-        np.asarray(bounds, dtype=float),
-        np.asarray(weights, dtype=float),
-        np.asarray(var_idx, dtype=np.intp),
-        np.asarray(cons_idx, dtype=np.intp),
-    )
-    for i, var in enumerate(solved):
-        var.value = float(rates[i])
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +520,6 @@ def patch_solve(
     sub_rates, levels = fill_vectorized(
         sub_caps,
         bounds[sub_var_ids],
-        None,
         var_map[pair_vars],
         col_map[pair_cols],
     )

@@ -22,6 +22,8 @@ from .lmm import Constraint
 
 __all__ = ["Link", "Host", "Route", "Cluster", "Platform"]
 
+_INF = float("inf")
+
 
 class Link:
     """A network link: a bandwidth constraint plus a latency figure.
@@ -37,10 +39,16 @@ class Link:
 
     def __init__(self, name: str, bandwidth: float, latency: float,
                  fatpipe: bool = False) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"link {name}: bandwidth must be > 0")
-        if latency < 0:
-            raise ValueError(f"link {name}: latency must be >= 0")
+        # Written so that NaN fails too: a NaN capacity never wins the
+        # solver's comparisons, and the link would act infinitely fast.
+        if not 0 < bandwidth < _INF:
+            raise ValueError(
+                f"link {name}: bandwidth must be finite and > 0, "
+                f"got {bandwidth!r}")
+        if not 0 <= latency < _INF:
+            raise ValueError(
+                f"link {name}: latency must be finite and >= 0, "
+                f"got {latency!r}")
         self.name = name
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
@@ -85,8 +93,9 @@ class Host:
         efficiency_model: Optional[Callable[[str, float], float]] = None,
         sharing_model: Optional[Callable[[int], float]] = None,
     ) -> None:
-        if speed <= 0:
-            raise ValueError(f"host {name}: speed must be > 0")
+        if not 0 < speed < _INF:   # NaN fails too
+            raise ValueError(
+                f"host {name}: speed must be finite and > 0, got {speed!r}")
         if cores < 1:
             raise ValueError(f"host {name}: cores must be >= 1")
         self.name = name

@@ -56,14 +56,23 @@ def parse_radical(radical: str) -> List[int]:
     return indices
 
 
-def _float(attrs: Dict[str, str], key: str, element: str) -> float:
+_REQUIRED = object()
+
+
+def _number(attrs: Dict[str, str], key: str, element: str,
+            parse=float, default=_REQUIRED):
+    """``parse(attrs[key])``, or ``default`` when the attribute is absent
+    and optional; errors name the element and the attribute."""
+    if key not in attrs:
+        if default is _REQUIRED:
+            raise ValueError(f"<{element}> is missing attribute {key!r}")
+        return default
     try:
-        return float(attrs[key])
-    except KeyError:
-        raise ValueError(f"<{element}> is missing attribute {key!r}") from None
+        return parse(attrs[key])
     except ValueError:
+        kind = "an integer" if parse is int else "a number"
         raise ValueError(
-            f"<{element}> attribute {key}={attrs[key]!r} is not a number"
+            f"<{element}> attribute {key}={attrs[key]!r} is not {kind}"
         ) from None
 
 
@@ -87,20 +96,17 @@ def load_platform(path: str) -> Platform:
             name=attrs.get("id", f"cluster{len(platform.clusters)}"),
             n_hosts=len(radical),
             first_index=radical[0],
-            speed=_float(attrs, "power", "cluster"),
-            link_bw=_float(attrs, "bw", "cluster"),
-            link_lat=_float(attrs, "lat", "cluster"),
-            backbone_bw=_float(attrs, "bb_bw", "cluster"),
-            backbone_lat=_float(attrs, "bb_lat", "cluster"),
-            cores=int(attrs.get("cores", "1")),
+            speed=_number(attrs, "power", "cluster"),
+            link_bw=_number(attrs, "bw", "cluster"),
+            link_lat=_number(attrs, "lat", "cluster"),
+            backbone_bw=_number(attrs, "bb_bw", "cluster"),
+            backbone_lat=_number(attrs, "bb_lat", "cluster"),
+            cores=_number(attrs, "cores", "cluster", int, 1),
             prefix=attrs.get("prefix"),
             suffix=attrs.get("suffix", ""),
-            cabinet_size=(int(attrs["cabinet_size"])
-                          if "cabinet_size" in attrs else None),
-            cabinet_bw=(float(attrs["cabinet_bw"])
-                        if "cabinet_bw" in attrs else None),
-            cabinet_lat=(float(attrs["cabinet_lat"])
-                         if "cabinet_lat" in attrs else None),
+            cabinet_size=_number(attrs, "cabinet_size", "cluster", int, None),
+            cabinet_bw=_number(attrs, "cabinet_bw", "cluster", default=None),
+            cabinet_lat=_number(attrs, "cabinet_lat", "cluster", default=None),
             backbone_sharing=("fatpipe"
                               if attrs.get("bb_sharing_policy", "").upper()
                               == "FATPIPE" else "shared"),
@@ -109,8 +115,8 @@ def load_platform(path: str) -> Platform:
         attrs = dict(elem.attrib)
         platform.connect(
             attrs["src"], attrs["dst"],
-            bandwidth=_float(attrs, "bw", "interconnect"),
-            latency=_float(attrs, "lat", "interconnect"),
+            bandwidth=_number(attrs, "bw", "interconnect"),
+            latency=_number(attrs, "lat", "interconnect"),
         )
     if not platform.clusters:
         raise ValueError(f"{path}: no <cluster> element found")

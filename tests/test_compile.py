@@ -37,10 +37,13 @@ def make_platform(n_hosts, speed=1e9):
     return platform
 
 
-def make_replayer(platform, n_ranks, **kw):
+def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
     kw.setdefault("comm_model", IDENTITY_MODEL)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         **kw)
+    replayer = TraceReplayer(platform,
+                             round_robin_deployment(platform, n_ranks), **kw)
+    if vector_threshold is not None:
+        replayer.engine.vector_threshold = vector_threshold
+    return replayer
 
 
 MIXED_LINES = {
@@ -109,10 +112,15 @@ def assert_equivalent(a, b, tol=1e-9):
 # ---------------------------------------------------------------------------
 # Equivalence: compiled vs token, across sources, collectives, lmm modes
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("lmm_mode", ["auto", "reference", "vectorized"])
-def test_compiled_matches_token_dir_all_lmm_modes(mixed_dir, lmm_mode):
-    token = replay_dir(mixed_dir, lmm_mode=lmm_mode, compiled="never")
-    comp = replay_dir(mixed_dir, lmm_mode=lmm_mode, compiled="always")
+@pytest.mark.parametrize("solver", [
+    pytest.param({}, id="auto"),
+    pytest.param({"lmm_mode": "reference"}, id="reference"),
+    # The array filling on every multi-constraint group.
+    pytest.param({"vector_threshold": 1}, id="vectorized"),
+])
+def test_compiled_matches_token_dir_all_lmm_modes(mixed_dir, solver):
+    token = replay_dir(mixed_dir, compiled="never", **solver)
+    comp = replay_dir(mixed_dir, compiled="always", **solver)
     assert_equivalent(token, comp)
 
 

@@ -4,12 +4,14 @@ Hypothesis generates random-but-valid synthetic trace programs (shared
 phase structure across ranks, so collectives line up and the ring
 exchanges cannot deadlock) and asserts the compiled driver reproduces
 the token driver's timings to 1e-9 — including under fault plans, where
-the two drivers must emit byte-identical fault reports.
+the two drivers must emit byte-identical fault reports — and that the
+replay is homogeneous in capacity (a metamorphic property of max-min).
 """
 
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,18 +24,21 @@ from repro.smpi import round_robin_deployment
 RENDEZVOUS = 1e6
 
 
-def make_platform(n_hosts, speed=1e9):
+def make_platform(n_hosts, speed=1e9, scale=1.0, latency=1e-5):
     platform = Platform("t")
-    platform.add_cluster("c", n_hosts, speed=speed, link_bw=1.25e8,
-                         link_lat=1e-5, backbone_bw=1.25e9,
-                         backbone_lat=1e-5)
+    platform.add_cluster("c", n_hosts, speed=speed * scale,
+                         link_bw=1.25e8 * scale, link_lat=latency,
+                         backbone_bw=1.25e9 * scale, backbone_lat=latency)
     return platform
 
 
-def make_replayer(platform, n_ranks, **kw):
+def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
     kw.setdefault("comm_model", IDENTITY_MODEL)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         **kw)
+    replayer = TraceReplayer(platform,
+                             round_robin_deployment(platform, n_ranks), **kw)
+    if vector_threshold is not None:
+        replayer.engine.vector_threshold = vector_threshold
+    return replayer
 
 
 def write_dir(directory, lines):
@@ -52,6 +57,11 @@ def assert_equivalent(a, b, tol=1e-9):
     assert a.n_ranks == b.n_ranks
     assert a.n_actions == b.n_actions
 
+
+#: The solver configurations: both modes, and the array filling on
+#: every multi-constraint group.
+solvers = st.sampled_from(
+    [{}, {"lmm_mode": "reference"}, {"vector_threshold": 1}])
 
 volumes = st.floats(min_value=1e3, max_value=5e7,
                     allow_nan=False, allow_infinity=False)
@@ -97,17 +107,16 @@ def trace_programs(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(program=trace_programs(),
-       lmm_mode=st.sampled_from(["auto", "reference", "vectorized"]))
-def test_compiled_replay_matches_token_replay(program, lmm_mode):
+@given(program=trace_programs(), solver=solvers)
+def test_compiled_replay_matches_token_replay(program, solver):
     n_ranks, lines = program
     with tempfile.TemporaryDirectory() as directory:
         write_dir(directory, lines)
         results = {}
         for mode in ("never", "always"):
             platform = make_platform(n_ranks)
-            replayer = make_replayer(platform, n_ranks, lmm_mode=lmm_mode,
-                                     compiled=mode)
+            replayer = make_replayer(platform, n_ranks, compiled=mode,
+                                     **solver)
             results[mode] = replayer.replay(directory)
         assert_equivalent(results["never"], results["always"])
 
@@ -152,3 +161,24 @@ def test_fault_reports_identical_across_drivers(program, victim, crash_at):
             reports[mode] = results[mode].fault_report.to_json()
         assert reports["never"] == reports["always"]
         assert_equivalent(results["never"], results["always"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(program=trace_programs(), j=st.sampled_from([-3, 1, 5]),
+       solver=solvers)
+def test_capacity_scaling_scales_times_by_its_inverse(program, j, solver):
+    """Max-min rates are homogeneous in capacity: with every host speed
+    and link bandwidth multiplied by k = 2**j, one rank per host and
+    zero link latency, every finish time is divided by exactly k."""
+    n_ranks, lines = program
+    k = 2.0 ** j
+    with tempfile.TemporaryDirectory() as directory:
+        write_dir(directory, lines)
+        base, scaled = (
+            make_replayer(make_platform(n_ranks, scale=scale, latency=0.0),
+                          n_ranks, **solver).replay(directory)
+            for scale in (1.0, k))
+    assert scaled.simulated_time * k == pytest.approx(base.simulated_time,
+                                                      rel=1e-9)
+    assert [t * k for t in scaled.per_rank_time] == \
+        pytest.approx(base.per_rank_time, rel=1e-9)

@@ -36,6 +36,10 @@ DELETED = [
     (r"^\s*(from|import)\s+(\.\.service|repro\.service)",
      ("src/repro/campaign", "!src/repro/campaign/cli.py"),
      "the campaign tier importing the service (but the remote client)"),
+    (r"def _maxmin|_solve_vectorized|pair_weight|lmm_mode=[\"']vectorized",
+     ("src", "docs", ".github", "benchmarks", "README.md"),
+     "the engine's second scalar filling, the weighted path and the "
+     "vectorized mode"),
 ]
 
 

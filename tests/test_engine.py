@@ -262,11 +262,12 @@ def test_sequential_chain_of_processes():
     assert log == [("a", 1.0), ("b", 2.0), ("c", 2.0)]
 
 
-def _fan_in_run(lmm_mode, metrics=None):
+def _fan_in_run(lmm_mode, metrics=None, vector_threshold=48):
     """96 flows over a few heterogeneous links: big enough to cross the
     vectorization threshold, lopsided enough to need several filling
     levels per recompute."""
-    engine = Engine(metrics=metrics, lmm_mode=lmm_mode)
+    engine = Engine(metrics=metrics, lmm_mode=lmm_mode,
+                    vector_threshold=vector_threshold)
     links = [Constraint(1e9 * (i + 1), f"l{i}") for i in range(4)]
     ends = {}
 
@@ -285,7 +286,7 @@ def _fan_in_run(lmm_mode, metrics=None):
 
 def test_vectorized_engine_matches_reference_engine():
     ref = _fan_in_run("reference")
-    vec = _fan_in_run("vectorized")
+    vec = _fan_in_run("auto", vector_threshold=1)
     assert ref.keys() == vec.keys()
     for name in ref:
         assert vec[name] == pytest.approx(ref[name], rel=1e-9)

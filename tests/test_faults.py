@@ -43,10 +43,19 @@ def make_platform(n_hosts, speed=1e9):
     return platform
 
 
-def make_replayer(platform, n_ranks, **kw):
+def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
     kw.setdefault("comm_model", IDENTITY_MODEL)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         **kw)
+    replayer = TraceReplayer(platform,
+                             round_robin_deployment(platform, n_ranks), **kw)
+    if vector_threshold is not None:
+        replayer.engine.vector_threshold = vector_threshold
+    return replayer
+
+
+#: Solver configurations by name: both modes, and the array filling on
+#: every multi-constraint group.
+SOLVERS = {"auto": {}, "reference": {"lmm_mode": "reference"},
+           "vectorized": {"vector_threshold": 1}}
 
 
 def ring_trace(n_ranks, iterations):
@@ -194,7 +203,7 @@ def test_link_degrade_slows_the_replay_and_matches_across_solvers():
     times = {}
     for mode in ("reference", "vectorized"):
         result = make_replayer(make_platform(n), n, fault_plan=plan,
-                               lmm_mode=mode).replay(trace)
+                               **SOLVERS[mode]).replay(trace)
         assert not result.fault_report.failures
         times[mode] = result.simulated_time
     assert times["reference"] > baseline.simulated_time
@@ -323,27 +332,26 @@ def test_lu32_reports_byte_identical_across_lmm_solvers(lu32):
     reports = []
     for mode in ("reference", "vectorized"):
         result = make_replayer(make_platform(n), n, fault_plan=plan,
-                               lmm_mode=mode).replay(lu32)
+                               **SOLVERS[mode]).replay(lu32)
         reports.append(result.fault_report.to_json())
     assert reports[0] == reports[1]
     json.loads(reports[0])  # and it is valid JSON
 
 
 def test_lu32_reports_byte_identical_across_every_lmm_config(lu32):
-    """Every selectable solver configuration — all lmm modes crossed
-    with the incremental re-solve toggle — yields byte-for-byte the same
-    fault report under the same crash plan."""
+    """Every solver configuration — both lmm modes and the all-array
+    threshold, crossed with the incremental re-solve toggle — yields
+    byte-for-byte the same fault report under the same crash plan."""
     n = 32
     fault_free = make_replayer(make_platform(n), n).replay(lu32)
     plan = FaultPlan(events=(
         HostCrash("c-5", 0.4 * fault_free.simulated_time),))
-    modes = ["auto", "reference", "vectorized"]
     reports = {}
-    for mode in modes:
+    for mode, solver in SOLVERS.items():
         for incremental in (True, False):
             result = make_replayer(
-                make_platform(n), n, fault_plan=plan, lmm_mode=mode,
-                lmm_incremental=incremental).replay(lu32)
+                make_platform(n), n, fault_plan=plan,
+                lmm_incremental=incremental, **solver).replay(lu32)
             reports[(mode, incremental)] = result.fault_report.to_json()
     baseline = reports[("auto", True)]
     json.loads(baseline)
@@ -391,11 +399,10 @@ def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
         platform.add_cluster("c", n, speed=1e9, link_bw=1.25e8,
                              link_lat=1e-5, backbone_bw=1.25e9,
                              backbone_lat=1e-5, backbone_sharing="fatpipe")
-        replayer = make_replayer(platform, n, fault_plan=plan, **kw)
-        replayer.engine.vector_threshold = 2
-        return replayer.replay(trace)
+        return make_replayer(platform, n, fault_plan=plan, **kw).replay(
+            trace)
 
-    probe = replay(collect_metrics=True)
+    probe = replay(collect_metrics=True, vector_threshold=2)
     assert probe.metrics["engine"]["group_merges"] == 1
     assert probe.metrics["engine"]["vector_attaches"] == 1
     assert probe.metrics["faults"]["requests_failed"] > 0
@@ -404,9 +411,9 @@ def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
     # 0->8 at half speed: ~176 ms instead of ~112.
     assert probe.simulated_time == pytest.approx(0.176, rel=0.01)
     baseline = probe.fault_report.to_json()
-    for mode in ("auto", "reference", "vectorized"):
+    for mode, solver in dict(SOLVERS, auto={"vector_threshold": 2}).items():
         for incremental in (True, False):
-            result = replay(lmm_mode=mode, lmm_incremental=incremental)
+            result = replay(lmm_incremental=incremental, **solver)
             assert result.fault_report.to_json() == baseline, (
                 mode, incremental)
 

@@ -138,13 +138,12 @@ def test_patch_history_matches_reference_oracle(data):
                                np.asarray(sorted(seeds), dtype=np.intp))
         if not ok:
             fallbacks += 1
-            rates, _ = fill_vectorized(caps, bounds, None,
-                                       var_idx, cons_idx)
+            rates, _ = fill_vectorized(caps, bounds, var_idx, cons_idx)
         cons_objs = [Constraint(c) for c in caps_list]
         variables = [Variable([cons_objs[c] for c in cols], bound=b)
                      for cols, b in active]
         solve_reference(variables)
-        expect = np.asarray([v.value for v in variables])
+        expect = np.asarray([v.rate for v in variables])
         np.testing.assert_allclose(rates, expect, rtol=1e-9, atol=1e-9)
 
 
@@ -411,15 +410,16 @@ def test_incremental_toggle_defaults_and_validation():
 # ---------------------------------------------------------------------------
 
 def _scripted_run(script, n_links, caps=None, metrics=None, lmm_mode="auto",
-                  incremental=True, faults=()):
+                  vector_threshold=2, incremental=True, faults=()):
     """Run ``script`` — ``(start, link indices, size, bound)`` per flow —
-    on ``n_links`` fresh links with ``vector_threshold=2`` (any group of
-    two activities goes array-backed).  ``faults`` entries are
+    on ``n_links`` fresh links with ``vector_threshold=2`` by default (any
+    group of two activities goes array-backed).  ``faults`` entries are
     ``(when, "fail", flow index)``, ``(when, "cap", link, capacity)`` or
     ``(when, "call", fn)`` (a probe, called with the links).
     Returns ``(completion time or "failed" per flow, engine, links)``.
     """
-    engine = Engine(metrics=metrics, lmm_mode=lmm_mode, vector_threshold=2,
+    engine = Engine(metrics=metrics, lmm_mode=lmm_mode,
+                    vector_threshold=vector_threshold,
                     incremental=incremental)
     caps = caps or [1e8] * n_links
     links = [Constraint(c, f"l{i}") for i, c in enumerate(caps)]
@@ -472,9 +472,9 @@ def _assert_all_configs_agree(script, n_links, monkeypatch, **kw):
     monkeypatch.setattr("repro.simkernel.engine._PATCH_MIN_LEVELS", 0)
     oracle, _, _ = _scripted_run(script, n_links, lmm_mode="reference", **kw)
     assert None not in oracle
-    for mode, incremental in (("auto", True), ("auto", False),
-                              ("vectorized", True)):
-        got, _, _ = _scripted_run(script, n_links, lmm_mode=mode,
+    for threshold, incremental in ((2, True), (2, False), (1, True)):
+        got, _, _ = _scripted_run(script, n_links,
+                                  vector_threshold=threshold,
                                   incremental=incremental, **kw)
         _assert_ends_close(got, oracle)
     return oracle

@@ -2,49 +2,52 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simkernel import Engine, EngineMetrics
 from repro.simkernel.lmm import (
-    Constraint, Variable, solve, solve_reference,
+    LMM_MODES, VECTOR_THRESHOLD, Constraint, Variable, fill_vectorized,
+    solve_reference,
 )
 
 
 def test_single_variable_gets_full_capacity():
     cons = Constraint(100.0)
     var = Variable([cons])
-    solve([var])
-    assert var.value == pytest.approx(100.0)
+    solve_reference([var])
+    assert var.rate == pytest.approx(100.0)
 
 
 def test_two_variables_share_equally():
     cons = Constraint(100.0)
     a, b = Variable([cons]), Variable([cons])
-    solve([a, b])
-    assert a.value == pytest.approx(50.0)
-    assert b.value == pytest.approx(50.0)
+    solve_reference([a, b])
+    assert a.rate == pytest.approx(50.0)
+    assert b.rate == pytest.approx(50.0)
 
 
 def test_bound_caps_variable_and_frees_capacity():
     cons = Constraint(100.0)
     slow = Variable([cons], bound=10.0)
     fast = Variable([cons])
-    solve([slow, fast])
-    assert slow.value == pytest.approx(10.0)
-    assert fast.value == pytest.approx(90.0)
+    solve_reference([slow, fast])
+    assert slow.rate == pytest.approx(10.0)
+    assert fast.rate == pytest.approx(90.0)
 
 
 def test_unconstrained_variable_is_infinite():
     var = Variable([])
-    solve([var])
-    assert var.value == float("inf")
+    solve_reference([var])
+    assert var.rate == float("inf")
 
 
 def test_bound_only_variable():
     var = Variable([], bound=42.0)
-    solve([var])
-    assert var.value == pytest.approx(42.0)
+    solve_reference([var])
+    assert var.rate == pytest.approx(42.0)
 
 
 def test_classic_three_flow_two_link_topology():
@@ -60,71 +63,56 @@ def test_classic_three_flow_two_link_topology():
     long_flow = Variable([link0, link1], name="long")
     short0 = Variable([link0], name="s0")
     short1 = Variable([link1], name="s1")
-    solve([long_flow, short0, short1])
+    solve_reference([long_flow, short0, short1])
     # link0 is the bottleneck: share 0.5 fixes long_flow and short0.
-    assert long_flow.value == pytest.approx(0.5)
-    assert short0.value == pytest.approx(0.5)
+    assert long_flow.rate == pytest.approx(0.5)
+    assert short0.rate == pytest.approx(0.5)
     # short1 then gets the rest of link1.
-    assert short1.value == pytest.approx(1.5)
-
-
-def test_weighted_consumption():
-    cons = Constraint(90.0)
-    heavy = Variable([cons], weight=2.0)
-    light = Variable([cons], weight=1.0)
-    solve([heavy, light])
-    # Equal rates, weighted usage: 2r + r = 90 -> r = 30.
-    assert heavy.value == pytest.approx(30.0)
-    assert light.value == pytest.approx(30.0)
+    assert short1.rate == pytest.approx(1.5)
 
 
 def test_zero_capacity_constraint_blocks():
     cons = Constraint(0.0)
     var = Variable([cons])
-    solve([var])
-    assert var.value == pytest.approx(0.0)
+    solve_reference([var])
+    assert var.rate == pytest.approx(0.0)
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Constraint(-1.0)
     with pytest.raises(ValueError):
-        Variable([], weight=0.0)
+        Constraint(float("nan"))
     with pytest.raises(ValueError):
         Variable([], bound=-5.0)
-
-
-def test_solve_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown solve mode"):
-        solve([Variable([Constraint(1.0)])], mode="fancy")
 
 
 def test_fatpipe_constraint_is_rejected_by_solver():
     """The engine's contract: a fatpipe resource is a per-activity cap,
     never a shared constraint.  Sharing it max-min style would
-    under-allocate every crossing flow, so both paths refuse it."""
+    under-allocate every crossing flow, so the solver's input refuses
+    it at construction."""
     fat = Constraint(100.0, "backbone", fatpipe=True)
-    for mode in ("reference", "vectorized"):
-        with pytest.raises(ValueError, match="fatpipe"):
-            solve([Variable([fat])], mode=mode)
+    with pytest.raises(ValueError, match="fatpipe"):
+        Variable([Constraint(1.0), fat])
 
 
-def _clone_instance(variables):
-    """Duplicate a (constraints, variables) instance so the two solver
-    paths each get fresh objects."""
-    cons_map = {}
-    clones = []
-    for var in variables:
-        crossed = []
+def _fill(variables):
+    """``fill_vectorized`` over the arrays of a :class:`Variable`
+    instance: the rate vector, in the variables' order."""
+    columns = {}
+    var_idx, cons_idx = [], []
+    for i, var in enumerate(variables):
         for cons in var.constraints:
-            clone = cons_map.get(id(cons))
-            if clone is None:
-                clone = Constraint(cons.capacity, cons.name)
-                cons_map[id(cons)] = clone
-            crossed.append(clone)
-        clones.append(Variable(crossed, weight=var.weight, bound=var.bound,
-                               name=var.name))
-    return clones
+            var_idx.append(i)
+            cons_idx.append(columns.setdefault(cons, len(columns)))
+    rates, _ = fill_vectorized(
+        np.asarray([cons.capacity for cons in columns], dtype=float),
+        np.asarray([np.inf if var.bound is None else var.bound
+                    for var in variables], dtype=float),
+        np.asarray(var_idx, dtype=np.intp),
+        np.asarray(cons_idx, dtype=np.intp))
+    return rates
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,9 +122,8 @@ def _clone_instance(variables):
     topology=st.data(),
 )
 def test_vectorized_path_matches_reference_oracle(caps, topology):
-    """The acceptance property of the vectorized rewrite: on randomized
-    instances (mixed weights, bounds, unconstrained variables), the NumPy
-    filling and the pure-Python oracle produce the same rate vector to
+    """On randomized instances (bounds, unconstrained variables), the
+    NumPy filling and the scalar oracle produce the same rate vector to
     1e-9 (relative, with infinities matching exactly)."""
     constraints = [Constraint(c, f"c{i}") for i, c in enumerate(caps)]
     n_vars = topology.draw(st.integers(min_value=1, max_value=16))
@@ -149,29 +136,44 @@ def test_vectorized_path_matches_reference_oracle(caps, topology):
         bound = topology.draw(
             st.one_of(st.none(), st.floats(min_value=0.1, max_value=1e6))
         )
-        weight = topology.draw(st.sampled_from([0.5, 1.0, 1.0, 2.0]))
-        variables.append(Variable(crossed, weight=weight, bound=bound,
-                                  name=f"v{v}"))
-    mirror = _clone_instance(variables)
+        variables.append(Variable(crossed, bound=bound, name=f"v{v}"))
+    rates = _fill(variables)
     solve_reference(variables)
-    solve(mirror, mode="vectorized")
-    for ref, vec in zip(variables, mirror):
-        if math.isinf(ref.value):
-            assert math.isinf(vec.value), f"{ref.name}: {vec.value}"
+    for ref, vec in zip(variables, rates.tolist()):
+        if math.isinf(ref.rate):
+            assert math.isinf(vec), f"{ref.name}: {vec}"
         else:
-            assert vec.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+            assert vec == pytest.approx(ref.rate, rel=1e-9, abs=1e-9)
+
+
+def _fan_in(n, lmm_mode):
+    """``n`` flows crossing the same two links, of five sizes; returns
+    the completion times and the count of array fillings."""
+    metrics = EngineMetrics()
+    engine = Engine(metrics=metrics, lmm_mode=lmm_mode)
+    links = [Constraint(120.0, "l0"), Constraint(240.0, "l1")]
+    ends = []
+
+    def flow(size):
+        yield engine.comm_activity(links, size, 0.0)
+        ends.append(engine.now)
+
+    for i in range(n):
+        engine.add_process(f"f{i}", flow(10.0 * (1 + i % 5)))
+    engine.run()
+    return ends, metrics.vectorized_recomputes
 
 
 def test_auto_mode_vectorizes_above_threshold():
-    """Same answers whichever side of VECTOR_THRESHOLD the instance is on."""
-    cons = Constraint(120.0)
+    """The engine's auto mode hands a sharing group to the array filling
+    from VECTOR_THRESHOLD activities on, and to solve_reference below;
+    reference mode never does.  The times agree either way."""
     for n in (3, 96):  # below and above the cutoff
-        ref = [Variable([cons]) for _ in range(n)]
-        vec = _clone_instance(ref)
-        solve_reference(ref)
-        solve(vec, mode="auto")
-        for a, b in zip(ref, vec):
-            assert b.value == pytest.approx(a.value, rel=1e-9)
+        runs = {mode: _fan_in(n, mode) for mode in LMM_MODES}
+        assert runs["auto"][0] == pytest.approx(runs["reference"][0],
+                                                rel=1e-9)
+        assert runs["reference"][1] == 0
+        assert (runs["auto"][1] > 0) == (n >= VECTOR_THRESHOLD)
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,24 +199,24 @@ def test_feasibility_and_saturation_invariants(caps, topology):
             st.one_of(st.none(), st.floats(min_value=0.1, max_value=1e6))
         )
         variables.append(Variable(crossed, bound=bound, name=f"v{v}"))
-    solve(variables)
+    solve_reference(variables)
 
     usage = {id(c): 0.0 for c in constraints}
     for var in variables:
-        assert var.value >= 0.0
-        assert not math.isnan(var.value)
+        assert var.rate >= 0.0
+        assert not math.isnan(var.rate)
         for cons in var.constraints:
-            usage[id(cons)] += var.weight * var.value
+            usage[id(cons)] += var.rate
     for cons in constraints:
         assert usage[id(cons)] <= cons.capacity * (1 + 1e-6)
 
     # Max-min optimality: no variable could be increased without breaking
     # a constraint or its bound.
     for var in variables:
-        at_bound = var.bound is not None and var.value >= var.bound * (1 - 1e-6)
+        at_bound = var.bound is not None and var.rate >= var.bound * (1 - 1e-6)
         saturated = any(
             usage[id(c)] >= c.capacity * (1 - 1e-6) for c in var.constraints
         )
         assert at_bound or saturated, (
-            f"{var.name} at {var.value} is not blocked by anything"
+            f"{var.name} at {var.rate} is not blocked by anything"
         )

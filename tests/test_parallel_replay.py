@@ -48,11 +48,20 @@ def shared_platform(n_hosts, speed=1e9):
     return platform
 
 
-def make_replayer(platform, n_ranks, **kw):
+def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
     kw.setdefault("comm_model", IDENTITY_MODEL)
     kw.setdefault("collect_metrics", True)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         **kw)
+    replayer = TraceReplayer(platform,
+                             round_robin_deployment(platform, n_ranks), **kw)
+    if vector_threshold is not None:
+        replayer.engine.vector_threshold = vector_threshold
+    return replayer
+
+
+#: The solver configurations: both modes, and the array filling on
+#: every multi-constraint group.
+solvers = st.sampled_from(
+    [{}, {"lmm_mode": "reference"}, {"vector_threshold": 1}])
 
 
 def lu_dir(directory, n_ranks, iterations, inorm):
@@ -147,17 +156,16 @@ def collective_heavy_programs(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(program=collective_heavy_programs(),
-       lmm_mode=st.sampled_from(["auto", "reference", "vectorized"]))
-def test_batched_matches_sequential_compiled(program, lmm_mode):
+@given(program=collective_heavy_programs(), solver=solvers)
+def test_batched_matches_sequential_compiled(program, solver):
     n_ranks, lines = program
     with tempfile.TemporaryDirectory() as directory:
         write_dir(directory, lines)
         results = {}
         for batch in (False, True):
             platform = shared_platform(n_ranks)
-            replayer = make_replayer(platform, n_ranks, lmm_mode=lmm_mode,
-                                     compiled="always", batch_phases=batch)
+            replayer = make_replayer(platform, n_ranks, compiled="always",
+                                     batch_phases=batch, **solver)
             results[batch] = replayer.replay(directory)
         assert_equivalent(results[False], results[True])
         assert_counters_match(results[False], results[True])
@@ -190,17 +198,16 @@ def test_batching_ineligible_host_models_falls_back_silently(tmp_path):
        iterations=st.integers(1, 3),
        inorm=st.integers(1, 2),
        shards=st.integers(2, 3),
-       lmm_mode=st.sampled_from(["auto", "reference", "vectorized"]))
+       solver=solvers)
 def test_sharded_matches_sequential_compiled(n_ranks, iterations, inorm,
-                                             shards, lmm_mode):
+                                             shards, solver):
     assume(iterations >= inorm)  # at least one allReduce window
     with tempfile.TemporaryDirectory() as directory:
         lu_dir(directory, n_ranks, iterations, inorm)
         sequential = make_replayer(fatpipe_platform(n_ranks), n_ranks,
-                                   lmm_mode=lmm_mode, compiled="always")
+                                   compiled="always", **solver)
         sharded = make_replayer(fatpipe_platform(n_ranks), n_ranks,
-                                lmm_mode=lmm_mode, compiled="always",
-                                shards=shards)
+                                compiled="always", shards=shards, **solver)
         a = sequential.replay(directory)
         b = sharded.replay(directory)
         assert_equivalent(a, b)

@@ -159,3 +159,21 @@ def test_named_platform_is_the_one_catalog_lookup():
                               speed=1.0).hosts) == 4
     with pytest.raises(ValueError, match="choose from .*'gdx'"):
         named_platform("nonexistent", True)
+
+
+def test_links_hosts_and_capacities_refuse_nan():
+    from repro.simkernel import Constraint, Engine, Host, Link
+
+    nan = float("nan")
+    with pytest.raises(ValueError, match="link l: bandwidth"):
+        Link("l", nan, 0.0)
+    with pytest.raises(ValueError, match="link l: latency"):
+        Link("l", 1e9, nan)
+    with pytest.raises(ValueError, match="host h: speed"):
+        Host("h", float("inf"))
+    with pytest.raises(ValueError, match="capacity must be >= 0"):
+        Constraint(nan)
+    cons = Constraint(1e9)
+    with pytest.raises(ValueError, match="capacity must be >= 0"):
+        Engine().set_capacity(cons, nan)
+    assert cons.capacity == 1e9

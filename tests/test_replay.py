@@ -282,11 +282,12 @@ def test_replay_is_a_pure_function_of_its_inputs_on_a_reused_platform():
     n = 96
     trace = _chain_trace(n)
 
-    def replay_on(platform, **kw):
+    def replay_on(platform, vector_threshold=4, **kw):
         replayer = TraceReplayer(platform,
                                  round_robin_deployment(platform, n),
                                  collect_metrics=True, **kw)
-        replayer.engine.vector_threshold = 4   # array-backed at 96 ranks
+        if vector_threshold is not None:   # 4: array-backed at 96 ranks
+            replayer.engine.vector_threshold = vector_threshold
         return replayer.replay(trace)
 
     platform = _fatpipe_platform(n)
@@ -303,7 +304,8 @@ def test_replay_is_a_pure_function_of_its_inputs_on_a_reused_platform():
     assert replay_on(_fatpipe_platform(n)).per_rank_time \
         == first.per_rank_time
     # ... and a reference-mode engine after an auto one sees no arrays.
-    oracle = replay_on(platform, lmm_mode="reference")
+    oracle = replay_on(platform, vector_threshold=None,
+                       lmm_mode="reference")
     assert oracle.simulated_time == pytest.approx(first.simulated_time,
                                                   rel=1e-9)
     assert oracle.per_rank_time == pytest.approx(first.per_rank_time,

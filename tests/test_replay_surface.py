@@ -1,6 +1,7 @@
 """The replayer's option surface, pinned: which keywords exist, and that
-the solver mode removed with the Numba kernel fails loudly at every
-layer instead of being accepted and ignored.
+the removed solver modes (``native`` went with the Numba kernel,
+``vectorized`` is ``vector_threshold = 1``) fail loudly at every layer
+instead of being accepted and ignored.
 """
 
 import inspect
@@ -37,25 +38,31 @@ def test_replayer_signature_snapshot():
     params = tuple(inspect.signature(TraceReplayer.__init__).parameters)
     assert params == ("self", "platform", "deployment") + tuple(
         name for name, _kind in REPLAYER_KEYWORDS)
-    assert LMM_MODES == ("auto", "reference", "vectorized")
+    assert LMM_MODES == ("auto", "reference")
+
+
+#: Solver modes that existed once; each must now be an unknown mode.
+REMOVED_MODES = ("native", "vectorized")
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Engine(lmm_mode="native"),
-    lambda: ReplaySpec(lmm_mode="native"),
+    lambda mode: Engine(lmm_mode=mode),
+    lambda mode: ReplaySpec(lmm_mode=mode),
 ])
 def test_native_lmm_mode_is_an_unknown_mode(build):
-    with pytest.raises(ValueError) as err:
-        build()
-    assert "'native'" in str(err.value)
-    for mode in ("auto", "reference", "vectorized"):
-        assert mode in str(err.value)
+    for mode in REMOVED_MODES:
+        with pytest.raises(ValueError) as err:
+            build(mode)
+        assert f"unknown lmm_mode {mode!r}" in str(err.value)
+        assert str(LMM_MODES) in str(err.value)
 
 
 def test_cli_rejects_lmm_native_with_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main_replay(["trace-dir", "--platform-xml", "p.xml",
-                     "--lmm", "native"])
-    assert err.value.code == 2
-    stderr = capsys.readouterr().err
-    assert "usage:" in stderr and "Traceback" not in stderr
+    for mode in REMOVED_MODES:
+        with pytest.raises(SystemExit) as err:
+            main_replay(["trace-dir", "--platform-xml", "p.xml",
+                         "--lmm", mode])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "usage:" in stderr and "Traceback" not in stderr
+        assert f"invalid choice: {mode!r}" in stderr

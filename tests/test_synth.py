@@ -70,12 +70,17 @@ def test_lmm_modes_agree_on_synthetic_trace(tmp_path):
     n_ranks = 16
     write_synthetic_lu_trace(str(tmp_path), n_ranks, 2, cls="B", inorm=1)
     times = {}
-    for mode in ("auto", "reference", "vectorized"):
+    # "vectorized": the array filling on every multi-constraint group.
+    for mode, lmm_mode, threshold in (("auto", "auto", None),
+                                      ("reference", "reference", None),
+                                      ("vectorized", "auto", 1)):
         platform = small_platform(n_ranks)
         replayer = TraceReplayer(
             platform, round_robin_deployment(platform, n_ranks),
-            lmm_mode=mode,
+            lmm_mode=lmm_mode,
         )
+        if threshold is not None:
+            replayer.engine.vector_threshold = threshold
         times[mode] = replayer.replay(str(tmp_path)).simulated_time
     assert times["auto"] == pytest.approx(times["reference"], abs=1e-9)
     assert times["vectorized"] == pytest.approx(times["reference"], abs=1e-9)

@@ -188,3 +188,50 @@ def test_fatpipe_backbone_roundtrips_through_xml(tmp_path):
     path2 = str(tmp_path / "shared.xml")
     dump_platform(platform2, path2)
     assert not load_platform(path2).clusters["c"].backbone.fatpipe
+
+
+def _cluster_file(tmp_path, **overrides):
+    """A one-cluster platform file, with attributes replaced or added."""
+    attrs = {"id": "c", "prefix": "c-", "radical": "0-1", "power": "1e9",
+             "bw": "1e9", "lat": "1e-6", "bb_bw": "1e10", "bb_lat": "1e-6"}
+    attrs.update(overrides)
+    path = tmp_path / "platform.xml"
+    path.write_text('<platform version="3"><cluster '
+                    + " ".join(f'{k}="{v}"' for k, v in attrs.items())
+                    + "/></platform>")
+    return str(path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"power": "nan"}, "host c-0: speed"),
+    ({"bw": "nan"}, "link c-0.up: bandwidth"),
+    ({"bw": "inf"}, "link c-0.up: bandwidth"),
+    ({"lat": "nan"}, "link c-0.up: latency"),
+    ({"bb_bw": "nan"}, "link c.bb: bandwidth"),
+    ({"bb_lat": "inf"}, "link c.bb: latency"),
+    ({"cabinet_size": "1", "cabinet_bw": "nan"}, "link c.cab0.up: bandwidth"),
+    ({"cabinet_size": "1", "cabinet_lat": "nan"}, "link c.cab0.up: latency"),
+], ids=["power", "bw", "bw-inf", "lat", "bb_bw", "bb_lat-inf", "cabinet_bw",
+        "cabinet_lat"])
+def test_load_platform_refuses_non_finite_numbers(tmp_path, overrides,
+                                                  message):
+    """A NaN capacity never wins the solver's comparisons, so it used to
+    load and replay as an infinitely fast link (and a NaN latency as
+    none): every number is now refused, naming its link or host."""
+    with pytest.raises(ValueError, match=message):
+        load_platform(_cluster_file(tmp_path, **overrides))
+
+
+@pytest.mark.parametrize("attr, value, kind", [
+    ("cores", "x", "an integer"),
+    ("cores", "1.5", "an integer"),
+    ("cabinet_size", "two", "an integer"),
+    ("cabinet_bw", "fast", "a number"),
+    ("cabinet_lat", "", "a number"),
+])
+def test_load_platform_names_unparsable_attributes(tmp_path, attr, value,
+                                                   kind):
+    with pytest.raises(ValueError) as err:
+        load_platform(_cluster_file(tmp_path, **{attr: value}))
+    assert str(err.value) == \
+        f"<cluster> attribute {attr}={value!r} is not {kind}"
