@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
+from ..simkernel.telemetry import ACTION_CATEGORIES
+
 __all__ = ["RankProfile", "ApplicationProfile", "build_profile"]
 
-#: Action kinds that represent communication or synchronisation.
-COMM_KINDS = frozenset({
-    "send", "Isend", "recv", "Irecv", "wait", "bcast", "reduce",
-    "allReduce", "barrier",
-})
+#: Action kinds that represent communication or synchronisation: the
+#: telemetry's "comm" and "wait" categories.
+COMM_KINDS = frozenset(name for name, category in ACTION_CATEGORIES.items()
+                       if category in ("comm", "wait"))
 
 
 @dataclass

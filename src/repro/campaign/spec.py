@@ -273,9 +273,10 @@ class ReplaySpec:
     eager_threshold: float = 65536.0
     lmm_mode: str = "auto"
     collect_metrics: bool = True
-    # Replay driver: "auto" (compile path sources), "always", "never".
-    # Part of the cache address even though compiled and token replays
-    # agree to 1e-9: a cached record must say which driver produced it.
+    # The replay loop's feed: "auto" (compile path sources), "always",
+    # "never" (stream every source).  Part of the cache address even
+    # though both feeds agree to 1e-9: a cached record must say which
+    # feed produced it.
     compiled: str = "auto"
     # Event-loop batching and sharded parallel replay (exact, validated
     # at run time); cache-addressed for the same provenance reason.

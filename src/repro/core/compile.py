@@ -14,8 +14,8 @@ in-memory — *once* into parallel NumPy columns::
 column each; allToAllv split tables ride in a per-op ``aux`` plane —
 plus an optional ``nsrc`` (uint32) column counting how many *source*
 actions each compiled op stands for — 1 everywhere except fused compute
-runs (see :func:`fuse_computes`).  No strings survive compilation, so
-the replayer's compiled driver allocates zero token lists per action.
+runs (see :func:`fuse_computes`).  No strings survive compilation, and
+the replay loop reads the columns through :meth:`CompiledProgram.records`.
 
 Compiled programs are cached on disk as ``.tic`` sidecars next to the
 trace files (``SG_process3.trace.tic``; a merged file gets one container
@@ -44,7 +44,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -114,6 +114,18 @@ class CompiledProgram:
     @property
     def n_ops(self) -> int:
         return len(self.ops)
+
+    def records(self):
+        """The program as the replay loop's feed: one ``((op, arg, vol,
+        vol2, splits), nsrc)`` pair per op.  The columns become plain
+        lists with one C-level ``.tolist()`` each — list iteration beats
+        NumPy scalar extraction ~3x in a per-op loop."""
+        splits = [None] * self.n_ops
+        for index, table in (self.aux or {}).items():
+            splits[index] = table.tolist()
+        nsrc = repeat(1) if self.nsrc is None else self.nsrc.tolist()
+        return zip(zip(self.ops.tolist(), self.arg.tolist(),
+                       self.vol.tolist(), self.vol2.tolist(), splits), nsrc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "fused" if self.fused else "unfused"
@@ -276,7 +288,7 @@ def _write_tic(path: str, programs: List[CompiledProgram],
                source_digest: bytes) -> bool:
     """Write a sidecar (best-effort: a read-only trace directory just
     means no disk cache, never a failed replay — and never a fallback
-    to the token driver; the compiled programs live in memory)."""
+    to the streamed feed; the compiled programs live in memory)."""
     try:
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:

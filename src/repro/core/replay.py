@@ -5,16 +5,19 @@ platform description, and a deployment (rank -> host).  Output: the
 simulated execution time (and optionally a *timed trace* with the
 simulated start/end instant of every action).
 
-The replayer registers one handler per action keyword — the analogue of
-``MSG_action_register`` — and drives one simulated process per rank over
-its action stream — the analogue of ``MSG_action_trace_run``.  Handlers
-receive the raw token list of the trace line (MSG passes an
-``xbt_dynar_t`` of strings, §5), so user-defined actions can be plugged
-in with :meth:`TraceReplayer.register_action`.
+The replayer drives one simulated process per rank over its action
+stream — the analogue of ``MSG_action_trace_run``.  Every rank runs the
+same loop, :meth:`TraceReplayer._rank_process`: an if/elif over the
+opcodes of the action table (:data:`repro.core.actions.ACTION_TABLE`,
+docs/trace-format.md), the one place the action set is written down —
+where MSG binds a handler per keyword (``MSG_action_register``), a new
+action here is a table row plus a branch.  The loop reads
+``(op, arg, vol, vol2, splits)`` records from one of two feeds: the
+columns of a compiled program (:mod:`repro.core.compile`), or a lazy
+per-rank stream decoded as it is replayed
+(:func:`~.trace.record_streams`).  ``compiled=`` picks the feed, never
+the semantics.
 
-The action set and the shape of each trace line live in one table
-(:data:`repro.core.actions.ACTION_TABLE`, docs/trace-format.md); every
-built-in handler takes its fields from that table's ``decode_tokens``.
 Replay semantics (docs/replay-semantics.md has the long form):
 
 * ``compute v`` — execute ``v`` flops on the rank's host.
@@ -38,14 +41,15 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..faults.plan import FaultPlan, LinkDegrade, LinkDown
 from ..faults.report import FaultReport, RankFailure, build_fault_report
 from ..simkernel import CommSystem, DeadlockError, Engine, Host, Platform, Telemetry
 from ..simkernel.pwl import DEFAULT_MPI_MODEL, PiecewiseLinearModel
 from ..smpi import collectives
-from .actions import ACTION_NAMES, NAME_OF_OPCODE, decode_tokens
+from .actions import NAME_OF_OPCODE, encode_tokens
 from .batch import CollectiveBatcher, batch_eligible
 from .compile import (
     OP_ALLGATHER,
@@ -63,12 +67,10 @@ from .compile import (
     OP_REDUCESCATTER,
     OP_SEND,
     OP_WAIT,
-    CompiledProgram,
     compile_source,
     fuse_computes,
-    op_tokens,
 )
-from .trace import InMemoryTrace, token_streams
+from .trace import InMemoryTrace, record_streams
 
 __all__ = ["TraceReplayer", "ReplayResult"]
 
@@ -97,10 +99,11 @@ class ReplayResult:
 
 
 class _RankContext:
-    """Per-rank replay state handed to action handlers."""
+    """Per-rank replay state: host, posted Irecvs, communicator, progress
+    and the record in flight."""
 
     __slots__ = ("rank", "host", "pending_irecvs", "declared_size",
-                 "coll_seq", "n_actions", "current_action")
+                 "coll_seq", "n_actions", "current")
 
     def __init__(self, rank: int, host: Host) -> None:
         self.rank = rank
@@ -109,44 +112,24 @@ class _RankContext:
         self.declared_size: Optional[int] = None
         self.coll_seq = 0
         self.n_actions = 0
-        # Raw token list of the action being replayed; what the deadlock
-        # report names when this rank is stuck.
-        self.current_action: Optional[List[str]] = None
+        # The (op, arg, vol, vol2, splits) record being replayed; what
+        # the deadlock and fault reports name when this rank is stuck.
+        self.current: Optional[tuple] = None
 
     def action_tokens(self) -> Optional[List[str]]:
-        """Token list of the in-flight action (diagnostics only)."""
-        return self.current_action
-
-    # Adapter protocol for the collective algorithms ---------------------
-    @property
-    def size(self) -> int:
-        return self.declared_size
-
-
-class _CompiledRankContext(_RankContext):
-    """Rank state for the compiled driver: instead of carrying the live
-    token list (which the compiled path never materializes), it carries
-    the op index and formats tokens back lazily — only when a deadlock
-    or fault report actually needs to name the stuck action."""
-
-    __slots__ = ("prog", "op_index")
-
-    def __init__(self, rank: int, host: Host, prog: CompiledProgram) -> None:
-        super().__init__(rank, host)
-        self.prog = prog
-        self.op_index: Optional[int] = None
-
-    def action_tokens(self) -> Optional[List[str]]:
-        if self.op_index is None:
+        """Token list of the in-flight action, formatted only when a
+        diagnostic asks (a fused compute renders as the summed compute
+        it executes as)."""
+        if self.current is None:
             return None
-        return op_tokens(self.prog, self.op_index)
+        return encode_tokens(self.rank, *self.current)
 
 
 class TraceReplayer:
     """Replays time-independent traces on a simulated platform."""
 
     #: Maximum lines the merged-file demux will buffer for any single
-    #: rank before refusing (see :func:`~.trace.token_streams`).
+    #: rank before refusing (see :func:`~.trace.record_streams`).
     #: Class-level so callers with genuinely skewed-but-small traces can
     #: raise it.
     merged_spill_limit = 1_000_000
@@ -177,12 +160,12 @@ class TraceReplayer:
             if record_timed_trace:
                 raise ValueError(
                     "sharded replay does not record timed traces (the "
-                    "compiled driver it builds on refuses them); use "
-                    "shards=0 with record_timed_trace"
+                    "shard workers' loop keeps no per-action record); "
+                    "use shards=0 with record_timed_trace"
                 )
             if compiled == "never":
                 raise ValueError(
-                    "sharded replay runs on the compiled driver; "
+                    "sharded replay runs on compiled programs; "
                     "shards>1 is incompatible with compiled='never'"
                 )
             if collective_algorithm != "binomial":
@@ -246,17 +229,17 @@ class TraceReplayer:
         self.collective_algorithm = collective_algorithm
         self.record_timed_trace = record_timed_trace
         self.timed_trace: List[tuple] = []
-        # ``compiled`` selects the replay driver: "auto" compiles path
-        # sources (directories, merged files) into columnar op programs
-        # and keeps in-memory traces on the token path; "always" forces
-        # compilation; "never" forces the token path.  Exposed as
-        # ``repro-replay --compiled/--no-compiled``.
+        # ``compiled`` selects the rank loop's feed (see
+        # _compiled_programs): "auto" compiles path sources (directories,
+        # merged files) into columnar op programs and streams in-memory
+        # traces; "always" compiles every source; "never" streams every
+        # source.  Exposed as ``repro-replay --compiled/--no-compiled``.
         self.compiled = compiled
         # Phase batching: advance synchronizing collectives with one
         # dependency graph instead of per-rank protocol generators (see
         # repro.core.batch).  Silently inert when the replay is not
-        # eligible (token path, flat collectives, fault plans, folded or
-        # modeled hosts) — eligibility is checked per replay.
+        # eligible (flat collectives, fault plans, folded or modeled
+        # hosts) — eligibility is checked per replay.
         self.batch_phases = batch_phases
         # Sharded replay: partition ranks into contiguous bands replayed
         # in forked worker processes, synchronized at collectives (see
@@ -265,40 +248,13 @@ class TraceReplayer:
         # byte-identical to unsharded runs by construction.
         self.shards = shards
         self.shard_halo = shard_halo
-        self._custom_actions = False
-        # CompileReport of the most recent compiled replay (None when the
-        # token path ran).
+        # CompileReport of the most recent compiled replay (None while
+        # every replay streamed its source).
         self.last_compile_report = None
-        # One handler per table keyword: every action that is not one of
-        # the seven below is a collective.
-        self._handlers: Dict[str, Callable] = dict.fromkeys(
-            ACTION_NAMES, self._do_collective)
-        self._handlers.update({
-            "compute": self._do_compute,
-            "send": self._do_send,
-            "Isend": self._do_isend,
-            "recv": self._do_recv,
-            "Irecv": self._do_irecv,
-            "wait": self._do_wait,
-            "comm_size": self._do_comm_size,
-        })
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def register_action(self, name: str,
-                        handler: Callable[["_RankContext", List[str]],
-                                          Iterator]) -> None:
-        """The MSG_action_register analogue: bind a trace keyword to a
-        generator handler ``handler(ctx, tokens)``.
-
-        Custom actions only exist on the token path, so registering one
-        pins this replayer to it (``compiled="always"`` then fails
-        loudly rather than silently skipping the custom handler).
-        """
-        self._handlers[name] = handler
-        self._custom_actions = True
-
     def replay(self, source) -> ReplayResult:
         """The MSG_action_trace_run analogue.
 
@@ -401,27 +357,18 @@ class TraceReplayer:
         """
         programs = self._compiled_programs(source, fault_events)
         if programs is None:
-            streams = token_streams(source, self.merged_spill_limit)
-            n_ranks = len(streams)
+            feeds = [zip(stream, repeat(1)) for stream
+                     in record_streams(source, self.merged_spill_limit)]
         else:
-            streams = None
-            n_ranks = len(programs)
+            feeds = [prog.records() for prog in programs]
+        n_ranks = len(feeds)
         if n_ranks > len(self.deployment):
             raise ValueError(
                 f"trace has {n_ranks} ranks but deployment covers only "
                 f"{len(self.deployment)}"
             )
-        if programs is None:
-            contexts = [
-                _RankContext(rank, self.deployment[rank])
-                for rank in range(n_ranks)
-            ]
-        else:
-            contexts = [
-                _CompiledRankContext(rank, self.deployment[rank],
-                                     programs[rank])
-                for rank in range(n_ranks)
-            ]
+        contexts = [_RankContext(rank, self.deployment[rank])
+                    for rank in range(n_ranks)]
         finish = [0.0] * n_ranks
         # Fresh output per call: a second replay() on the same instance
         # must not return the first run's tuples.
@@ -441,13 +388,13 @@ class TraceReplayer:
         self.engine.deadlock_hook = lambda blocked: self._deadlock_report(
             contexts, blocked
         )
-        # Phase batching only exists on the compiled fault-free path and
-        # only when the batched graph is provably the exact protocol
-        # (see batch_eligible).  Ineligible replays silently run the
-        # per-rank generators — same results, fewer assumptions.
+        # Phase batching only exists on fault-free replays and only when
+        # the batched graph is provably the exact protocol (see
+        # batch_eligible).  Ineligible replays silently run the per-rank
+        # generators — same results, fewer assumptions.
         batcher = None
-        if (self.batch_phases and programs is not None
-                and fault_events is None and batch_eligible(self, n_ranks)):
+        if (self.batch_phases and fault_events is None
+                and batch_eligible(self, n_ranks)):
             batcher = CollectiveBatcher(
                 self.engine, self.comms.transfer_params, self.deployment,
                 self.comms.eager_threshold,
@@ -498,89 +445,12 @@ class TraceReplayer:
             self.engine.process_failed_hook = on_proc_failed
             injector.attach()
 
-        def rank_process(ctx: _RankContext, stream):
-            handlers = self._handlers
-            engine = self.engine
-            record = self.record_timed_trace
-            timed_trace = self.timed_trace
-            # The clock never advances between the end of one action and
-            # the start of the next within a rank (this generator only
-            # yields inside handlers), so one clock read per action covers
-            # both boundaries.
-            start = engine.now
-            if replay_metrics is not None:
-                # Metering path.  The baseline already performs one dict
-                # lookup per action (the handler dispatch); the counting
-                # cell IS the dispatch entry — ``[handler, count, volume,
-                # time]`` — so metering adds no lookup and touches a
-                # single extra object per action (see ReplayMetrics).
-                new_cell = replay_metrics.new_cell
-                cells_get = replay_metrics.rank_cells[ctx.rank].get
-                for tokens in stream:
-                    ctx.n_actions += 1
-                    ctx.current_action = tokens
-                    try:
-                        cell = cells_get(tokens[1])
-                        if cell is None:
-                            handler = handlers[tokens[1]]
-                            cell = new_cell(ctx.rank, tokens[1])
-                            cell[0] = handler
-                    except LookupError:
-                        # No keyword, or an unregistered one: the
-                        # decoder words both errors.
-                        decode_tokens(tokens)
-                        raise
-                    # Handlers return the volume they decoded anyway (or
-                    # None), carried for free by the StopIteration that
-                    # ends the delegation — no token re-parse here.
-                    volume = yield from cell[0](ctx, tokens)
-                    end = engine.now
-                    cell[1] += 1
-                    if volume is not None:
-                        cell[2] = (cell[2] or 0.0) + volume
-                    if end is not start:
-                        # The clock only ever advances by rebinding
-                        # ``now``, so identity == "no time passed":
-                        # skip the float work for instantaneous actions
-                        # (Isend/Irecv posts and the like).
-                        cell[3] += end - start
-                    if record:
-                        timed_trace.append((ctx.rank, tokens[1], start, end))
-                    start = end
-            else:
-                for tokens in stream:
-                    try:
-                        handler = handlers[tokens[1]]
-                    except LookupError:
-                        decode_tokens(tokens)
-                        raise
-                    ctx.n_actions += 1
-                    ctx.current_action = tokens
-                    yield from handler(ctx, tokens)
-                    if record:
-                        end = engine.now
-                        timed_trace.append((ctx.rank, tokens[1], start, end))
-                        start = end
-            ctx.current_action = None
-            finish[ctx.rank] = self.engine.now
-
         wall_start = time.perf_counter()
-        if programs is None:
-            for ctx, stream in zip(contexts, streams):
-                procs.append(self.engine.add_process(
-                    f"p{ctx.rank}", rank_process(ctx, stream)))
-        else:
-            # Under a fault plan the driver counts actions as they start
-            # (the report's lost-progress walk needs per-rank counts for
-            # ranks that die mid-trace); fault-free runs skip the
-            # per-action increment and stamp the total at stream end.
-            count = fault_events is not None
-            for ctx, prog in zip(contexts, programs):
-                procs.append(self.engine.add_process(
-                    f"p{ctx.rank}",
-                    self._compiled_rank_process(ctx, prog, finish,
-                                                replay_metrics, count,
-                                                batcher)))
+        for ctx, feed in zip(contexts, feeds):
+            procs.append(self.engine.add_process(
+                f"p{ctx.rank}",
+                self._rank_process(ctx, feed, finish, replay_metrics,
+                                   batcher)))
         try:
             simulated = self.engine.run()
         except DeadlockError as exc:
@@ -616,40 +486,21 @@ class TraceReplayer:
         ), fault_state
 
     # ------------------------------------------------------------------
-    # Compiled driver
+    # The rank loop and its feeds
     # ------------------------------------------------------------------
     def _compiled_programs(self, source, fault_events):
-        """Decide whether this replay runs compiled, and compile if so.
+        """Pick the rank loop's feed, and compile if it is the arrays.
 
-        Returns per-rank :class:`CompiledProgram` lists or ``None`` (run
-        the token path).  "auto" compiles path sources — where the win is
-        the skipped tokenize/dispatch work — and leaves already-resident
-        :class:`InMemoryTrace` sources on the token path; "always" forces
-        compilation for any source and refuses configurations the
-        compiled driver cannot honor.
+        Returns per-rank :class:`~.compile.CompiledProgram` lists, or
+        ``None`` to stream the source (decoded as it is replayed).
+        "never" streams every source, "auto" streams already-resident
+        :class:`InMemoryTrace` sources and compiles path sources — where
+        the ``.tic`` cache and fusion pay — and "always" compiles every
+        source.
         """
         mode = self.compiled
-        if mode == "never":
-            return None
-        if self._custom_actions:
-            if mode == "always":
-                raise ValueError(
-                    "compiled replay cannot drive actions registered via "
-                    "register_action(); use compiled='never'"
-                )
-            return None
-        if self.record_timed_trace:
-            # Timed traces need one (start, end) tuple per *source*
-            # action; the compiled driver's whole point is not doing
-            # per-action bookkeeping, so recording stays on the token
-            # path.
-            if mode == "always":
-                raise ValueError(
-                    "compiled replay does not record timed traces; use "
-                    "compiled='never' with record_timed_trace"
-                )
-            return None
-        if mode == "auto" and isinstance(source, InMemoryTrace):
+        if mode == "never" or (mode == "auto"
+                               and isinstance(source, InMemoryTrace)):
             return None
         programs, report = compile_source(source)
         self.last_compile_report = report
@@ -657,24 +508,24 @@ class TraceReplayer:
         # only when per-flop inflation is volume-independent (no
         # efficiency model on any replay host) and nothing needs
         # per-action granularity: fault runs count per-action progress
-        # for the report's provenance walk, so they run unfused.
-        if fault_events is None and all(
+        # for the report's provenance walk, and a timed trace holds one
+        # record per source action, so both run unfused.
+        if fault_events is None and not self.record_timed_trace and all(
             host.efficiency_model is None
             for host in self.deployment[:len(programs)]
         ):
             programs = [fuse_computes(prog) for prog in programs]
         return programs
 
-    def _compiled_rank_process(self, ctx: "_CompiledRankContext",
-                               prog: CompiledProgram, finish,
-                               replay_metrics, count: bool,
-                               batcher: Optional[CollectiveBatcher] = None):
-        """One rank's replay over its compiled op program.
+    def _rank_process(self, ctx: _RankContext, feed, finish,
+                      replay_metrics, batcher: Optional[CollectiveBatcher]):
+        """One rank's replay over its feed of ``((op, arg, vol, vol2,
+        splits), nsrc)`` pairs, ``nsrc`` being the number of source
+        actions a (fused) record stands for.
 
-        The hot loop is a frequency-ordered if/elif over opcode ints on
-        plain Python lists (``.tolist()`` once per column): no string
-        tokenization, no dict dispatch, no per-action token list, and no
-        sub-generator delegation for the four hottest ops.
+        The hot loop is a frequency-ordered if/elif over opcode ints: no
+        string tokenization, no dict dispatch, no per-action token list,
+        and no sub-generator delegation for the four hottest ops.
         """
         engine = self.engine
         comms = self.comms
@@ -684,41 +535,33 @@ class TraceReplayer:
         work = host.work_inflation
         pending = ctx.pending_irecvs
         rank = ctx.rank
-        # One C-level conversion per column; list indexing beats NumPy
-        # scalar extraction ~3x in a per-op loop.
-        ops = prog.ops.tolist()
-        arg = prog.arg.tolist()
-        vol = prog.vol.tolist()
-        vol2 = prog.vol2.tolist()
-        nsrc = prog.nsrc.tolist() if prog.nsrc is not None else None
-        aux = ({k: a.tolist() for k, a in prog.aux.items()}
-               if prog.aux else None)
-        n = len(ops)
         metered = replay_metrics is not None
+        record = self.record_timed_trace
+        timed_trace = self.timed_trace
+        track = metered or record
         if metered:
             new_cell = replay_metrics.new_cell
             cells: List = [None] * len(NAME_OF_OPCODE)
-            start = engine.now
-        i = 0
-        while i < n:
-            op = ops[i]
-            ctx.op_index = i
-            if count:
-                ctx.n_actions += 1
+        # The clock never advances between the end of one action and the
+        # start of the next within a rank (this generator only yields
+        # inside actions), so one clock read per action covers both.
+        start = engine.now
+        for rec, ns in feed:
+            op, a, v, v2, splits = rec
+            ctx.current = rec
+            ctx.n_actions += ns
             volume = None
             if op == OP_COMPUTE:
-                v = vol[i]
                 volume = v
                 if v > 0.0:
                     yield engine.exec_activity(
                         cpu, v * work("compute", v), bound=speed)
             elif op == OP_ISEND:
-                v = vol[i]
                 volume = v
-                comms.isend(rank, arg[i], v)
+                comms.isend(rank, a, v)
             elif op == OP_IRECV:
-                volume = vol[i]
-                pending.append(comms.irecv(rank, src=arg[i]))
+                volume = v
+                pending.append(comms.irecv(rank, src=a))
             elif op == OP_WAIT:
                 if not pending:
                     raise ValueError(
@@ -727,15 +570,14 @@ class TraceReplayer:
                     )
                 yield pending.popleft()
             elif op == OP_SEND:
-                v = vol[i]
                 volume = v
-                yield comms.isend(rank, arg[i], v)
+                yield comms.isend(rank, a, v)
             elif op == OP_RECV:
-                req = comms.irecv(rank, src=arg[i])
+                req = comms.irecv(rank, src=a)
                 yield req
                 volume = req.size
             elif op == OP_COMM_SIZE:
-                self._declare_comm_size(ctx, arg[i])
+                self._declare_comm_size(ctx, a)
             elif batcher is not None and (op == OP_ALLREDUCE
                                           or op == OP_BARRIER):
                 # Phase-batched: one dependency graph replaces the whole
@@ -745,40 +587,33 @@ class TraceReplayer:
                 self._require_comm_size(ctx, NAME_OF_OPCODE[op])
                 ctx.coll_seq += 1
                 if op == OP_ALLREDUCE:
-                    volume = vol[i]
+                    volume = v
                     yield batcher.arrive(rank, ctx.coll_seq, "allReduce",
-                                         volume, vol2[i], ctx.declared_size)
+                                         v, v2, ctx.declared_size)
                 else:
                     yield batcher.arrive(
                         rank, ctx.coll_seq, "barrier",
                         float(collectives.BARRIER_TOKEN_BYTES), 0.0,
                         ctx.declared_size)
             else:
-                splits = None
-                if op == OP_ALLTOALLV:
-                    splits = aux.get(i) if aux else None
-                    if splits is None or len(splits) != arg[i]:
-                        raise ValueError(
-                            f"p{rank}: compiled allToAllv op {i} lost its "
-                            "split table (corrupt program)"
-                        )
-                volume = yield from self._collective(
-                    ctx, op, vol[i], vol2[i], splits)
-            if metered:
-                cell = cells[op]
-                if cell is None:
-                    cell = cells[op] = new_cell(rank, NAME_OF_OPCODE[op])
+                volume = yield from self._collective(ctx, op, v, v2, splits)
+            if track:
                 end = engine.now
-                cell[1] += nsrc[i] if nsrc is not None else 1
-                if volume is not None:
-                    cell[2] = (cell[2] or 0.0) + volume
-                if end is not start:
-                    cell[3] += end - start
+                if metered:
+                    cell = cells[op]
+                    if cell is None:
+                        cell = cells[op] = new_cell(rank, NAME_OF_OPCODE[op])
+                    cell[0] += ns
+                    if volume is not None:
+                        cell[1] = (cell[1] or 0.0) + volume
+                    if end is not start:
+                        # The clock only ever advances by rebinding
+                        # ``now``, so identity == "no time passed".
+                        cell[2] += end - start
+                if record:
+                    timed_trace.append((rank, NAME_OF_OPCODE[op], start, end))
                 start = end
-            i += 1
-        ctx.op_index = None
-        if not count:
-            ctx.n_actions = prog.n_src
+        ctx.current = None
         finish[rank] = engine.now
 
     # ------------------------------------------------------------------
@@ -835,56 +670,8 @@ class TraceReplayer:
         }
 
     # ------------------------------------------------------------------
-    # Action handlers (each one is the analogue of a registered MSG
-    # action function; §5 shows `compute` in C)
+    # Communicators and collectives
     # ------------------------------------------------------------------
-    def _do_compute(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        volume = decode_tokens(tokens)[2]
-        if volume > 0:
-            amount = volume * ctx.host.work_inflation("compute", volume)
-            yield self.engine.exec_activity(
-                ctx.host.cpu, amount, bound=ctx.host.speed,
-            )
-        return volume
-
-    def _do_send(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        _, dst, size, _, _ = decode_tokens(tokens)
-        yield self.comms.isend(ctx.rank, dst, size)
-        return size
-
-    def _do_isend(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        _, dst, size, _, _ = decode_tokens(tokens)
-        self.comms.isend(ctx.rank, dst, size)
-        return size
-        yield  # pragma: no cover - makes this a generator
-
-    def _do_recv(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        req = self.comms.irecv(ctx.rank, src=decode_tokens(tokens)[1])
-        yield req
-        # The matched sender's size == the trace volume for consistent
-        # traces, and is what the compiled driver meters too.
-        return req.size
-
-    def _do_irecv(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        _, src, size, _, _ = decode_tokens(tokens)
-        ctx.pending_irecvs.append(self.comms.irecv(ctx.rank, src=src))
-        return size
-        yield  # pragma: no cover - makes this a generator
-
-    def _do_wait(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        decode_tokens(tokens)
-        if not ctx.pending_irecvs:
-            raise ValueError(
-                f"p{ctx.rank}: 'wait' with no pending Irecv (trace is "
-                "inconsistent)"
-            )
-        yield ctx.pending_irecvs.popleft()
-
-    def _do_comm_size(self, ctx: _RankContext, tokens: List[str]) -> Iterator:
-        self._declare_comm_size(ctx, decode_tokens(tokens)[1])
-        return
-        yield  # pragma: no cover - makes this a generator
-
     def _declare_comm_size(self, ctx: _RankContext, size: int) -> None:
         if size != self.comms.size and size > len(self.deployment):
             raise ValueError(
@@ -893,7 +680,6 @@ class TraceReplayer:
             )
         ctx.declared_size = size
 
-    # -- collectives ------------------------------------------------------
     def _require_comm_size(self, ctx: _RankContext, what: str) -> None:
         if ctx.declared_size is None:
             raise ValueError(
@@ -901,15 +687,10 @@ class TraceReplayer:
                 "requires comm_size ahead of any collective (§3)"
             )
 
-    def _do_collective(self, ctx: _RankContext,
-                       tokens: List[str]) -> Iterator:
-        op, _, vol, vol2, splits = decode_tokens(tokens)
-        return (yield from self._collective(ctx, op, vol, vol2, splits))
-
     def _collective(self, ctx: _RankContext, op: int, vol: float,
                     vol2: float, splits) -> Iterator:
         """The one place a collective turns into point-to-point
-        messages, for both drivers; returns the volume to meter."""
+        messages; returns the volume to meter."""
         self._require_comm_size(ctx, NAME_OF_OPCODE[op])
         ctx.coll_seq += 1
         ops = _CollOps(self, ctx, tag=-2 - ctx.coll_seq)

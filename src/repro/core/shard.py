@@ -332,35 +332,27 @@ def _shard_rank_process(replayer, ctx, prog, runtime: _ShardRuntime,
     rank = ctx.rank
     lo = runtime.sim_lo
     hi = runtime.sim_hi
-    ops = prog.ops.tolist()
-    arg = prog.arg.tolist()
-    vol = prog.vol.tolist()
-    n = len(ops)
-    i = 0
-    while i < n:
-        op = ops[i]
-        ctx.op_index = i
+    for rec, _ns in prog.records():
+        op, peer, v, _v2, _splits = rec
+        ctx.current = rec
         if op == OP_COMPUTE:
-            v = vol[i]
             if v > 0.0:
                 yield engine.exec_activity(
                     cpu, v * work("compute", v), bound=speed)
         elif op == OP_ISEND:
             runtime.check_send_quiet(rank)
-            peer = arg[i]
             if not lo <= peer < hi:
                 # Fabricated edge: the outside receiver is assumed
                 # already posted, so the flow starts now (the eager
                 # protocol behaves identically; rendezvous starts at the
                 # send post, which only halo ranks can observe).
                 comms.irecv(peer, src=rank)
-            comms.isend(rank, peer, vol[i])
+            comms.isend(rank, peer, v)
         elif op == OP_IRECV:
-            peer = arg[i]
             if lo <= peer < hi:
                 pending.append(comms.irecv(rank, src=peer))
             else:
-                pending.append(_OutsideRecv(vol[i], peer))
+                pending.append(_OutsideRecv(v, peer))
         elif op == OP_WAIT:
             if not pending:
                 raise ValueError(
@@ -370,25 +362,22 @@ def _shard_rank_process(replayer, ctx, prog, runtime: _ShardRuntime,
             yield pending.popleft()
         elif op == OP_SEND:
             runtime.check_send_quiet(rank)
-            peer = arg[i]
             if not lo <= peer < hi:
                 comms.irecv(peer, src=rank)
-            yield comms.isend(rank, peer, vol[i])
+            yield comms.isend(rank, peer, v)
         elif op == OP_RECV:
-            peer = arg[i]
             if lo <= peer < hi:
                 yield comms.irecv(rank, src=peer)
             else:
-                yield _OutsideRecv(vol[i], peer)
+                yield _OutsideRecv(v, peer)
         elif op == OP_ALLREDUCE or op == OP_BARRIER:
             ctx.coll_seq += 1
             yield runtime.arrive(rank)
         elif op == OP_COMM_SIZE:
-            ctx.declared_size = arg[i]
+            ctx.declared_size = peer
         else:  # pragma: no cover - _scan_programs refuses these upfront
             raise ValueError(f"p{rank}: opcode {op} cannot run sharded")
-        i += 1
-    ctx.op_index = None
+    ctx.current = None
     ctx.n_actions = prog.n_src
     finish[rank] = engine.now
 
@@ -402,7 +391,7 @@ def _worker_main(replayer, programs, w: int, sim_lo: int, sim_hi: int,
     its engine, so every worker starts from identical clean state.
     """
     try:
-        from .replay import _CompiledRankContext
+        from .replay import _RankContext
 
         engine = replayer.engine
         comms = replayer.comms
@@ -414,11 +403,8 @@ def _worker_main(replayer, programs, w: int, sim_lo: int, sim_hi: int,
             telemetry.comm.begin(comms.cache_stats())
         runtime = _ShardRuntime(engine, comms, conn, sim_lo, sim_hi,
                                 band_lo, band_hi, halo)
-        contexts = [
-            _CompiledRankContext(rank, replayer.deployment[rank],
-                                 programs[rank])
-            for rank in range(sim_lo, sim_hi)
-        ]
+        contexts = [_RankContext(rank, replayer.deployment[rank])
+                    for rank in range(sim_lo, sim_hi)]
         engine.deadlock_hook = lambda blocked: replayer._deadlock_report(
             contexts, blocked)
         finish: Dict[int, float] = {}
@@ -563,10 +549,10 @@ def replay_sharded(replayer, source):
     wall_start = time.perf_counter()
     programs = replayer._compiled_programs(source, None)
     if programs is None:
-        # "auto" leaves in-memory traces on the token path; sharding
-        # needs op programs, so compile them anyway (same fusion gate —
-        # the decoupled-platform check below implies no efficiency
-        # models, hence fusion is exact).
+        # "auto" streams in-memory traces; sharding needs op programs,
+        # so compile them anyway (same fusion gate — the
+        # decoupled-platform check below implies no efficiency models,
+        # hence fusion is exact).
         programs, report = compile_source(source)
         replayer.last_compile_report = report
         programs = [fuse_computes(prog) for prog in programs]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .actions import (
-    Action, action_of, decode_tokens, encode_tokens, fields_of,
+    Action, action_of, decode_tokens, fields_of,
     format_action, parse_process_id,
 )
 from .binfmt import binary_trace_file_name, read_binary_trace
@@ -44,7 +44,7 @@ __all__ = [
     "write_merged_trace",
     "rank_file_tokens",
     "merged_file_tokens",
-    "token_streams",
+    "record_streams",
     "estimate_gzip_ratio",
 ]
 
@@ -311,20 +311,20 @@ def read_merged_trace(path: str) -> InMemoryTrace:
 
 
 # ---------------------------------------------------------------------------
-# Token streams: what the replayer's token driver consumes
+# Record streams: the replay loop's streamed feed
 # ---------------------------------------------------------------------------
 
-def token_streams(source, spill_limit: int) -> List[Iterable[List[str]]]:
-    """One lazy stream of trace-line token lists per rank, for any
-    source :meth:`TraceReplayer.replay` accepts."""
+def record_streams(source, spill_limit: int) -> List[Iterator[tuple]]:
+    """One lazy stream of ``(op, arg, vol, vol2, splits)`` records per
+    rank, for any source :meth:`TraceReplayer.replay` accepts: text
+    lines through :func:`~.actions.decode_tokens`, ``.btrace`` and
+    in-memory actions through :func:`~.actions.fields_of`.  Each record
+    is decoded when the replay reaches it."""
     if isinstance(source, InMemoryTrace):
         ranks = source.ranks()
         if ranks != list(range(len(ranks))):
             raise ValueError(f"trace ranks are not contiguous: {ranks[:10]}")
-        # Lazy per-rank tokenization: the trace is resident anyway, but
-        # the token lists (3-4x the Action objects' footprint) need
-        # never exist all at once.
-        return [_action_tokens(source.actions_of(rank)) for rank in ranks]
+        return [map(fields_of, source.actions_of(rank)) for rank in ranks]
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         if os.path.isdir(path):
@@ -333,20 +333,17 @@ def token_streams(source, spill_limit: int) -> List[Iterable[List[str]]]:
             # state is O(ranks), independent of the per-rank event
             # count.  This is the layout to use at scale.
             return [
-                _action_tokens(read_binary_trace(p, expect_rank=rank))
-                if p.endswith(".btrace") else rank_file_tokens(p, rank)
+                map(fields_of, read_binary_trace(p, expect_rank=rank))
+                if p.endswith(".btrace")
+                else map(decode_tokens, rank_file_tokens(p, rank))
                 for rank, p in enumerate(discover_trace_paths(path))
             ]
-        return _merged_token_streams(path, spill_limit)
+        return [map(decode_tokens, stream)
+                for stream in _merged_token_streams(path, spill_limit)]
     raise TypeError(
         f"unsupported trace source {type(source).__name__}; pass an "
         "InMemoryTrace, a trace directory, or a merged trace file"
     )
-
-
-def _action_tokens(actions: Iterable[Action]) -> Iterator[List[str]]:
-    for action in actions:
-        yield encode_tokens(action.rank, *fields_of(action))
 
 
 def _merged_token_streams(path: str,

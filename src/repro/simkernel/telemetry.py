@@ -15,10 +15,9 @@ budget (``benchmarks/bench_fig9_replay_time.py::test_fig9_metrics_overhead``):
   cache hit rates) from counters and cache sizes the kernel maintains
   anyway, via begin/finish snapshots — only the eager count and the
   match-queue high-water marks are tracked live;
-* the replayer aggregates into a per-(rank, action-name) *cell*
-  ``[handler, count, volume, time]`` that doubles as the
-  dispatch entry, so the same dict lookup that finds the action's
-  handler also yields its counters.
+* the replay loop charges each action to a per-(rank, opcode) *cell*
+  ``[count, volume, time]``, found by list index on the opcode the loop
+  already switches on.
 
 Three counter groups mirror the three layers of the replay pipeline:
 
@@ -44,11 +43,11 @@ from typing import Dict, List, Optional
 __all__ = ["EngineMetrics", "CommMetrics", "ReplayMetrics", "FaultMetrics",
            "Telemetry", "ACTION_CATEGORIES", "action_category"]
 
-# Simulated-time attribution buckets for the standard action set; any
-# action not listed here (e.g. user-registered ones) is charged to
-# "other".  ``wait`` is pure waiting; collectives and point-to-point are
-# communication (their embedded reduction flops are negligible next to
-# the transfers they synchronise on).
+# Simulated-time attribution buckets, one per action-table keyword
+# (repro.core.actions.ACTION_TABLE); a keyword missing here would be
+# charged to "other".  ``wait`` is pure waiting; collectives and
+# point-to-point are communication (their embedded reduction flops are
+# negligible next to the transfers they synchronise on).
 ACTION_CATEGORIES: Dict[str, str] = {
     "compute": "compute",
     "wait": "wait",
@@ -235,14 +234,11 @@ class ReplayMetrics:
     """Per-rank and per-action-type counters for the replayer.
 
     The replay loop charges each action through a mutable cell
-    ``[handler, count, volume, time]`` which doubles as the dispatch
-    entry: the *same* per-rank dict lookup that finds the action's
-    handler yields its counters, so with metrics enabled each action
-    touches exactly one extra object.  Slot 0 is owned by the replayer
-    (the bound handler); ``volume`` stays ``None`` until a handler
-    reports one (actions without a volume never do); per-category time
-    splits are derived from the cells at :meth:`as_dict` time via
-    :data:`ACTION_CATEGORIES`.
+    ``[count, volume, time]``, so with metrics enabled each action
+    touches exactly one extra object.  ``volume`` stays ``None`` until
+    an action reports one (actions without a volume never do);
+    per-category time splits are derived from the cells at
+    :meth:`as_dict` time via :data:`ACTION_CATEGORIES`.
     """
 
     __slots__ = ("n_ranks", "rank_cells", "ops_compiled", "computes_fused",
@@ -250,11 +246,11 @@ class ReplayMetrics:
 
     def __init__(self) -> None:
         self.n_ranks = 0
-        # Per rank: {action name: [handler, count, volume, time]}.
+        # Per rank: {action name: [count, volume, time]}.
         self.rank_cells: List[Dict[str, list]] = []
-        # Compiled-driver provenance: how many compiled ops drove this
-        # replay (0: the token path ran) and how many source compute
-        # actions were absorbed into fused ops.
+        # Compiled-feed provenance: how many compiled ops drove this
+        # replay (0: the source was streamed) and how many source
+        # compute actions were absorbed into fused ops.
         self.ops_compiled = 0
         self.computes_fused = 0
         # Phase-batched/sharded driver provenance: how many synchronizing
@@ -274,15 +270,14 @@ class ReplayMetrics:
         self.shard_merges = 0
 
     def new_cell(self, rank: int, name: str) -> list:
-        """Build (and register) the counting cell for one (rank, action).
-        The caller fills slot 0 with whatever it dispatches on."""
-        cell = [None, 0, None, 0.0]
+        """Build (and register) the counting cell for one (rank, action)."""
+        cell = [0, None, 0.0]
         self.rank_cells[rank][name] = cell
         return cell
 
     @property
     def total_actions(self) -> int:
-        return sum(cell[1] for cells in self.rank_cells
+        return sum(cell[0] for cells in self.rank_cells
                    for cell in cells.values())
 
     def as_dict(self) -> Dict[str, object]:
@@ -294,7 +289,7 @@ class ReplayMetrics:
             cells = self.rank_cells[rank]
             rank_counts = {}
             times = {cat: 0.0 for cat in _CATEGORY_KEYS}
-            for name, (_h, count, volume, seconds) in cells.items():
+            for name, (count, volume, seconds) in cells.items():
                 rank_counts[name] = count
                 action_counts[name] = action_counts.get(name, 0) + count
                 if volume is not None:

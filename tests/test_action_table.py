@@ -263,8 +263,8 @@ def test_every_keyword_replays_identically_on_both_drivers(algorithm,
 
 
 # ---------------------------------------------------------------------------
-# One input contract: parse_action, the token driver and the compiled
-# driver reject the same lines with the same typed message
+# One input contract: parse_action, the streamed and the compiled feed
+# reject the same lines with the same typed message
 # ---------------------------------------------------------------------------
 #: (the offending line's tail, lines before it on p0, p1's lines).  The
 #: context makes sure nothing but the decoder can reject the line first.

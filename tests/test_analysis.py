@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import build_profile, diagnose_wait_states
-from repro.core.actions import Compute, Irecv, Recv, Send, Wait
+from repro.core.actions import (
+    AllGather, AllToAll, CommSize, Compute, Irecv, Recv, Send, Wait,
+)
 from repro.core.replay import TraceReplayer
 from repro.core.trace import InMemoryTrace
 from repro.simkernel import Platform
@@ -70,6 +72,23 @@ def test_profile_of_real_replay():
     text = profile.report()
     assert "parallel efficiency" in text
     assert "compute" in text
+
+
+def test_profile_counts_ai_collectives_as_communication():
+    # Every rank spends its time in compute, allToAll and allGather; the
+    # latter two are communication in the telemetry's categories, so
+    # they must be in comm_time too.
+    actions = []
+    for rank in range(4):
+        actions += [CommSize(rank, 4), Compute(rank, 1e8 * (rank + 1)),
+                    AllToAll(rank, 1e6), AllGather(rank, 5e5)]
+    result = make_replayer(4).replay(trace_of(actions))
+    profile = build_profile(result.timed_trace)
+    for rank_profile in profile.ranks:
+        kinds = rank_profile.by_kind
+        assert kinds["allToAll"] > 0 and kinds["allGather"] > 0
+        assert rank_profile.comm_time == pytest.approx(
+            kinds["allToAll"] + kinds["allGather"])
 
 
 # ---------------------------------------------------------------------------

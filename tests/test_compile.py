@@ -1,10 +1,11 @@
 """Tests for repro.core.compile and the compiled replay driver.
 
-Covers: token/compiled equivalence across trace sources and lmm modes,
-compute-fusion exactness, ``.tic`` sidecar caching and byte-level
-invalidation, the campaign cache's handling of sidecars, error-message
-parity with the token path, driver-selection rules, fault-plan parity
-(byte-identical FaultReports), and the merged-stream spill guard.
+Covers: streamed/compiled feed equivalence across trace sources and lmm
+modes, compute-fusion exactness, ``.tic`` sidecar caching and
+byte-level invalidation, the campaign cache's handling of sidecars,
+error-message parity between the feeds, feed-selection rules, the
+timed-trace pins, fault-plan parity (byte-identical FaultReports), and
+the merged-stream spill guard.
 """
 
 import os
@@ -110,7 +111,7 @@ def assert_equivalent(a, b, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: compiled vs token, across sources, collectives, lmm modes
+# Equivalence: compiled vs streamed, across sources, collectives, lmm modes
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("solver", [
     pytest.param({}, id="auto"),
@@ -368,6 +369,21 @@ def test_replay_compiled_option_is_part_of_the_key(mixed_dir):
         ReplaySpec(compiled="sometimes")
 
 
+def test_example_campaign_cache_key_is_pinned():
+    # compiled="always" names the feed a scenario replays from; the
+    # address of an existing cached record must not move with it.
+    from repro.campaign import load_campaign_spec
+
+    examples = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "examples")
+    spec = load_campaign_spec(os.path.join(examples, "ai_workloads.json"))
+    (scenario,) = [s for s in spec.scenarios
+                   if s.name == "moe-routing-seed-7"]
+    assert scenario.replay.compiled == "always"
+    assert scenario_cache_key(scenario) == (
+        "17640b9a77ab9b30c30138bf608746e9ded59cf0569c97e840703acc99ddc559")
+
+
 # ---------------------------------------------------------------------------
 # Error-message parity and driver-selection rules
 # ---------------------------------------------------------------------------
@@ -412,36 +428,111 @@ def test_compile_rejects_unparseable_volume(tmp_path):
         compile_source(directory)
 
 
-def test_custom_actions_fall_back_to_token_path(mixed_dir):
-    platform = make_platform(4)
-    replayer = make_replayer(platform, 4, compiled="auto")
-
-    def noop(ctx, tokens):
-        return
-        yield
-
-    replayer.register_action("checkpointmark", noop)
-    replayer.replay(mixed_dir)  # token path, silently
-    assert replayer.last_compile_report is None
-
-    forced = make_replayer(platform, 4, compiled="always")
-    forced.register_action("checkpointmark", noop)
-    with pytest.raises(ValueError, match="register_action"):
-        forced.replay(mixed_dir)
+def test_keywords_outside_the_action_table_fail_under_every_mode(mixed_dir):
+    # The action table is the only extension point: there is no handler
+    # registry, so an unknown keyword is refused whatever the feed.
+    assert not hasattr(TraceReplayer, "register_action")
+    with open(os.path.join(mixed_dir, trace_file_name(0)), "a",
+              encoding="ascii") as handle:
+        handle.write("p0 checkpointmark\n")
+    for mode in ("auto", "always", "never"):
+        with pytest.raises(ValueError,
+                           match="unregistered action 'checkpointmark'"):
+            replay_dir(mixed_dir, compiled=mode)
 
 
-def test_timed_trace_falls_back_to_token_path(mixed_dir):
-    platform = make_platform(4)
-    auto = make_replayer(platform, 4, compiled="auto",
-                         record_timed_trace=True)
-    result = auto.replay(mixed_dir)
-    assert auto.last_compile_report is None
+def test_timed_trace_runs_on_the_compiled_feed(mixed_dir):
+    results = {mode: replay_dir(mixed_dir, compiled=mode,
+                                record_timed_trace=True, collect_metrics=True)
+               for mode in ("auto", "always", "never")}
+    for mode in ("auto", "always"):
+        replay = results[mode].metrics["replay"]
+        assert replay["ops_compiled"] > 0
+        # One record per source action: recording replays run unfused.
+        assert replay["computes_fused"] == 0
+    for result in results.values():
+        assert len(result.timed_trace) == result.n_actions
+        assert result.timed_trace == results["never"].timed_trace
+
+
+#: SHA-256 of the ``repro-replay --timed-trace`` file for each trace, as
+#: written by the token interpreter the one loop replaced; the loop must
+#: reproduce it byte for byte under every feed.
+TIMED_TRACE_PINS = {
+    "mixed": "a59645824e2e3bc03a6e296c68ffcb19"
+             "cf40dce67888625eb8fd503cc5a762fe",
+    "moe16": "8219774e89bcda125db5755a444ffcfa"
+             "2c1ac66f588c803cab342ad200e174e0",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--compiled"], ["--no-compiled"]],
+                         ids=["auto", "always", "never"])
+@pytest.mark.parametrize("name", sorted(TIMED_TRACE_PINS))
+def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
+    import hashlib
+
+    from repro.cli import main_replay
+    from repro.core.synth_ai import write_synthetic_ai_trace
+    from repro.simkernel.xmlio import dump_platform
+
+    if name == "mixed":
+        directory, n_ranks = write_mixed_dir(tmp_path / "ti"), 4
+    else:
+        # 16 ranks of MoE dispatch/combine: allToAllv split tables.
+        directory, n_ranks = str(tmp_path / "moe"), 16
+        write_synthetic_ai_trace(
+            "moe", directory, n_ranks, 2, seed=3, layers=1,
+            tokens_bytes=1 << 14, gate_flops=1e5, expert_flops=1e6,
+            dense_bytes=1 << 12)
+    xml = str(tmp_path / "platform.xml")
+    dump_platform(make_platform(n_ranks), xml)
+    out = tmp_path / "timed.trace"
+    assert main_replay([directory, "--platform-xml", xml, "--ranks",
+                        str(n_ranks), "--timed-trace", str(out)]
+                       + flags) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == TIMED_TRACE_PINS[name]
+
+
+def _merged(tmp_path, mixed_dir):
+    path = str(tmp_path / "merged.trace")
+    with open(path, "w", encoding="ascii") as handle:
+        for rank in sorted(MIXED_LINES):
+            handle.write("\n".join(MIXED_LINES[rank]) + "\n")
+    return path
+
+
+def _btrace_dir(tmp_path, mixed_dir):
+    from repro.core.binfmt import binary_trace_file_name
+    from repro.core.trace import read_trace_dir
+
+    trace = read_trace_dir(mixed_dir)
+    directory = tmp_path / "bt"
+    os.makedirs(directory)
+    for rank in trace.ranks():
+        write_binary_trace(trace.actions_of(rank), rank,
+                           str(directory / binary_trace_file_name(rank)))
+    return str(directory)
+
+
+def _in_memory(tmp_path, mixed_dir):
+    from repro.core.trace import read_trace_dir
+
+    return read_trace_dir(mixed_dir)
+
+
+@pytest.mark.parametrize("build", [_merged, _btrace_dir, _in_memory],
+                         ids=["merged", "btrace", "in-memory"])
+@pytest.mark.parametrize("mode", ["auto", "always", "never"])
+def test_timed_trace_has_one_record_per_action_for_every_source(
+        tmp_path, mixed_dir, build, mode):
+    source = build(tmp_path, mixed_dir)
+    result = replay_dir(source, compiled=mode, record_timed_trace=True)
+    assert result.n_actions == sum(len(v) for v in MIXED_LINES.values())
     assert len(result.timed_trace) == result.n_actions
-
-    forced = make_replayer(platform, 4, compiled="always",
-                           record_timed_trace=True)
-    with pytest.raises(ValueError, match="timed traces"):
-        forced.replay(mixed_dir)
+    reference = replay_dir(mixed_dir, record_timed_trace=True)
+    assert result.timed_trace == reference.timed_trace
 
 
 def test_bad_compiled_mode_rejected():
@@ -451,8 +542,8 @@ def test_bad_compiled_mode_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Fault-plan parity: compiled replay runs unfused and produces the very
-# same FaultReport bytes as the token path
+# Fault-plan parity: the compiled feed runs unfused and produces the very
+# same FaultReport bytes as the streamed one
 # ---------------------------------------------------------------------------
 def ring_dir(tmp_path, n_ranks, iterations):
     directory = tmp_path / "ring"

@@ -1,10 +1,10 @@
-"""Property-based equivalence: compiled replay == token replay.
+"""Property-based equivalence: compiled feed == streamed feed.
 
 Hypothesis generates random-but-valid synthetic trace programs (shared
 phase structure across ranks, so collectives line up and the ring
-exchanges cannot deadlock) and asserts the compiled driver reproduces
-the token driver's timings to 1e-9 — including under fault plans, where
-the two drivers must emit byte-identical fault reports — and that the
+exchanges cannot deadlock) and asserts the compiled feed reproduces
+the streamed feed's timings to 1e-9 — including under fault plans, where
+the two feeds must emit byte-identical fault reports — and that the
 replay is homogeneous in capacity (a metamorphic property of max-min).
 """
 

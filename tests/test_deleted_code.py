@@ -40,6 +40,13 @@ DELETED = [
      ("src", "docs", ".github", "benchmarks", "README.md"),
      "the engine's second scalar filling, the weighted path and the "
      "vectorized mode"),
+    (r"register_action|_custom_actions|_do_compute|_CompiledRankContext"
+     r"|\btoken_streams|_action_tokens"
+     r"|compiled replay does not record timed traces"
+     r"|cannot drive actions registered via",
+     ("src", "docs", ".github", "README.md"),
+     "the token interpreter, its handler registry and the timed-trace "
+     "fallback"),
 ]
 
 

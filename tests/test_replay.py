@@ -180,20 +180,6 @@ def test_replay_unknown_action_from_file(tmp_path):
     assert "warp" in str(err.value)
 
 
-def test_register_custom_action(tmp_path):
-    """MSG_action_register analogue: user-defined trace keywords."""
-    path = tmp_path / "SG_process0.trace"
-    path.write_text("p0 nap 0.5\np0 compute 1000000\n")
-    replayer = make_replayer(1)
-
-    def nap(ctx, tokens):
-        yield replayer.engine.timer(float(tokens[2]))
-
-    replayer.register_action("nap", nap)
-    result = replayer.replay(str(tmp_path))
-    assert result.simulated_time == pytest.approx(0.5 + 1e-3, rel=0.01)
-
-
 def test_replay_deadlocked_trace_detected():
     trace = trace_of([Recv(0, 1, 100), Recv(1, 0, 100)])
     with pytest.raises(DeadlockError):
