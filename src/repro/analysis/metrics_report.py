@@ -85,7 +85,8 @@ def format_metrics_report(metrics: Optional[Dict],
 
     lines.append("=== engine ===")
     lines.append(
-        f"events: {_fmt_count(engine.get('events_popped', 0))} popped, "
+        f"events: {_fmt_count(engine.get('events_popped', 0))} popped "
+        f"({_fmt_count(engine.get('same_instant_events', 0))} same-instant), "
         f"{_fmt_count(engine.get('stale_heap_entries_skipped', 0))} stale "
         f"skipped, {_fmt_count(engine.get('calendar_rebuilds', 0))} "
         f"calendar rebuilds"

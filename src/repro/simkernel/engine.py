@@ -11,10 +11,12 @@ activity mix changes, only the affected *sharing component* — activities
 transitively connected to the change through shared constraints — is
 settled (progress accrued at the old rate) and re-rated (max-min fair
 share recomputed).  Predicted completion instants live in a heap event
-calendar (:class:`_Calendar`) with epoch-validated lazy deletion.  The
-cost of an event is proportional to the size of its component, not to
-the number of activities in flight — which is what lets thousand-rank
-replays run in reasonable time.
+calendar (:class:`_Calendar`) with epoch-validated lazy deletion, and
+every event due at one instant is applied before anything is re-rated,
+so the events of one instant cost each touched group one solve, not
+one per event.  The cost of an event is proportional to the size of its
+component, not to the number of activities in flight — which is what
+lets thousand-rank replays run in reasonable time.
 
 Re-rates of array-backed groups additionally try an *incremental*
 certified patch (:func:`repro.simkernel.lmm.patch_solve`) before paying
@@ -69,6 +71,18 @@ _PATCH_MIN_LEVELS = 3
 _PATCH_PROBE_EVERY = 64
 
 
+def _drained(now, remaining, rate):
+    """The inline-completion rule of a settle, for one activity or for a
+    group's rows at once: settled at ``now``, work is finished when its
+    completion instant ``now + remaining / rate`` rounds to ``now``.
+    Rounding is the point — a flow left with ~1e-12 B of float residue
+    would otherwise be armed at ``now`` and cost its group a second
+    solve at the same instant.  Scalar callers pass a non-zero rate;
+    array callers silence the division warnings (a zero rate gives
+    ``inf``: not drained)."""
+    return now + remaining / rate <= now
+
+
 class DeadlockError(RuntimeError):
     """Raised when live processes remain but nothing can make progress.
 
@@ -109,7 +123,10 @@ class _Calendar:
     ``stale``) when it surfaces at :meth:`pop` or is swept by
     :meth:`compact`.  Push and pop cost O(log entries) in C, whatever
     the entry count — with the engine's min-arming (one live event per
-    sharing group) that is a handful of comparisons.
+    sharing group) that is a handful of comparisons.  Nothing is ever
+    re-pushed: an entry keeps its ``seq`` until it fires or goes stale,
+    so FIFO order among simultaneous events survives a ``run(until=)``
+    pause.
     """
 
     __slots__ = ("heap", "seq", "stale")
@@ -124,15 +141,22 @@ class _Calendar:
         self.seq += 1
         heappush(self.heap, (time_, self.seq, act.epoch, act))
 
-    def pop(self) -> Optional[Tuple[float, Activity]]:
-        """The earliest valid ``(time, activity)`` event, or ``None``
-        when no valid entry remains (the engine's deadlock signal)."""
+    def pop(self, horizon: float = INF) -> Optional[Tuple[float, Activity]]:
+        """The earliest valid ``(time, activity)`` event if it is due by
+        ``horizon``, else ``None``.  Stale tops are discarded on the way;
+        a valid top past the horizon stays in place, so ``None`` with an
+        empty heap means no valid entry remains (the engine's deadlock
+        signal)."""
         heap = self.heap
         while heap:
-            time_, _, epoch, act = heappop(heap)
+            time_, _, epoch, act = heap[0]
             if act.done or epoch != act.epoch:
+                heappop(heap)
                 self.stale += 1
                 continue
+            if time_ > horizon:
+                return None
+            heappop(heap)
             return time_, act
         return None
 
@@ -393,16 +417,26 @@ class Engine:
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
         """Run until all processes finish (or ``until`` seconds of simulated
-        time elapse).  Returns the final simulated time."""
+        time elapse).  Returns the final simulated time.
+
+        Every valid event due at the next instant is applied as one
+        batch before any woken process runs or any group is re-rated,
+        so a sharing group touched by several simultaneous events is
+        solved once at that instant, not once per event.  This is exact:
+        the events of one instant are completions predicted under the
+        current rates, and applying one neither moves the clock nor
+        re-rates anything, so they commute until the next re-rate.
+        """
         cal = self._calendar
         metrics = self.metrics
+        horizon = INF if until is None else until
         # Telemetry accumulates unconditionally in loop-locals — a few
         # integer increments per event, immeasurable next to the event
         # processing itself, and branchless so the loop executes the
         # exact same bytecode whether metrics are on or off.  Only the
         # flush (in the finally below, so it also runs on deadlock) is
         # guarded.
-        popped = fast = generic = comp_total = comp_max = 0
+        popped = batched = fast = generic = comp_total = comp_max = 0
         stale0 = cal.stale
         maxmin_iters0 = self._maxmin_iters
         vector_fillings0 = self._vector_fillings
@@ -434,48 +468,63 @@ class Engine:
                     continue
                 if self._live_count == 0:
                     return self.now
-                # Pop the next valid completion event.
-                item = cal.pop()
+                item = cal.pop(horizon)
                 if item is None:
+                    if cal.heap:
+                        # The next valid event lies past the horizon:
+                        # pause the clock there.  The event keeps its
+                        # calendar entry, so it resumes in FIFO order.
+                        self.now = until
+                        return until
                     raise self._deadlock()
-                time_, act = item
-                popped += 1
-                if until is not None and time_ > until:
-                    # Re-arm the event and pause the clock at the horizon.
-                    cal.push(time_, act)
-                    self.now = until
-                    return self.now
-                if time_ > self.now:
-                    self.now = time_
-                # Idle-advance fast path (completion side).  The dirty
-                # set is empty here (the recompute branch above always
-                # restarts the loop), so when the completing activity is
-                # the *only* user of its single, ungrouped-with-anything
-                # constraint — the compiled replay's fused compute burst
-                # — no other activity's rate can change: unregister it
-                # directly and skip dirtying the constraint, which would
-                # only buy a guaranteed-no-op recompute pass.
-                constraints = act.constraints
-                if act.registered and len(constraints) == 1:
-                    cons = constraints[0]
-                    group = cons.group
-                    if (not group.vectorized and len(group.cons) == 1
-                            and len(group.acts) == 1
-                            and len(cons.users) == 1):
-                        self._idle_advances += 1
-                        act.remaining = 0.0
-                        del group.acts[act]
-                        del cons.users[act]
-                        act.registered = False
-                        self._enter_phase(act, act.on_phase_end(self.now))
-                        self._maybe_compact()
-                        continue
-                self._end_phase(act)
-                self._maybe_compact()
+                now, act = item
+                if now > self.now:
+                    self.now = now
+                else:
+                    now = self.now
+                # The same-instant batch: apply this event and every
+                # other one due at ``now`` (one heap-top comparison per
+                # event; cal.heap is re-read since compaction rebinds it).
+                while True:
+                    popped += 1
+                    # Idle-advance fast path (completion side): when the
+                    # completing activity is the *only* user of its
+                    # single, ungrouped-with-anything constraint — the
+                    # compiled replay's fused compute burst — no other
+                    # activity's rate can change: unregister it directly
+                    # and skip dirtying the constraint, which would only
+                    # buy a guaranteed-no-op recompute pass.
+                    constraints = act.constraints
+                    if act.registered and len(constraints) == 1:
+                        cons = constraints[0]
+                        group = cons.group
+                        if (not group.vectorized and len(group.cons) == 1
+                                and len(group.acts) == 1
+                                and len(cons.users) == 1):
+                            self._idle_advances += 1
+                            act.remaining = 0.0
+                            del group.acts[act]
+                            del cons.users[act]
+                            act.registered = False
+                            self._enter_phase(act, act.on_phase_end(now))
+                        else:
+                            self._end_phase(act)
+                    else:
+                        self._end_phase(act)
+                    self._maybe_compact()
+                    heap = cal.heap
+                    if not heap or heap[0][0] > now:
+                        break
+                    item = cal.pop(now)
+                    if item is None:
+                        break
+                    act = item[1]
+                    batched += 1
         finally:
             hist, self._level_hist = self._level_hist, {}
             if metrics is not None:
                 metrics.events_popped += popped
+                metrics.same_instant_events += batched
                 metrics.stale_skipped += cal.stale - stale0
                 metrics.fastpath_recomputes += fast
                 metrics.generic_recomputes += generic
@@ -907,7 +956,8 @@ class Engine:
                 rem[inf_mask] = 0.0
             np.maximum(rem, 0.0, out=rem)
             settled[:] = now
-            done = rem <= 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                done = _drained(now, rem, rate)
             if done.any():
                 # Inline-completion contract — see _settle:
                 # finish the drained wave now (each completion
@@ -1016,10 +1066,10 @@ class Engine:
     def _settle(self, acts, now: float) -> bool:
         """Accrue the scalar activities' progress at their old rates.
 
-        Drained activities are completed *inline* instead of arming
-        now-events and re-entering the recompute once per pop: a
-        synchronized wave of n simultaneous completions costs O(n) this
-        way, not n recomputes of O(n).  Returns True when some
+        Drained activities (see :func:`_drained`) are completed *inline*
+        instead of arming now-events and re-entering the recompute once
+        per pop: a synchronized wave of n simultaneous completions costs
+        O(n) this way, not n recomputes of O(n).  Returns True when some
         completed; completion re-dirties the touched constraints, so the
         survivors are re-rated on the main loop's immediately following
         pass (their settle then is a no-op — the clock has not moved).
@@ -1028,12 +1078,16 @@ class Engine:
         for act in acts:
             rate = act.rate
             if rate:
-                act.remaining -= (INF if rate == INF else
-                                  rate * (now - act.settled_at))
-                if act.remaining < 0.0:
-                    act.remaining = 0.0
+                rem = act.remaining - (INF if rate == INF else
+                                       rate * (now - act.settled_at))
+                if rem < 0.0:
+                    rem = 0.0
+                act.remaining = rem
+                drained = _drained(now, rem, rate)
+            else:
+                drained = act.remaining <= 0.0
             act.settled_at = now
-            if act.remaining <= 0.0:
+            if drained:
                 if finished is None:
                     finished = [act]
                 else:

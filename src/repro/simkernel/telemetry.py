@@ -21,9 +21,10 @@ budget (``benchmarks/bench_fig9_replay_time.py::test_fig9_metrics_overhead``):
 
 Three counter groups mirror the three layers of the replay pipeline:
 
-* :class:`EngineMetrics` — the discrete-event loop: events popped, stale
-  calendar entries skipped, calendar rebuilds, sharing-component sizes,
-  and max-min filling iterations.
+* :class:`EngineMetrics` — the discrete-event loop: events popped (and
+  how many of them shared an instant's batch), stale calendar entries
+  skipped, calendar rebuilds, sharing-component sizes, and max-min
+  filling iterations.
 * :class:`CommMetrics` — the matching/transfer layer: transfers and
   bytes split by eager vs. rendezvous protocol, match-queue depths, and
   route/model-factor cache hit rates.
@@ -74,7 +75,7 @@ class EngineMetrics:
     this object only reflects completed ``run()`` calls.
     """
 
-    __slots__ = ("events_popped", "stale_skipped",
+    __slots__ = ("events_popped", "same_instant_events", "stale_skipped",
                  "fastpath_recomputes", "generic_recomputes",
                  "component_acts", "max_component_acts",
                  "maxmin_iterations", "vectorized_recomputes",
@@ -87,9 +88,13 @@ class EngineMetrics:
 
     def reset(self) -> None:
         self.events_popped = 0        # valid completion events processed
+        self.same_instant_events = 0  # of those, applied inside a batch
+        #                               after its first (same instant)
         self.stale_skipped = 0        # lazy-deleted calendar entries dropped
         self.fastpath_recomputes = 0  # single-constraint fast path taken
-        self.generic_recomputes = 0   # BFS + progressive-filling path
+        self.generic_recomputes = 0   # every other recompute: scalar
+        #                               filling, array fill or patch, or
+        #                               an inline-completion wave
         self.component_acts = 0       # total activities settled+re-rated
         self.max_component_acts = 0   # largest sharing component seen
         self.maxmin_iterations = 0    # filling levels across all fillings
@@ -115,6 +120,9 @@ class EngineMetrics:
         recomputes = fast + generic
         return {
             "events_popped": self.events_popped,
+            # Events applied in a same-instant batch after its first:
+            # each one shares the batch's single re-rate of its group.
+            "same_instant_events": self.same_instant_events,
             "stale_heap_entries_skipped": self.stale_skipped,
             "sharing_recomputes": recomputes,
             "fastpath_recomputes": fast,

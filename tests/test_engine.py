@@ -305,3 +305,143 @@ def test_auto_mode_records_vectorized_recomputes():
 def test_engine_rejects_unknown_lmm_mode():
     with pytest.raises(ValueError):
         Engine(lmm_mode="fancy")
+
+
+# ----------------------------------------------------------------------
+# Same-instant batching and the drained rule
+# ----------------------------------------------------------------------
+def _fire_order(horizons):
+    """Two 1 s timers started as a, b; the order their completions fire
+    in, after pausing the run at each of ``horizons``."""
+    engine = Engine()
+    order = []
+    timers = [engine.timer(1.0, name=name) for name in ("a", "b")]
+    for t in timers:
+        t.on_complete(lambda t: order.append(t.name))
+
+    def proc():
+        for t in timers:
+            yield t
+
+    engine.add_process("p", proc())
+    for h in horizons:
+        assert engine.run(until=h) == h
+    assert engine.run() == 1.0
+    return order
+
+
+def test_run_until_keeps_fifo_order_of_simultaneous_events():
+    """A pause used to pop the next event and push it back with a fresh
+    sequence number, so it fired after its simultaneous peers."""
+    assert _fire_order(()) == ["a", "b"]
+    assert _fire_order((0.5,)) == ["a", "b"]
+    assert _fire_order((0.25, 0.5, 1.0)) == ["a", "b"]
+
+
+@pytest.mark.parametrize("k, own_links", [(7, False), (64, True)])
+def test_equal_flows_ending_together_cost_one_recompute(k, own_links):
+    """k equal flows share one link with a short perturber: the link is
+    saturated throughout, so the k flows all end at the closed-form
+    instant (k * size + small) / capacity, and that instant costs one
+    sharing recompute (the inline wave drains every flow but the armed
+    one).  With a private link per flow the group is multi-constraint,
+    and at k = 64 array-backed."""
+    from repro.simkernel import EngineMetrics
+
+    metrics = EngineMetrics()
+    engine = Engine(metrics=metrics)
+    cap, size, small = 1.25e9, 1e6, 1e5
+    link = Constraint(cap, "link")
+    ends = {}
+
+    def flow(name, volume):
+        links = [link, Constraint(1e15, f"own-{name}")] if own_links \
+            else [link]
+        yield engine.comm_activity(links, volume, 0.0)
+        ends[name] = engine.now
+
+    for i in range(k):
+        engine.add_process(f"f{i}", flow(i, size))
+    engine.add_process("small", flow("small", small))
+    engine.run()
+    assert ends.pop("small") == pytest.approx((k + 1) * small / cap,
+                                              rel=1e-12)
+    (end,) = set(ends.values())
+    assert end == pytest.approx((k * size + small) / cap, rel=1e-12)
+    doc = metrics.as_dict()
+    # One recompute per instant: the start, the perturber's end, the end.
+    assert doc["sharing_recomputes"] == 3
+    assert doc["events_popped"] == 2
+    assert (doc["vectorized_recomputes"] > 0) == (k >= 48)
+
+
+def test_residue_row_drains_in_the_wave(monkeypatch):
+    """Two 200 kB flows share a 1 GB/s link with a 100 kB one that joins
+    at 0.1 ms.  When the armed flow ends at 0.5 ms its twin is left with
+    float residue; it finishes in the same inline wave instead of being
+    armed at 0.5 ms, so it costs no event of its own."""
+    from repro.simkernel import EngineMetrics
+    from repro.simkernel import engine as engine_mod
+
+    residues = []
+    drained = engine_mod._drained
+
+    def spy(now, remaining, rate):
+        hit = drained(now, remaining, rate)
+        if hit and remaining > 0.0:
+            residues.append(remaining)
+        return hit
+
+    monkeypatch.setattr(engine_mod, "_drained", spy)
+    metrics = EngineMetrics()
+    engine = Engine(metrics=metrics)
+    link = Constraint(1e9, "link")
+    ends = {}
+
+    def flow(name, start, volume):
+        if start:
+            yield engine.timer(start)
+        yield engine.comm_activity([link], volume, 0.0)
+        ends[name] = engine.now
+
+    engine.add_process("a", flow("a", 0.0, 2e5))
+    engine.add_process("b", flow("b", 1e-4, 1e5))
+    engine.add_process("c", flow("c", 0.0, 2e5))
+    engine.run()
+    assert ends == {"a": 5e-4, "b": 4e-4, "c": 5e-4}
+    assert residues and max(residues) < 1e-6
+    # b's start timer, b's end and a's end: c's residue popped nothing.
+    assert metrics.as_dict()["events_popped"] == 3
+
+
+def test_compaction_inside_a_batch_changes_nothing():
+    """Forty processes, two per CPU, run equal bursts, so every round
+    ends in one same-instant batch of twenty events.  A lowered
+    watermark forces a calendar compaction in the middle of the first
+    batch, which rebinds the heap list under the drain loop; times and
+    per-process ends must match the unforced run exactly."""
+    from repro.simkernel import EngineMetrics
+
+    def run(lowered):
+        metrics = EngineMetrics()
+        engine = Engine(metrics=metrics)
+        if lowered:
+            engine._heap_floor = 4
+        cpus = [Constraint(1e9, f"cpu{k}") for k in range(20)]
+        ends = {}
+
+        def proc(name, cpu):
+            for _ in range(5):
+                yield engine.exec_activity(cpu, 1e6)
+            ends[name] = engine.now
+
+        for k in range(40):
+            engine.add_process(f"p{k}", proc(f"p{k}", cpus[k // 2]))
+        return engine.run(), ends, metrics.as_dict()
+
+    plain, forced = run(False), run(True)
+    assert plain[2]["calendar_rebuilds"] == 0
+    assert forced[2]["calendar_rebuilds"] >= 1
+    assert forced[2]["same_instant_events"] > 0
+    assert forced[:2] == plain[:2]
+    assert plain[0] == pytest.approx(5 * 2 * 1e6 / 1e9, rel=1e-12)

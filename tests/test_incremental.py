@@ -276,10 +276,10 @@ def test_calendar_matches_sorted_list_oracle(ops):
         assert cal.stale == stale
 
 
-def test_run_until_rearms_the_popped_event():
-    """``run(until=...)`` pops the next event, finds it past the
-    horizon and pushes it back: resuming fires that same event at its
-    original instant, and the pause costs no stale entry."""
+def test_run_until_leaves_the_next_event_in_place():
+    """``run(until=...)`` looks at the next event without popping it:
+    resuming fires that same event at its original instant, and the
+    pause costs neither a stale entry nor a popped event."""
     def run(horizons):
         metrics = EngineMetrics()
         engine = Engine(metrics=metrics)
@@ -301,8 +301,8 @@ def test_run_until_rearms_the_popped_event():
     resumed = run((1.0, 2.5, 4.0))
     assert resumed[:2] == straight[:2]
     assert resumed[2]["stale_heap_entries_skipped"] == 0
-    # Each pause popped (and re-armed) one event on top of the two real ones.
-    assert resumed[2]["events_popped"] == straight[2]["events_popped"] + 3
+    # A pause pops nothing: only the two real completions are counted.
+    assert resumed[2]["events_popped"] == straight[2]["events_popped"] == 2
 
 
 def test_engine_counts_calendar_rebuilds():

@@ -333,3 +333,23 @@ def test_chain_merges_never_reattach_an_array_backed_group(monkeypatch):
     assert (f"{engine['group_merges']:,} merges, "
             f"{engine['vector_attaches']:,} array-backed attaches"
             ) in format_metrics_report(result.metrics)
+
+
+def test_lu2d_twin_solves_each_group_once_per_instant(tmp_path):
+    """The 64-rank twin of the benchmark's lu2d-fatpipe-1024 workload
+    (LU class B, one iteration, 1 % jitter at seed 1, on its fatpipe
+    cluster).  Same-instant batching and the drained rule re-rate each
+    touched sharing group once per simulated instant: 507 recomputes
+    before them, 201 after.  The makespan is the pre-batching one."""
+    from repro.core.synth import write_synthetic_lu_trace
+
+    n = 64
+    write_synthetic_lu_trace(str(tmp_path), n, 1, cls="B", inorm=1,
+                             compute_split=1, seed=1, jitter=0.01)
+    platform = _fatpipe_platform(n)
+    result = TraceReplayer(platform, round_robin_deployment(platform, n),
+                           collect_metrics=True).replay(str(tmp_path))
+    assert result.simulated_time == pytest.approx(0.03235358599319476,
+                                                  rel=1e-9)
+    assert result.metrics["engine"]["sharing_recomputes"] <= 250
+    assert result.metrics["engine"]["same_instant_events"] > 0
