@@ -1,8 +1,8 @@
 """Phase-batched collective replay: one dependency graph per collective.
 
-The per-rank generator protocol prices a binomial collective with ~4
-generator resumptions, two mailbox matches and one request object per
-tree edge.  When every rank of the communicator reaches the *same*
+The per-rank schedule walk prices a binomial collective with a
+generator resumption per row, two mailbox matches and one request
+object per tree edge.  When every rank of the communicator reaches the *same*
 synchronizing collective (``allReduce``/``barrier``), none of that
 machinery affects the outcome: the flows a binomial reduce+bcast starts,
 their start instants and the constraints they cross are fully determined
@@ -13,7 +13,7 @@ its final protocol step fires.
 
 Exactness is by construction, not approximation: the graph starts the
 same :class:`~repro.simkernel.activity.CommActivity`/``ExecActivity``
-set at the same simulated instants as the generator protocol would
+set at the same simulated instants as the schedule walk would
 (§"replay-performance" docs walk the argument), so the fluid model
 evolves identically and results agree with the sequential driver to
 float rounding.  The flows bypass the mailbox, which is also why the
@@ -33,8 +33,8 @@ Protocol semantics mirrored from :mod:`repro.simkernel.mailbox` and
 * reduce receives are sequential per rank, each followed by the
   operator's flop burst; bcast child sends are waited one at a time
   (instantaneous chaining under eager, arrival-chained under
-  rendezvous) — exactly :func:`repro.smpi.collectives.binomial_reduce`
-  / ``binomial_bcast`` rooted at rank 0.
+  rendezvous) — exactly the binomial ``reduce`` / ``bcast`` rows of
+  :func:`repro.smpi.collectives.schedule` rooted at rank 0.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def batch_eligible(replayer, n_ranks: int) -> bool:
 
     The graph reproduces the one-rank-per-host, inflation-free protocol;
     anything else (folded ranks sharing a CPU, efficiency/sharing
-    models, flat collectives, fault plans) stays on the generator path.
+    models, flat collectives, fault plans) stays on the schedule walk.
     The gate failing silently disables batching — it never fails a
     replay that the sequential driver would run.
     """
@@ -282,13 +282,13 @@ class CollectiveBatcher:
             # The batcher's dependency graphs encode exactly the binomial
             # reduce+bcast trees; any other collective (bcast, reduce,
             # allToAll(v), allGather, reduceScatter) must stay on the
-            # generator protocols.  The drivers never route them here —
+            # per-rank schedule walk.  The drivers never route them here —
             # this guard turns a future mis-wiring into a loud error
             # instead of a silently wrong makespan.
             raise ValueError(
                 f"phase batching cannot batch {kind!r} — only "
                 "allReduce/barrier have batched trees; replay this "
-                "collective through the generator protocols"
+                "collective through its per-rank schedule"
             )
         graph = self._graphs.get(seq)
         if graph is None:

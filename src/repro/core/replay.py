@@ -28,10 +28,13 @@ Replay semantics (docs/replay-semantics.md has the long form):
 * ``Irecv``/``wait`` — Irecv posts a receive into the rank's pending
   queue; ``wait`` completes the *oldest* pending one (SimGrid's replay
   does the same, and the extractor mirrors it).
-* collectives — decomposed into point-to-point messages in one place,
-  :meth:`TraceReplayer._collective`: binomial trees rooted at process 0
-  (§3), or flat trees with ``collective_algorithm="flat"`` (the ablation
-  of the monolithic-collective simplification discussed in §2).
+* collectives — point-to-point schedules built by
+  :func:`repro.smpi.collectives.schedule` (the runtime walks the same
+  rows) and walked inline by the loop under the collective's own tag:
+  binomial trees rooted at process 0 (§3), or flat trees with
+  ``collective_algorithm="flat"`` (the ablation of the
+  monolithic-collective simplification discussed in §2).  A trace
+  receive never matches a collective's message.
 * ``comm_size`` — declares the communicator; required before the first
   collective (§3).
 """
@@ -42,29 +45,25 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..faults.plan import FaultPlan, LinkDegrade, LinkDown
 from ..faults.report import FaultReport, RankFailure, build_fault_report
 from ..simkernel import CommSystem, DeadlockError, Engine, Host, Platform, Telemetry
 from ..simkernel.pwl import DEFAULT_MPI_MODEL, PiecewiseLinearModel
-from ..smpi import collectives
+from ..smpi.collectives import (
+    BARRIER_TOKEN_BYTES, ISEND, RECV, SEND, WAIT, schedule,
+)
 from .actions import NAME_OF_OPCODE, encode_tokens
 from .batch import CollectiveBatcher, batch_eligible
 from .compile import (
-    OP_ALLGATHER,
     OP_ALLREDUCE,
-    OP_ALLTOALL,
-    OP_ALLTOALLV,
     OP_BARRIER,
-    OP_BCAST,
     OP_COMM_SIZE,
     OP_COMPUTE,
     OP_IRECV,
     OP_ISEND,
     OP_RECV,
-    OP_REDUCE,
-    OP_REDUCESCATTER,
     OP_SEND,
     OP_WAIT,
     compile_source,
@@ -236,7 +235,7 @@ class TraceReplayer:
         # source.  Exposed as ``repro-replay --compiled/--no-compiled``.
         self.compiled = compiled
         # Phase batching: advance synchronizing collectives with one
-        # dependency graph instead of per-rank protocol generators (see
+        # dependency graph instead of per-rank schedule walks (see
         # repro.core.batch).  Silently inert when the replay is not
         # eligible (flat collectives, fault plans, folded or modeled
         # hosts) — eligibility is checked per replay.
@@ -390,8 +389,8 @@ class TraceReplayer:
         )
         # Phase batching only exists on fault-free replays and only when
         # the batched graph is provably the exact protocol (see
-        # batch_eligible).  Ineligible replays silently run the per-rank
-        # generators — same results, fewer assumptions.
+        # batch_eligible).  Ineligible replays silently walk the per-rank
+        # schedules — same results, fewer assumptions.
         batcher = None
         if (self.batch_phases and fault_events is None
                 and batch_eligible(self, n_ranks)):
@@ -525,7 +524,9 @@ class TraceReplayer:
 
         The hot loop is a frequency-ordered if/elif over opcode ints: no
         string tokenization, no dict dispatch, no per-action token list,
-        and no sub-generator delegation for the four hottest ops.
+        and no sub-generator delegation — a collective's schedule rows
+        (:func:`repro.smpi.collectives.schedule`) are walked inline, so
+        ``ctx.current`` names the source action throughout.
         """
         engine = self.engine
         comms = self.comms
@@ -534,6 +535,8 @@ class TraceReplayer:
         speed = host.speed
         work = host.work_inflation
         pending = ctx.pending_irecvs
+        sends = deque()     # a collective's posted, not yet waited ISENDs
+        algorithm = self.collective_algorithm
         rank = ctx.rank
         metered = replay_metrics is not None
         record = self.record_timed_trace
@@ -578,25 +581,50 @@ class TraceReplayer:
                 volume = req.size
             elif op == OP_COMM_SIZE:
                 self._declare_comm_size(ctx, a)
-            elif batcher is not None and (op == OP_ALLREDUCE
-                                          or op == OP_BARRIER):
-                # Phase-batched: one dependency graph replaces the whole
-                # per-rank protocol; this rank parks on its exit node.
-                # coll_seq still advances so batched and generator
-                # replays number collectives identically.
-                self._require_comm_size(ctx, NAME_OF_OPCODE[op])
-                ctx.coll_seq += 1
-                if op == OP_ALLREDUCE:
-                    volume = v
-                    yield batcher.arrive(rank, ctx.coll_seq, "allReduce",
-                                         v, v2, ctx.declared_size)
-                else:
-                    yield batcher.arrive(
-                        rank, ctx.coll_seq, "barrier",
-                        float(collectives.BARRIER_TOKEN_BYTES), 0.0,
-                        ctx.declared_size)
             else:
-                volume = yield from self._collective(ctx, op, v, v2, splits)
+                # A collective: its schedule's point-to-point rows, walked
+                # here under the collective's own tag.
+                name = NAME_OF_OPCODE[op]
+                size = ctx.declared_size
+                if size is None:
+                    raise ValueError(
+                        f"p{rank}: {name} before comm_size — the trace "
+                        "format requires comm_size ahead of any "
+                        "collective (§3)")
+                ctx.coll_seq += 1
+                if op != OP_BARRIER:
+                    volume = v
+                if batcher is not None and (op == OP_ALLREDUCE
+                                            or op == OP_BARRIER):
+                    # Phase-batched: one dependency graph replaces the
+                    # rows; this rank parks on its exit node.
+                    if op == OP_ALLREDUCE:
+                        yield batcher.arrive(rank, ctx.coll_seq, name, v,
+                                             v2, size)
+                    else:
+                        yield batcher.arrive(rank, ctx.coll_seq, name,
+                                             float(BARRIER_TOKEN_BYTES),
+                                             0.0, size)
+                    rows = ()
+                else:
+                    rows = schedule(name, rank, size, v, v2, splits,
+                                    algorithm)
+                tag = -2 - ctx.coll_seq
+                for kind, peer, nbytes, flops in rows:
+                    if kind == RECV:
+                        yield comms.irecv(rank, peer, tag)
+                    elif kind == SEND:
+                        yield comms.isend(rank, peer, nbytes, tag)
+                    elif kind == ISEND:
+                        sends.append(comms.isend(rank, peer, nbytes, tag))
+                    elif kind == WAIT:
+                        yield sends.popleft()
+                    else:  # REDUCE
+                        yield comms.irecv(rank, peer, tag)
+                        if flops > 0.0:
+                            yield engine.exec_activity(
+                                cpu, flops * work("reduce_op", flops),
+                                bound=speed)
             if track:
                 end = engine.now
                 if metered:
@@ -670,7 +698,7 @@ class TraceReplayer:
         }
 
     # ------------------------------------------------------------------
-    # Communicators and collectives
+    # Communicators
     # ------------------------------------------------------------------
     def _declare_comm_size(self, ctx: _RankContext, size: int) -> None:
         if size != self.comms.size and size > len(self.deployment):
@@ -679,160 +707,3 @@ class TraceReplayer:
                 f"({len(self.deployment)} hosts)"
             )
         ctx.declared_size = size
-
-    def _require_comm_size(self, ctx: _RankContext, what: str) -> None:
-        if ctx.declared_size is None:
-            raise ValueError(
-                f"p{ctx.rank}: {what} before comm_size — the trace format "
-                "requires comm_size ahead of any collective (§3)"
-            )
-
-    def _collective(self, ctx: _RankContext, op: int, vol: float,
-                    vol2: float, splits) -> Iterator:
-        """The one place a collective turns into point-to-point
-        messages; returns the volume to meter."""
-        self._require_comm_size(ctx, NAME_OF_OPCODE[op])
-        ctx.coll_seq += 1
-        ops = _CollOps(self, ctx, tag=-2 - ctx.coll_seq)
-        binomial = self.collective_algorithm == "binomial"
-        if op == OP_ALLREDUCE:
-            if binomial:
-                yield from collectives.reduce_then_bcast_allreduce(
-                    ops, vol, flops=vol2, tag=ops.tag)
-            else:
-                yield from _flat_reduce(ops, vol, vol2)
-                yield from _flat_bcast(ops, vol)
-        elif op == OP_BCAST:
-            if binomial:
-                yield from collectives.binomial_bcast(ops, vol, root=0,
-                                                      tag=ops.tag)
-            else:
-                yield from _flat_bcast(ops, vol)
-        elif op == OP_REDUCE:
-            if binomial:
-                yield from collectives.binomial_reduce(
-                    ops, vol, flops=vol2, root=0, tag=ops.tag)
-            else:
-                yield from _flat_reduce(ops, vol, vol2)
-        elif op == OP_BARRIER:
-            yield from collectives.barrier(ops, tag=ops.tag)
-            return None
-        elif op == OP_ALLTOALL:
-            # Pairwise exchange under both algorithm settings: flat-tree
-            # has no root to flatten onto — the pairwise schedule *is*
-            # the flat decomposition of an all-to-all.
-            yield from collectives.pairwise_alltoall(ops, vol, tag=ops.tag)
-        elif op == OP_ALLTOALLV:
-            yield from collectives.pairwise_alltoallv(ops, splits,
-                                                      tag=ops.tag)
-        elif op == OP_ALLGATHER:
-            if binomial:
-                yield from collectives.gather_then_bcast_allgather(
-                    ops, vol, tag=ops.tag)
-            else:
-                yield from _flat_allgather(ops, vol)
-        elif op == OP_REDUCESCATTER:
-            if binomial:
-                yield from collectives.reduce_then_scatter(
-                    ops, vol, flops=vol2, tag=ops.tag)
-            else:
-                yield from _flat_reducescatter(ops, vol, vol2)
-        else:
-            raise ValueError(
-                f"p{ctx.rank}: no collective decomposition for "
-                f"{NAME_OF_OPCODE[op]!r}")
-        return vol
-
-
-class _CollOps:
-    """Adapter giving the collective algorithms a rank-program interface."""
-
-    __slots__ = ("replayer", "ctx", "tag")
-
-    def __init__(self, replayer: TraceReplayer, ctx: _RankContext,
-                 tag: int) -> None:
-        self.replayer = replayer
-        self.ctx = ctx
-        self.tag = tag
-
-    @property
-    def rank(self) -> int:
-        return self.ctx.rank
-
-    @property
-    def size(self) -> int:
-        return self.ctx.declared_size
-
-    def isend(self, dst: int, nbytes: float, tag: int = 0, data=None):
-        return self.replayer.comms.isend(self.ctx.rank, dst, nbytes,
-                                         tag=tag, data=data)
-
-    def send(self, dst: int, nbytes: float, tag: int = 0, data=None):
-        req = self.isend(dst, nbytes, tag=tag, data=data)
-        yield req
-        return req
-
-    def recv(self, src: int = -1, tag: int = -1):
-        req = self.replayer.comms.irecv(self.ctx.rank, src=src, tag=tag)
-        yield req
-        return req
-
-    def wait(self, req):
-        yield req
-        return req
-
-    def compute(self, flops: float, kind: str = "compute"):
-        if flops > 0:
-            host = self.ctx.host
-            amount = flops * host.work_inflation(kind, flops)
-            yield self.replayer.engine.exec_activity(
-                host.cpu, amount, bound=host.speed,
-            )
-
-
-def _flat_bcast(ops: _CollOps, volume: float) -> Iterator:
-    """Flat-tree broadcast: root sends to every other rank directly."""
-    if ops.rank == 0:
-        reqs = [ops.isend(dst, volume, tag=ops.tag)
-                for dst in range(1, ops.size)]
-        for req in reqs:
-            yield req
-    else:
-        yield from ops.recv(src=0, tag=ops.tag)
-
-
-def _flat_reduce(ops: _CollOps, vcomm: float, vcomp: float) -> Iterator:
-    """Flat-tree reduce: everyone sends to the root, which applies the
-    operator once per contribution."""
-    if ops.rank == 0:
-        for _ in range(ops.size - 1):
-            yield from ops.recv(tag=ops.tag)
-            yield from ops.compute(vcomp)
-    else:
-        yield from ops.send(0, vcomm, tag=ops.tag)
-
-
-def _flat_allgather(ops: _CollOps, volume: float) -> Iterator:
-    """Flat allgather: gather every contribution to the root, then
-    flat-broadcast the concatenated ``size * volume`` buffer."""
-    if ops.rank == 0:
-        for _ in range(ops.size - 1):
-            yield from ops.recv(tag=ops.tag)
-    else:
-        yield from ops.send(0, volume, tag=ops.tag)
-    yield from _flat_bcast(ops, ops.size * volume)
-
-
-def _flat_reducescatter(ops: _CollOps, vcomm: float,
-                        vcomp: float) -> Iterator:
-    """Flat reduce-scatter: flat reduce to the root, then the root sends
-    each rank its ``vcomm / size`` share directly."""
-    yield from _flat_reduce(ops, vcomm, vcomp)
-    share = vcomm / ops.size
-    if ops.rank == 0:
-        reqs = [ops.isend(dst, share, tag=ops.tag)
-                for dst in range(1, ops.size)]
-        for req in reqs:
-            yield req
-    else:
-        yield from ops.recv(src=0, tag=ops.tag)

@@ -18,7 +18,9 @@ model captures (§5):
   MPI_Send's synchronous mode above the implementation threshold.
 
 Matching follows MPI rules: per-destination queues, first-in-first-out per
-(source, tag) pair, with ``ANY_SOURCE``/``ANY_TAG`` wildcards.
+(source, tag) pair, with ``ANY_SOURCE``/``ANY_TAG`` wildcards.  Negative
+tags below ``ANY_TAG`` belong to collectives; ``ANY_TAG`` never matches
+them.
 """
 
 from __future__ import annotations
@@ -221,7 +223,10 @@ class CommSystem:
         ``src_or_sender`` is the sending rank (to match the receive's
         source selector); from ``irecv`` it holds send-side entries and
         the roles flip.  MPI's non-overtaking rule is preserved because the
-        scan is in posting order.
+        scan is in posting order.  ``ANY_TAG`` matches only user tags
+        (>= 0): the negative tags are collectives', which in MPI run in a
+        context of their own, so no wildcard receive can take their
+        messages.
         """
         if not queue:
             return None
@@ -230,14 +235,16 @@ class CommSystem:
                 want_src = comm.recv_req.src
                 want_tag = comm.recv_req.tag
                 if (want_src in (ANY_SOURCE, src_or_sender)
-                        and want_tag in (ANY_TAG, tag)):
+                        and (want_tag == tag
+                             or (want_tag == ANY_TAG and tag >= 0))):
                     del queue[idx]
                     return comm
             else:  # entry posted by a sender
                 have_src = comm.send_req.src
                 have_tag = comm.send_req.tag
                 if (src_or_sender in (ANY_SOURCE, have_src)
-                        and tag in (ANY_TAG, have_tag)):
+                        and (tag == have_tag
+                             or (tag == ANY_TAG and have_tag >= 0))):
                     del queue[idx]
                     return comm
         return None

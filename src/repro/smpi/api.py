@@ -18,6 +18,7 @@ overhead — the quantity Fig. 7 plots.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterator
 
 from ..simkernel import ANY_SOURCE, ANY_TAG
@@ -27,7 +28,8 @@ from . import collectives
 __all__ = ["MpiProcess", "ANY_SOURCE", "ANY_TAG"]
 
 # Tag space reserved for collective rounds; user tags must be >= 0 and
-# ANY_TAG is -1, so collective tags grow downward from -2.
+# ANY_TAG is -1, so collective tags grow downward from -2 (the mailbox's
+# ANY_TAG matches only tags >= 0, so no user receive takes them).
 _COLL_TAG_BASE = -2
 
 
@@ -142,57 +144,72 @@ class MpiProcess:
             yield from self.wait(req)
 
     # ------------------------------------------------------------------
-    # Collectives (binomial trees; rooted at 0 in the trace format)
+    # Collectives (binomial schedules; rooted at 0 in the trace format)
     # ------------------------------------------------------------------
-    def _next_coll_tag(self) -> int:
-        tag = _COLL_TAG_BASE - self._coll_seq
-        self._coll_seq += 1
-        return tag
-
     def bcast(self, nbytes: float, root: int = 0, data: Any = None) -> Iterator:
-        yield from self._trace_enter("MPI_Bcast")
-        self._hook_collective("MPI_Bcast", nbytes, 0.0)
-        result = yield from collectives.binomial_bcast(
-            self._raw, nbytes, root=root, tag=self._next_coll_tag(), data=data
-        )
-        yield from self._trace_leave("MPI_Bcast")
-        return result
+        return (yield from self._collective("MPI_Bcast", "bcast", nbytes,
+                                            0.0, root, data))
 
     def reduce(self, nbytes: float, flops: float = 0.0, root: int = 0,
                data: Any = None, op=None) -> Iterator:
-        yield from self._trace_enter("MPI_Reduce")
-        self._hook_collective("MPI_Reduce", nbytes, flops)
-        result = yield from collectives.binomial_reduce(
-            self._raw, nbytes, flops=flops, root=root,
-            tag=self._next_coll_tag(), data=data, op=op,
-        )
-        yield from self._trace_leave("MPI_Reduce")
-        return result
+        """Returns the folded result at ``root``, ``None`` elsewhere."""
+        result = yield from self._collective("MPI_Reduce", "reduce", nbytes,
+                                             flops, root, data, op)
+        return result if self.rank == root else None
 
     def allreduce(self, nbytes: float, flops: float = 0.0, data: Any = None,
                   op=None) -> Iterator:
-        yield from self._trace_enter("MPI_Allreduce")
-        self._hook_collective("MPI_Allreduce", nbytes, flops)
-        result = yield from collectives.reduce_then_bcast_allreduce(
-            self._raw, nbytes, flops=flops, tag=self._next_coll_tag(),
-            data=data, op=op,
-        )
-        yield from self._trace_leave("MPI_Allreduce")
-        return result
+        return (yield from self._collective("MPI_Allreduce", "allReduce",
+                                            nbytes, flops, 0, data, op))
 
     def barrier(self) -> Iterator:
-        yield from self._trace_enter("MPI_Barrier")
-        yield from collectives.barrier(self._raw, tag=self._next_coll_tag())
-        yield from self._trace_leave("MPI_Barrier")
+        yield from self._collective("MPI_Barrier", "barrier", 0.0, 0.0, 0)
 
-    # ------------------------------------------------------------------
-    # Raw (untraced) views used inside collectives so that a single
-    # MPI_Bcast shows up as one traced call, not a cascade of traced
-    # sends/recvs (TAU traces the MPI entry points, not their internals).
-    # ------------------------------------------------------------------
-    @property
-    def _raw(self) -> "_RawOps":
-        return _RawOps(self)
+    def _collective(self, func: str, name: str, nbytes: float, flops: float,
+                    root: int, data: Any = None, op=None) -> Iterator:
+        """Walk this rank's schedule rows under a fresh collective tag,
+        carrying the payload: a ``RECV`` replaces it, a ``REDUCE`` folds
+        the received one in with ``op``.
+
+        Only the MPI entry point is traced — TAU instruments the entry
+        points, not their internals — so the rows post raw requests, and
+        the reduction operator's flops count on the PAPI bank without
+        appearing as an application function (the extractor's boundary
+        logic already ignores them).
+        """
+        yield from self._trace_enter(func)
+        if name != "barrier":
+            self._hook_collective(func, nbytes, flops)
+        tag = _COLL_TAG_BASE - self._coll_seq
+        self._coll_seq += 1
+        rank, host = self.rank, self.host
+        comms = self.runtime.comms
+        sends = deque()
+        for kind, peer, size, fl in collectives.schedule(
+                name, rank, self.size, nbytes, flops, root=root):
+            if kind == collectives.SEND:
+                yield comms.isend(rank, peer, size, tag=tag, data=data)
+            elif kind == collectives.ISEND:
+                sends.append(comms.isend(rank, peer, size, tag=tag,
+                                         data=data))
+            elif kind == collectives.WAIT:
+                yield sends.popleft()
+            elif kind == collectives.RECV:
+                req = comms.irecv(rank, src=peer, tag=tag)
+                yield req
+                data = req.data
+            else:  # REDUCE
+                req = comms.irecv(rank, src=peer, tag=tag)
+                yield req
+                if fl:
+                    self.runtime.papi.add(rank, fl)
+                    yield self.runtime.engine.exec_activity(
+                        host.cpu, fl * host.work_inflation("reduce_op", fl),
+                        bound=host.speed, name=f"p{rank}.reduce_op")
+                if op is not None:
+                    data = op(data, req.data)
+        yield from self._trace_leave(func)
+        return data
 
     # ------------------------------------------------------------------
     # Tracer plumbing
@@ -246,57 +263,3 @@ class MpiProcess:
             name=f"p{self.rank}.tracing",
         )
 
-
-class _RawOps:
-    """Untraced send/recv/compute view used by collective algorithms."""
-
-    __slots__ = ("_proc",)
-
-    def __init__(self, proc: MpiProcess) -> None:
-        self._proc = proc
-
-    @property
-    def rank(self) -> int:
-        return self._proc.rank
-
-    @property
-    def size(self) -> int:
-        return self._proc.size
-
-    def isend(self, dst: int, nbytes: float, tag: int = 0,
-              data: Any = None) -> CommRequest:
-        proc = self._proc
-        return proc.runtime.comms.isend(proc.rank, dst, nbytes, tag=tag,
-                                        data=data)
-
-    def send(self, dst: int, nbytes: float, tag: int = 0,
-             data: Any = None) -> Iterator:
-        req = self.isend(dst, nbytes, tag=tag, data=data)
-        yield req
-        return req
-
-    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Iterator:
-        proc = self._proc
-        req = proc.runtime.comms.irecv(proc.rank, src=src, tag=tag)
-        yield req
-        return req
-
-    def wait(self, req: CommRequest) -> Iterator:
-        """Untraced MPI_Wait (no per-call trace events inside collectives)."""
-        yield req
-        return req
-
-    def compute(self, flops: float, kind: str = "compute") -> Iterator:
-        # Computation inside a collective (the reduction operator) happens
-        # within the MPI call: it must not appear as a traced application
-        # function — TAU instruments the MPI entry points, not their
-        # internals — and its flops are absorbed by the MPI window (the
-        # extractor's boundary logic already ignores them).
-        proc = self._proc
-        proc.runtime.papi.add(proc.rank, flops)
-        if flops > 0:
-            amount = flops * proc.host.work_inflation(kind, flops)
-            yield proc.runtime.engine.exec_activity(
-                proc.host.cpu, amount, bound=proc.host.speed,
-                name=f"p{proc.rank}.{kind}",
-            )

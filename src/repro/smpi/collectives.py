@@ -1,39 +1,52 @@
-"""Binomial-tree collective algorithms.
+"""Collectives as point-to-point schedules.
 
-The runtime (and the trace replayer) decompose collectives into
-point-to-point messages over binomial trees, the standard MPICH-style
-algorithms — the paper's kernel simulates collectives "as sets of
-point-to-point communications" rather than with monolithic performance
-models (§2 discusses why monolithic models are the *simplification* other
-simulators settle for; an ablation bench quantifies the difference).
+The runtime and the trace replayer decompose every collective into
+point-to-point messages — the paper's kernel simulates collectives "as
+sets of point-to-point communications" rather than with monolithic
+performance models (§2 discusses why monolithic models are the
+*simplification* other simulators settle for; an ablation bench
+quantifies the difference).
 
-All collectives are rooted at process 0 in the trace format (§3), but the
-algorithms below accept any root for completeness of the MPI runtime.
+A collective is data: :func:`schedule` returns one rank's part of it as
+``(kind, peer, nbytes, flops)`` rows, decided by ``(rank, size, vol,
+vol2, splits)`` alone.  Two interpreters walk the rows in order — the
+replayer's rank loop (:meth:`repro.core.replay.TraceReplayer._rank_process`)
+and :class:`repro.smpi.api.MpiProcess`, which also carries payloads.
+The kinds:
 
-The functions are generators over an object exposing the small protocol
-``isend(dst, nbytes, tag, data) -> req``, ``recv(src, tag) -> req
-(generator)``, ``wait(req) (generator)`` and ``compute(flops, kind)
-(generator)`` — satisfied by :class:`repro.smpi.api.MpiProcess` and by the
-replayer's per-rank contexts.
+* ``SEND`` — blocking send of ``nbytes`` to ``peer`` (post, then wait).
+* ``ISEND`` — post a send of ``nbytes`` to ``peer`` and queue it.
+* ``WAIT`` — wait for the oldest queued send (``peer`` names its
+  destination).
+* ``RECV`` — blocking receive from ``peer`` (``ANY_SOURCE`` allowed);
+  the payload replaces the buffer.
+* ``REDUCE`` — blocking receive from ``peer``, then ``flops`` of the
+  reduction operator (kind ``reduce_op``), then the payload is folded
+  into the buffer.
+
+Two algorithms: ``"binomial"`` — MPICH-style binomial trees — and
+``"flat"`` — the root talks to every rank directly.  All collectives are
+rooted at process 0 in the trace format (§3), but the builders accept
+any root for completeness of the MPI runtime.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from ..simkernel.mailbox import ANY_SOURCE
 
 __all__ = [
+    "SEND", "ISEND", "WAIT", "RECV", "REDUCE",
+    "BARRIER_TOKEN_BYTES",
     "bcast_plan",
     "reduce_plan",
     "subtree_size",
-    "binomial_bcast",
-    "binomial_reduce",
-    "reduce_then_bcast_allreduce",
-    "barrier",
-    "pairwise_alltoall",
-    "pairwise_alltoallv",
-    "gather_then_bcast_allgather",
-    "reduce_then_scatter",
+    "schedule",
 ]
+
+#: Row kinds (see the module docstring).
+SEND, ISEND, WAIT, RECV, REDUCE = range(5)
 
 #: Byte size of the token messages used by barrier synchronisation.
 BARRIER_TOKEN_BYTES = 1
@@ -105,144 +118,114 @@ def subtree_size(rank: int, size: int, root: int = 0) -> int:
     return min(mask, size - relative)
 
 
-def binomial_bcast(proc, nbytes: float, root: int = 0, tag: int = 0,
-                   data=None) -> Iterator:
-    """Broadcast ``nbytes`` from ``root``; returns the payload."""
-    parent, children = bcast_plan(proc.rank, proc.size, root)
-    payload = data
+def _tree_bcast(rank, size, nbytes, root):
+    # One child send at a time, each waited: MPICH's binomial bcast is
+    # sequential, and posting every child send at once would make them
+    # contend on the parent's uplink, breaking the reduce-tree mirror.
+    parent, children = bcast_plan(rank, size, root)
+    rows = [] if parent is None else [(RECV, parent, 0.0, 0.0)]
+    return rows + [(SEND, child, nbytes, 0.0) for child in children]
+
+
+def _tree_reduce(rank, size, nbytes, flops, root):
+    children, parent = reduce_plan(rank, size, root)
+    rows = [(REDUCE, child, 0.0, flops) for child in children]
     if parent is not None:
-        req = yield from proc.recv(src=parent, tag=tag)
-        payload = req.data
-    for dst in children:
-        # One send at a time, waited through the protocol (not a raw
-        # ``yield req``): the module contract above only promises
-        # isend/recv/wait/compute, a parent must not retire before its
-        # child sends complete, and MPICH's binomial bcast is sequential
-        # — posting every child send at once makes them contend on the
-        # parent's uplink and delays the whole subtree, breaking the
-        # reduce-tree mirror symmetry.
-        req = proc.isend(dst, nbytes, tag=tag, data=payload)
-        yield from proc.wait(req)
-    return payload
+        rows.append((SEND, parent, nbytes, 0.0))
+    return rows
 
 
-def binomial_reduce(proc, nbytes: float, flops: float = 0.0, root: int = 0,
-                    tag: int = 0, data=None, op=None) -> Iterator:
-    """Reduce ``nbytes`` partial results to ``root``.
-
-    ``flops`` is the cost of applying the reduction operator once, charged
-    for every received contribution (the ``<vcomp>`` volume of the trace
-    format's ``reduce`` action).  ``op``, if given, folds received payloads
-    into the local one (two-argument callable).
-    """
-    children, parent = reduce_plan(proc.rank, proc.size, root)
-    acc = data
-    for child in children:
-        req = yield from proc.recv(src=child, tag=tag)
-        if flops:
-            yield from proc.compute(flops, kind="reduce_op")
-        if op is not None:
-            acc = op(acc, req.data)
-    if parent is not None:
-        yield from proc.send(parent, nbytes, tag=tag, data=acc)
-        return None
-    return acc
+def _star_bcast(rank, size, nbytes, root):
+    # The root posts every send, then waits them in posting order.
+    if rank != root:
+        return [(RECV, root, 0.0, 0.0)]
+    others = [dst for dst in range(size) if dst != root]
+    return ([(ISEND, dst, nbytes, 0.0) for dst in others]
+            + [(WAIT, dst, 0.0, 0.0) for dst in others])
 
 
-def reduce_then_bcast_allreduce(proc, nbytes: float, flops: float = 0.0,
-                                tag: int = 0, data=None, op=None) -> Iterator:
-    """Allreduce as reduce-to-0 followed by broadcast-from-0 (§3: the
-    replay roots every collective at process 0)."""
-    acc = yield from binomial_reduce(proc, nbytes, flops=flops, root=0,
-                                     tag=tag, data=data, op=op)
-    result = yield from binomial_bcast(proc, nbytes, root=0, tag=tag,
-                                       data=acc)
-    return result
+def _star_reduce(rank, size, nbytes, flops, root):
+    # The root folds contributions in arrival order.
+    if rank != root:
+        return [(SEND, root, nbytes, 0.0)]
+    return [(REDUCE, ANY_SOURCE, 0.0, flops)] * (size - 1)
 
 
-def barrier(proc, tag: int = 0) -> Iterator:
-    """Barrier = 1-byte reduce to 0, then 1-byte broadcast from 0."""
-    yield from binomial_reduce(proc, BARRIER_TOKEN_BYTES, root=0, tag=tag)
-    yield from binomial_bcast(proc, BARRIER_TOKEN_BYTES, root=0, tag=tag)
-
-
-def pairwise_alltoall(proc, nbytes: float, tag: int = 0) -> Iterator:
-    """All-to-all as ``size - 1`` pairwise exchange steps (MPICH's
-    long-message algorithm): at step ``s`` every rank sends ``nbytes``
-    to ``(rank + s) % size`` while receiving from ``(rank - s) % size``.
-
-    One message per ordered rank pair per collective, so FIFO matching
-    inside the private ``tag`` is unambiguous.  The own-rank share stays
-    local and costs nothing.
-    """
-    rank, size = proc.rank, proc.size
+def _pairwise(rank, size, nbytes_to):
+    # MPICH's long-message all-to-all: at step s send to rank + s while
+    # receiving from rank - s.  One message per ordered pair, so FIFO
+    # matching inside the collective's tag is unambiguous; the own-rank
+    # share stays local and costs nothing.
+    rows = []
     for step in range(1, size):
         dst = (rank + step) % size
-        src = (rank - step) % size
-        sreq = proc.isend(dst, nbytes, tag=tag)
-        yield from proc.recv(src=src, tag=tag)
-        yield from proc.wait(sreq)
+        rows += [(ISEND, dst, nbytes_to[dst], 0.0),
+                 (RECV, (rank - step) % size, 0.0, 0.0),
+                 (WAIT, dst, 0.0, 0.0)]
+    return rows
 
 
-def pairwise_alltoallv(proc, splits, tag: int = 0) -> Iterator:
-    """Vector all-to-all over the same pairwise schedule.
+def schedule(name: str, rank: int, size: int, vol: float,
+             vol2: float = 0.0, splits=None, algorithm: str = "binomial",
+             root: int = 0) -> List[tuple]:
+    """``rank``'s rows of collective ``name`` (a trace keyword) over a
+    ``size``-process communicator.
 
-    ``splits[dst]`` is the byte count *this* rank sends to ``dst``; the
-    matched receive's volume comes from the sender's own split, so
-    asymmetric routing matrices replay exactly.  A zero split is still
-    exchanged as an empty message — the receiver cannot know the
-    sender's split size without it, exactly as MPI_Alltoallv posts the
-    full schedule regardless of counts.
+    ``vol`` / ``vol2`` are the action's volumes (``vcomm`` / ``vcomp``),
+    ``splits`` the allToAllv row.  Under both algorithms, ``barrier`` is
+    a binomial 1-byte reduce then bcast, and the all-to-alls are
+    pairwise: flat-tree has no root to flatten them onto.
     """
-    rank, size = proc.rank, proc.size
-    if len(splits) != size:
-        raise ValueError(
-            f"p{rank}: allToAllv carries {len(splits)} split sizes for a "
-            f"{size}-process communicator")
-    for step in range(1, size):
-        dst = (rank + step) % size
-        src = (rank - step) % size
-        sreq = proc.isend(dst, float(splits[dst]), tag=tag)
-        yield from proc.recv(src=src, tag=tag)
-        yield from proc.wait(sreq)
-
-
-def gather_then_bcast_allgather(proc, nbytes: float, tag: int = 0
-                                ) -> Iterator:
-    """Allgather as binomial gather-to-0 followed by broadcast-from-0 of
-    the concatenated buffer (§3 roots every collective at process 0).
-
-    In the gather phase each rank forwards its whole subtree's
-    contributions at once — ``subtree_size(child) * nbytes`` per child
-    link — mirroring the reduce tree's message pattern but with growing
-    payloads instead of constant ones.
-    """
-    rank, size = proc.rank, proc.size
-    children, parent = reduce_plan(rank, size, 0)
-    for child in children:
-        yield from proc.recv(src=child, tag=tag)
-    if parent is not None:
-        yield from proc.send(parent, subtree_size(rank, size) * nbytes,
-                             tag=tag)
-    yield from binomial_bcast(proc, size * nbytes, root=0, tag=tag)
-
-
-def reduce_then_scatter(proc, nbytes: float, flops: float = 0.0,
-                        tag: int = 0) -> Iterator:
-    """Reduce-scatter as binomial reduce-to-0 followed by a binomial
-    scatter of the per-rank shares.
-
-    ``nbytes`` is each rank's full contribution (the trace's ``vcomm``);
-    after the reduce, rank 0 scatters ``nbytes / size`` per rank down
-    the broadcast tree — each child link carries its subtree's shares,
-    ``subtree_size(child) * nbytes / size`` bytes.
-    """
-    yield from binomial_reduce(proc, nbytes, flops=flops, root=0, tag=tag)
-    rank, size = proc.rank, proc.size
-    share = nbytes / size
-    parent, children = bcast_plan(rank, size, 0)
-    if parent is not None:
-        yield from proc.recv(src=parent, tag=tag)
-    for dst in children:
-        req = proc.isend(dst, subtree_size(dst, size) * share, tag=tag)
-        yield from proc.wait(req)
+    if algorithm == "flat":
+        bcast, reduce = _star_bcast, _star_reduce
+    else:
+        bcast, reduce = _tree_bcast, _tree_reduce
+    if name == "bcast":
+        return bcast(rank, size, vol, root)
+    if name == "reduce":
+        return reduce(rank, size, vol, vol2, root)
+    if name == "allReduce":
+        return (reduce(rank, size, vol, vol2, root)
+                + bcast(rank, size, vol, root))
+    if name == "barrier":
+        return (_tree_reduce(rank, size, BARRIER_TOKEN_BYTES, 0.0, root)
+                + _tree_bcast(rank, size, BARRIER_TOKEN_BYTES, root))
+    if name == "allToAll":
+        return _pairwise(rank, size, [vol] * size)
+    if name == "allToAllv":
+        # The matched receive's volume comes from the sender's own split,
+        # so asymmetric matrices replay exactly; a zero split is still an
+        # (empty) message, as MPI_Alltoallv posts the full schedule.
+        if len(splits) != size:
+            raise ValueError(
+                f"p{rank}: allToAllv carries {len(splits)} split sizes for "
+                f"a {size}-process communicator")
+        return _pairwise(rank, size, [float(s) for s in splits])
+    if name == "allGather":
+        # Gather to the root, then broadcast the ``size * vol`` buffer.
+        # Up a binomial tree each rank forwards its whole subtree's
+        # contributions at once.
+        if algorithm == "flat":
+            rows = ([(SEND, root, vol, 0.0)] if rank != root
+                    else [(RECV, ANY_SOURCE, 0.0, 0.0)] * (size - 1))
+        else:
+            children, parent = reduce_plan(rank, size, root)
+            rows = [(RECV, child, 0.0, 0.0) for child in children]
+            if parent is not None:
+                rows.append((SEND, parent,
+                             subtree_size(rank, size, root) * vol, 0.0))
+        return rows + bcast(rank, size, size * vol, root)
+    if name == "reduceScatter":
+        # Reduce the full ``vol`` to the root, then scatter ``vol / size``
+        # per rank; down a binomial tree each child link carries its
+        # subtree's shares.
+        rows = reduce(rank, size, vol, vol2, root)
+        share = vol / size
+        if algorithm == "flat":
+            return rows + _star_bcast(rank, size, share, root)
+        parent, children = bcast_plan(rank, size, root)
+        if parent is not None:
+            rows.append((RECV, parent, 0.0, 0.0))
+        return rows + [(SEND, child, subtree_size(child, size, root) * share,
+                        0.0) for child in children]
+    raise ValueError(f"p{rank}: no collective schedule for {name!r}")

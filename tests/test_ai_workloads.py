@@ -317,9 +317,9 @@ def test_shard_coordinator_refuses_each_new_collective(line, name, tmp_path):
 
 
 def test_batched_replay_of_mixed_new_collectives_is_exact(tmp_path):
-    """allReduce/barrier get batched, the new collectives ride the
-    generator protocols — and the result still matches the sequential
-    driver to 1e-9."""
+    """allReduce/barrier get batched, the new collectives walk their
+    schedule rows — and the result still matches the sequential driver
+    to 1e-9."""
     n = 4
     for rank in range(n):
         path = os.path.join(str(tmp_path), trace_file_name(rank))

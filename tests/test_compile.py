@@ -457,13 +457,45 @@ def test_timed_trace_runs_on_the_compiled_feed(mixed_dir):
 
 #: SHA-256 of the ``repro-replay --timed-trace`` file for each trace, as
 #: written by the token interpreter the one loop replaced; the loop must
-#: reproduce it byte for byte under every feed.
+#: reproduce it byte for byte under every feed.  The ``allcoll-*`` pins
+#: were recorded by the generator collectives the schedule rows replaced
+#: (the digest covers the timed traces of every ALLCOLL_SIZES run, in
+#: order).
 TIMED_TRACE_PINS = {
     "mixed": "a59645824e2e3bc03a6e296c68ffcb19"
              "cf40dce67888625eb8fd503cc5a762fe",
     "moe16": "8219774e89bcda125db5755a444ffcfa"
              "2c1ac66f588c803cab342ad200e174e0",
+    "allcoll-binomial": "1b6bef220007586873d1eaf333226b19"
+                        "8a9c0632d796da10457dd87913bcbcc9",
+    "allcoll-flat": "89ee2d8b8d79c26977dc945fd5eac328"
+                    "ffef77b017681917860b6d2bb6d2e453",
 }
+
+#: Communicator sizes of the all-collectives fixture.
+ALLCOLL_SIZES = (1, 2, 3, 5, 8)
+
+
+def write_allcoll_dir(directory, size):
+    """Every collective at one eager and one rendezvous volume, after a
+    rank-skewed compute so that wildcard receives see a real order."""
+    os.makedirs(directory, exist_ok=True)
+    for rank in range(size):
+        lines = [f"p{rank} comm_size {size}"]
+        for vol in (4096, int(RENDEZVOUS)):
+            splits = [vol * ((rank + dst) % 3) // 2 for dst in range(size)]
+            lines += [f"p{rank} compute {(rank + 1) * 10 ** 7}"] + [
+                f"p{rank} {action}" for action in (
+                    f"bcast {vol}", f"reduce {vol} 1000000",
+                    f"allReduce {vol} 2000000", "barrier",
+                    f"allToAll {vol}",
+                    f"allToAllv {sum(splits)} "
+                    + " ".join(str(s) for s in splits),
+                    f"allGather {vol}", f"reduceScatter {vol} 3000000")]
+        with open(os.path.join(directory, trace_file_name(rank)), "w",
+                  encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+    return str(directory)
 
 
 @pytest.mark.parametrize("flags", [[], ["--compiled"], ["--no-compiled"]],
@@ -476,6 +508,20 @@ def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
     from repro.core.synth_ai import write_synthetic_ai_trace
     from repro.simkernel.xmlio import dump_platform
 
+    if name.startswith("allcoll-"):
+        xml = str(tmp_path / "platform.xml")
+        dump_platform(make_platform(max(ALLCOLL_SIZES)), xml)
+        digest = hashlib.sha256()
+        for size in ALLCOLL_SIZES:
+            directory = write_allcoll_dir(tmp_path / f"ti{size}", size)
+            out = tmp_path / f"timed{size}.trace"
+            assert main_replay(
+                [directory, "--platform-xml", xml, "--ranks", str(size),
+                 "--collectives", name.split("-")[1],
+                 "--timed-trace", str(out)] + flags) == 0
+            digest.update(out.read_bytes())
+        assert digest.hexdigest() == TIMED_TRACE_PINS[name]
+        return
     if name == "mixed":
         directory, n_ranks = write_mixed_dir(tmp_path / "ti"), 4
     else:

@@ -47,6 +47,11 @@ DELETED = [
      ("src", "docs", ".github", "README.md"),
      "the token interpreter, its handler registry and the timed-trace "
      "fallback"),
+    (r"_CollOps|_RawOps|_flat_bcast|_flat_reduce|binomial_bcast"
+     r"|binomial_reduce|reduce_then_bcast_allreduce|pairwise_alltoall"
+     r"|gather_then_bcast_allgather|reduce_then_scatter",
+     ("src", "docs", ".github", "README.md", "DESIGN.md"),
+     "the generator collectives and their two adapters"),
 ]
 
 

@@ -150,6 +150,74 @@ def test_replay_flat_vs_binomial_collectives():
     assert flat.simulated_time > binom.simulated_time
 
 
+def write_ranks(directory, lines_of):
+    """A trace directory from ``{rank: [action text without the id]}``."""
+    directory.mkdir()
+    for rank, lines in lines_of.items():
+        (directory / f"SG_process{rank}.trace").write_text(
+            "".join(f"p{rank} {line}\n" for line in lines))
+    return str(directory)
+
+
+FEEDS = ["auto", "always", "never"]
+
+
+@pytest.mark.parametrize("compiled", FEEDS)
+@pytest.mark.parametrize("algorithm", ["binomial", "flat"])
+def test_trace_receive_never_takes_a_collectives_message(tmp_path, algorithm,
+                                                         compiled):
+    """A trace Irecv posts ANY_TAG; pending across a bcast, it must leave
+    the bcast's message to the bcast (MPI runs collectives in a context
+    of their own).  It used to take it and deadlock at t=3.8e-05."""
+    def replay(name, p1, p0_gap):
+        return make_replayer(
+            2, collective_algorithm=algorithm, compiled=compiled,
+        ).replay(write_ranks(tmp_path / name, {
+            0: ["comm_size 2", "bcast 1000"] + p0_gap + ["send p1 5e6"],
+            1: ["comm_size 2"] + p1,
+        })).simulated_time
+
+    early = ["Irecv p0 5e6", "bcast 1000", "wait"]
+    late = ["bcast 1000", "Irecv p0 5e6", "wait"]
+    # Pre-posted, the rendezvous starts as p0 sends, 3e-5 s (the bcast's
+    # latency) before the reordered trace's receive is posted.
+    assert replay("early", early, []) == pytest.approx(0.040038, rel=1e-12)
+    assert replay("late", late, []) == pytest.approx(0.040068, rel=1e-12)
+    # Once p0 sends late enough, where the receive is posted is moot.
+    gap = ["compute 1e7"]
+    assert replay("early-gap", early, gap) == replay("late-gap", late, gap)
+
+
+@pytest.mark.parametrize("action", ["reduce 1000 1e7", "allReduce 1000 1e7"])
+def test_two_rank_trees_charge_the_operator_alike(tmp_path, action):
+    """At two ranks the flat and binomial trees are the same messages, and
+    both charge the operator as ``reduce_op`` — on a ground-truth platform,
+    whose efficiency model tells ``reduce_op`` from ``compute``."""
+    from repro.platforms import bordereau
+
+    directory = write_ranks(tmp_path / "ti", {
+        rank: ["comm_size 2", action] for rank in range(2)})
+    times = []
+    for algorithm in ("binomial", "flat"):
+        platform = bordereau(2, ground_truth=True)
+        times.append(TraceReplayer(
+            platform, round_robin_deployment(platform, 2),
+            collective_algorithm=algorithm,
+        ).replay(directory).simulated_time)
+    assert times[0] == times[1]
+
+
+@pytest.mark.parametrize("compiled", FEEDS)
+def test_alltoallv_split_count_must_match_comm_size(tmp_path, compiled):
+    directory = write_ranks(tmp_path / "ti", {
+        0: ["comm_size 2", "allToAllv 100 50 50 0"],
+        1: ["comm_size 2", "allToAllv 100 50 50"],
+    })
+    with pytest.raises(ValueError, match=r"^p0: allToAllv carries 3 split "
+                       r"sizes for a 2-process communicator$"):
+        make_replayer(2, compiled=compiled).replay(directory)
+
+
 def test_replay_from_directory_and_merged_file(tmp_path):
     trace = fig1_trace()
     # Directory layout.

@@ -1,11 +1,17 @@
-"""Integration tests for the simulated-MPI runtime."""
+"""Integration tests for the simulated-MPI runtime and the collective
+schedules it shares with the replayer."""
+
+from collections import deque
 
 import pytest
 
-from repro.simkernel import Platform
+from repro.simkernel import ANY_SOURCE, Platform
 from repro.simkernel.pwl import IDENTITY_MODEL
 from repro.smpi import MpiRuntime, round_robin_deployment
-from repro.smpi.collectives import bcast_plan, reduce_plan
+from repro.smpi.collectives import (
+    BARRIER_TOKEN_BYTES, ISEND, RECV, REDUCE, SEND, WAIT, bcast_plan,
+    reduce_plan, schedule, subtree_size,
+)
 
 
 def make_runtime(n_ranks, ranks_per_host=1, speed=1e9, **kw):
@@ -118,6 +124,137 @@ def test_reduce_plan_mirrors_bcast_any_root():
                 assert send_to == parent
                 # Exact mirror: receive in the reverse of sending order.
                 assert recv_from == list(reversed(children))
+
+
+# ---------------------------------------------------------------------------
+# Collective schedules
+# ---------------------------------------------------------------------------
+
+COLLECTIVES = ["bcast", "reduce", "allReduce", "barrier", "allToAll",
+               "allToAllv", "allGather", "reduceScatter"]
+#: The collectives MpiProcess runs, at any root.
+RUNTIME_COLLECTIVES = {"bcast", "reduce", "allReduce", "barrier"}
+
+
+def play_schedules(rows_of):
+    """Play every rank's rows with synchronous sends (a send completes
+    only once received, the strictest protocol) and per-pair FIFO
+    matching; ``ANY_SOURCE`` takes the oldest send from anyone.
+
+    Returns ``{(src, dst): [nbytes, ...]}`` of the matched messages in
+    order.  Fails if a rank is left blocked, a send is left unreceived,
+    or a ``WAIT`` names another destination than its queued send.
+    """
+    size = len(rows_of)
+    pc = [0] * size
+    inbox = [[] for _ in range(size)]      # unmatched [src, nbytes, done]
+    queued = [deque() for _ in range(size)]  # a rank's ISENDs, oldest first
+    blocked_send = [None] * size
+    got = {}
+    progress = True
+    while progress:
+        progress = False
+        for rank, rows in enumerate(rows_of):
+            while pc[rank] < len(rows):
+                kind, peer, nbytes, _ = rows[pc[rank]]
+                if kind == ISEND:
+                    entry = [rank, nbytes, False]
+                    inbox[peer].append(entry)
+                    queued[rank].append((peer, entry))
+                elif kind == SEND:
+                    if blocked_send[rank] is None:
+                        blocked_send[rank] = [rank, nbytes, False]
+                        inbox[peer].append(blocked_send[rank])
+                        progress = True
+                    if not blocked_send[rank][2]:
+                        break
+                    blocked_send[rank] = None
+                elif kind == WAIT:
+                    dst, entry = queued[rank][0]
+                    assert dst == peer
+                    if not entry[2]:
+                        break
+                    queued[rank].popleft()
+                else:
+                    assert kind in (RECV, REDUCE)
+                    entry = next((e for e in inbox[rank]
+                                  if peer in (ANY_SOURCE, e[0])), None)
+                    if entry is None:
+                        break
+                    inbox[rank].remove(entry)
+                    entry[2] = True
+                    got.setdefault((entry[0], rank), []).append(entry[1])
+                pc[rank] += 1
+                progress = True
+    assert pc == [len(rows) for rows in rows_of], "schedule deadlocks"
+    assert not any(inbox), "a send is never received"
+    return got
+
+
+def expected_bytes(name, algorithm, size, vol, splits, root):
+    """Closed form of the bytes one collective moves."""
+    n = size - 1
+    # Bytes-per-vol of a gather up (or scatter down) the tree: a binomial
+    # child link carries its whole subtree.
+    up = n if algorithm == "flat" else sum(
+        subtree_size(r, size, root) for r in range(size) if r != root)
+    return {
+        "bcast": n * vol, "reduce": n * vol, "allReduce": 2 * n * vol,
+        "barrier": 2 * n * BARRIER_TOKEN_BYTES,
+        "allToAll": size * n * vol,
+        "allToAllv": sum(splits[s][d] for s in range(size)
+                         for d in range(size) if s != d),
+        "allGather": up * vol + n * size * vol,
+        "reduceScatter": n * vol + up * vol / size,
+    }[name]
+
+
+@pytest.mark.parametrize("algorithm", ["binomial", "flat"])
+@pytest.mark.parametrize("name", COLLECTIVES)
+def test_schedules_pair_every_send_with_a_receive(name, algorithm):
+    vol, flops = 1000.0, 7.0
+    for size in range(1, 18):
+        splits = [[float((7 * s + 3 * d) % 5 * 10) for d in range(size)]
+                  for s in range(size)]
+        roots = range(size) if name in RUNTIME_COLLECTIVES else [0]
+        for root in roots:
+            rows_of = [schedule(name, rank, size, vol, flops, splits[rank],
+                                algorithm, root) for rank in range(size)]
+            got = play_schedules(rows_of)
+            assert all(src != dst for src, dst in got)
+            total = sum(sum(sizes) for sizes in got.values())
+            assert total == pytest.approx(expected_bytes(
+                name, algorithm, size, vol, splits, root), rel=1e-12)
+            reduce_rows = [row for rows in rows_of for row in rows
+                           if row[0] == REDUCE]
+            if name in ("reduce", "allReduce", "reduceScatter"):
+                # One operator application per non-root contribution.
+                assert len(reduce_rows) == size - 1
+                assert all(row[3] == flops for row in reduce_rows)
+            elif name != "barrier":
+                assert reduce_rows == []
+            if name == "allGather":
+                # The root takes in every other rank's vol, nothing more.
+                assert sum(sum(sizes) for (_, dst), sizes in got.items()
+                           if dst == root) == (size - 1) * vol
+            if name == "allToAllv":
+                assert got == {(s, d): [splits[s][d]] for s in range(size)
+                               for d in range(size) if s != d}
+
+
+def test_flat_root_receives_from_any_source_once_per_sender():
+    size = 6
+    rows_of = [schedule("reduce", rank, size, 100.0, 1.0, None, "flat")
+               for rank in range(size)]
+    assert rows_of[0] == [(REDUCE, ANY_SOURCE, 0.0, 1.0)] * (size - 1)
+    got = play_schedules(rows_of)
+    assert got == {(src, 0): [100.0] for src in range(1, size)}
+
+
+def test_schedule_validates_alltoallv_split_count():
+    with pytest.raises(ValueError, match=r"^p1: allToAllv carries 2 split "
+                       r"sizes for a 3-process communicator$"):
+        schedule("allToAllv", 1, 3, 0.0, 0.0, [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +422,25 @@ def test_isend_irecv_wait():
 
     make_runtime(2).run(prog)
     assert "got x" in order
+
+
+def test_irecv_posted_before_bcast_leaves_the_bcast_its_message():
+    """A wildcard-tag irecv pending across a bcast must not take the
+    bcast's message: collectives run in a context of their own."""
+    got = {}
+
+    def prog(mpi):
+        if mpi.rank == 1:
+            req = mpi.irecv(src=0)
+            got["bcast"] = yield from mpi.bcast(1000, data=None)
+            yield from mpi.wait(req)
+            got["p2p"] = req.data
+        else:
+            yield from mpi.bcast(1000, data="collective")
+            yield from mpi.send(1, 5e6, data="point-to-point")
+
+    make_runtime(2).run(prog)
+    assert got == {"bcast": "collective", "p2p": "point-to-point"}
 
 
 def test_comm_size_traced_call():
