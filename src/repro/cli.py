@@ -237,12 +237,13 @@ def main_compile(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-compile",
         description="Compile time-independent traces into columnar op "
-                    "programs cached as .tic sidecars, so later replays "
-                    "skip tokenization and dispatch entirely.",
+                    "programs cached in a .tic sidecar (one per trace "
+                    "directory or merged file), so later replays skip "
+                    "tokenization and dispatch entirely.",
     )
     parser.add_argument("trace", help="trace directory or merged trace file")
     parser.add_argument("--force", action="store_true",
-                        help="recompile even when fresh .tic sidecars exist")
+                        help="recompile even when the .tic sidecar is fresh")
     args = parser.parse_args(argv)
 
     from .core.compile import compile_source, fuse_computes
@@ -256,12 +257,10 @@ def main_compile(argv: Optional[List[str]] = None) -> int:
     print(f"compiled {report.n_ranks} ranks: {report.n_src:,} actions -> "
           f"{report.n_ops:,} ops ({fusible:,} computes fusible) in "
           f"{report.wall_seconds:.2f} s")
-    print(f"cache: {report.cache_hits} hits, {report.cache_misses} misses; "
-          f"{len(report.artifacts)} sidecar(s) written")
-    for path in report.artifacts[:8]:
+    print(f"cache: {report.cache_hits} rank(s) hit, {report.cache_misses} "
+          f"missed; {len(report.artifacts)} sidecar(s) written")
+    for path in report.artifacts:
         print(f"  {path}")
-    if len(report.artifacts) > 8:
-        print(f"  ... and {len(report.artifacts) - 8} more")
     return 0
 
 

@@ -17,13 +17,21 @@ actions each compiled op stands for — 1 everywhere except fused compute
 runs (see :func:`fuse_computes`).  No strings survive compilation, and
 the replay loop reads the columns through :meth:`CompiledProgram.records`.
 
-Compiled programs are cached on disk as ``.tic`` sidecars next to the
-trace files (``SG_process3.trace.tic``; a merged file gets one container
-sidecar).  A sidecar embeds the SHA-256 of the source file's bytes and
-is rebuilt automatically whenever the source changes — a ``.tic`` can
-never go stale.  Sidecars are *derived* artifacts: the campaign cache's
-tree digest skips them, so warming the compile cache does not change any
-scenario's content address.
+A trace directory's text rank files compile in blocks: consecutive
+files are read into blocks of at most :data:`BLOCK_BYTES` and each block
+is tokenised once, as NumPy columns (:func:`_tokenise_block`).  Only
+canonical text takes that path; any other block, ``.btrace`` files and
+merged files compile one record at a time through
+:func:`~.actions.decode_tokens`, which stays the oracle and the only
+source of errors.
+
+Compiled programs are cached on disk in one ``.tic`` sidecar per trace
+directory (``programs.tic``; a merged file gets ``<file>.tic``).  Its
+table holds each rank file's name, size and SHA-256, so a changed rank
+file recompiles that rank alone — a ``.tic`` can never go stale.
+Sidecars are *derived* artifacts: the campaign cache's tree digest skips
+them, so warming the compile cache does not change any scenario's
+content address.
 
 Compute fusion (:func:`fuse_computes`) collapses each run of consecutive
 ``compute`` ops into a single op whose volume is the run's sum.  This is
@@ -38,21 +46,25 @@ granularity).
 
 from __future__ import annotations
 
+import gzip
 import hashlib
+import io
 import logging
 import os
 import struct
+import tempfile
 import time
+import zlib
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .actions import (
-    ACTION_TABLE, OPCODE_SPACE_VERSION, decode_tokens, encode_tokens,
-    fields_of,
+    ACTION_TABLE, OPCODE_SPACE_VERSION, PEER_VOL, SHAPE_LAYOUT,
+    decode_tokens, encode_tokens, fields_of,
 )
 from .binfmt import read_binary_trace
 from .trace import (
@@ -66,22 +78,28 @@ globals().update(_OP_NAMES)
 
 __all__ = [
     "CompiledProgram", "CompileReport", "compile_source", "fuse_computes",
-    "op_tokens", "tic_path_for", "TIC_SUFFIX", *_OP_NAMES,
+    "op_tokens", "sidecar_path", "BLOCK_BYTES", "DIR_SIDECAR", "TIC_SUFFIX",
+    *_OP_NAMES,
 ]
 
-#: Compiled-program sidecar suffix, appended to the source file name.
+#: Compiled-program sidecar suffix: a merged file's sidecar is
+#: ``<file>.tic``, and every sidecar file name ends with it.
 TIC_SUFFIX = ".tic"
+#: The one sidecar of a trace directory, covering all its rank files.
+DIR_SIDECAR = "programs" + TIC_SUFFIX
 
 _TIC_MAGIC = b"TICP0001"
 #: v2: per-rank aux blocks (allToAllv split tables) joined the layout,
-#: and the header's flags field now carries the opcode-space version —
-#: a sidecar compiled under an older opcode space is a cache miss, so
-#: pre-existing ``.tic`` files recompile instead of being decoded with
-#: opcodes they never knew.
-_TIC_VERSION = 2
-_TIC_HEADER = struct.Struct("<8sHHI")   # magic, version, opcode space, n_ranks
-_TIC_BLOCK = struct.Struct("<IQQI")     # rank, n_ops, n_src, n_aux
-_TIC_AUX = struct.Struct("<QI")         # op index, split count
+#: and the header carries the opcode-space version — a sidecar compiled
+#: under an older opcode space is a cache miss, so pre-existing ``.tic``
+#: files recompile instead of being decoded with opcodes they never
+#: knew.  v3: one sidecar per trace directory, its planes addressed by a
+#: sealed per-rank table, instead of one file per rank.
+_TIC_VERSION = 3
+#: magic, version, opcode space, rows, table bytes, table seal
+_TIC_HEADER = struct.Struct("<8sHHIQ32s")
+_TIC_ROW = struct.Struct("<IQ32sQQIQQH")    # the fields of _Row
+_TIC_AUX = struct.Struct("<QI")             # op index, split count
 
 
 class CompiledProgram:
@@ -191,11 +209,306 @@ def _compile_records(records, rank: int) -> CompiledProgram:
 
 
 def _compile_rank_file(path: str, rank: int) -> CompiledProgram:
+    """One rank file, one record at a time: the oracle the block
+    tokeniser must agree with, and the only source of its errors."""
     if path.endswith(".btrace"):
         return _compile_records(
             map(fields_of, read_binary_trace(path, expect_rank=rank)), rank)
     return _compile_records(
         map(decode_tokens, rank_file_tokens(path, rank)), rank)
+
+
+# ---------------------------------------------------------------------------
+# Block tokeniser: consecutive text rank files, a block at a time
+# ---------------------------------------------------------------------------
+#: Bytes of rank-file text one block gathers before it is tokenised (a
+#: single line longer than this still goes whole into one block).
+BLOCK_BYTES = 256 * 1024
+
+#: The bytes a canonical trace line may hold: keywords, ``p<rank>``
+#: ids, volumes, single spaces and the newline.  Tabs, ``\r``, the
+#: other separators ``str.split`` knows, ``#`` and non-ASCII bytes all
+#: send a block to the per-line oracle.
+_CANONICAL_BYTES = (b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                    b"0123456789_.+- \n")
+
+#: Keyword -> opcode of every fixed-arity row (allToAllv's split list
+#: takes the per-line path).  Per opcode: tokens per line, the token
+#: offset of each volume (0: none), and whether ``arg`` is a ``p<rank>``
+#: peer or a communicator size (both at token offset 2).
+_BLOCK_OPCODE: Dict[bytes, int] = {}
+_ARITY = np.zeros(len(ACTION_TABLE) + 1, dtype=np.int64)
+_VOL_AT = np.zeros(len(ACTION_TABLE) + 1, dtype=np.int64)
+_VOL2_AT = np.zeros(len(ACTION_TABLE) + 1, dtype=np.int64)
+_PEER_ARG = np.zeros(len(ACTION_TABLE) + 1, dtype=bool)
+_SIZE_ARG = np.zeros(len(ACTION_TABLE) + 1, dtype=bool)
+for _row in ACTION_TABLE:
+    _uses_arg, _n_vols = SHAPE_LAYOUT[_row.shape]
+    if _n_vols is None:
+        continue
+    _BLOCK_OPCODE[_row.keyword.encode("ascii")] = _row.opcode
+    _ARITY[_row.opcode] = 2 + _uses_arg + _n_vols
+    if _n_vols:
+        _VOL_AT[_row.opcode] = 2 + _uses_arg
+    if _n_vols == 2:
+        _VOL2_AT[_row.opcode] = 3 + _uses_arg
+    _PEER_ARG[_row.opcode] = _row.shape == PEER_VOL
+    _SIZE_ARG[_row.opcode] = _uses_arg and _row.shape != PEER_VOL
+
+#: Widest token the block path reads (the canonical volume text is at
+#: most 24 bytes); a wider one sends its block to the oracle.
+_MAX_TOKEN = 32
+
+
+def _token_bytes(windows: np.ndarray, begin: np.ndarray,
+                 length: np.ndarray) -> Optional[np.ndarray]:
+    """The tokens at byte offsets ``begin`` as rows of a zero-padded
+    uint8 matrix, or None if one is wider than :data:`_MAX_TOKEN`.
+    ``windows`` views the block as its :data:`_MAX_TOKEN`-byte windows."""
+    width = int(length.max()) if len(length) else 1
+    if width > _MAX_TOKEN:
+        return None
+    rows = windows[begin, :width]
+    rows *= np.arange(width) < length[:, None]
+    return rows
+
+
+def _as_text(rows: np.ndarray) -> np.ndarray:
+    """Zero-padded token rows as a fixed-width bytes array."""
+    return rows.view(f"S{rows.shape[1]}").ravel()
+
+
+def _digits(rows: np.ndarray, length: np.ndarray,
+            skip: int) -> Optional[np.ndarray]:
+    """The integer each token spells after ``skip`` leading bytes, or
+    None unless every one is ASCII digits only (the oracle's
+    ``isdigit``; leading zeros allowed) and fits ``arg``'s int32."""
+    digits = rows[:, skip:].astype(np.int64) - 48
+    width = length - skip
+    inside = np.arange(digits.shape[1]) < width[:, None]
+    if (width < 1).any() or (width > 10).any() \
+            or (inside & ((digits < 0) | (digits > 9))).any():
+        return None
+    value = np.zeros(len(rows), dtype=np.int64)
+    for col in range(digits.shape[1]):
+        value = np.where(inside[:, col], value * 10 + digits[:, col], value)
+    return value if (value <= np.iinfo(np.int32).max).all() else None
+
+
+def _tokenise_block(block: bytes, segments: List[Tuple[int, int]]):
+    """The ``(ops, arg, vol, vol2)`` columns of a block of canonical
+    lines, or None if any line is not canonical or fails a check of
+    :func:`~.actions.decode_tokens` — the caller then compiles the
+    block's files with the per-line oracle.  ``block`` ends with a
+    newline; ``segments`` lists ``(rank, lines)`` in block order.
+
+    No token becomes a Python object: separators, line ends and token
+    widths are NumPy index arrays over the block's bytes, and each
+    column is read as a fixed-width byte matrix."""
+    if block.translate(None, _CANONICAL_BYTES):
+        return None
+    padded = np.frombuffer(block + bytes(_MAX_TOKEN), dtype=np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _MAX_TOKEN)
+    raw = padded[:len(block)]
+    sep = np.flatnonzero((raw == 32) | (raw == 10))  # each token's end
+    begin = np.empty_like(sep)
+    begin[0] = 0
+    begin[1:] = sep[:-1] + 1
+    length = sep - begin
+    if length.min() < 1:        # a blank line, or a doubled separator
+        return None
+    ends = np.flatnonzero(raw[sep] == 10)           # each line's last token
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    arity = ends - starts + 1
+
+    def field(at: np.ndarray) -> Optional[np.ndarray]:
+        return _token_bytes(windows, begin[at], length[at])
+
+    if arity.min() < 2:                             # a line without keyword
+        return None
+    first, keyword = field(starts), field(starts + 1)
+    if first is None or keyword is None:
+        return None
+    ranks, lines = zip(*segments)
+    prefixes = np.repeat(np.array([b"p%d" % rank for rank in ranks]), lines)
+    if not (_as_text(first) == prefixes).all():
+        return None
+    keyword = _as_text(keyword)
+    ops = np.zeros(len(starts), dtype=np.uint8)
+    for word, op in _BLOCK_OPCODE.items():
+        ops[keyword == word] = op
+    if not (arity == _ARITY[ops]).all():            # unknown keywords too
+        return None
+    columns = [ops, np.zeros(len(ops), dtype=np.int32)]
+    for where, skip in ((_PEER_ARG[ops], 1), (_SIZE_ARG[ops], 0)):
+        at = starts[where] + 2
+        rows = field(at)
+        if rows is None or (skip and (rows[:, 0] != ord("p")).any()):
+            return None
+        value = _digits(rows, length[at], skip)
+        if value is None or (not skip and (value < 1).any()):
+            return None
+        columns[1][where] = value
+    for offset in (_VOL_AT[ops], _VOL2_AT[ops]):
+        column = np.zeros(len(ops))
+        used = offset > 0
+        rows = field((starts + offset)[used])
+        if rows is None:
+            return None
+        try:
+            # NumPy parses bytes to float64 with Python's ``float``, as
+            # the oracle does: ``1_0``, ``-0`` and ``nan`` read alike.
+            column[used] = _as_text(rows).astype(np.float64)
+        except ValueError:
+            return None
+        # The oracle's ``0.0 <= v < inf``: NaN fails both sides.
+        if not ((column >= 0) & (column < np.inf)).all():
+            return None
+        columns.append(column)
+    return columns
+
+
+class _SourceDigest:
+    """Byte count and SHA-256 of a source file, fed as it is read."""
+
+    __slots__ = ("size", "sha")
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.sha = hashlib.sha256()
+
+    def update(self, data: bytes) -> None:
+        self.size += len(data)
+        self.sha.update(data)
+
+    def value(self) -> Tuple[int, bytes]:
+        return self.size, self.sha.digest()
+
+
+def _read_text(path: str, digest: Optional[_SourceDigest]):
+    """The (decompressed) bytes of one text rank file, in chunks of at
+    most :data:`BLOCK_BYTES`; ``digest`` is fed the file's bytes as they
+    are read, so hashing costs no second pass."""
+    with open(path, "rb") as handle:
+        if path.endswith(".gz"):
+            raw = handle.read()
+            if digest is not None:
+                digest.update(raw)
+            with gzip.GzipFile(fileobj=io.BytesIO(raw)) as text:
+                yield from iter(lambda: text.read(BLOCK_BYTES), b"")
+            return
+        for chunk in iter(lambda: handle.read(BLOCK_BYTES), b""):
+            if digest is not None:
+                digest.update(chunk)
+            yield chunk
+
+
+def _compile_rank_files(paths: List[Tuple[int, str]], hashed: bool
+                        ) -> Tuple[Dict[int, CompiledProgram],
+                                   Dict[int, Tuple[int, bytes]]]:
+    """Compile ``(rank, path)`` rank files, in order, through the block
+    tokeniser.  Returns the programs and, if ``hashed``, each file's
+    ``(size, SHA-256)`` taken from the same read.
+
+    Text files are cut at line ends and gathered, across file
+    boundaries, into blocks of about :data:`BLOCK_BYTES`.  A block that
+    :func:`_tokenise_block` refuses, a file that cannot be read, and a
+    ``.btrace`` file go to :func:`_compile_rank_file` (whole files, in
+    rank order), so every error is the oracle's and comes in the order
+    the oracle would raise it."""
+    programs: Dict[int, CompiledProgram] = {}
+    sources: Dict[int, Tuple[int, bytes]] = {}
+    pieces: Dict[int, list] = {}        # rank -> its blocks' column slices
+    read = set()                        # ranks whose file is fully read
+    block: List[Tuple[int, bytes]] = []
+    size = 0
+    path_of = dict(paths)
+
+    def by_oracle(rank: int) -> None:
+        pieces.pop(rank, None)
+        programs[rank] = _compile_rank_file(path_of[rank], rank)
+
+    def finish(rank: int) -> None:
+        # Copying the slices out frees each block's columns as soon as
+        # its last file is done: peak memory stays about one block.
+        parts = pieces.pop(rank, ())
+        programs[rank] = CompiledProgram(rank, *(
+            np.concatenate([part[i] for part in parts]) if parts
+            else np.zeros(0, dtype)
+            for i, dtype in enumerate((np.uint8, np.int32, np.float64,
+                                       np.float64))))
+
+    def add(rank: int, segment: bytes) -> None:
+        nonlocal size
+        block.append((rank, segment))
+        size += len(segment)
+        if size >= BLOCK_BYTES:
+            flush()
+
+    def flush() -> None:
+        nonlocal size
+        size = 0
+        if not block:
+            return
+        segments = [(rank, seg.count(b"\n")) for rank, seg in block]
+        columns = _tokenise_block(b"".join(seg for _, seg in block),
+                                  segments)
+        block.clear()
+        if columns is None:
+            for rank in dict.fromkeys(rank for rank, _ in segments):
+                by_oracle(rank)
+            return
+        line = 0
+        for rank, n in segments:
+            pieces.setdefault(rank, []).append(
+                [column[line:line + n] for column in columns])
+            line += n
+        for rank in dict.fromkeys(rank for rank, _ in segments):
+            if rank in read:
+                finish(rank)
+
+    for rank, path in paths:
+        if path.endswith(".btrace"):
+            flush()
+            by_oracle(rank)
+            if hashed:
+                sources[rank] = _digest_file(path)
+            continue
+        digest = _SourceDigest() if hashed else None
+        chunks = _read_text(path, digest)
+        carry = b""
+        while True:
+            try:
+                chunk = next(chunks, None)
+            except (OSError, EOFError, zlib.error):
+                # Unreadable here: the oracle raises (or, if the trouble
+                # was transient, reads) it, after every earlier file.
+                block[:] = [seg for seg in block if seg[0] != rank]
+                flush()
+                by_oracle(rank)
+                digest = None
+                break
+            if chunk is None:
+                break
+            if rank in programs:
+                continue                # compiled by the oracle; hash on
+            data = carry + chunk if carry else chunk
+            cut = data.rfind(b"\n") + 1
+            carry = data[cut:]
+            if cut:
+                add(rank, data[:cut])
+        if carry and rank not in programs:
+            add(rank, carry + b"\n")
+        read.add(rank)
+        if rank not in programs and not (block and block[-1][0] == rank):
+            finish(rank)
+        if hashed:
+            sources[rank] = (digest.value() if digest is not None
+                             else _digest_file(path))
+    flush()
+    return programs, sources
 
 
 # ---------------------------------------------------------------------------
@@ -264,61 +577,100 @@ def op_tokens(prog: CompiledProgram, index: int) -> List[str]:
 # ---------------------------------------------------------------------------
 # .tic sidecar I/O
 # ---------------------------------------------------------------------------
-def tic_path_for(source_path: str) -> str:
-    """Sidecar path of a trace file (``SG_process3.trace`` ->
-    ``SG_process3.trace.tic``)."""
-    return source_path + TIC_SUFFIX
+class _Row(NamedTuple):
+    """One rank's entry in a sidecar's table (see docs/trace-format.md)."""
+
+    rank: int
+    size: int           # source file bytes
+    sha: bytes          # source file SHA-256
+    n_ops: int
+    n_src: int
+    n_aux: int
+    offset: int         # the rank's planes, from the start of the file
+    nbytes: int
+    name_len: int       # the source file name follows the row
 
 
-def _digest_file(path: str) -> bytes:
-    h = hashlib.sha256()
+def sidecar_path(source) -> str:
+    """Where :func:`compile_source` caches the programs of a path
+    source: one ``programs.tic`` per trace directory, ``<file>.tic``
+    next to a merged trace file."""
+    path = os.fspath(source)
+    if os.path.isdir(path):
+        return os.path.join(path, DIR_SIDECAR)
+    return path + TIC_SUFFIX
+
+
+def _digest_file(path: str) -> Tuple[int, bytes]:
+    digest = _SourceDigest()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
-            h.update(chunk)
-    return h.digest()
+            digest.update(chunk)
+    return digest.value()
+
+
+def _seal(n_rows: int, table) -> bytes:
+    """The header's check on the table: any damage to the row count,
+    the table length or a row is a miss, not a mis-addressed plane."""
+    sha = hashlib.sha256(struct.pack("<IQ", n_rows, len(table)))
+    sha.update(table)
+    return sha.digest()
 
 
 #: Directories whose sidecar writes already failed once: the first
-#: failure gets a debug-level note, the rest stay silent.  A read-only
-#: 1024-rank trace directory would otherwise be 1024 chances to spam.
+#: failure gets a debug-level note, the rest stay silent.
 _TIC_WRITE_FAILED_DIRS: set = set()
 
 
-def _write_tic(path: str, programs: List[CompiledProgram],
-               source_digest: bytes) -> bool:
-    """Write a sidecar (best-effort: a read-only trace directory just
-    means no disk cache, never a failed replay — and never a fallback
-    to the streamed feed; the compiled programs live in memory)."""
+def _write_tic(path: str,
+               entries: List[Tuple[str, Tuple[int, bytes],
+                                   CompiledProgram]]) -> bool:
+    """Publish a sidecar holding ``(source name, (size, SHA-256),
+    program)`` entries, atomically: it is written to a temporary file of
+    its own (named ``.*.tic``, so tree digests skip it) and renamed into
+    place.  Best-effort: a read-only trace directory just means no disk
+    cache, never a failed replay — and never a fallback to the streamed
+    feed; the compiled programs live in memory."""
+    table = bytearray()
+    planes = []
+    offset = _TIC_HEADER.size + sum(
+        _TIC_ROW.size + len(name.encode("utf-8")) for name, _, _ in entries)
+    for name, (size, sha), prog in entries:
+        aux = sorted((prog.aux or {}).items())
+        nbytes = (1 + 4 + 8 + 8) * prog.n_ops + sum(   # ops, arg, vol, vol2
+            _TIC_AUX.size + 8 * len(splits) for _, splits in aux)
+        name_bytes = name.encode("utf-8")
+        table += _TIC_ROW.pack(prog.rank, size, sha, prog.n_ops, prog.n_src,
+                               len(aux), offset, nbytes, len(name_bytes))
+        table += name_bytes
+        offset += nbytes
+        planes.append((prog, aux))
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(_TIC_HEADER.pack(_TIC_MAGIC, _TIC_VERSION,
-                                          OPCODE_SPACE_VERSION,
-                                          len(programs)))
-            handle.write(source_digest)
-            for prog in programs:
-                aux = prog.aux or {}
-                handle.write(_TIC_BLOCK.pack(prog.rank, prog.n_ops,
-                                             prog.n_src, len(aux)))
-                handle.write(np.ascontiguousarray(prog.ops).tobytes())
-                handle.write(np.ascontiguousarray(
-                    prog.arg, dtype="<i4").tobytes())
-                handle.write(np.ascontiguousarray(
-                    prog.vol, dtype="<f8").tobytes())
-                handle.write(np.ascontiguousarray(
-                    prog.vol2, dtype="<f8").tobytes())
-                for index in sorted(aux):
-                    splits = np.ascontiguousarray(aux[index], dtype="<f8")
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".",
+                                   suffix=TIC_SUFFIX)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_TIC_HEADER.pack(
+                _TIC_MAGIC, _TIC_VERSION, OPCODE_SPACE_VERSION,
+                len(entries), len(table), _seal(len(entries), table)))
+            handle.write(table)
+            for prog, aux in planes:
+                handle.write(np.ascontiguousarray(prog.ops, dtype=np.uint8))
+                handle.write(np.ascontiguousarray(prog.arg, dtype="<i4"))
+                handle.write(np.ascontiguousarray(prog.vol, dtype="<f8"))
+                handle.write(np.ascontiguousarray(prog.vol2, dtype="<f8"))
+                for index, splits in aux:
                     handle.write(_TIC_AUX.pack(index, len(splits)))
-                    handle.write(splits.tobytes())
+                    handle.write(np.ascontiguousarray(splits, dtype="<f8"))
         os.replace(tmp, path)
         return True
     except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        directory = os.path.dirname(os.path.abspath(path))
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         if directory not in _TIC_WRITE_FAILED_DIRS:
             _TIC_WRITE_FAILED_DIRS.add(directory)
             logging.getLogger(__name__).debug(
@@ -329,63 +681,86 @@ def _write_tic(path: str, programs: List[CompiledProgram],
         return False
 
 
-def _load_tic(path: str,
-              source_digest: bytes) -> Optional[List[CompiledProgram]]:
-    """Load a sidecar if it exists and matches the source bytes; any
-    mismatch or corruption is a cache miss, never an error."""
+def _load_tic(path: str) -> Optional[Tuple[object, Dict[str, List[_Row]]]]:
+    """A sidecar opened for :func:`_program_at`, with its table rows by
+    source name — or None if it is missing, foreign, of another layout
+    or opcode space, truncated or damaged: a miss, never an error."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        handle = open(path, "rb")
     except OSError:
         return None
     try:
-        if len(data) < _TIC_HEADER.size + 32:
-            return None
-        magic, version, opspace, n_ranks = _TIC_HEADER.unpack_from(data, 0)
+        file_bytes = os.fstat(handle.fileno()).st_size
+        header = handle.read(_TIC_HEADER.size)
+        magic, version, opspace, n_rows, table_bytes, seal = \
+            _TIC_HEADER.unpack(header)
+        # A sidecar from an older layout *or* an older opcode space is
+        # a silent miss: recompile rather than decode opcodes the writer
+        # never knew about.
         if (magic != _TIC_MAGIC or version != _TIC_VERSION
-                or opspace != OPCODE_SPACE_VERSION):
-            # A sidecar from an older layout *or* an older opcode space
-            # (pre-v2 files wrote 0 here) is a silent miss: recompile
-            # rather than decode opcodes the writer never knew about.
-            return None
-        pos = _TIC_HEADER.size
-        if data[pos:pos + 32] != source_digest:
-            return None  # source bytes changed: rebuild
-        pos += 32
-        programs = []
-        for _ in range(n_ranks):
-            rank, n_ops, n_src, n_aux = _TIC_BLOCK.unpack_from(data, pos)
-            pos += _TIC_BLOCK.size
-            ops = np.frombuffer(data, dtype=np.uint8, count=n_ops,
-                                offset=pos).copy()
-            pos += n_ops
-            arg = np.frombuffer(data, dtype="<i4", count=n_ops,
-                                offset=pos).astype(np.int32, copy=False)
-            pos += 4 * n_ops
-            vol = np.frombuffer(data, dtype="<f8", count=n_ops,
-                                offset=pos).astype(np.float64, copy=False)
-            pos += 8 * n_ops
-            vol2 = np.frombuffer(data, dtype="<f8", count=n_ops,
-                                 offset=pos).astype(np.float64, copy=False)
-            pos += 8 * n_ops
-            aux: Optional[Dict[int, np.ndarray]] = None
-            for _a in range(n_aux):
-                index, count = _TIC_AUX.unpack_from(data, pos)
-                pos += _TIC_AUX.size
-                splits = np.frombuffer(data, dtype="<f8", count=count,
+                or opspace != OPCODE_SPACE_VERSION
+                or _TIC_HEADER.size + table_bytes > file_bytes):
+            raise ValueError("foreign or truncated sidecar")
+        table = handle.read(table_bytes)
+        if len(table) != table_bytes or _seal(n_rows, table) != seal:
+            raise ValueError("damaged table")
+        rows: Dict[str, List[_Row]] = {}
+        pos = 0
+        plane = _TIC_HEADER.size + table_bytes
+        for _ in range(n_rows):
+            row = _Row._make(_TIC_ROW.unpack_from(table, pos))
+            pos += _TIC_ROW.size + row.name_len
+            name = table[pos - row.name_len:pos].decode("utf-8")
+            if row.offset != plane:
+                raise ValueError("planes out of order")
+            plane += row.nbytes
+            rows.setdefault(name, []).append(row)
+        if pos != table_bytes or plane != file_bytes:
+            raise ValueError("table and planes disagree")
+        return handle, rows
+    except (OSError, struct.error, ValueError):
+        # (UnicodeDecodeError is a ValueError.)
+        handle.close()
+        return None
+
+
+def _program_at(handle, row: _Row, rank: int) -> Optional[CompiledProgram]:
+    """The program a table row addresses, read on its own (so a warm
+    load allocates per rank, as the compiler does), or None if its
+    planes do not add up to the row's byte count."""
+    handle.seek(row.offset)
+    data = handle.read(row.nbytes)
+    n, pos = row.n_ops, 0
+    try:
+        ops = np.frombuffer(data, dtype=np.uint8, count=n, offset=pos).copy()
+        pos += n
+        arg = np.frombuffer(data, dtype="<i4", count=n,
+                            offset=pos).astype(np.int32, copy=False)
+        pos += 4 * n
+        vol = np.frombuffer(data, dtype="<f8", count=n,
+                            offset=pos).astype(np.float64, copy=False)
+        pos += 8 * n
+        vol2 = np.frombuffer(data, dtype="<f8", count=n,
+                             offset=pos).astype(np.float64, copy=False)
+        pos += 8 * n
+        aux: Optional[Dict[int, np.ndarray]] = None
+        for _ in range(row.n_aux):
+            index, count = _TIC_AUX.unpack_from(data, pos)
+            pos += _TIC_AUX.size
+            if index >= n:
+                return None
+            if aux is None:
+                aux = {}
+            aux[index] = np.frombuffer(data, dtype="<f8", count=count,
                                        offset=pos).astype(np.float64,
                                                           copy=False)
-                if len(splits) != count:
-                    return None
-                pos += 8 * count
-                if aux is None:
-                    aux = {}
-                aux[int(index)] = splits
-            programs.append(CompiledProgram(rank, ops, arg, vol, vol2,
-                                            n_src=n_src, aux=aux))
-        return programs
+            pos += 8 * count
     except (struct.error, ValueError):
         return None
+    if pos != row.nbytes:
+        return None
+    return CompiledProgram(rank, ops, arg, vol, vol2, n_src=row.n_src,
+                           aux=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -434,35 +809,70 @@ def compile_source(source, cache: bool = True,
 
 def _compile_dir(directory: str, cache: bool, force: bool,
                  report: CompileReport) -> List[CompiledProgram]:
-    programs = []
-    for rank, path in enumerate(discover_trace_paths(directory)):
-        sidecar = tic_path_for(path)
-        digest = _digest_file(path) if cache else b""
-        loaded = None
-        if cache and not force:
-            loaded = _load_tic(sidecar, digest)
-        if loaded is not None and len(loaded) == 1:
-            report.cache_hits += 1
-            prog = loaded[0]
-            prog.rank = rank
-        else:
-            report.cache_misses += 1
-            prog = _compile_rank_file(path, rank)
-            if cache and _write_tic(sidecar, [prog], digest):
-                report.artifacts.append(sidecar)
-        programs.append(prog)
+    paths = discover_trace_paths(directory)
+    names = [os.path.basename(path) for path in paths]
+    sidecar = sidecar_path(directory)
+    programs: List[Optional[CompiledProgram]] = [None] * len(paths)
+    sources: Dict[int, Tuple[int, bytes]] = {}
+    loaded = _load_tic(sidecar) if cache and not force else None
+    if loaded is not None:
+        handle, rows = loaded
+        with handle:
+            for rank, path in enumerate(paths):
+                found = rows.get(names[rank], ())
+                if len(found) == 1:
+                    sources[rank] = _digest_file(path)
+                    if (found[0].size, found[0].sha) == sources[rank]:
+                        programs[rank] = _program_at(handle, found[0], rank)
+    misses = [rank for rank, prog in enumerate(programs) if prog is None]
+    report.cache_hits += len(paths) - len(misses)
+    report.cache_misses += len(misses)
+    if not misses:
+        return programs
+    compiled, fresh = _compile_rank_files(
+        [(rank, paths[rank]) for rank in misses], cache)
+    for rank, prog in compiled.items():
+        programs[rank] = prog
+    sources.update(fresh)
+    if cache and _write_tic(sidecar, [
+            (name, sources[rank], programs[rank])
+            for rank, name in enumerate(names)]):
+        report.artifacts.append(sidecar)
+        _drop_rank_sidecars(directory, names)
     return programs
+
+
+def _drop_rank_sidecars(directory: str, names: List[str]) -> None:
+    """Delete the per-rank ``<source>.tic`` files older layouts left
+    (best effort): the directory sidecar supersedes them."""
+    try:
+        present = set(os.listdir(directory))
+    except OSError:
+        return
+    for name in names:
+        if name + TIC_SUFFIX in present:
+            try:
+                os.unlink(os.path.join(directory, name + TIC_SUFFIX))
+            except OSError:
+                pass
 
 
 def _compile_merged(path: str, cache: bool, force: bool,
                     report: CompileReport) -> List[CompiledProgram]:
-    sidecar = tic_path_for(path)
-    digest = _digest_file(path) if cache else b""
-    if cache and not force:
-        loaded = _load_tic(sidecar, digest)
-        if loaded is not None:
-            report.cache_hits += len(loaded)
-            return loaded
+    sidecar = sidecar_path(path)
+    name = os.path.basename(path)
+    source = _digest_file(path) if cache else None
+    loaded = _load_tic(sidecar) if cache and not force else None
+    if loaded is not None:
+        handle, rows = loaded
+        with handle:
+            found = rows.get(name, ())
+            programs = [_program_at(handle, row, rank)
+                        for rank, row in enumerate(found)
+                        if (row.size, row.sha) == source]
+        if found and len(programs) == len(found) and None not in programs:
+            report.cache_hits += len(programs)
+            return programs
     builders: Dict[int, _Builder] = {}
     # One extend() per run of consecutive lines of the same rank.
     for rank, run in groupby(merged_file_tokens(path), key=itemgetter(0)):
@@ -477,6 +887,7 @@ def _compile_merged(path: str, cache: bool, force: bool,
         )
     programs = [builders[rank].finish(rank) for rank in rank_list]
     report.cache_misses += len(programs)
-    if cache and _write_tic(sidecar, programs, digest):
+    if cache and _write_tic(sidecar,
+                            [(name, source, prog) for prog in programs]):
         report.artifacts.append(sidecar)
     return programs

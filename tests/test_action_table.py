@@ -201,14 +201,21 @@ def test_btrace_bytes_of_10000_seeded_actions_match_the_parent_commit():
         "1e8f08cdcb75d03009aacf84953b95c9579f1a75665a37924934910d5e7597c2")
 
 
-def test_tic_written_by_the_parent_commit_is_a_cache_hit(tmp_path):
+def test_tic_written_by_an_older_layout_is_a_silent_miss(tmp_path):
+    # tic_parent holds a per-rank (v2) sidecar.  The directory sidecar
+    # replaced that layout: the old file is a miss, never read as a
+    # program, and publishing the new sidecar deletes it.
     directory = str(tmp_path / "tic")
     shutil.copytree(os.path.join(DATA, "tic_parent"), directory)
-    sidecar = os.path.join(directory, trace_file_name(0) + ".tic")
-    before = open(sidecar, "rb").read()
+    legacy = os.path.join(directory, trace_file_name(0) + ".tic")
+    assert os.path.exists(legacy)
+    _, report = compile_source(directory)
+    assert (report.cache_hits, report.cache_misses) == (0, 1)
+    assert not os.path.exists(legacy)
+    assert sorted(os.listdir(directory)) == ["SG_process0.trace",
+                                             "programs.tic"]
     (cached,), report = compile_source(directory)
     assert (report.cache_hits, report.cache_misses) == (1, 0)
-    assert open(sidecar, "rb").read() == before
     (fresh,), _ = compile_source(directory, cache=False)
     assert fresh.n_ops == cached.n_ops == 16
     lines = [" ".join(op_tokens(cached, i)) for i in range(cached.n_ops)]

@@ -29,7 +29,7 @@ from repro.core.binfmt import (
     OPCODE_SPACE_VERSION, binary_trace_file_name, read_binary_trace,
     write_binary_trace,
 )
-from repro.core.compile import compile_source, op_tokens, tic_path_for
+from repro.core.compile import compile_source, op_tokens, sidecar_path
 from repro.core.replay import TraceReplayer
 from repro.core.synth_ai import (
     AI_FAMILIES, moe_dispatch_splits, synth_dp_metadata, synth_moe_metadata,
@@ -185,8 +185,7 @@ def test_family_replays_identically_across_drivers(family, extra, tmp_path):
     token_text = replay_dir(str(text_dir), n, compiled="never")
     token_bin = replay_dir(str(bin_dir), n, compiled="never")
     compiled_cold = replay_dir(str(text_dir), n, compiled="always")
-    assert os.path.exists(tic_path_for(
-        os.path.join(str(text_dir), trace_file_name(0))))
+    assert os.path.exists(sidecar_path(str(text_dir)))
     compiled_warm = replay_dir(str(text_dir), n, compiled="always")
     batched = replay_dir(str(text_dir), n, compiled="always",
                          batch_phases=True)
@@ -256,16 +255,12 @@ def test_tic_with_stale_opcode_space_is_recompiled(tmp_path):
     _, warm = compile_source(str(tmp_path))
     assert warm.cache_hits == 2 and warm.cache_misses == 0
 
-    # Rewrite each sidecar's header as a pre-v2 file would have: version
+    # Rewrite the sidecar's header as a pre-v2 file would have: version
     # 1, and a zero where the opcode-space version now lives.
-    for rank in range(2):
-        sidecar = tic_path_for(os.path.join(str(tmp_path),
-                                            trace_file_name(rank)))
-        blob = bytearray(open(sidecar, "rb").read())
-        blob[0:compile_mod._TIC_HEADER.size] = compile_mod._TIC_HEADER.pack(
-            compile_mod._TIC_MAGIC, 1, 0,
-            struct.unpack_from("<I", blob, 12)[0])
-        open(sidecar, "wb").write(bytes(blob))
+    sidecar = sidecar_path(str(tmp_path))
+    blob = bytearray(open(sidecar, "rb").read())
+    struct.pack_into("<8sHH", blob, 0, compile_mod._TIC_MAGIC, 1, 0)
+    open(sidecar, "wb").write(bytes(blob))
 
     _, stale = compile_source(str(tmp_path))
     assert stale.cache_misses == 2, "stale opcode space must miss"
@@ -276,11 +271,10 @@ def test_tic_with_stale_opcode_space_is_recompiled(tmp_path):
 def test_tic_with_wrong_opcode_space_but_current_version_misses(tmp_path):
     write_synthetic_ai_trace("dp", str(tmp_path), 1, 1, **FAMILY_PARAMS["dp"])
     compile_source(str(tmp_path))
-    sidecar = tic_path_for(os.path.join(str(tmp_path), trace_file_name(0)))
+    sidecar = sidecar_path(str(tmp_path))
     blob = bytearray(open(sidecar, "rb").read())
-    blob[0:compile_mod._TIC_HEADER.size] = compile_mod._TIC_HEADER.pack(
-        compile_mod._TIC_MAGIC, compile_mod._TIC_VERSION,
-        OPCODE_SPACE_VERSION + 1, struct.unpack_from("<I", blob, 12)[0])
+    struct.pack_into("<8sHH", blob, 0, compile_mod._TIC_MAGIC,
+                     compile_mod._TIC_VERSION, OPCODE_SPACE_VERSION + 1)
     open(sidecar, "wb").write(bytes(blob))
     _, report = compile_source(str(tmp_path))
     assert report.cache_misses == 1

@@ -19,7 +19,7 @@ from repro.campaign import (
 from repro.core.actions import Compute, Irecv, Send, Wait
 from repro.core.binfmt import write_binary_trace
 from repro.core.compile import (
-    CompiledProgram, compile_source, fuse_computes, op_tokens, tic_path_for,
+    CompiledProgram, compile_source, fuse_computes, op_tokens, sidecar_path,
 )
 from repro.core.replay import TraceReplayer
 from repro.core.trace import InMemoryTrace, trace_file_name
@@ -150,7 +150,7 @@ def test_compiled_matches_token_merged_file(mixed_dir, tmp_path):
     assert_equivalent(token, comp)
     assert_equivalent(ref, comp)
     # A merged file gets one multi-rank container sidecar.
-    assert os.path.exists(tic_path_for(merged))
+    assert os.path.exists(sidecar_path(merged))
 
 
 def test_compiled_matches_token_binary_trace(tmp_path):
@@ -243,9 +243,9 @@ def test_op_tokens_round_trip():
 def test_tic_cache_hit_and_byte_invalidation(mixed_dir):
     _, cold = compile_source(mixed_dir)
     assert cold.cache_misses == 4 and cold.cache_hits == 0
-    assert len(cold.artifacts) == 4
-    for path in cold.artifacts:
-        assert os.path.exists(path)
+    # One sidecar for the directory, not one per rank.
+    assert cold.artifacts == [sidecar_path(mixed_dir)]
+    assert os.path.exists(cold.artifacts[0])
 
     _, warm = compile_source(mixed_dir)
     assert warm.cache_hits == 4 and warm.cache_misses == 0
@@ -288,8 +288,8 @@ def test_unwritable_sidecar_is_best_effort(mixed_dir, monkeypatch):
     # under root, so simulate the write failure directly.)
     from repro.core import compile as compile_mod
 
-    assert compile_mod._write_tic(
-        "/nonexistent-repro-dir/zzz.tic", [], b"\0" * 32) is False
+    assert compile_mod._write_tic("/nonexistent-repro-dir/zzz.tic",
+                                  []) is False
 
     monkeypatch.setattr(compile_mod, "_write_tic",
                         lambda *a, **kw: False)
@@ -351,7 +351,7 @@ def dir_scenario(path, **overrides):
 def test_tic_sidecars_do_not_bust_the_campaign_key(mixed_dir):
     scenario = dir_scenario(mixed_dir)
     key_before = scenario_cache_key(scenario)
-    compile_source(mixed_dir)  # writes 4 .tic sidecars into the trace dir
+    compile_source(mixed_dir)  # writes a .tic sidecar into the trace dir
     assert scenario_cache_key(scenario) == key_before
     # ...but editing the *source* trace still busts it.
     with open(os.path.join(mixed_dir, trace_file_name(0)), "a",
