@@ -77,7 +77,7 @@ def run_table3_ai():
             text_kib = _dir_bytes(text_dir, ".trace") / 1024
             bin_kib = _dir_bytes(bin_dir, ".btrace") / 1024
             token = _replay(text_dir, RANKS, compiled="never")
-            compiled = _replay(text_dir, RANKS, compiled="always")
+            compiled = _replay(text_dir, RANKS, compiled="auto")
             rel = abs(compiled.simulated_time - token.simulated_time) \
                 / token.simulated_time
             rows[label] = (n_actions, text_kib, bin_kib, token, rel)

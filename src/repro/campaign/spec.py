@@ -273,10 +273,9 @@ class ReplaySpec:
     eager_threshold: float = 65536.0
     lmm_mode: str = "auto"
     collect_metrics: bool = True
-    # The replay loop's feed: "auto" (compile path sources), "always",
-    # "never" (stream every source).  Part of the cache address even
-    # though both feeds agree to 1e-9: a cached record must say which
-    # feed produced it.
+    # The form of the replay loop's feed: "auto" (whole programs) or
+    # "never" (windows).  Part of the cache address even though both
+    # agree to 1e-9: a cached record must say which form produced it.
     compiled: str = "auto"
     # Event-loop batching and sharded parallel replay (exact, validated
     # at run time); cache-addressed for the same provenance reason.
@@ -295,10 +294,10 @@ class ReplaySpec:
                 f"unknown lmm_mode {self.lmm_mode!r}; use one of "
                 f"{LMM_MODES}"
             )
-        if self.compiled not in ("auto", "always", "never"):
+        if self.compiled not in ("auto", "never"):
             raise ValueError(
-                f"unknown compiled mode {self.compiled!r}; use 'auto', "
-                "'always', or 'never'"
+                f"unknown compiled mode {self.compiled!r}; use 'auto' or "
+                "'never'"
             )
         if self.shards < 0 or self.shard_halo < 0:
             raise ValueError("shards and shard_halo must be >= 0")

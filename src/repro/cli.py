@@ -403,15 +403,13 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
                              "benchmarking only; results are identical "
                              "either way)")
     parser.add_argument("--eager-threshold", type=float, default=65536)
-    parser.add_argument("--compiled", dest="compiled", action="store_const",
-                        const="always", default="auto",
-                        help="compile every source into columnar op "
-                             "programs (.tic sidecar cache); default 'auto' "
-                             "compiles directory and merged-file sources")
     parser.add_argument("--no-compiled", dest="compiled",
                         action="store_const", const="never",
-                        help="stream and decode each line as it is "
-                             "replayed; no arrays, no .tic")
+                        default="auto",
+                        help="compile each rank a small window at a time "
+                             "as the replay reaches it, unfused and "
+                             "without the .tic cache (default: compile "
+                             "every rank whole, cached)")
     parser.add_argument("--batch-phases", action="store_true",
                         help="advance synchronizing collectives as one "
                              "batched dependency graph instead of N "

@@ -23,7 +23,9 @@ is tokenised once, as NumPy columns (:func:`_tokenise_block`).  Only
 canonical text takes that path; any other block, ``.btrace`` files and
 merged files compile one record at a time through
 :func:`~.actions.decode_tokens`, which stays the oracle and the only
-source of errors.
+source of errors.  Under ``compiled="never"`` the same two decoders
+compile each rank file a small window at a time as the replay reaches
+it (:func:`compile_windows`), so ingest memory stays bounded per rank.
 
 Compiled programs are cached on disk in one ``.tic`` sidecar per trace
 directory (``programs.tic``; a merged file gets ``<file>.tic``).  Its
@@ -56,9 +58,9 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import groupby, islice, repeat
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +71,7 @@ from .actions import (
 from .binfmt import read_binary_trace
 from .trace import (
     InMemoryTrace, discover_trace_paths, merged_file_tokens,
-    rank_file_tokens,
+    rank_file_tokens, rank_line_tokens,
 )
 
 # OP_COMPUTE, OP_SEND, ... OP_ALLTOALLV: one constant per table row.
@@ -77,8 +79,9 @@ _OP_NAMES = {f"OP_{row.keyword.upper()}": row.opcode for row in ACTION_TABLE}
 globals().update(_OP_NAMES)
 
 __all__ = [
-    "CompiledProgram", "CompileReport", "compile_source", "fuse_computes",
-    "op_tokens", "sidecar_path", "BLOCK_BYTES", "DIR_SIDECAR", "TIC_SUFFIX",
+    "CompiledProgram", "CompileReport", "compile_source", "compile_windows",
+    "fuse_computes", "op_tokens", "sidecar_path", "BLOCK_BYTES",
+    "WINDOW_BYTES", "DIR_SIDECAR", "TIC_SUFFIX",
     *_OP_NAMES,
 ]
 
@@ -135,20 +138,33 @@ class CompiledProgram:
 
     def records(self):
         """The program as the replay loop's feed: one ``((op, arg, vol,
-        vol2, splits), nsrc)`` pair per op.  The columns become plain
-        lists with one C-level ``.tolist()`` each — list iteration beats
-        NumPy scalar extraction ~3x in a per-op loop."""
-        splits = [None] * self.n_ops
-        for index, table in (self.aux or {}).items():
-            splits[index] = table.tolist()
-        nsrc = repeat(1) if self.nsrc is None else self.nsrc.tolist()
-        return zip(zip(self.ops.tolist(), self.arg.tolist(),
-                       self.vol.tolist(), self.vol2.tolist(), splits), nsrc)
+        vol2, splits), nsrc)`` pair per op.  The columns are iterated as
+        memoryviews, so only the record in flight is a Python object —
+        a rank does not hold a second, boxed copy of its program."""
+        aux = self.aux
+        splits = repeat(None) if not aux else (
+            aux[index].tolist() if index in aux else None
+            for index in range(self.n_ops))
+        nsrc = repeat(1) if self.nsrc is None else _scalars(self.nsrc, "I")
+        return zip(zip(_scalars(self.ops, "B"), _scalars(self.arg, "i"),
+                       _scalars(self.vol, "d"), _scalars(self.vol2, "d"),
+                       splits), nsrc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "fused" if self.fused else "unfused"
         return (f"CompiledProgram(p{self.rank}, {self.n_ops} ops / "
                 f"{self.n_src} actions, {tag})")
+
+
+#: Native NumPy dtype of each memoryview format :func:`_scalars` reads.
+_NATIVE = {"B": np.uint8, "I": np.uint32, "i": np.int32, "d": np.float64}
+
+
+def _scalars(column: np.ndarray, fmt: str) -> memoryview:
+    """A column as a memoryview of native scalars: ``.tic`` planes carry
+    explicit little-endian dtypes, whose memoryviews cannot iterate."""
+    return memoryview(
+        np.ascontiguousarray(column, _NATIVE[fmt])).cast("B").cast(fmt)
 
 
 @dataclass
@@ -387,22 +403,38 @@ class _SourceDigest:
         return self.size, self.sha.digest()
 
 
-def _read_text(path: str, digest: Optional[_SourceDigest]):
+def _read_text(path: str, digest: Optional[_SourceDigest], size: int):
     """The (decompressed) bytes of one text rank file, in chunks of at
-    most :data:`BLOCK_BYTES`; ``digest`` is fed the file's bytes as they
-    are read, so hashing costs no second pass."""
-    with open(path, "rb") as handle:
+    most ``size``; ``digest`` is fed the file's bytes as they are read,
+    so hashing costs no second pass.  Without a digest a ``.gz`` file is
+    decompressed as it is read, never held whole."""
+    with open(path, "rb", buffering=0) as handle:
         if path.endswith(".gz"):
-            raw = handle.read()
+            raw = handle
             if digest is not None:
-                digest.update(raw)
-            with gzip.GzipFile(fileobj=io.BytesIO(raw)) as text:
-                yield from iter(lambda: text.read(BLOCK_BYTES), b"")
+                raw = io.BytesIO(handle.read())
+                digest.update(raw.getvalue())
+            with gzip.GzipFile(fileobj=raw) as text:
+                yield from iter(lambda: text.read(size), b"")
             return
-        for chunk in iter(lambda: handle.read(BLOCK_BYTES), b""):
+        for chunk in iter(lambda: handle.read(size), b""):
             if digest is not None:
                 digest.update(chunk)
             yield chunk
+
+
+def _whole_lines(chunks):
+    """Byte chunks re-cut at line ends; a final line without its newline
+    gets one."""
+    carry = b""
+    for chunk in chunks:
+        data = carry + chunk if carry else chunk
+        cut = data.rfind(b"\n") + 1
+        carry = data[cut:]
+        if cut:
+            yield data[:cut]
+    if carry:
+        yield carry + b"\n"
 
 
 def _compile_rank_files(paths: List[Tuple[int, str]], hashed: bool
@@ -477,8 +509,7 @@ def _compile_rank_files(paths: List[Tuple[int, str]], hashed: bool
                 sources[rank] = _digest_file(path)
             continue
         digest = _SourceDigest() if hashed else None
-        chunks = _read_text(path, digest)
-        carry = b""
+        chunks = _whole_lines(_read_text(path, digest, BLOCK_BYTES))
         while True:
             try:
                 chunk = next(chunks, None)
@@ -492,15 +523,8 @@ def _compile_rank_files(paths: List[Tuple[int, str]], hashed: bool
                 break
             if chunk is None:
                 break
-            if rank in programs:
-                continue                # compiled by the oracle; hash on
-            data = carry + chunk if carry else chunk
-            cut = data.rfind(b"\n") + 1
-            carry = data[cut:]
-            if cut:
-                add(rank, data[:cut])
-        if carry and rank not in programs:
-            add(rank, carry + b"\n")
+            if rank not in programs:    # else the oracle has it; hash on
+                add(rank, chunk)
         read.add(rank)
         if rank not in programs and not (block and block[-1][0] == rank):
             finish(rank)
@@ -509,6 +533,55 @@ def _compile_rank_files(paths: List[Tuple[int, str]], hashed: bool
                              else _digest_file(path))
     flush()
     return programs, sources
+
+
+# ---------------------------------------------------------------------------
+# Windows: a rank file compiled a bounded piece at a time
+# ---------------------------------------------------------------------------
+#: Bytes of rank-file text one window holds (a longer line goes whole
+#: into one window); a ``.btrace`` window holds a sixteenth as many
+#: records, about what that much text spells.
+WINDOW_BYTES = 2 * 1024
+
+
+def compile_windows(source) -> List[Iterator[CompiledProgram]]:
+    """Per rank, a lazy run of unfused program windows: the replay
+    loop's feed under ``compiled="never"``, where ingest stays bounded
+    per rank however long the trace.  A trace directory's rank files
+    compile :data:`WINDOW_BYTES` at a time, when the replay reaches
+    them; merged files and in-memory traces compile whole.  No sidecar
+    is read or written."""
+    if isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
+        return [_rank_windows(path, rank) for rank, path
+                in enumerate(discover_trace_paths(os.fspath(source)))]
+    return [iter((prog,)) for prog in compile_source(source, cache=False)[0]]
+
+
+def _rank_windows(path: str, rank: int) -> Iterator[CompiledProgram]:
+    if path.endswith(".btrace"):
+        records = map(fields_of, read_binary_trace(
+            path, expect_rank=rank, chunk_size=WINDOW_BYTES))
+        while True:
+            window = list(islice(records, max(1, WINDOW_BYTES // 16)))
+            if not window:
+                return
+            yield _compile_records(window, rank)
+    for text in _whole_lines(_read_text(path, None, WINDOW_BYTES)):
+        columns = _tokenise_block(text, [(rank, text.count(b"\n"))])
+        if columns is not None:
+            yield CompiledProgram(rank, *columns)
+            continue
+        lines = io.TextIOWrapper(io.BytesIO(text), encoding="ascii")
+        try:    # the oracle, over the same lines
+            window = _compile_records(
+                map(decode_tokens, rank_line_tokens(lines, path, rank)),
+                rank)
+        except ValueError:
+            # Raise what the oracle raises for the whole file: a decode
+            # error's position then counts from the file, not the window.
+            _compile_rank_file(path, rank)
+            raise
+        yield window
 
 
 # ---------------------------------------------------------------------------

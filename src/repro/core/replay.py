@@ -12,11 +12,10 @@ opcodes of the action table (:data:`repro.core.actions.ACTION_TABLE`,
 docs/trace-format.md), the one place the action set is written down —
 where MSG binds a handler per keyword (``MSG_action_register``), a new
 action here is a table row plus a branch.  The loop reads
-``(op, arg, vol, vol2, splits)`` records from one of two feeds: the
-columns of a compiled program (:mod:`repro.core.compile`), or a lazy
-per-rank stream decoded as it is replayed
-(:func:`~.trace.record_streams`).  ``compiled=`` picks the feed, never
-the semantics.
+``(op, arg, vol, vol2, splits)`` records from the columns of compiled
+programs (:mod:`repro.core.compile`): whole programs by default, or,
+under ``compiled="never"``, unfused windows compiled as the replay
+reaches them.  ``compiled=`` picks the form, never the semantics.
 
 Replay semantics (docs/replay-semantics.md has the long form):
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from ..faults.plan import FaultPlan, LinkDegrade, LinkDown
@@ -66,10 +65,11 @@ from .compile import (
     OP_RECV,
     OP_SEND,
     OP_WAIT,
+    CompiledProgram,
     compile_source,
+    compile_windows,
     fuse_computes,
 )
-from .trace import InMemoryTrace, record_streams
 
 __all__ = ["TraceReplayer", "ReplayResult"]
 
@@ -127,12 +127,6 @@ class _RankContext:
 class TraceReplayer:
     """Replays time-independent traces on a simulated platform."""
 
-    #: Maximum lines the merged-file demux will buffer for any single
-    #: rank before refusing (see :func:`~.trace.record_streams`).
-    #: Class-level so callers with genuinely skewed-but-small traces can
-    #: raise it.
-    merged_spill_limit = 1_000_000
-
     def __init__(
         self,
         platform: Platform,
@@ -172,10 +166,10 @@ class TraceReplayer:
                     "sharded replay synchronizes shards at binomial "
                     "collectives; use collective_algorithm='binomial'"
                 )
-        if compiled not in ("auto", "always", "never"):
+        if compiled not in ("auto", "never"):
             raise ValueError(
-                f"unknown compiled mode {compiled!r}; use 'auto', "
-                "'always', or 'never'"
+                f"unknown compiled mode {compiled!r}; use 'auto' or "
+                "'never'"
             )
         if collective_algorithm not in ("binomial", "flat"):
             raise ValueError(
@@ -228,11 +222,11 @@ class TraceReplayer:
         self.collective_algorithm = collective_algorithm
         self.record_timed_trace = record_timed_trace
         self.timed_trace: List[tuple] = []
-        # ``compiled`` selects the rank loop's feed (see
-        # _compiled_programs): "auto" compiles path sources (directories,
-        # merged files) into columnar op programs and streams in-memory
-        # traces; "always" compiles every source; "never" streams every
-        # source.  Exposed as ``repro-replay --compiled/--no-compiled``.
+        # ``compiled`` selects the form of the rank loop's feed: "auto"
+        # compiles every source whole (path sources through the ``.tic``
+        # cache) and fuses compute runs where that is exact; "never"
+        # compiles a bounded window of each rank at a time, unfused and
+        # uncached.  Exposed as ``repro-replay --no-compiled``.
         self.compiled = compiled
         # Phase batching: advance synchronizing collectives with one
         # dependency graph instead of per-rank schedule walks (see
@@ -247,8 +241,8 @@ class TraceReplayer:
         # byte-identical to unsharded runs by construction.
         self.shards = shards
         self.shard_halo = shard_halo
-        # CompileReport of the most recent compiled replay (None while
-        # every replay streamed its source).
+        # CompileReport of the most recent whole-program compile (None
+        # while every replay ran windowed).
         self.last_compile_report = None
 
     # ------------------------------------------------------------------
@@ -257,7 +251,7 @@ class TraceReplayer:
     def replay(self, source) -> ReplayResult:
         """The MSG_action_trace_run analogue.
 
-        ``source`` may be an :class:`InMemoryTrace`, a directory of
+        ``source`` may be an :class:`~.trace.InMemoryTrace`, a directory of
         ``SG_process<rank>.trace`` files, or a single merged trace file.
         With a fault plan, the result carries a
         :class:`~repro.faults.report.FaultReport`; without one, this is
@@ -354,11 +348,12 @@ class TraceReplayer:
         pre-fault-injection pipeline: no injector daemon, no hooks, no
         deadlock interception.
         """
-        programs = self._compiled_programs(source, fault_events)
-        if programs is None:
-            feeds = [zip(stream, repeat(1)) for stream
-                     in record_streams(source, self.merged_spill_limit)]
+        if self.compiled == "never":
+            programs = None
+            feeds = [chain.from_iterable(map(CompiledProgram.records, run))
+                     for run in compile_windows(source)]
         else:
+            programs = self._compiled_programs(source, fault_events)
             feeds = [prog.records() for prog in programs]
         n_ranks = len(feeds)
         if n_ranks > len(self.deployment):
@@ -488,19 +483,8 @@ class TraceReplayer:
     # The rank loop and its feeds
     # ------------------------------------------------------------------
     def _compiled_programs(self, source, fault_events):
-        """Pick the rank loop's feed, and compile if it is the arrays.
-
-        Returns per-rank :class:`~.compile.CompiledProgram` lists, or
-        ``None`` to stream the source (decoded as it is replayed).
-        "never" streams every source, "auto" streams already-resident
-        :class:`InMemoryTrace` sources and compiles path sources — where
-        the ``.tic`` cache and fusion pay — and "always" compiles every
-        source.
-        """
-        mode = self.compiled
-        if mode == "never" or (mode == "auto"
-                               and isinstance(source, InMemoryTrace)):
-            return None
+        """Every rank's whole :class:`~.compile.CompiledProgram`, fused
+        where that is exact."""
         programs, report = compile_source(source)
         self.last_compile_report = report
         # Fusion gate.  Collapsing a compute run into one exec is exact
@@ -552,7 +536,6 @@ class TraceReplayer:
         for rec, ns in feed:
             op, a, v, v2, splits = rec
             ctx.current = rec
-            ctx.n_actions += ns
             volume = None
             if op == OP_COMPUTE:
                 volume = v
@@ -625,6 +608,9 @@ class TraceReplayer:
                             yield engine.exec_activity(
                                 cpu, flops * work("reduce_op", flops),
                                 bound=speed)
+            # Counted once done: a rank killed or blocked inside a
+            # record has not completed it.
+            ctx.n_actions += ns
             if track:
                 end = engine.now
                 if metered:

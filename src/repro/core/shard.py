@@ -75,8 +75,6 @@ from .compile import (
     OP_REDUCESCATTER,
     OP_SEND,
     OP_WAIT,
-    compile_source,
-    fuse_computes,
 )
 
 __all__ = ["replay_sharded"]
@@ -548,14 +546,6 @@ def replay_sharded(replayer, source):
 
     wall_start = time.perf_counter()
     programs = replayer._compiled_programs(source, None)
-    if programs is None:
-        # "auto" streams in-memory traces; sharding needs op programs,
-        # so compile them anyway (same fusion gate — the
-        # decoupled-platform check below implies no efficiency models,
-        # hence fusion is exact).
-        programs, report = compile_source(source)
-        replayer.last_compile_report = report
-        programs = [fuse_computes(prog) for prog in programs]
     n_ranks = len(programs)
     if n_ranks > len(replayer.deployment):
         raise ValueError(

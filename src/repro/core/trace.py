@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import gzip
 import os
-from collections import deque
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .actions import (
-    Action, action_of, decode_tokens, fields_of,
-    format_action, parse_process_id,
+    Action, action_of, decode_tokens, format_action, parse_process_id,
 )
-from .binfmt import binary_trace_file_name, read_binary_trace
+from .binfmt import read_binary_trace
 
 __all__ = [
     "TraceSink",
@@ -43,8 +42,8 @@ __all__ = [
     "read_merged_trace",
     "write_merged_trace",
     "rank_file_tokens",
+    "rank_line_tokens",
     "merged_file_tokens",
-    "record_streams",
     "estimate_gzip_ratio",
 ]
 
@@ -98,10 +97,6 @@ class SizeReport:
     @property
     def mib(self) -> float:
         return self.n_bytes / (1024.0 * 1024.0)
-
-    @property
-    def gib(self) -> float:
-        return self.n_bytes / (1024.0 ** 3)
 
 
 class SizeAccountant(TraceSink):
@@ -189,25 +184,36 @@ class TeeSink(TraceSink):
 # Reading
 # ---------------------------------------------------------------------------
 
+#: A rank file name as :func:`trace_file_name` and
+#: :func:`~.binfmt.binary_trace_file_name` spell it.
+_RANK_FILE = re.compile(r"SG_process(0|[1-9][0-9]*)\.(trace|trace\.gz|btrace)")
+
+
 def _open_maybe_gzip(path: str):
     if path.endswith(".gz"):
         return gzip.open(path, "rt", encoding="ascii")
     return open(path, "r", encoding="ascii")
 
 
-def rank_file_tokens(path: str, rank: int) -> Iterator[List[str]]:
-    """The token lists of one per-process text trace file: blank and
-    ``#`` lines skipped, every line checked to belong to ``p<rank>``."""
+def rank_line_tokens(lines: Iterable[str], path: str,
+                     rank: int) -> Iterator[List[str]]:
+    """The token lists of lines of ``path``, the text trace of one rank:
+    blank and ``#`` lines skipped, every line checked to belong to
+    ``p<rank>``."""
     prefix = f"p{rank}"
+    for line in lines:
+        tokens = line.split()
+        if tokens and tokens[0] == prefix:
+            yield tokens
+        elif tokens and not tokens[0].startswith("#"):
+            raise ValueError(
+                f"{path}: line for {tokens[0]} in trace of p{rank}")
+
+
+def rank_file_tokens(path: str, rank: int) -> Iterator[List[str]]:
+    """:func:`rank_line_tokens` over a per-process text trace file."""
     with _open_maybe_gzip(path) as handle:
-        for line in handle:
-            tokens = line.split()
-            if tokens and tokens[0] == prefix:
-                yield tokens
-            elif tokens and not tokens[0].startswith("#"):
-                raise ValueError(
-                    f"{path}: line for {tokens[0]} in trace of p{rank}"
-                )
+        yield from rank_line_tokens(handle, path, rank)
 
 
 def merged_file_tokens(path: str) -> Iterator[Tuple[int, List[str]]]:
@@ -243,46 +249,41 @@ def discover_trace_paths(directory: str,
                          binary: bool = True) -> List[str]:
     """Per-rank trace paths in ``directory``, indexed by rank.
 
-    Ranks are discovered densely from 0 (the Fig. 2 layout); each rank
-    may be stored as ``SG_process<rank>.trace``, its ``.gz`` variant, or
-    (with ``binary=True``) the ``.btrace`` binary format.  This is the
-    single path-discovery used by both the eager readers here and the
-    replayer's streaming ingestion, so the two can never disagree on
-    which files make up a trace set.
+    Ranks run densely from 0 (the Fig. 2 layout); each rank may be
+    stored as ``SG_process<rank>.trace``, its ``.gz`` variant, or (with
+    ``binary=True``) the ``.btrace`` binary format.  A rank file past a
+    missing rank is a :class:`ValueError`, never a shorter trace set.
+    Every reader and the replayer discover through here, so they can
+    never disagree on which files make up a trace set.
     """
     paths: List[str] = []
-    rank = 0
+    suffixes = (".trace", ".trace.gz") + ((".btrace",) if binary else ())
     while True:
-        plain = os.path.join(directory, trace_file_name(rank))
-        candidates = [plain, plain + ".gz"]
-        if binary:
-            candidates.append(
-                os.path.join(directory, binary_trace_file_name(rank))
-            )
-        for path in candidates:
-            if os.path.exists(path):
-                paths.append(path)
-                break
-        else:
+        stem = os.path.join(directory, f"SG_process{len(paths)}")
+        path = next((stem + suffix for suffix in suffixes
+                     if os.path.exists(stem + suffix)), None)
+        if path is None:
             break
-        rank += 1
+        paths.append(path)
     if not paths:
         kinds = "[.gz|.btrace]" if binary else "[.gz]"
         raise FileNotFoundError(
             f"no {trace_file_name(0)}{kinds} found in {directory!r}"
         )
+    for name in sorted(os.listdir(directory)):
+        match = _RANK_FILE.fullmatch(name)
+        if (match and int(match[1]) > len(paths)
+                and "." + match[2] in suffixes):
+            raise ValueError(
+                f"{directory}: no trace file for p{len(paths)}, but "
+                f"{name} exists; ranks must be contiguous from 0")
     return paths
 
 
 def stream_trace_dir(directory: str) -> List[Iterator[Action]]:
-    """One lazy action iterator per rank over a trace directory.
-
-    Nothing is materialized: each iterator holds one open file (text or
-    binary) and decodes on demand, so walking a 1024-rank trace set
-    keeps O(ranks) state however many events the files hold.  Use
-    :func:`read_trace_dir` when an indexable :class:`InMemoryTrace` is
-    actually needed.
-    """
+    """One lazy action iterator per rank over a trace directory: each
+    holds one open file and decodes on demand, so walking a trace set
+    keeps O(ranks) state however many events the files hold."""
     def stream(path: str, rank: int) -> Iterator[Action]:
         if path.endswith(".btrace"):
             return read_binary_trace(path, expect_rank=rank)
@@ -308,109 +309,6 @@ def read_merged_trace(path: str) -> InMemoryTrace:
     for action in read_trace_file(path):
         trace.emit(action)
     return trace
-
-
-# ---------------------------------------------------------------------------
-# Record streams: the replay loop's streamed feed
-# ---------------------------------------------------------------------------
-
-def record_streams(source, spill_limit: int) -> List[Iterator[tuple]]:
-    """One lazy stream of ``(op, arg, vol, vol2, splits)`` records per
-    rank, for any source :meth:`TraceReplayer.replay` accepts: text
-    lines through :func:`~.actions.decode_tokens`, ``.btrace`` and
-    in-memory actions through :func:`~.actions.fields_of`.  Each record
-    is decoded when the replay reaches it."""
-    if isinstance(source, InMemoryTrace):
-        ranks = source.ranks()
-        if ranks != list(range(len(ranks))):
-            raise ValueError(f"trace ranks are not contiguous: {ranks[:10]}")
-        return [map(fields_of, source.actions_of(rank)) for rank in ranks]
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        if os.path.isdir(path):
-            # The Fig. 2 per-process layout: each rank's stream holds one
-            # open file and decodes on demand — peak resident ingestion
-            # state is O(ranks), independent of the per-rank event
-            # count.  This is the layout to use at scale.
-            return [
-                map(fields_of, read_binary_trace(p, expect_rank=rank))
-                if p.endswith(".btrace")
-                else map(decode_tokens, rank_file_tokens(p, rank))
-                for rank, p in enumerate(discover_trace_paths(path))
-            ]
-        return [map(decode_tokens, stream)
-                for stream in _merged_token_streams(path, spill_limit)]
-    raise TypeError(
-        f"unsupported trace source {type(source).__name__}; pass an "
-        "InMemoryTrace, a trace directory, or a merged trace file"
-    )
-
-
-def _merged_token_streams(path: str,
-                          limit: int) -> List[Iterable[List[str]]]:
-    """Demultiplex a merged (Fig. 1) file without loading it whole.
-
-    One shared cursor walks the file; each rank's stream drains its
-    own buffer and, when empty, advances the cursor — buffering lines
-    for *other* ranks as they scroll past.  For interleaved merged
-    traces the buffers stay near-empty (O(ranks + interleaving skew)
-    resident).  A rank-major merged file is the worst case: rank k's
-    first action sits after every line of ranks < k, so buffering
-    degrades to O(events) — inherent to the layout, not the reader.
-    The per-process directory layout is the scalable representation;
-    this path exists for the small-instance convenience format.
-    Rather than degrade silently, the demux refuses to buffer more
-    than ``limit`` lines (:attr:`TraceReplayer.merged_spill_limit`) for
-    any single rank and names the offender.
-    """
-    # Pass 1: the rank set (needed up front to build one stream per
-    # rank).  Retains O(ranks) state.
-    rank_list = sorted({rank for rank, _ in merged_file_tokens(path)})
-    if rank_list != list(range(len(rank_list))):
-        raise ValueError(
-            f"{path}: ranks are not contiguous: {rank_list[:10]}"
-        )
-
-    # Pass 2: shared-cursor demux.
-    buffers: List[deque] = [deque() for _ in rank_list]
-    cursor = merged_file_tokens(path)
-
-    def pump_until(rank: int) -> bool:
-        """Advance the shared cursor until a line for ``rank`` lands
-        in its buffer; returns False at end of file."""
-        for dest, tokens in cursor:
-            buf = buffers[dest]
-            buf.append(tokens)
-            if buffers[rank]:
-                return True
-            if len(buf) > limit:
-                # One rank's lines are heavily skewed ahead of the
-                # rank being pumped (a rank-major merged file is the
-                # canonical trigger): the buffer would otherwise grow
-                # to O(events).  Fail with provenance instead.
-                # Close the cursor first so sibling streams see a clean
-                # end-of-file rather than an error that would mask
-                # this one.
-                cursor.close()
-                raise ValueError(
-                    f"{path}: merged-trace demux buffered over "
-                    f"{limit} lines for p{dest} while seeking a "
-                    f"line for p{rank}; the layout is too skewed "
-                    "for streaming demux — convert to the "
-                    "per-process directory layout (repro-convert) "
-                    "or raise TraceReplayer.merged_spill_limit"
-                )
-        return False
-
-    def stream(rank: int) -> Iterator[List[str]]:
-        buf = buffers[rank]
-        while True:
-            if buf:
-                yield buf.popleft()
-            elif not pump_until(rank):
-                return
-
-    return [stream(rank) for rank in rank_list]
 
 
 def write_merged_trace(trace: InMemoryTrace, path: str) -> int:

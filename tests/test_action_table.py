@@ -256,9 +256,9 @@ def test_every_keyword_replays_identically_on_both_drivers(algorithm,
     results = {
         mode: make_replayer(2, compiled=mode, collect_metrics=True,
                             collective_algorithm=algorithm).replay(directory)
-        for mode in ("never", "always")
+        for mode in ("never", "auto")
     }
-    token, compiled = results["never"], results["always"]
+    token, compiled = results["never"], results["auto"]
     assert token.simulated_time > 0
     assert compiled.simulated_time == token.simulated_time
     assert compiled.per_rank_time == token.per_rank_time
@@ -296,7 +296,7 @@ HOSTILE = [
 ]
 
 
-@pytest.mark.parametrize("reader", ["parse_action", "never", "always"])
+@pytest.mark.parametrize("reader", ["parse_action", "never", "auto"])
 @pytest.mark.parametrize("tail,before,other", HOSTILE,
                          ids=[h[0] or "p0-alone" for h in HOSTILE])
 def test_hostile_line_is_rejected_with_one_typed_message(tail, before, other,
@@ -319,7 +319,7 @@ def test_hostile_line_is_rejected_with_one_typed_message(tail, before, other,
 # ---------------------------------------------------------------------------
 # The rank a trace file belongs to is checked for every encoding
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["never", "always"])
+@pytest.mark.parametrize("mode", ["never", "auto"])
 def test_btrace_whose_header_names_another_rank_is_refused(mode, tmp_path):
     directory = tmp_path / "bin"
     os.makedirs(directory)
@@ -335,7 +335,7 @@ def test_btrace_whose_header_names_another_rank_is_refused(mode, tmp_path):
         list(read_binary_trace(victim, expect_rank=1))
 
 
-@pytest.mark.parametrize("reader", ["never", "always", "read_merged_trace"])
+@pytest.mark.parametrize("reader", ["never", "auto", "read_merged_trace"])
 @pytest.mark.parametrize("bad", ["x0 compute 1", "pp compute 1"])
 def test_merged_file_with_a_malformed_process_id_is_refused(bad, reader,
                                                             tmp_path):

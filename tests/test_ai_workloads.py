@@ -184,10 +184,10 @@ def test_family_replays_identically_across_drivers(family, extra, tmp_path):
 
     token_text = replay_dir(str(text_dir), n, compiled="never")
     token_bin = replay_dir(str(bin_dir), n, compiled="never")
-    compiled_cold = replay_dir(str(text_dir), n, compiled="always")
+    compiled_cold = replay_dir(str(text_dir), n, compiled="auto")
     assert os.path.exists(sidecar_path(str(text_dir)))
-    compiled_warm = replay_dir(str(text_dir), n, compiled="always")
-    batched = replay_dir(str(text_dir), n, compiled="always",
+    compiled_warm = replay_dir(str(text_dir), n, compiled="auto")
+    batched = replay_dir(str(text_dir), n, compiled="auto",
                          batch_phases=True)
 
     for other in (token_bin, compiled_cold, compiled_warm, batched):
@@ -224,9 +224,9 @@ def test_property_roundtrip_generator_to_replay(family, n_ranks, steps,
 
     token = replay_dir(str(text_dir), n_ranks, compiled="never")
     token_bin = replay_dir(str(bin_dir), n_ranks, compiled="never")
-    compiled_cold = replay_dir(str(bin_dir), n_ranks, compiled="always")
-    compiled_warm = replay_dir(str(bin_dir), n_ranks, compiled="always")
-    batched = replay_dir(str(text_dir), n_ranks, compiled="always",
+    compiled_cold = replay_dir(str(bin_dir), n_ranks, compiled="auto")
+    compiled_warm = replay_dir(str(bin_dir), n_ranks, compiled="auto")
+    batched = replay_dir(str(text_dir), n_ranks, compiled="auto",
                          batch_phases=True)
     for other in (token_bin, compiled_cold, compiled_warm, batched):
         assert_same_makespan(token, other)
@@ -304,7 +304,7 @@ def test_shard_coordinator_refuses_each_new_collective(line, name, tmp_path):
         with open(path, "w", encoding="ascii") as handle:
             handle.write(f"p{rank} comm_size {n}\n")
             handle.write(f"p{rank} {line}\np{rank} compute 1e6\n")
-    replayer = make_replayer(fatpipe_platform(n), n, compiled="always",
+    replayer = make_replayer(fatpipe_platform(n), n, compiled="auto",
                              shards=2)
     with pytest.raises(ValueError, match=name):
         replayer.replay(str(tmp_path))
@@ -330,8 +330,8 @@ def test_batched_replay_of_mixed_new_collectives_is_exact(tmp_path):
                 f"p{rank} barrier\n"
                 f"p{rank} reduceScatter 8192 1e5\n"
                 f"p{rank} allReduce 1024 0\n")
-    sequential = replay_dir(str(tmp_path), n, compiled="always")
-    batched = replay_dir(str(tmp_path), n, compiled="always",
+    sequential = replay_dir(str(tmp_path), n, compiled="auto")
+    batched = replay_dir(str(tmp_path), n, compiled="auto",
                          batch_phases=True)
     assert_same_makespan(sequential, batched)
 
@@ -436,7 +436,7 @@ def test_golden_import_produces_valid_replayable_trace(tmp_path):
     assert validation.ok, [str(f) for f in validation.findings]
 
     token = replay_dir(str(out), 4, compiled="never")
-    compiled = replay_dir(str(out), 4, compiled="always")
+    compiled = replay_dir(str(out), 4, compiled="auto")
     assert_same_makespan(token, compiled)
     assert token.simulated_time > 0.0
 
@@ -601,7 +601,7 @@ def test_campaign_executes_ai_family_scenario():
         trace=TraceSpec(kind="synth", family="moe", iterations=1, seed=3,
                         params={"layers": 1, "tokens_bytes": 1 << 14}),
         platform=PlatformSpec(kind="named", name="bordereau", hosts=4),
-        replay=ReplaySpec(compiled="always"))
+        replay=ReplaySpec(compiled="auto"))
     payload = execute_scenario(scenario.to_dict())
     assert payload["simulated_time"] > 0
     assert payload["n_actions"] > 0

@@ -1,11 +1,10 @@
 """Tests for repro.core.compile and the compiled replay driver.
 
-Covers: streamed/compiled feed equivalence across trace sources and lmm
-modes, compute-fusion exactness, ``.tic`` sidecar caching and
+Covers: windowed/whole-program feed equivalence across trace sources
+and lmm modes, compute-fusion exactness, ``.tic`` sidecar caching and
 byte-level invalidation, the campaign cache's handling of sidecars,
 error-message parity between the feeds, feed-selection rules, the
-timed-trace pins, fault-plan parity (byte-identical FaultReports), and
-the merged-stream spill guard.
+timed-trace pins, and fault-plan parity (byte-identical FaultReports).
 """
 
 import os
@@ -121,7 +120,7 @@ def assert_equivalent(a, b, tol=1e-9):
 ])
 def test_compiled_matches_token_dir_all_lmm_modes(mixed_dir, solver):
     token = replay_dir(mixed_dir, compiled="never", **solver)
-    comp = replay_dir(mixed_dir, compiled="always", **solver)
+    comp = replay_dir(mixed_dir, compiled="auto", **solver)
     assert_equivalent(token, comp)
 
 
@@ -131,7 +130,7 @@ def test_compiled_matches_token_both_collective_algorithms(mixed_dir,
     token = replay_dir(mixed_dir, collective_algorithm=collectives,
                        compiled="never")
     comp = replay_dir(mixed_dir, collective_algorithm=collectives,
-                      compiled="always")
+                      compiled="auto")
     assert_equivalent(token, comp)
 
 
@@ -145,7 +144,7 @@ def test_compiled_matches_token_merged_file(mixed_dir, tmp_path):
                 if streams[rank]:
                     handle.write(streams[rank].pop(0) + "\n")
     token = replay_dir(merged, compiled="never")
-    comp = replay_dir(merged, compiled="always")
+    comp = replay_dir(merged, compiled="auto")
     ref = replay_dir(mixed_dir, compiled="never")
     assert_equivalent(token, comp)
     assert_equivalent(ref, comp)
@@ -167,13 +166,13 @@ def test_compiled_matches_token_binary_trace(tmp_path):
         write_binary_trace(actions, rank,
                            os.path.join(directory, f"SG_process{rank}.btrace"))
     token = replay_dir(directory, n_ranks=n, compiled="never")
-    comp = replay_dir(directory, n_ranks=n, compiled="always")
+    comp = replay_dir(directory, n_ranks=n, compiled="auto")
     assert_equivalent(token, comp)
 
 
 def test_compiled_metrics_match_token(mixed_dir):
     token = replay_dir(mixed_dir, compiled="never", collect_metrics=True)
-    comp = replay_dir(mixed_dir, compiled="always", collect_metrics=True)
+    comp = replay_dir(mixed_dir, compiled="auto", collect_metrics=True)
     t, c = token.metrics["replay"], comp.metrics["replay"]
     assert t["actions_by_type"] == c["actions_by_type"]
     assert t["n_actions"] == c["n_actions"]
@@ -186,19 +185,19 @@ def test_compiled_metrics_match_token(mixed_dir):
     assert comp.metrics["engine"]["idle_advances"] > 0
 
 
-def test_in_memory_trace_stays_on_token_path_under_auto():
+def test_in_memory_trace_compiles_whole_under_auto():
     trace = InMemoryTrace()
     for rank in range(2):
         trace.emit(Compute(rank, 1e8))
     platform = make_platform(2)
     replayer = make_replayer(platform, 2, compiled="auto")
     replayer.replay(trace)
-    assert replayer.last_compile_report is None
-    # "always" compiles even in-memory sources.
-    forced = make_replayer(platform, 2, compiled="always")
-    forced.replay(trace)
-    assert forced.last_compile_report is not None
-    assert forced.last_compile_report.n_ranks == 2
+    assert replayer.last_compile_report is not None
+    assert replayer.last_compile_report.n_ranks == 2
+    # "never" compiles in-memory traces too, but not through the report.
+    windowed = make_replayer(platform, 2, compiled="never")
+    windowed.replay(trace)
+    assert windowed.last_compile_report is None
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_unwritable_sidecar_is_best_effort(mixed_dir, monkeypatch):
     monkeypatch.setattr(compile_mod, "_write_tic",
                         lambda *a, **kw: False)
     token = replay_dir(mixed_dir, compiled="never")
-    comp = replay_dir(mixed_dir, compiled="always")
+    comp = replay_dir(mixed_dir, compiled="auto")
     assert_equivalent(token, comp)
     assert not any(name.endswith(".tic") for name in os.listdir(mixed_dir))
 
@@ -304,7 +303,7 @@ def test_unwritable_sidecar_notes_once_and_stays_compiled(
     # Repeated replays against a read-only trace directory must stay
     # quiet — a single debug-level note for the directory, never
     # per-rank warning spam — and must keep running the compiled driver
-    # under compiled='always' (no silent token fallback).
+    # under compiled='auto' (no silent windowed fallback).
     import logging
 
     from repro.core import compile as compile_mod
@@ -321,7 +320,7 @@ def test_unwritable_sidecar_notes_once_and_stays_compiled(
 
     reference = replay_dir(mixed_dir, compiled="never")
     with caplog.at_level(logging.DEBUG, logger="repro.core.compile"):
-        results = [replay_dir(mixed_dir, compiled="always",
+        results = [replay_dir(mixed_dir, compiled="auto",
                               collect_metrics=True) for _ in range(3)]
     for result in results:
         assert_equivalent(reference, result)
@@ -363,15 +362,17 @@ def test_tic_sidecars_do_not_bust_the_campaign_key(mixed_dir):
 def test_replay_compiled_option_is_part_of_the_key(mixed_dir):
     keys = {scenario_cache_key(dir_scenario(
         mixed_dir, replay=ReplaySpec(compiled=mode)))
-        for mode in ("auto", "always", "never")}
-    assert len(keys) == 3
-    with pytest.raises(ValueError, match="compiled"):
-        ReplaySpec(compiled="sometimes")
+        for mode in ("auto", "never")}
+    assert len(keys) == 2
+    for mode in ("sometimes", "always"):
+        with pytest.raises(ValueError, match="compiled"):
+            ReplaySpec(compiled=mode)
 
 
 def test_example_campaign_cache_key_is_pinned():
-    # compiled="always" names the feed a scenario replays from; the
-    # address of an existing cached record must not move with it.
+    # The address of an existing cached record must not move unless the
+    # scenario does: this one moved when the example dropped its
+    # explicit feed, leaving the default whole-program form.
     from repro.campaign import load_campaign_spec
 
     examples = os.path.join(os.path.dirname(os.path.dirname(
@@ -379,9 +380,9 @@ def test_example_campaign_cache_key_is_pinned():
     spec = load_campaign_spec(os.path.join(examples, "ai_workloads.json"))
     (scenario,) = [s for s in spec.scenarios
                    if s.name == "moe-routing-seed-7"]
-    assert scenario.replay.compiled == "always"
+    assert scenario.replay.compiled == "auto"
     assert scenario_cache_key(scenario) == (
-        "17640b9a77ab9b30c30138bf608746e9ded59cf0569c97e840703acc99ddc559")
+        "b77dfc6cec50e5dbd9d5ab163511bd72166330929e58c3fc087ea4b023f2c359")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def write_one_rank(tmp_path, lines):
 ])
 def test_compiled_replay_errors_match_token_path(tmp_path, lines, match):
     directory = write_one_rank(tmp_path, lines)
-    for mode in ("never", "always"):
+    for mode in ("never", "auto"):
         platform = make_platform(1)
         with pytest.raises(ValueError, match=match):
             make_replayer(platform, 1, compiled=mode).replay(directory)
@@ -435,7 +436,7 @@ def test_keywords_outside_the_action_table_fail_under_every_mode(mixed_dir):
     with open(os.path.join(mixed_dir, trace_file_name(0)), "a",
               encoding="ascii") as handle:
         handle.write("p0 checkpointmark\n")
-    for mode in ("auto", "always", "never"):
+    for mode in ("auto", "never"):
         with pytest.raises(ValueError,
                            match="unregistered action 'checkpointmark'"):
             replay_dir(mixed_dir, compiled=mode)
@@ -444,12 +445,11 @@ def test_keywords_outside_the_action_table_fail_under_every_mode(mixed_dir):
 def test_timed_trace_runs_on_the_compiled_feed(mixed_dir):
     results = {mode: replay_dir(mixed_dir, compiled=mode,
                                 record_timed_trace=True, collect_metrics=True)
-               for mode in ("auto", "always", "never")}
-    for mode in ("auto", "always"):
-        replay = results[mode].metrics["replay"]
-        assert replay["ops_compiled"] > 0
-        # One record per source action: recording replays run unfused.
-        assert replay["computes_fused"] == 0
+               for mode in ("auto", "never")}
+    replay = results["auto"].metrics["replay"]
+    assert replay["ops_compiled"] > 0
+    # One record per source action: recording replays run unfused.
+    assert replay["computes_fused"] == 0
     for result in results.values():
         assert len(result.timed_trace) == result.n_actions
         assert result.timed_trace == results["never"].timed_trace
@@ -498,8 +498,8 @@ def write_allcoll_dir(directory, size):
     return str(directory)
 
 
-@pytest.mark.parametrize("flags", [[], ["--compiled"], ["--no-compiled"]],
-                         ids=["auto", "always", "never"])
+@pytest.mark.parametrize("flags", [[], ["--no-compiled"]],
+                         ids=["auto", "never"])
 @pytest.mark.parametrize("name", sorted(TIMED_TRACE_PINS))
 def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
     import hashlib
@@ -570,7 +570,7 @@ def _in_memory(tmp_path, mixed_dir):
 
 @pytest.mark.parametrize("build", [_merged, _btrace_dir, _in_memory],
                          ids=["merged", "btrace", "in-memory"])
-@pytest.mark.parametrize("mode", ["auto", "always", "never"])
+@pytest.mark.parametrize("mode", ["auto", "never"])
 def test_timed_trace_has_one_record_per_action_for_every_source(
         tmp_path, mixed_dir, build, mode):
     source = build(tmp_path, mixed_dir)
@@ -617,34 +617,9 @@ def test_fault_reports_byte_identical_across_drivers(tmp_path):
     directory = ring_dir(tmp_path, n, iterations=6)
     plan = FaultPlan(events=(HostCrash("c-2", 0.05),))
     reports = {}
-    for mode in ("never", "always"):
+    for mode in ("never", "auto"):
         platform = make_platform(n)
         result = make_replayer(platform, n, fault_plan=plan,
                                compiled=mode).replay(directory)
         reports[mode] = result.fault_report.to_json()
-    assert reports["never"] == reports["always"]
-
-
-# ---------------------------------------------------------------------------
-# Merged-stream spill guard (the pump_until unbounded-buffer bugfix)
-# ---------------------------------------------------------------------------
-def test_merged_stream_spill_guard_names_the_offender(tmp_path,
-                                                      monkeypatch):
-    # Rank-major layout: all of p0's lines precede p1's, so pumping for
-    # p1 must buffer every p0 line — exactly the pathological case.
-    merged = str(tmp_path / "skewed.trace")
-    with open(merged, "w", encoding="ascii") as handle:
-        for _ in range(64):
-            handle.write("p0 compute 1000\n")
-        handle.write("p0 send p1 1000\n")
-        for _ in range(64):
-            handle.write("p1 compute 1000\n")
-        handle.write("p1 recv p0 1000\n")
-    monkeypatch.setattr(TraceReplayer, "merged_spill_limit", 16)
-    platform = make_platform(2)
-    with pytest.raises(ValueError, match=r"buffered over 16 lines for p0"):
-        make_replayer(platform, 2, compiled="never").replay(merged)
-    # A generous limit replays the same file fine.
-    monkeypatch.setattr(TraceReplayer, "merged_spill_limit", 1000)
-    result = make_replayer(platform, 2, compiled="never").replay(merged)
-    assert result.n_actions == 130
+    assert reports["never"] == reports["auto"]

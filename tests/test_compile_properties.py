@@ -113,12 +113,12 @@ def test_compiled_replay_matches_token_replay(program, solver):
     with tempfile.TemporaryDirectory() as directory:
         write_dir(directory, lines)
         results = {}
-        for mode in ("never", "always"):
+        for mode in ("never", "auto"):
             platform = make_platform(n_ranks)
             replayer = make_replayer(platform, n_ranks, compiled=mode,
                                      **solver)
             results[mode] = replayer.replay(directory)
-        assert_equivalent(results["never"], results["always"])
+        assert_equivalent(results["never"], results["auto"])
 
 
 @st.composite
@@ -153,14 +153,14 @@ def test_fault_reports_identical_across_drivers(program, victim, crash_at):
         write_dir(directory, lines)
         reports = {}
         results = {}
-        for mode in ("never", "always"):
+        for mode in ("never", "auto"):
             platform = make_platform(n_ranks)
             replayer = make_replayer(platform, n_ranks, fault_plan=plan,
                                      compiled=mode)
             results[mode] = replayer.replay(directory)
             reports[mode] = results[mode].fault_report.to_json()
-        assert reports["never"] == reports["always"]
-        assert_equivalent(results["never"], results["always"])
+        assert reports["never"] == reports["auto"]
+        assert_equivalent(results["never"], results["auto"])
 
 
 @settings(max_examples=25, deadline=None)

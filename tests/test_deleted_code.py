@@ -52,6 +52,10 @@ DELETED = [
      r"|gather_then_bcast_allgather|reduce_then_scatter",
      ("src", "docs", ".github", "README.md", "DESIGN.md"),
      "the generator collectives and their two adapters"),
+    (r"record_streams|_merged_token_streams|merged_spill_limit"
+     r"|--compiled\b|compiled=[\"']always|compile them anyway",
+     ("src", "docs", ".github", "README.md", "examples", "benchmarks"),
+     "the decoded-line feed, the merged-file demux and compiled='always'"),
 ]
 
 

@@ -178,6 +178,23 @@ def test_ring_rank3_crash_names_root_cause_and_casualties():
     assert result.simulated_time <= fault_free.simulated_time
 
 
+@pytest.mark.parametrize("compiled", ["auto", "never"])
+def test_lost_progress_does_not_count_the_action_in_flight(compiled):
+    """p0's host dies inside p0's first compute: it completed nothing."""
+    trace = InMemoryTrace()
+    for rank, flops in ((0, 1e9), (0, 1e9), (1, 1e8)):
+        trace.emit(Compute(rank, flops))
+    plan = FaultPlan(events=(HostCrash("c-0", 0.5),))
+    result = make_replayer(make_platform(2), 2, fault_plan=plan,
+                           compiled=compiled).replay(trace)
+    progress = result.fault_report.lost_progress
+    assert progress[0]["state"] == "failed"
+    assert progress[0]["actions_completed"] == 0
+    assert progress[1] == {"actions_completed": 1, "time": 0.1,
+                           "state": "finished"}
+    assert result.n_actions == 1
+
+
 def test_link_down_fails_transfers_with_typed_provenance():
     n = 2
     platform = make_platform(n)

@@ -164,7 +164,7 @@ def test_batched_matches_sequential_compiled(program, solver):
         results = {}
         for batch in (False, True):
             platform = shared_platform(n_ranks)
-            replayer = make_replayer(platform, n_ranks, compiled="always",
+            replayer = make_replayer(platform, n_ranks, compiled="auto",
                                      batch_phases=batch, **solver)
             results[batch] = replayer.replay(directory)
         assert_equivalent(results[False], results[True])
@@ -182,9 +182,9 @@ def test_batching_ineligible_host_models_falls_back_silently(tmp_path):
     platform = shared_platform(4)
     for host in platform.host_list():
         host.efficiency_model = lambda kind, amount: 1.0
-    replayer = make_replayer(platform, 4, compiled="always",
+    replayer = make_replayer(platform, 4, compiled="auto",
                              batch_phases=True)
-    reference = make_replayer(shared_platform(4), 4, compiled="always")
+    reference = make_replayer(shared_platform(4), 4, compiled="auto")
     batched = replayer.replay(str(tmp_path))
     assert batched.metrics["replay"]["phase_advances"] == 0
     assert_equivalent(reference.replay(str(tmp_path)), batched)
@@ -205,9 +205,9 @@ def test_sharded_matches_sequential_compiled(n_ranks, iterations, inorm,
     with tempfile.TemporaryDirectory() as directory:
         lu_dir(directory, n_ranks, iterations, inorm)
         sequential = make_replayer(fatpipe_platform(n_ranks), n_ranks,
-                                   compiled="always", **solver)
+                                   compiled="auto", **solver)
         sharded = make_replayer(fatpipe_platform(n_ranks), n_ranks,
-                                compiled="always", shards=shards, **solver)
+                                compiled="auto", shards=shards, **solver)
         a = sequential.replay(directory)
         b = sharded.replay(directory)
         assert_equivalent(a, b)
@@ -218,8 +218,8 @@ def test_sharded_matches_sequential_compiled(n_ranks, iterations, inorm,
 
 def test_sharded_composes_with_phase_batching(tmp_path):
     lu_dir(str(tmp_path), 16, 4, 2)
-    sequential = make_replayer(fatpipe_platform(16), 16, compiled="always")
-    both = make_replayer(fatpipe_platform(16), 16, compiled="always",
+    sequential = make_replayer(fatpipe_platform(16), 16, compiled="auto")
+    both = make_replayer(fatpipe_platform(16), 16, compiled="auto",
                          shards=4, batch_phases=True)
     assert_equivalent(sequential.replay(str(tmp_path)),
                       both.replay(str(tmp_path)))
@@ -227,8 +227,8 @@ def test_sharded_composes_with_phase_batching(tmp_path):
 
 def test_sharded_explicit_halo_and_metrics_merge(tmp_path):
     lu_dir(str(tmp_path), 16, 2, 1)
-    sequential = make_replayer(fatpipe_platform(16), 16, compiled="always")
-    sharded = make_replayer(fatpipe_platform(16), 16, compiled="always",
+    sequential = make_replayer(fatpipe_platform(16), 16, compiled="auto")
+    sharded = make_replayer(fatpipe_platform(16), 16, compiled="auto",
                             shards=2, shard_halo=16)
     a = sequential.replay(str(tmp_path))
     b = sharded.replay(str(tmp_path))
@@ -259,7 +259,7 @@ def test_fault_plan_forces_sequential_path_with_identical_report(
     reports = {}
     results = {}
     for shards in (0, 4):
-        replayer = make_replayer(fatpipe_platform(8), 8, compiled="always",
+        replayer = make_replayer(fatpipe_platform(8), 8, compiled="auto",
                                  fault_plan=plan, shards=shards)
         if shards:
             # Pin the dispatch: a fault plan must never reach the
@@ -297,7 +297,7 @@ def test_sharding_option_conflicts_raise():
 
 def test_sharding_refuses_shared_backbone(tmp_path):
     lu_dir(str(tmp_path), 4, 2, 1)
-    replayer = make_replayer(shared_platform(4), 4, compiled="always",
+    replayer = make_replayer(shared_platform(4), 4, compiled="auto",
                              shards=2)
     with pytest.raises(ValueError, match="decoupled platform"):
         replayer.replay(str(tmp_path))
@@ -307,7 +307,7 @@ def test_sharding_refuses_traces_without_windows(tmp_path):
     lines = {r: [f"p{r} comm_size 4", f"p{r} compute 1e6"]
              for r in range(4)}
     write_dir(str(tmp_path), lines)
-    replayer = make_replayer(fatpipe_platform(4), 4, compiled="always",
+    replayer = make_replayer(fatpipe_platform(4), 4, compiled="auto",
                              shards=2)
     with pytest.raises(ValueError, match="synchronizing collective"):
         replayer.replay(str(tmp_path))
@@ -317,7 +317,7 @@ def test_sharding_refuses_standalone_bcast(tmp_path):
     lines = {r: [f"p{r} comm_size 4", f"p{r} bcast 1e5", f"p{r} barrier"]
              for r in range(4)}
     write_dir(str(tmp_path), lines)
-    replayer = make_replayer(fatpipe_platform(4), 4, compiled="always",
+    replayer = make_replayer(fatpipe_platform(4), 4, compiled="auto",
                              shards=2)
     with pytest.raises(ValueError, match="bcast/reduce"):
         replayer.replay(str(tmp_path))
@@ -325,6 +325,6 @@ def test_sharding_refuses_standalone_bcast(tmp_path):
 
 def test_single_shard_degrades_to_sequential(tmp_path):
     lu_dir(str(tmp_path), 4, 2, 1)
-    a = make_replayer(fatpipe_platform(4), 4, compiled="always")
-    b = make_replayer(fatpipe_platform(4), 4, compiled="always", shards=1)
+    a = make_replayer(fatpipe_platform(4), 4, compiled="auto")
+    b = make_replayer(fatpipe_platform(4), 4, compiled="auto", shards=1)
     assert_equivalent(a.replay(str(tmp_path)), b.replay(str(tmp_path)))

@@ -159,7 +159,7 @@ def write_ranks(directory, lines_of):
     return str(directory)
 
 
-FEEDS = ["auto", "always", "never"]
+FEEDS = ["auto", "never"]
 
 
 @pytest.mark.parametrize("compiled", FEEDS)

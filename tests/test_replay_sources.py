@@ -131,3 +131,32 @@ def test_merged_demux_rejects_gapped_ranks(tmp_path):
     path.write_text("p0 compute 1\np2 compute 1\n")
     with pytest.raises(ValueError, match="not contiguous"):
         make_replayer(4).replay(str(path))
+
+
+def write_gapped_dir(directory):
+    """Rank files for p0, p1 and p3: p2 is missing."""
+    for rank, flops in ((0, "1e9"), (1, "1e9"), (3, "5e9")):
+        with open(os.path.join(directory, f"SG_process{rank}.trace"), "w",
+                  encoding="ascii") as handle:
+            handle.write(f"p{rank} compute {flops}\n")
+    return str(directory)
+
+
+@pytest.mark.parametrize("compiled", ["auto", "never"])
+def test_a_missing_rank_file_is_refused_not_dropped(tmp_path, compiled):
+    directory = write_gapped_dir(tmp_path)
+    platform = Platform("t")
+    platform.add_cluster("c", 4, speed=1e9, link_bw=1.25e8, link_lat=1e-5,
+                         backbone_bw=1.25e9, backbone_lat=1e-5)
+    replayer = TraceReplayer(platform, round_robin_deployment(platform, 4),
+                             compiled=compiled)
+    with pytest.raises(ValueError,
+                       match=r"no trace file for p2, but SG_process3\.trace"):
+        replayer.replay(directory)
+
+
+def test_repro_compile_refuses_a_missing_rank_file(tmp_path, capsys):
+    from repro.cli import main_compile
+
+    assert main_compile([write_gapped_dir(tmp_path)]) == 2
+    assert "no trace file for p2" in capsys.readouterr().err
