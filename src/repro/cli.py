@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -195,41 +196,26 @@ def main_convert(argv: Optional[List[str]] = None) -> int:
                         choices=["binary", "text"])
     args = parser.parse_args(argv)
 
-    import os
-
-    from .core.binfmt import (
-        binary_trace_file_name, read_binary_trace, write_binary_trace,
+    from .core.trace import (
+        discover_trace_paths, stream_trace_dir, write_rank_file,
     )
-    from .core.trace import read_trace_file, trace_file_name
-    from .core.actions import format_action
 
-    os.makedirs(args.dst_dir, exist_ok=True)
-    rank = 0
-    in_bytes = out_bytes = 0
-    while True:
-        text_path = os.path.join(args.src_dir, trace_file_name(rank))
-        bin_path = os.path.join(args.src_dir, binary_trace_file_name(rank))
-        if args.target == "binary" and os.path.exists(text_path):
-            actions = list(read_trace_file(text_path, expect_rank=rank))
-            out_path = os.path.join(args.dst_dir,
-                                    binary_trace_file_name(rank))
-            out_bytes += write_binary_trace(actions, rank, out_path)
-            in_bytes += os.path.getsize(text_path)
-        elif args.target == "text" and os.path.exists(bin_path):
-            out_path = os.path.join(args.dst_dir, trace_file_name(rank))
-            with open(out_path, "w", encoding="ascii") as handle:
-                for action in read_binary_trace(bin_path,
-                                                expect_rank=rank):
-                    handle.write(format_action(action) + "\n")
-            in_bytes += os.path.getsize(bin_path)
-            out_bytes += os.path.getsize(out_path)
-        else:
-            break
-        rank += 1
-    if rank == 0:
-        raise SystemExit(f"no rank-0 trace found in {args.src_dir!r}")
-    print(f"converted {rank} ranks: {in_bytes:,} B -> {out_bytes:,} B "
-          f"({in_bytes / max(1, out_bytes):.2f}x)")
+    try:
+        if os.path.realpath(args.src_dir) == os.path.realpath(args.dst_dir):
+            raise ValueError("source and destination are the same directory")
+        in_bytes = sum(map(os.path.getsize,
+                           discover_trace_paths(args.src_dir)))
+        os.makedirs(args.dst_dir, exist_ok=True)
+        streams = stream_trace_dir(args.src_dir)
+        out_bytes = sum(
+            write_rank_file(args.dst_dir, rank, stream,
+                            args.target == "binary")[1]
+            for rank, stream in enumerate(streams))
+    except (OSError, ValueError) as exc:
+        print(f"convert failed: {exc}", file=sys.stderr)
+        return 2
+    print(f"converted {len(streams)} ranks: {in_bytes:,} B -> "
+          f"{out_bytes:,} B ({in_bytes / max(1, out_bytes):.2f}x)")
     return 0
 
 
@@ -319,6 +305,15 @@ def main_import(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def _read_trace(path: str):
+    """A trace directory, in any layout, or a merged trace file."""
+    from .core.trace import read_merged_trace, read_trace_dir
+
+    if os.path.isdir(path):
+        return read_trace_dir(path)
+    return read_merged_trace(path)
+
+
 def main_validate(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-validate",
@@ -331,16 +326,13 @@ def main_validate(argv: Optional[List[str]] = None) -> int:
                         help="report format (default: text)")
     args = parser.parse_args(argv)
 
-    import os
-
-    from .core.trace import read_merged_trace, read_trace_dir
     from .core.validate import validate_trace
 
-    if os.path.isdir(args.trace):
-        trace = read_trace_dir(args.trace)
-    else:
-        trace = read_merged_trace(args.trace)
-    report = validate_trace(trace)
+    try:
+        report = validate_trace(_read_trace(args.trace))
+    except (OSError, ValueError) as exc:
+        print(f"validate failed: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         import json
 
@@ -362,16 +354,14 @@ def main_stats(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("trace", help="trace directory or merged file")
     args = parser.parse_args(argv)
 
-    import os
-
     from .analysis import compute_trace_stats
-    from .core.trace import read_merged_trace, read_trace_dir
 
-    if os.path.isdir(args.trace):
-        trace = read_trace_dir(args.trace)
-    else:
-        trace = read_merged_trace(args.trace)
-    print(compute_trace_stats(trace).report())
+    try:
+        stats = compute_trace_stats(_read_trace(args.trace))
+    except (OSError, ValueError) as exc:
+        print(f"stats failed: {exc}", file=sys.stderr)
+        return 2
+    print(stats.report())
     return 0
 
 

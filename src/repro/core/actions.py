@@ -30,7 +30,7 @@ __all__ = [
     "ActionSpec", "ACTION_TABLE", "ACTION_NAMES", "OPCODE_OF",
     "NAME_OF_OPCODE", "OPCODE_SPACE_VERSION", "SHAPE_LAYOUT",
     "decode_tokens", "encode_tokens", "fields_of", "action_of",
-    "parse_process_id", "check_splits",
+    "parse_process_id", "check_splits", "MAX_ARG",
     "format_action", "parse_action", "format_volume",
 ]
 
@@ -39,6 +39,10 @@ __all__ = [
 #: for the escape-hatch non-integral ones.
 SPLIT_SUM_ATOL = 1e-6
 SPLIT_SUM_RTOL = 1e-9
+
+#: Largest peer rank or communicator size: the compiled ``arg`` column
+#: that carries them is int32.
+MAX_ARG = 2 ** 31 - 1
 
 
 def format_volume(value: float) -> str:
@@ -124,8 +128,9 @@ class _PointToPoint(Action):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.peer < 0:
-            raise ValueError(f"peer rank must be >= 0, got {self.peer}")
+        if not 0 <= self.peer <= MAX_ARG:
+            raise ValueError(
+                f"peer rank must be in [0, {MAX_ARG}], got {self.peer}")
         if not math.isfinite(self.volume) or self.volume < 0:
             raise ValueError(f"message volume must be >= 0, got {self.volume}")
 
@@ -203,8 +208,9 @@ class CommSize(Action):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.size < 1:
-            raise ValueError(f"communicator size must be >= 1, got {self.size}")
+        if not 1 <= self.size <= MAX_ARG:
+            raise ValueError(f"communicator size must be in [1, {MAX_ARG}], "
+                             f"got {self.size}")
 
 
 class Wait(Action):
@@ -294,8 +300,9 @@ def decode_tokens(tokens: Sequence[str]) -> Tuple[int, int, float, float,
     """One trace line's tokens -> ``(op, arg, vol, vol2, splits)``.
 
     The format's one input contract, shared by every reader and both
-    replay drivers: exact arity, ``p<digits>`` peers, finite volumes
-    >= 0, an integer ``comm_size`` >= 1, consistent allToAllv splits.
+    replay drivers: exact arity, ``p<digits>`` peers up to
+    :data:`MAX_ARG`, finite volumes >= 0, an integer ``comm_size`` in
+    ``[1, MAX_ARG]``, consistent allToAllv splits.
     Every violation is a :class:`ValueError` naming the process and the
     line.  ``tokens[0]`` is the caller's to check (it knows which rank
     it expects); it is only quoted here.
@@ -319,9 +326,12 @@ def decode_tokens(tokens: Sequence[str]) -> Tuple[int, int, float, float,
         elif shape is PEER_VOL:
             if n == 4:
                 vol = float(tokens[3])
-                if 0.0 <= vol < _INF:
-                    return op, parse_process_id(tokens[2]), vol, 0.0, None
                 why = "volumes must be finite and >= 0"
+                if 0.0 <= vol < _INF:
+                    peer = parse_process_id(tokens[2])
+                    if peer <= MAX_ARG:
+                        return op, peer, vol, 0.0, None
+                    why = f"peer ranks must be <= p{MAX_ARG}"
         elif shape is VOL_VOL2:
             if n == 4:
                 vol, vol2 = float(tokens[2]), float(tokens[3])
@@ -333,9 +343,10 @@ def decode_tokens(tokens: Sequence[str]) -> Tuple[int, int, float, float,
                 return op, 0, 0.0, 0.0, None
         elif shape is SIZE:
             if n == 3:
-                if tokens[2].isdigit() and int(tokens[2]) >= 1:
+                if tokens[2].isdigit() and 1 <= int(tokens[2]) <= MAX_ARG:
                     return op, int(tokens[2]), 0.0, 0.0, None
-                why = "the communicator size must be an integer >= 1"
+                why = ("the communicator size must be an integer in "
+                       f"[1, {MAX_ARG}]")
         elif shape is TOTAL_SPLITS:
             if n >= 4:
                 total = float(tokens[2])

@@ -24,7 +24,7 @@ accepts either representation.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .actions import (
     ACTION_TABLE,
@@ -59,6 +59,11 @@ _LAYOUT = [None] * len(NAME_OF_OPCODE)
 for _row in ACTION_TABLE:
     _LAYOUT[_row.opcode] = SHAPE_LAYOUT[_row.shape]
 
+#: Read and write granularity.  64 KiB holds tens of thousands of
+#: records (LU actions average 3-5 bytes), so the codec's working set is
+#: a constant regardless of trace size.
+_CHUNK_SIZE = 1 << 16
+
 #: Guard against absurd split counts in corrupt allToAllv records: no
 #: real communicator approaches this, and each split needs at least one
 #: payload byte anyway, so a larger count is corruption by construction.
@@ -82,12 +87,17 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
+class _Truncated(ValueError):
+    """The buffer ends mid-record: the chunked reader refills and
+    retries; only at end of file is it an error."""
+
+
 def _read_varint(buf: bytes, pos: int) -> tuple:
     result = 0
     shift = 0
     while True:
         if pos >= len(buf):
-            raise ValueError("truncated varint in binary trace")
+            raise _Truncated("truncated varint")
         byte = buf[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
@@ -95,32 +105,36 @@ def _read_varint(buf: bytes, pos: int) -> tuple:
             return result, pos
         shift += 7
         if shift > 63:
-            raise ValueError("varint overflow in binary trace")
+            raise ValueError("varint overflow")
+
+
+def _encode_record(out: bytearray, action: Action) -> None:
+    op, arg, vol, vol2, splits = fields_of(action)
+    has_int, n_vols = _LAYOUT[op]
+    vols = (vol, *splits) if n_vols is None else (vol, vol2)[:n_vols]
+    integral = all(v == int(v) and 0 <= v < 2 ** 63 for v in vols)
+    out.append(op if integral else op | _FLOAT_FLAG)
+    if has_int:
+        _write_varint(out, arg)
+    if integral:
+        for v in vols:
+            _write_varint(out, int(v))
+    else:
+        out += struct.pack(f"<{len(vols)}d", *vols)
 
 
 def encode_actions(actions: Iterable[Action]) -> bytes:
     """Encode one rank's actions (header excluded)."""
     out = bytearray()
     for action in actions:
-        op, arg, vol, vol2, splits = fields_of(action)
-        has_int, n_vols = _LAYOUT[op]
-        vols = (vol, *splits) if n_vols is None else (vol, vol2)[:n_vols]
-        integral = all(v == int(v) and 0 <= v < 2 ** 63 for v in vols)
-        out.append(op if integral else op | _FLOAT_FLAG)
-        if has_int:
-            _write_varint(out, arg)
-        if integral:
-            for v in vols:
-                _write_varint(out, int(v))
-        else:
-            out += struct.pack(f"<{len(vols)}d", *vols)
+        _encode_record(out, action)
     return bytes(out)
 
 
 def _decode_record(buf: bytes, pos: int, rank: int) -> tuple:
     """Decode one record at ``pos``; returns ``(action, new_pos)``.
 
-    Raises :class:`ValueError` when the buffer ends mid-record — the
+    Raises :class:`_Truncated` when the buffer ends mid-record — the
     chunked reader catches that, refills, and retries, so a record split
     across read boundaries costs one retry, not a copy of the file.
     """
@@ -129,7 +143,7 @@ def _decode_record(buf: bytes, pos: int, rank: int) -> tuple:
     op = byte & 0x7F
     layout = _LAYOUT[op] if op < len(_LAYOUT) else None
     if layout is None:
-        raise ValueError(f"unknown opcode {op} in binary trace")
+        raise ValueError(f"unknown opcode {op}")
     has_int, n_vols = layout
     arg = 0
     if has_int:
@@ -143,7 +157,7 @@ def _decode_record(buf: bytes, pos: int, rank: int) -> tuple:
         n_vols = arg + 1
     if byte & _FLOAT_FLAG:
         if pos + 8 * n_vols > len(buf):
-            raise ValueError("truncated float volumes in binary trace")
+            raise _Truncated("truncated float volumes")
         vols = struct.unpack_from(f"<{n_vols}d", buf, pos)
         pos += 8 * n_vols
     else:
@@ -155,7 +169,8 @@ def _decode_record(buf: bytes, pos: int, rank: int) -> tuple:
     vol2 = vols[1] if n_vols == 2 and not variadic else 0.0
     splits = tuple(vols[1:]) if variadic else None
     # The Action constructors enforce the format's contracts (the
-    # allToAllv split sum included): ValueError, never a wrong volume.
+    # allToAllv split sum and the int32 peer and size included):
+    # ValueError, never a wrong volume.
     return action_of(rank, op, arg, vol, vol2, splits), pos
 
 
@@ -168,19 +183,22 @@ def decode_actions(buf: bytes, rank: int) -> Iterator[Action]:
 
 
 def write_binary_trace(actions: Iterable[Action], rank: int,
-                       path: str) -> int:
-    """Write one rank's binary trace; returns the byte count."""
-    payload = encode_actions(actions)
+                       path: str) -> Tuple[int, int]:
+    """Write one rank's binary trace, a record at a time; returns
+    ``(n_actions, n_bytes)``."""
+    n_actions = 0
+    n_bytes = _HEADER.size
+    out = bytearray()
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION, 0, rank))
-        handle.write(payload)
-    return _HEADER.size + len(payload)
-
-
-#: Read granularity of :func:`read_binary_trace`.  64 KiB holds tens of
-#: thousands of records (LU actions average 3-5 bytes), so the decoder's
-#: working set is a constant regardless of trace size.
-_CHUNK_SIZE = 1 << 16
+        for n_actions, action in enumerate(actions, 1):
+            _encode_record(out, action)
+            if len(out) >= _CHUNK_SIZE:
+                handle.write(out)
+                n_bytes += len(out)
+                out.clear()
+        handle.write(out)
+    return n_actions, n_bytes + len(out)
 
 
 def read_binary_trace(path: str, expect_rank: Optional[int] = None,
@@ -207,21 +225,26 @@ def read_binary_trace(path: str, expect_rank: Optional[int] = None,
                 f"{path}: header says p{rank}, expected p{expect_rank}")
         buf = b""
         pos = 0
+        base = _HEADER.size     # the file offset of buf[0]
         while True:
             if pos >= len(buf):
+                base += len(buf)
                 buf = handle.read(chunk_size)
                 pos = 0
                 if not buf:
                     return
             try:
                 action, pos = _decode_record(buf, pos, rank)
-            except ValueError:
-                # Record split across the chunk boundary (or genuinely
-                # corrupt).  Refill and retry; only at end-of-file is the
-                # error real.
-                chunk = handle.read(chunk_size)
+            except ValueError as exc:
+                # A record split across the chunk boundary: refill and
+                # retry.  Only at end of file is the truncation real.
+                chunk = (handle.read(chunk_size)
+                         if isinstance(exc, _Truncated) else b"")
                 if not chunk:
-                    raise
+                    raise ValueError(
+                        f"{path}: record at byte {base + pos}: {exc}"
+                    ) from None
+                base += pos
                 buf = buf[pos:] + chunk
                 pos = 0
                 continue

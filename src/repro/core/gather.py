@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..simkernel import CommSystem, Engine, Host, Platform
 from ..simkernel.pwl import IDENTITY_MODEL
+from .trace import _RANK_FILE
 
 __all__ = ["knomial_rounds", "knomial_schedule", "simulate_gather",
            "GatherResult", "gather_files"]
@@ -138,8 +139,7 @@ def gather_files(node_dirs: Sequence[str], dest_dir: str) -> int:
     seen: Dict[str, str] = {}
     for directory in node_dirs:
         for name in sorted(os.listdir(directory)):
-            if not (name.startswith("SG_process")
-                    and name.endswith((".trace", ".trace.gz", ".btrace"))):
+            if not _RANK_FILE.fullmatch(name):
                 continue
             if name in seen:
                 raise ValueError(

@@ -56,9 +56,8 @@ from .actions import (
     CommSize,
     Send,
     Wait,
-    format_action,
 )
-from .trace import trace_file_name
+from .trace import write_rank_file
 
 __all__ = [
     "SYNTH_META_FILE",
@@ -198,30 +197,13 @@ def write_synthetic_lu_trace(
     alongside the traces."""
     os.makedirs(directory, exist_ok=True)
     n_actions = 0
-    if binary:
-        from .binfmt import binary_trace_file_name, write_binary_trace
-        for rank in range(n_ranks):
-            actions = list(
-                synthetic_lu_actions(rank, n_ranks, iterations, cls, inorm,
-                                     seed=seed, jitter=jitter,
-                                     compute_split=compute_split)
-            )
-            write_binary_trace(
-                actions, rank,
-                os.path.join(directory, binary_trace_file_name(rank)),
-            )
-            n_actions += len(actions)
-    else:
-        for rank in range(n_ranks):
-            path = os.path.join(directory, trace_file_name(rank))
-            with open(path, "w", encoding="ascii",
-                      buffering=1 << 16) as handle:
-                for action in synthetic_lu_actions(rank, n_ranks, iterations,
-                                                   cls, inorm, seed=seed,
-                                                   jitter=jitter,
-                                                   compute_split=compute_split):
-                    handle.write(format_action(action) + "\n")
-                    n_actions += 1
+    for rank in range(n_ranks):
+        n_actions += write_rank_file(
+            directory, rank,
+            synthetic_lu_actions(rank, n_ranks, iterations, cls, inorm,
+                                 seed=seed, jitter=jitter,
+                                 compute_split=compute_split),
+            binary)[0]
     meta = synth_metadata(n_ranks, iterations, cls, inorm, seed, jitter,
                           compute_split)
     meta["n_actions"] = n_actions

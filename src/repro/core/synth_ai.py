@@ -53,10 +53,9 @@ from .actions import (
     ReduceScatter,
     Send,
     Wait,
-    format_action,
 )
 from .synth import SYNTH_META_FILE
-from .trace import trace_file_name
+from .trace import write_rank_file
 
 __all__ = [
     "AI_FAMILIES",
@@ -369,23 +368,10 @@ def write_synthetic_ai_trace(
         ) from None
     os.makedirs(directory, exist_ok=True)
     n_actions = 0
-    if binary:
-        from .binfmt import binary_trace_file_name, write_binary_trace
-        for rank in range(n_ranks):
-            actions = list(generate(rank, n_ranks, steps, **params))
-            write_binary_trace(
-                actions, rank,
-                os.path.join(directory, binary_trace_file_name(rank)),
-            )
-            n_actions += len(actions)
-    else:
-        for rank in range(n_ranks):
-            path = os.path.join(directory, trace_file_name(rank))
-            with open(path, "w", encoding="ascii",
-                      buffering=1 << 16) as handle:
-                for action in generate(rank, n_ranks, steps, **params):
-                    handle.write(format_action(action) + "\n")
-                    n_actions += 1
+    for rank in range(n_ranks):
+        n_actions += write_rank_file(
+            directory, rank, generate(rank, n_ranks, steps, **params),
+            binary)[0]
     meta = metadata(n_ranks, steps, **params)
     meta["n_actions"] = n_actions
     meta["binary"] = bool(binary)

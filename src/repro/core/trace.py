@@ -4,14 +4,13 @@ A *trace set* is the complete time-independent trace of one application
 run: one action stream per MPI rank.  The paper stores either one file per
 process (``SG_process<rank>.trace``, Fig. 2 — the layout produced by the
 gathering step) or a single merged file (the Fig. 1 layout, handy for
-small instances).  Both layouts are supported here, for reading and
-writing.
+small instances).  A rank file may also be gzipped (``.trace.gz``) or in
+the §7 binary format (``.btrace``).
 
-Because trace size is itself an evaluation metric (Table 3, §6.5), writing
-is routed through pluggable *sinks*; :class:`SizeAccountant` computes the
-exact on-disk byte count and action count of a trace without writing it —
-the byte layout is deterministic (see :func:`format_action`) — and tests
-assert the accountant agrees with ``os.stat`` on really-written files.
+This module is the only place that knows the per-process layout: every
+generator, importer, extractor and converter writes rank files through
+:func:`write_rank_file`, and every reader finds them through
+:func:`discover_trace_paths`.
 """
 
 from __future__ import annotations
@@ -19,22 +18,19 @@ from __future__ import annotations
 import gzip
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .actions import (
     Action, action_of, decode_tokens, format_action, parse_process_id,
 )
-from .binfmt import read_binary_trace
+from .binfmt import (
+    binary_trace_file_name, read_binary_trace, write_binary_trace,
+)
 
 __all__ = [
-    "TraceSink",
     "InMemoryTrace",
-    "FileTraceWriter",
-    "SizeAccountant",
-    "TeeSink",
-    "SizeReport",
     "trace_file_name",
+    "write_rank_file",
     "discover_trace_paths",
     "read_trace_file",
     "read_trace_dir",
@@ -53,17 +49,7 @@ def trace_file_name(rank: int) -> str:
     return f"SG_process{rank}.trace"
 
 
-class TraceSink:
-    """Receives the action stream of an application run."""
-
-    def emit(self, action: Action) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush and release resources (idempotent)."""
-
-
-class InMemoryTrace(TraceSink):
+class InMemoryTrace:
     """Keeps every action per rank; the workhorse for tests and replay."""
 
     def __init__(self) -> None:
@@ -85,99 +71,22 @@ class InMemoryTrace(TraceSink):
         return [format_action(a) for a in self.actions_of(rank)]
 
 
-@dataclass
-class SizeReport:
-    """Exact size/count of a time-independent trace set."""
-
-    n_actions: int = 0
-    n_bytes: int = 0
-    per_rank_actions: Dict[int, int] = field(default_factory=dict)
-    per_rank_bytes: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def mib(self) -> float:
-        return self.n_bytes / (1024.0 * 1024.0)
-
-
-class SizeAccountant(TraceSink):
-    """Counts exactly what :class:`FileTraceWriter` would write.
-
-    Each action costs ``len(format_action(a)) + 1`` bytes (the newline).
-    """
-
-    def __init__(self) -> None:
-        self.report = SizeReport()
-
-    def emit(self, action: Action) -> None:
-        nbytes = len(format_action(action)) + 1
-        rep = self.report
-        rep.n_actions += 1
-        rep.n_bytes += nbytes
-        rep.per_rank_actions[action.rank] = (
-            rep.per_rank_actions.get(action.rank, 0) + 1
-        )
-        rep.per_rank_bytes[action.rank] = (
-            rep.per_rank_bytes.get(action.rank, 0) + nbytes
-        )
-
-
-class FileTraceWriter(TraceSink):
-    """Writes one ``SG_process<rank>.trace`` per rank under ``directory``.
-
-    With ``compress=True`` the files are gzip-compressed (the paper's
-    future-work item on trace size; §6.5 reports the gzip ratio).
-    """
-
-    def __init__(self, directory: str, compress: bool = False) -> None:
-        os.makedirs(directory, exist_ok=True)
-        self.directory = directory
-        self.compress = compress
-        self._handles: Dict[int, object] = {}
-        self.accountant = SizeAccountant()
-
-    def path_of(self, rank: int) -> str:
-        name = trace_file_name(rank) + (".gz" if self.compress else "")
-        return os.path.join(self.directory, name)
-
-    def _handle(self, rank: int):
-        handle = self._handles.get(rank)
-        if handle is None:
-            path = self.path_of(rank)
-            if self.compress:
-                handle = gzip.open(path, "wt", encoding="ascii")
-            else:
-                handle = open(path, "w", encoding="ascii", buffering=1 << 16)
-            self._handles[rank] = handle
-        return handle
-
-    def emit(self, action: Action) -> None:
-        self._handle(action.rank).write(format_action(action) + "\n")
-        self.accountant.emit(action)
-
-    def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
-
-    @property
-    def report(self) -> SizeReport:
-        """Uncompressed size report (bytes as written without gzip)."""
-        return self.accountant.report
-
-
-class TeeSink(TraceSink):
-    """Duplicates the action stream to several sinks."""
-
-    def __init__(self, *sinks: TraceSink) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, action: Action) -> None:
-        for sink in self.sinks:
-            sink.emit(action)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
+def write_rank_file(directory: str, rank: int, actions: Iterable[Action],
+                    binary: bool = False) -> Tuple[int, int]:
+    """Write ``rank``'s file of a per-process trace set in ``directory``
+    (``SG_process<rank>.trace``, or ``.btrace`` with ``binary``) and
+    return ``(n_actions, n_bytes)``.  Streams: one action is in memory
+    at a time, however long ``actions`` runs."""
+    if binary:
+        return write_binary_trace(
+            actions, rank,
+            os.path.join(directory, binary_trace_file_name(rank)))
+    n_actions = 0
+    with open(os.path.join(directory, trace_file_name(rank)), "w",
+              encoding="ascii", buffering=1 << 16) as handle:
+        for n_actions, action in enumerate(actions, 1):
+            handle.write(format_action(action) + "\n")
+        return n_actions, handle.tell()
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +154,32 @@ def read_trace_file(path: str, expect_rank: Optional[int] = None
             yield action_of(expect_rank, *decode_tokens(tokens))
 
 
-def discover_trace_paths(directory: str,
-                         binary: bool = True) -> List[str]:
+def discover_trace_paths(directory: str) -> List[str]:
     """Per-rank trace paths in ``directory``, indexed by rank.
 
     Ranks run densely from 0 (the Fig. 2 layout); each rank may be
-    stored as ``SG_process<rank>.trace``, its ``.gz`` variant, or (with
-    ``binary=True``) the ``.btrace`` binary format.  A rank file past a
-    missing rank is a :class:`ValueError`, never a shorter trace set.
-    Every reader and the replayer discover through here, so they can
-    never disagree on which files make up a trace set.
+    stored as ``SG_process<rank>.trace``, its ``.gz`` variant, or the
+    ``.btrace`` binary format, mixed freely.  A rank file past a missing
+    rank is a :class:`ValueError`, never a shorter trace set.  Every
+    reader, the converter and the replayer discover through here, so
+    they can never disagree on which files make up a trace set.
     """
     paths: List[str] = []
-    suffixes = (".trace", ".trace.gz") + ((".btrace",) if binary else ())
     while True:
         stem = os.path.join(directory, f"SG_process{len(paths)}")
-        path = next((stem + suffix for suffix in suffixes
+        path = next((stem + suffix
+                     for suffix in (".trace", ".trace.gz", ".btrace")
                      if os.path.exists(stem + suffix)), None)
         if path is None:
             break
         paths.append(path)
     if not paths:
-        kinds = "[.gz|.btrace]" if binary else "[.gz]"
         raise FileNotFoundError(
-            f"no {trace_file_name(0)}{kinds} found in {directory!r}"
+            f"no {trace_file_name(0)}[.gz|.btrace] found in {directory!r}"
         )
     for name in sorted(os.listdir(directory)):
         match = _RANK_FILE.fullmatch(name)
-        if (match and int(match[1]) > len(paths)
-                and "." + match[2] in suffixes):
+        if match and int(match[1]) > len(paths):
             raise ValueError(
                 f"{directory}: no trace file for p{len(paths)}, but "
                 f"{name} exists; ranks must be contiguous from 0")
@@ -294,12 +200,11 @@ def stream_trace_dir(directory: str) -> List[Iterator[Action]]:
 
 
 def read_trace_dir(directory: str) -> InMemoryTrace:
-    """Load a directory of ``SG_process<rank>.trace[.gz]`` files."""
+    """Load a trace directory, in any layout :func:`stream_trace_dir`
+    reads."""
     trace = InMemoryTrace()
-    for rank, path in enumerate(discover_trace_paths(directory,
-                                                     binary=False)):
-        for action in read_trace_file(path, expect_rank=rank):
-            trace.emit(action)
+    for rank, stream in enumerate(stream_trace_dir(directory)):
+        trace.by_rank[rank] = list(stream)
     return trace
 
 

@@ -57,6 +57,7 @@ from ..core.actions import (
     Wait,
     format_action,
 )
+from ..core.trace import write_rank_file
 from ..tracer.tracefile import edf_file_name, trc_file_name
 from .tfr import TfrCallbacks, read_trace
 
@@ -284,10 +285,11 @@ def extract_rank(
     edf_path: str,
     rank: int,
     world_size: int,
-    out_path: Optional[str] = None,
+    out_dir: Optional[str] = None,
     collect_timings: bool = False,
 ) -> Tuple[int, int, List[BurstSample]]:
-    """Extract one rank; optionally write ``SG_process<rank>.trace``.
+    """Extract one rank; optionally write its ``SG_process<rank>.trace``
+    into ``out_dir``.
 
     Returns ``(n_actions, n_bytes, burst_samples)`` where ``n_bytes`` is
     the exact size of the written (or would-be-written) TI trace.
@@ -295,20 +297,18 @@ def extract_rank(
     extractor = _RankExtractor(rank, world_size,
                                collect_timings=collect_timings)
     read_trace(trc_path, edf_path, extractor)
-    lines = [format_action(a) for a in extractor.actions]
-    n_bytes = sum(len(line) + 1 for line in lines)
-    if out_path is not None:
-        with open(out_path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines))
-            if lines:
-                handle.write("\n")
-    return len(extractor.actions), n_bytes, extractor.samples
+    actions = extractor.actions
+    if out_dir is None:
+        n_bytes = sum(len(format_action(a)) + 1 for a in actions)
+    else:
+        n_bytes = write_rank_file(out_dir, rank, actions)[1]
+    return len(actions), n_bytes, extractor.samples
 
 
 def _extract_worker(args) -> Tuple[int, int, int, List[BurstSample]]:
-    rank, trc, edf, world, out_path, collect = args
+    rank, trc, edf, world, out_dir, collect = args
     n_actions, n_bytes, samples = extract_rank(
-        trc, edf, rank, world, out_path, collect_timings=collect
+        trc, edf, rank, world, out_dir, collect_timings=collect
     )
     return rank, n_actions, n_bytes, samples
 
@@ -333,14 +333,12 @@ def tau2simgrid(
         os.makedirs(out_dir, exist_ok=True)
     jobs = []
     for rank in range(n_ranks):
-        out_path = (os.path.join(out_dir, f"SG_process{rank}.trace")
-                    if out_dir is not None else None)
         jobs.append((
             rank,
             os.path.join(tau_dir, trc_file_name(rank)),
             os.path.join(tau_dir, edf_file_name(rank)),
             n_ranks,
-            out_path,
+            out_dir,
             collect_timings,
         ))
     start = time.perf_counter()

@@ -53,9 +53,8 @@ from ..core.actions import (
     Reduce,
     Send,
     Wait,
-    format_action,
 )
-from ..core.trace import trace_file_name
+from ..core.trace import write_rank_file
 
 __all__ = [
     "DTYPE_BYTES",
@@ -417,21 +416,8 @@ def import_param_comms(
                 report.skipped_ops = rank_report.skipped_ops
 
     os.makedirs(out_dir, exist_ok=True)
-    n_bytes = 0
-    if binary:
-        from ..core.binfmt import binary_trace_file_name, write_binary_trace
-        for rank, actions in enumerate(per_rank):
-            path = os.path.join(out_dir, binary_trace_file_name(rank))
-            write_binary_trace(actions, rank, path)
-            n_bytes += os.path.getsize(path)
-    else:
-        for rank, actions in enumerate(per_rank):
-            path = os.path.join(out_dir, trace_file_name(rank))
-            with open(path, "w", encoding="ascii") as handle:
-                for action in actions:
-                    line = format_action(action) + "\n"
-                    handle.write(line)
-                    n_bytes += len(line)
+    n_bytes = sum(write_rank_file(out_dir, rank, actions, binary)[1]
+                  for rank, actions in enumerate(per_rank))
     report.n_ranks = len(per_rank)
     report.n_actions = sum(len(a) for a in per_rank)
     report.n_bytes = n_bytes

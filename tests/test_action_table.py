@@ -317,6 +317,44 @@ def test_hostile_line_is_rejected_with_one_typed_message(tail, before, other,
 
 
 # ---------------------------------------------------------------------------
+# A peer or communicator size past int32 is refused, never overflowed
+# ---------------------------------------------------------------------------
+#: Per field: the offending line's tail and its ``.btrace`` record
+#: (opcode, then varints), 2**40 where an int32 is expected.
+PAST_INT32 = {
+    "peer": ("Isend p1099511627776 10",
+             b"\x03" + b"\x80" * 5 + b"\x20" + b"\x0a"),
+    "comm_size": ("comm_size 1099511627776", b"\x0a" + b"\x80" * 5 + b"\x20"),
+}
+
+
+@pytest.mark.parametrize("mode", ["never", "auto"])
+@pytest.mark.parametrize("encoding", ["text", "btrace"])
+@pytest.mark.parametrize("field", sorted(PAST_INT32))
+def test_field_past_int32_is_a_value_error_naming_its_source(
+        field, encoding, mode, tmp_path):
+    tail, record = PAST_INT32[field]
+    directory = tmp_path / "ti"
+    if encoding == "text":
+        write_ranks(directory, [["p0 compute 1", f"p0 {tail}"],
+                                ["p1 compute 1"]])
+        source = repr(f"p0 {tail}")
+    else:
+        os.makedirs(directory)
+        for rank in range(2):
+            write_binary_trace([Compute(rank, 1.0)], rank,
+                               str(directory / binary_trace_file_name(rank)))
+        source = str(directory / binary_trace_file_name(0))
+        with open(source, "ab") as handle:
+            handle.write(record)
+        source += ": record at byte 18"
+    with pytest.raises(ValueError) as excinfo:
+        make_replayer(2, compiled=mode).replay(str(directory))
+    assert source in str(excinfo.value)
+    assert "2147483647" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
 # The rank a trace file belongs to is checked for every encoding
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["never", "auto"])

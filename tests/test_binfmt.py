@@ -29,7 +29,8 @@ ALL_KINDS = [
 
 def test_roundtrip_every_action_kind(tmp_path):
     path = str(tmp_path / binary_trace_file_name(3))
-    nbytes = write_binary_trace(ALL_KINDS, 3, path)
+    n_actions, nbytes = write_binary_trace(ALL_KINDS, 3, path)
+    assert n_actions == len(ALL_KINDS)
     assert nbytes == os.path.getsize(path)
     assert list(read_binary_trace(path)) == ALL_KINDS
 
@@ -122,7 +123,7 @@ def test_chunked_reader_is_lazy(tmp_path):
     from a large trace, the file cursor sits at most one chunk in."""
     actions = [Compute(0, i) for i in range(50_000)]
     path = str(tmp_path / binary_trace_file_name(0))
-    nbytes = write_binary_trace(actions, 0, path)
+    _, nbytes = write_binary_trace(actions, 0, path)
     stream = read_binary_trace(path)
     first = next(stream)
     assert first == actions[0]

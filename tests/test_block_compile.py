@@ -24,11 +24,13 @@ from repro.apps import LuWorkload
 from repro.campaign.cache import tree_files
 from repro.core import compile as compile_mod
 from repro.core.acquisition import acquire
-from repro.core.actions import format_volume
+from repro.core.actions import Compute, format_volume
 from repro.core.compile import compile_source, sidecar_path
 from repro.core.synth import write_synthetic_lu_trace
 from repro.core.synth_ai import write_synthetic_ai_trace
-from repro.core.trace import discover_trace_paths, trace_file_name
+from repro.core.trace import (
+    discover_trace_paths, trace_file_name, write_rank_file,
+)
 from repro.platforms import bordereau
 
 
@@ -207,6 +209,65 @@ def test_hostile_rank_file_matches_the_oracle(tmp_path, monkeypatch, name,
                      [canonical[0], head + HOSTILE[name] + b"p1 send" + tail,
                       canonical[2]])
     assert block_outcome(str(tmp_path)) == oracle_outcome(str(tmp_path))
+
+
+def varint(value):
+    out = bytearray()
+    while True:
+        out.append(value & 0x7F | (0x80 if value >> 7 else 0))
+        value >>= 7
+        if not value:
+            return bytes(out)
+
+
+#: A damaged ``.btrace`` record spliced in after the 200th record: the
+#: record's bytes and what the reader must say about it.
+HOSTILE_BTRACE = {
+    "flipped-opcode": (b"\x7f", "unknown opcode 127"),
+    "varint-overflow": (b"\x01" + b"\xff" * 10 + b"\x01",
+                        "varint overflow"),
+    "split-count": (b"\x0f" + varint(0) + varint(5),
+                    "declares 0 split sizes"),
+    "split-sum": (b"\x0f" + varint(2) + varint(5) + varint(1) + varint(1),
+                  "split sizes sum to 2"),
+    "peer-past-int32": (b"\x03" + varint(2 ** 40) + varint(10),
+                        "peer rank must be in [0, 2147483647]"),
+    "comm-size-past-int32": (b"\x0a" + varint(2 ** 40),
+                             "communicator size must be in [1, 2147483647]"),
+    "truncated-tail": (b"\x81\x00\x00", "truncated float volumes"),
+}
+
+
+def write_hostile_btrace(directory, name):
+    """Two ``.btrace`` ranks, p1's damaged by ``HOSTILE_BTRACE[name]``
+    (at its end for the truncation).  Returns the damaged file's path
+    and the damaged record's absolute byte offset."""
+    os.makedirs(directory, exist_ok=True)
+    for rank in range(2):
+        write_rank_file(directory, rank,
+                        [Compute(rank, 1000 + k) for k in range(400)],
+                        binary=True)
+    path = os.path.join(directory, "SG_process1.btrace")
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    bad = HOSTILE_BTRACE[name][0]
+    offset = len(blob) if name == "truncated-tail" else 16 + 200 * 3
+    with open(path, "wb") as handle:
+        handle.write(blob[:offset] + bad + blob[offset:])
+    return path, offset
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BTRACE))
+def test_hostile_btrace_names_its_file_and_record(tmp_path, name):
+    directory = str(tmp_path / "bt")
+    path, offset = write_hostile_btrace(directory, name)
+    expected = f"{path}: record at byte {offset}: "
+    with pytest.raises(ValueError) as excinfo:
+        compile_source(directory, cache=False)
+    message = str(excinfo.value)
+    assert message.startswith(expected), message
+    assert HOSTILE_BTRACE[name][1] in message
+    assert block_outcome(directory) == oracle_outcome(directory)
 
 
 #: One template per fixed-arity row of the action table.

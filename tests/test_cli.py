@@ -163,6 +163,110 @@ def test_cli_validate_json_and_warning_taxonomy(tmp_path, capsys):
     assert doc["ok"] is False and doc["n_errors"] >= 1
 
 
+@pytest.fixture()
+def layouts(tmp_path):
+    """One LU trace in four layouts: all text, all ``.btrace``, and
+    mixed (text, ``.gz``, ``.btrace``, text)."""
+    import gzip
+    import shutil
+
+    from repro.core.synth import write_synthetic_lu_trace
+
+    text, binary, mixed = (str(tmp_path / name)
+                           for name in ("text", "binary", "mixed"))
+    write_synthetic_lu_trace(text, 4, 2, cls="S", seed=2, jitter=0.01)
+    write_synthetic_lu_trace(binary, 4, 2, cls="S", seed=2, jitter=0.01,
+                             binary=True)
+    os.makedirs(mixed)
+    for name in ("SG_process0.trace", "SG_process3.trace"):
+        shutil.copy(os.path.join(text, name), mixed)
+    with open(os.path.join(text, "SG_process1.trace"), "rb") as src, \
+            gzip.open(os.path.join(mixed, "SG_process1.trace.gz"),
+                      "wb") as dst:
+        dst.write(src.read())
+    shutil.copy(os.path.join(binary, "SG_process2.btrace"), mixed)
+    return {"text": text, "binary": binary, "mixed": mixed}
+
+
+@pytest.mark.parametrize("layout", ["binary", "mixed"])
+def test_cli_validate_and_stats_read_every_layout(layouts, layout, capsys):
+    from repro.cli import main_stats, main_validate
+
+    reports = {}
+    for name in ("text", layout):
+        assert main_validate([layouts[name], "--format", "json"]) == 0
+        assert main_stats([layouts[name]]) == 0
+        reports[name] = capsys.readouterr().out
+    assert reports[layout] == reports["text"]
+    assert '"n_ranks": 4' in reports["text"]
+
+
+def test_cli_convert_reads_gzip_and_mixed_layouts(layouts, tmp_path,
+                                                  capsys):
+    from repro.cli import main_convert
+
+    to_binary, to_text = str(tmp_path / "b"), str(tmp_path / "t")
+    assert main_convert([layouts["mixed"], to_binary, "--to", "binary"]) == 0
+    assert "converted 4 ranks" in capsys.readouterr().out
+    assert main_convert([to_binary, to_text, "--to", "text"]) == 0
+    for rank in range(4):
+        name = f"SG_process{rank}.btrace"
+        with open(os.path.join(to_binary, name), "rb") as got, \
+                open(os.path.join(layouts["binary"], name), "rb") as want:
+            assert got.read() == want.read()
+        name = f"SG_process{rank}.trace"
+        with open(os.path.join(to_text, name)) as got, \
+                open(os.path.join(layouts["text"], name)) as want:
+            assert got.read() == want.read()
+
+
+def test_cli_convert_refuses_to_overwrite_its_source(layouts, capsys):
+    from repro.cli import main_convert
+
+    text = layouts["text"]
+    with open(os.path.join(text, "SG_process0.trace"), "rb") as handle:
+        before = handle.read()
+    assert main_convert([text, text + "/.", "--to", "text"]) == 2
+    assert "same directory" in capsys.readouterr().err
+    with open(os.path.join(text, "SG_process0.trace"), "rb") as handle:
+        assert handle.read() == before
+
+
+def rank_gap(tmp_path):
+    gap = tmp_path / "gap"
+    gap.mkdir()
+    for rank in (0, 1, 3):
+        (gap / f"SG_process{rank}.trace").write_text(f"p{rank} compute 1\n")
+    return str(gap), "no trace file for p2"
+
+
+def missing(tmp_path):
+    return str(tmp_path / "nowhere"), "nowhere"
+
+
+def corrupt_btrace(tmp_path):
+    bad = tmp_path / "corrupt"
+    bad.mkdir()
+    (bad / "SG_process0.btrace").write_bytes(
+        b"TIBIN001\x01\x00\x00\x00\x00\x00\x00\x00\x7f")
+    return str(bad), "record at byte 16: unknown opcode 127"
+
+
+@pytest.mark.parametrize("tool", ["validate", "stats", "convert"])
+@pytest.mark.parametrize("broken", [rank_gap, missing, corrupt_btrace])
+def test_cli_trace_readers_fail_typed(tool, broken, tmp_path, capsys):
+    from repro import cli
+
+    source, message = broken(tmp_path)
+    argv = [source] + ([str(tmp_path / "out"), "--to", "text"]
+                       if tool == "convert" else [])
+    assert getattr(cli, f"main_{tool}")(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tool} failed: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_cli_acquire_cg_and_mg(tmp_path, capsys):
     for app in ("cg", "mg"):
         rc = main_acquire([

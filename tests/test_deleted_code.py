@@ -56,6 +56,13 @@ DELETED = [
      r"|--compiled\b|compiled=[\"']always|compile them anyway",
      ("src", "docs", ".github", "README.md", "examples", "benchmarks"),
      "the decoded-line feed, the merged-file demux and compiled='always'"),
+    (r"TraceSink|SizeReport|SizeAccountant|FileTraceWriter|TeeSink"
+     r"|discover_trace_paths\([^)]*binary",
+     ("src", "docs", ".github", "README.md", "DESIGN.md", "benchmarks"),
+     "the uncalled trace sinks and text-only discovery"),
+    (r"write_binary_trace|binary_trace_file_name|trace_file_name\(",
+     ("src", "!src/repro/core/trace.py", "!src/repro/core/binfmt.py"),
+     "rank-file writing outside the one writer"),
 ]
 
 

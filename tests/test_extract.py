@@ -81,7 +81,7 @@ def test_extract_simple_sequence(tmp_path):
     assert nbytes > 0
     out = os.path.join(str(tmp_path), "SG_process0.trace")
     n0, b0, _ = extract_rank(archive.trc_path(0), archive.edf_path(0), 0, 2,
-                             out_path=out)
+                             out_dir=str(tmp_path))
     assert os.path.getsize(out) == b0
     with open(out) as handle:
         lines = handle.read().splitlines()

@@ -1,24 +1,31 @@
-"""Unit tests for trace containers, file I/O, and size accounting."""
+"""Unit tests for trace containers and file I/O: the one rank-file
+writer, discovery, and the readers."""
 
 import gzip
+import math
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import Compute, Recv, Send, format_action
+from repro.core.actions import (
+    ACTION_TABLE, MAX_ARG, SHAPE_LAYOUT, Compute, Recv, Send, action_of,
+    format_action,
+)
+from repro.core.compile import compile_source
 from repro.core.trace import (
-    FileTraceWriter,
     InMemoryTrace,
-    SizeAccountant,
-    TeeSink,
+    discover_trace_paths,
     estimate_gzip_ratio,
     read_merged_trace,
     read_trace_dir,
     read_trace_file,
+    stream_trace_dir,
     trace_file_name,
     write_merged_trace,
+    write_rank_file,
 )
 
 
@@ -45,45 +52,32 @@ def test_in_memory_trace_accumulates():
     assert trace.lines_of(0)[0] == "p0 compute 1000000"
 
 
+def write_ranks(directory, actions, binary=False):
+    """Each rank's share of ``actions`` through the one writer."""
+    ranks = sorted({a.rank for a in actions})
+    for rank in ranks:
+        write_rank_file(directory, rank,
+                        [a for a in actions if a.rank == rank], binary)
+
+
 def test_file_writer_roundtrip(tmp_path):
-    writer = FileTraceWriter(str(tmp_path))
     actions = ring_actions()
-    for action in actions:
-        writer.emit(action)
-    writer.close()
+    write_ranks(str(tmp_path), actions)
     loaded = read_trace_dir(str(tmp_path))
     assert loaded.n_actions() == len(actions)
     assert loaded.actions_of(2) == [a for a in actions if a.rank == 2]
 
 
-def test_size_accountant_matches_real_files_exactly(tmp_path):
-    """The estimator must agree with os.stat byte-for-byte — that is what
-    legitimises computing Table 3's paper-scale rows without writing."""
-    writer = FileTraceWriter(str(tmp_path))
-    accountant = SizeAccountant()
-    sink = TeeSink(writer, accountant)
-    for action in ring_actions(8):
-        sink.emit(action)
-    sink.close()
-    for rank in range(8):
-        real = os.path.getsize(os.path.join(str(tmp_path), trace_file_name(rank)))
-        assert accountant.report.per_rank_bytes[rank] == real
-    total = sum(
-        os.path.getsize(os.path.join(str(tmp_path), trace_file_name(r)))
-        for r in range(8)
-    )
-    assert accountant.report.n_bytes == total
-    assert writer.report.n_bytes == total
-
-
 def test_compressed_writer_roundtrip(tmp_path):
-    writer = FileTraceWriter(str(tmp_path), compress=True)
-    for action in ring_actions():
-        writer.emit(action)
-    writer.close()
-    assert os.path.exists(os.path.join(str(tmp_path), "SG_process0.trace.gz"))
+    for rank in range(4):
+        with gzip.open(tmp_path / (trace_file_name(rank) + ".gz"), "wt",
+                       encoding="ascii") as handle:
+            for action in ring_actions():
+                if action.rank == rank:
+                    handle.write(format_action(action) + "\n")
     loaded = read_trace_dir(str(tmp_path))
     assert loaded.n_actions() == 12
+    assert loaded.actions_of(1) == [a for a in ring_actions() if a.rank == 1]
 
 
 def test_merged_trace_roundtrip(tmp_path):
@@ -141,46 +135,71 @@ def test_estimate_gzip_ratio_empty():
         estimate_gzip_ratio([])
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    volumes=st.lists(st.integers(min_value=0, max_value=10 ** 12),
-                     min_size=1, max_size=50),
-    n_ranks=st.integers(min_value=1, max_value=8),
-)
-def test_property_accountant_equals_line_lengths(volumes, n_ranks):
-    accountant = SizeAccountant()
-    expected = 0
-    for i, volume in enumerate(volumes):
-        action = Compute(i % n_ranks, float(volume))
-        accountant.emit(action)
-        expected += len(format_action(action)) + 1
-    assert accountant.report.n_bytes == expected
-    assert accountant.report.n_actions == len(volumes)
+#: Volumes of every kind the writers must carry exactly: integral ones
+#: (varints in ``.btrace``) and non-integral ones (the doubles escape).
+VOLUMES = st.one_of(st.integers(0, 2 ** 64).map(float),
+                    st.floats(0, 1e300, allow_subnormal=True))
+
+
+@st.composite
+def shape_actions(draw, rank):
+    """One action per row of the action table, in random order, then
+    random extra rows: every shape, allToAllv splits included."""
+    rows = draw(st.permutations(ACTION_TABLE)) + draw(
+        st.lists(st.sampled_from(ACTION_TABLE), max_size=6))
+    actions = []
+    for row in rows:
+        has_int, n_vols = SHAPE_LAYOUT[row.shape]
+        if n_vols is None:
+            splits = draw(st.lists(VOLUMES.filter(lambda v: v < 1e290),
+                                   min_size=1, max_size=5))
+            fields = (len(splits), math.fsum(splits), 0.0, splits)
+        else:
+            arg = draw(st.integers(1, MAX_ARG)) if has_int else 0
+            vols = [draw(VOLUMES) for _ in range(n_vols)] + [0.0, 0.0]
+            fields = (arg, vols[0], vols[1], None)
+        actions.append(action_of(rank, row.opcode, *fields))
+    return actions
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_write_rank_file_round_trips_every_action_shape(data):
+    """What the one writer writes, text or binary, the streaming reader
+    and the compiler read back action for action, and the byte count it
+    returns is the file's size."""
+    by_rank = [data.draw(shape_actions(rank))
+               for rank in range(data.draw(st.integers(1, 3)))]
+    for binary in (False, True):
+        with tempfile.TemporaryDirectory() as directory:
+            for rank, actions in enumerate(by_rank):
+                assert write_rank_file(directory, rank, iter(actions),
+                                       binary) == (
+                    len(actions),
+                    os.path.getsize(discover_trace_paths(directory)[rank]))
+            assert [list(s) for s in stream_trace_dir(directory)] == by_rank
+            programs, _ = compile_source(directory, cache=False)
+            assert [[action_of(prog.rank, *record)
+                     for record, _ in prog.records()]
+                    for prog in programs] == by_rank
 
 
 def test_discover_trace_paths_mixed_layouts(tmp_path):
-    from repro.core.binfmt import write_binary_trace
-    from repro.core.trace import discover_trace_paths
-
     (tmp_path / "SG_process0.trace").write_text("p0 compute 1\n")
     with gzip.open(tmp_path / "SG_process1.trace.gz", "wt") as handle:
         handle.write("p1 compute 1\n")
-    write_binary_trace([Compute(2, 1)], 2, str(tmp_path / "SG_process2.btrace"))
+    write_rank_file(str(tmp_path), 2, [Compute(2, 1)], binary=True)
     paths = discover_trace_paths(str(tmp_path))
     assert [os.path.basename(p) for p in paths] == [
         "SG_process0.trace", "SG_process1.trace.gz", "SG_process2.btrace",
     ]
-    # Text-only discovery (the eager reader's view) stops at the gap.
-    assert len(discover_trace_paths(str(tmp_path), binary=False)) == 2
+    # The eager reader sees the same three ranks.
+    assert read_trace_dir(str(tmp_path)).by_rank == {
+        rank: [Compute(rank, 1)] for rank in range(3)}
 
 
 def test_stream_trace_dir_matches_eager_reader(tmp_path):
-    from repro.core.trace import stream_trace_dir
-
-    writer = FileTraceWriter(str(tmp_path))
-    for action in ring_actions(3):
-        writer.emit(action)
-    writer.close()
+    write_ranks(str(tmp_path), ring_actions(3))
     eager = read_trace_dir(str(tmp_path))
     streams = stream_trace_dir(str(tmp_path))
     assert len(streams) == 3

@@ -23,13 +23,14 @@ from repro.core.compile import CompiledProgram, compile_windows
 from repro.core.replay import TraceReplayer
 from repro.core.synth import write_synthetic_lu_trace
 from repro.core.synth_ai import write_synthetic_ai_trace
-from repro.core.trace import read_trace_dir, trace_file_name
+from repro.core.trace import read_trace_dir, stream_trace_dir, trace_file_name
 from repro.simkernel import Platform
 from repro.simkernel.pwl import IDENTITY_MODEL
 from repro.smpi import round_robin_deployment
 
 from .test_block_compile import (
-    hostile_trees, oracle_outcome, outcome, write_rank_files,
+    HOSTILE_BTRACE, hostile_trees, oracle_outcome, outcome,
+    write_hostile_btrace, write_rank_files,
 )
 from .test_compile import MIXED_LINES, write_mixed_dir
 
@@ -200,6 +201,25 @@ def test_hostile_line_in_a_late_window_raises_the_oracles_message(
         make_replayer(1, compiled="never").replay(str(tmp_path))
     assert type(windowed.value) is type(oracle.value)
     assert str(windowed.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("window", [1, 13, 64])
+@pytest.mark.parametrize("name", sorted(HOSTILE_BTRACE))
+def test_hostile_btrace_names_its_file_and_record_in_any_window(
+        tmp_path, monkeypatch, name, window):
+    """Windows read a ``.btrace`` a few bytes at a time, so the damaged
+    record's offset is counted across many chunk refills."""
+    directory = str(tmp_path / "bt")
+    path, offset = write_hostile_btrace(directory, name)
+    monkeypatch.setattr(compile_mod, "WINDOW_BYTES", window)
+    with pytest.raises(ValueError) as windowed:
+        make_replayer(2, compiled="never").replay(directory)
+    with pytest.raises(ValueError) as streamed:
+        [list(stream) for stream in stream_trace_dir(directory)]
+    for excinfo in (windowed, streamed):
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: record at byte {offset}: ")
+        assert HOSTILE_BTRACE[name][1] in message
 
 
 def test_never_reads_and_writes_no_sidecar(tmp_path, monkeypatch):
