@@ -25,6 +25,7 @@ from repro.apps.lu_profile import lu_instance_profile
 from repro.core.acquisition import acquire
 from repro.core.replay import TraceReplayer
 from repro.core.synth import write_synthetic_lu_trace
+from repro.core.trace import read_trace_dir
 from repro.platforms import bordereau
 from repro.simkernel import Platform
 from repro.smpi import round_robin_deployment
@@ -123,10 +124,6 @@ def test_fig9_metrics_overhead(benchmark):
     taken across them too — code placement varies per process and can
     swing hot-loop timings by several percent, and the cross-process
     minimum removes that layout luck from both sides symmetrically."""
-    import os
-    import subprocess
-    import sys
-
     config = capped(lu_class("B"), CAP_ITERS)
     ground_truth = bordereau()
 
@@ -182,7 +179,6 @@ print(base, metered)
     with tempfile.TemporaryDirectory() as workdir:
         acq = acquire(LuWorkload(config, 8).program, ground_truth, 8,
                       workdir=workdir, measure_application=False)
-        from repro.core.trace import read_trace_dir
         trace = read_trace_dir(acq.trace_dir)
         base, metered = benchmark.pedantic(
             measure, args=(acq.trace_dir,), rounds=1, iterations=1)
@@ -202,30 +198,6 @@ print(base, metered)
         f"(budget: < 5%)",
     ])
     assert overhead < 0.05
-
-
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_replay_throughput_kernel(benchmark):
-    """A classical pytest-benchmark measurement: repeated replays of one
-    fixed capped trace (LU B/8, 2 iterations) to track the replayer's
-    per-action cost over time."""
-    config = capped(lu_class("B"), CAP_ITERS)
-    ground_truth = bordereau()
-    with tempfile.TemporaryDirectory() as workdir:
-        acq = acquire(LuWorkload(config, 8).program, ground_truth, 8,
-                      workdir=workdir, measure_application=False)
-        from repro.core.trace import read_trace_dir
-        trace = read_trace_dir(acq.trace_dir)
-
-    def replay_once():
-        calibrated = bordereau(8, ground_truth=False, speed=4e8)
-        replayer = TraceReplayer(
-            calibrated, round_robin_deployment(calibrated, 8)
-        )
-        return replayer.replay(trace).n_actions
-
-    n_actions = benchmark(replay_once)
-    assert n_actions == trace.n_actions()
 
 
 # ---------------------------------------------------------------------------
@@ -313,355 +285,8 @@ def test_fig9_rank_scaling(benchmark):
     assert auto_evps >= 3.0 * SEED_BASELINE_EVPS[REFERENCE_RANK_CAP]
 
 
-# ---------------------------------------------------------------------------
-# Compiled driver: token vs compiled (cold / warm .tic cache)
-# ---------------------------------------------------------------------------
-
-#: Rank counts for the compiled-vs-token comparison (full sweep at paper
-#: scale; 1024-rank token replays take minutes otherwise).
-COMPILED_RANKS = [64, 256]
-#: Compute-record granularity of the comparison traces.  Function-level
-#: instrumentation of LU (one compute record per traced routine) emits
-#: jacld/blts and jacu/buts once per k-plane per SSOR iteration — for
-#: class B (102 planes) that is ~400 compute records per iteration per
-#: rank, so modelling it with 128 records per sweep is conservative.
-#: This is the trace shape compilation targets: fusion collapses each
-#: run into one exec event, while the token driver pays per-record
-#: parse + event cost.  (MPI-boundary instrumentation — one record per
-#: sweep — is the rank-scaling sweep above; there the solver dominates
-#: and both drivers cost the same.)
-COMPILED_SPLIT = 128
-#: The acceptance bar: warm-cache compiled replay at this rank count
-#: must beat the token driver end-to-end by this factor.
-COMPILED_SPEEDUP_RANKS = 256
-COMPILED_SPEEDUP_MIN = 2.0
-#: min-of-N repetitions for the token/warm legs (CPU time, gc off).
-COMPILED_REPS = 3
-
-
-def run_compiled_comparison():
-    import gc
-    import time
-
-    ranks = SWEEP_RANKS if PAPER_SCALE else COMPILED_RANKS
-    lines = [
-        "Fig. 9 addendum - compiled replay (repro.core.compile) vs the "
-        "token driver",
-        scale_note(),
-        f"synthetic LU mix, iterations/rank: {SWEEP_ITERS} "
-        f"(inorm={SWEEP_INORM}), compute_split={COMPILED_SPLIT} "
-        "(function-level instrumentation shape); cold = compile + "
-        "replay (no .tic sidecars), warm = replay with sidecars "
-        f"present; token/warm are min of {COMPILED_REPS} interleaved "
-        "reps (process CPU time, gc off), cold is a single run",
-        "",
-        f"{'ranks':>6} {'actions':>9} {'token':>9} {'cold':>9} "
-        f"{'warm':>9} {'cold x':>7} {'warm x':>7}",
-    ]
-    series = {}
-    for n_ranks in ranks:
-        with tempfile.TemporaryDirectory() as workdir:
-            n_actions = write_synthetic_lu_trace(
-                workdir, n_ranks, SWEEP_ITERS, cls="B", inorm=SWEEP_INORM,
-                compute_split=COMPILED_SPLIT)
-
-            def replay_once(compiled):
-                platform = congested_platform(n_ranks)
-                replayer = TraceReplayer(
-                    platform, round_robin_deployment(platform, n_ranks),
-                    compiled=compiled,
-                )
-                start = time.process_time()
-                result = replayer.replay(workdir)
-                return time.process_time() - start, result
-
-            cold_wall, cold = replay_once("auto")  # compiles, writes .tic
-            gc.collect()
-            gc.disable()
-            try:
-                token_walls, warm_walls = [], []
-                for _ in range(COMPILED_REPS):
-                    wall, token = replay_once("never")
-                    token_walls.append(wall)
-                    wall, warm = replay_once("auto")  # loads .tic
-                    warm_walls.append(wall)
-            finally:
-                gc.enable()
-            token_wall = min(token_walls)
-            warm_wall = min(warm_walls)
-            assert token.n_actions == n_actions
-            assert cold.n_actions == n_actions
-            assert warm.n_actions == n_actions
-            # In-run equivalence check: same simulated schedule to 1e-9.
-            for compiled in (cold, warm):
-                assert abs(compiled.simulated_time - token.simulated_time) \
-                    <= 1e-9 * max(1.0, abs(token.simulated_time))
-        series[n_ranks] = (token_wall, cold_wall, warm_wall)
-        lines.append(
-            f"{n_ranks:>6} {n_actions:>9,} "
-            f"{token_wall:>8.2f}s {cold_wall:>8.2f}s {warm_wall:>8.2f}s "
-            f"{token_wall / cold_wall:>6.2f}x "
-            f"{token_wall / warm_wall:>6.2f}x"
-        )
-    lines += [
-        "",
-        "cold x / warm x = token CPU time over compiled CPU time "
-        "(higher is better); cold - warm = the one-off compile cost",
-    ]
-    emit_table("fig9_compiled.txt", lines)
-    return series
-
-
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_compiled(benchmark):
-    series = benchmark.pedantic(run_compiled_comparison, rounds=1,
-                                iterations=1)
-    token, _cold, warm = series[COMPILED_SPEEDUP_RANKS]
-    # Acceptance bar: >= 2x end-to-end with a warm .tic cache at 256
-    # ranks (equivalence to 1e-9 is asserted inside the run itself).
-    assert token / warm >= COMPILED_SPEEDUP_MIN
-
-
-# --- parallel drivers: phase batching + sharded replay --------------------
-#: Shards for the parallel-driver comparison (contiguous rank bands,
-#: forked workers).
-PARALLEL_SHARDS = 4
-#: Compute records per sweep in the parallel-driver traces.  LU class B
-#: function-level instrumentation emits ~400 records per iteration per
-#: rank (jacld/blts/jacu/buts per k-plane); 512 is that shape.  The
-#: token driver pays per-record parsing; the compiled driver fuses each
-#: run into one op, which is where most of the headline speedup lives —
-#: the composition notes in the results file spell this out.
-PARALLEL_SPLIT = 512
-PARALLEL_REPS = 2
-#: Acceptance bar: the full driver stack (warm .tic, phase batching,
-#: 4 shards) over the token driver at 1024 ranks, on the 1-D chain row.
-PARALLEL_SPEEDUP_MIN = 5.0
-#: Acceptance bar for the incremental certified re-solve alone: the
-#: compiled driver with the incremental solver over the token driver
-#: (both single-core, no batching/sharding) at 1024 ranks on the lu-2d
-#: row — the trace whose contention waves produce the multi-level
-#: max-min solves the patch exists for.
-INCREMENTAL_SPEEDUP_MIN = 3.0
-#: The incremental solver must not regress the 1-D chain row, whose
-#: solves are single-level and patch-hostile (the engine's level gate
-#: is what keeps it honest there): wall-clock within this factor of
-#: the full-solver compiled driver.
-INCREMENTAL_REGRESSION_MAX = 1.25
-
-
-def decoupled_platform(n_ranks: int) -> Platform:
-    """One cluster with per-host links and a fatpipe backbone: flows
-    between distinct host pairs share no constraint, which is what lets
-    sharded replay cut the rank space into independent bands.  The low
-    link latency keeps the post-collective quiet times inside the pack
-    compute, so the traces shard at all (see repro.core.shard)."""
-    platform = Platform()
-    platform.add_cluster(
-        "c", n_ranks, speed=1e9, link_bw=1.25e9, link_lat=1e-6,
-        backbone_bw=1.25e10, backbone_lat=1e-6, backbone_sharing="fatpipe",
-    )
-    return platform
-
-
-def write_chain_trace(directory: str, n_ranks: int, iterations: int,
-                      split: int) -> int:
-    """A 1-D chain ghost-cell exchange (open boundaries, NOT a ring:
-    a periodic wrap makes rank 0 and rank n-1 one hop apart, which
-    forces the sharding halo to cover the whole machine).  Per
-    iteration: post Irecv for each neighbour, pack + blocking send each
-    face, wait, the sweep computes, and a synchronizing allReduce —
-    the LU action mix on a 1-D decomposition.  max_dist is 1, so the
-    halo guard stays a handful of ranks wide and sharding's coupled
-    max-min systems stay band-sized."""
-    face = 65536
-    n_actions = 0
-    for rank in range(n_ranks):
-        neighbours = [p for p in (rank - 1, rank + 1) if 0 <= p < n_ranks]
-        rows = [f"p{rank} comm_size {n_ranks}"]
-        for _ in range(iterations):
-            for peer in neighbours:
-                rows.append(f"p{rank} Irecv p{peer} {face}")
-            for peer in neighbours:
-                rows.append(f"p{rank} compute 10000")
-                rows.append(f"p{rank} send p{peer} {face}")
-            rows.extend(f"p{rank} wait" for _ in neighbours)
-            rows.extend(f"p{rank} compute {1e6 / split!r}"
-                        for _ in range(split))
-            rows.append(f"p{rank} allReduce 40 10")
-        with open(os.path.join(directory, f"SG_process{rank}.trace"),
-                  "w", encoding="ascii") as handle:
-            handle.write("\n".join(rows) + "\n")
-        n_actions += len(rows)
-    return n_actions
-
-
-def run_parallel_comparison():
-    import gc
-    import time
-
-    lines = [
-        "Fig. 9 addendum - parallel replay drivers (phase batching + "
-        "sharded replay) and the incremental max-min re-solve vs the "
-        "token driver",
-        scale_note(),
-        f"decoupled fatpipe platform (sharding requires it; NOT the "
-        "congested platform of fig9_compiled.txt, so columns are not "
-        "comparable across the two files); iterations/rank: "
-        f"{SWEEP_ITERS}, compute_split={PARALLEL_SPLIT} "
-        "(function-level instrumentation shape), warm .tic sidecars",
-        f"all legs wall-clock (process CPU time would not see the "
-        f"{PARALLEL_SHARDS} forked shard workers), gc off, min of "
-        f"{PARALLEL_REPS} interleaved reps (LU rows: 1 rep)",
-        "token and warm run the full solver (the pre-incremental "
-        "baseline); incr is warm + the certified incremental re-solve "
-        "(the default solver); batched/sharded also run it",
-        "",
-        f"{'trace':>8} {'ranks':>6} {'actions':>9} {'token':>9} "
-        f"{'warm':>9} {'incr':>9} {'batched':>9} {'sharded':>9} "
-        f"{'warm x':>7} {'incr x':>7} {'batch x':>8} {'shard x':>8}",
-    ]
-    series = {}
-    cases = [
-        # (label, writer, reps) — the LU 2-D pencil row is the honest
-        # counter-example for sharding: at 1024 ranks its stencil reach
-        # (max_dist=32) makes the sharding halo swallow most of the
-        # band, so sharding does NOT pay there; the 1-D chain row
-        # (max_dist=1) is where the sharding acceptance bar lives.  The
-        # roles flip for the incremental solver: lu-2d's contention
-        # waves are multi-level solves (where the patch pays, and where
-        # its acceptance bar lives), chain-1d's are single-level (where
-        # the engine's level gate must keep the patch out of the way).
-        ("lu-2d",
-         lambda d, n: write_synthetic_lu_trace(
-             d, n, SWEEP_ITERS, cls="B", inorm=1,
-             compute_split=PARALLEL_SPLIT),
-         1),
-        ("chain-1d",
-         lambda d, n: write_chain_trace(d, n, SWEEP_ITERS, PARALLEL_SPLIT),
-         PARALLEL_REPS),
-    ]
-    for label, writer, reps in cases:
-        for n_ranks in (256, 1024):
-            with tempfile.TemporaryDirectory() as workdir:
-                n_actions = writer(workdir, n_ranks)
-
-                def replay_once(**kwargs):
-                    platform = decoupled_platform(n_ranks)
-                    replayer = TraceReplayer(
-                        platform,
-                        round_robin_deployment(platform, n_ranks),
-                        **kwargs)
-                    start = time.perf_counter()
-                    result = replayer.replay(workdir)
-                    return time.perf_counter() - start, result
-
-                replay_once(compiled="auto")  # warm the .tic sidecars
-                gc.collect()
-                gc.disable()
-                try:
-                    walls = {"token": [], "warm": [], "incremental": [],
-                             "batched": [], "sharded": []}
-                    results = {}
-                    for _ in range(reps):
-                        for leg, kwargs in (
-                            ("token", dict(compiled="never",
-                                           lmm_incremental=False)),
-                            ("warm", dict(compiled="auto",
-                                          lmm_incremental=False)),
-                            ("incremental", dict(compiled="auto")),
-                            ("batched", dict(compiled="auto",
-                                             batch_phases=True)),
-                            ("sharded", dict(compiled="auto",
-                                             batch_phases=True,
-                                             shards=PARALLEL_SHARDS)),
-                        ):
-                            wall, result = replay_once(**kwargs)
-                            walls[leg].append(wall)
-                            results[leg] = result
-                finally:
-                    gc.enable()
-                token = results["token"]
-                assert token.n_actions == n_actions
-                # In-run equivalence: every leg reproduces the token
-                # schedule to 1e-9 — makespan and per-rank times.
-                for leg in ("warm", "incremental", "batched", "sharded"):
-                    result = results[leg]
-                    assert result.n_actions == n_actions
-                    assert abs(result.simulated_time
-                               - token.simulated_time) \
-                        <= 1e-9 * max(1.0, abs(token.simulated_time))
-                    for a, b in zip(result.per_rank_time,
-                                    token.per_rank_time):
-                        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
-            best = {leg: min(times) for leg, times in walls.items()}
-            series[f"{label}@{n_ranks}"] = best
-            lines.append(
-                f"{label:>8} {n_ranks:>6} {n_actions:>9,} "
-                f"{best['token']:>8.2f}s {best['warm']:>8.2f}s "
-                f"{best['incremental']:>8.2f}s {best['batched']:>8.2f}s "
-                f"{best['sharded']:>8.2f}s "
-                f"{best['token'] / best['warm']:>6.2f}x "
-                f"{best['token'] / best['incremental']:>6.2f}x "
-                f"{best['token'] / best['batched']:>7.2f}x "
-                f"{best['token'] / best['sharded']:>7.2f}x"
-            )
-    lines += [
-        "",
-        "Composition notes (honest accounting):",
-        "- the bulk of the headline ratio is the columnar compiled",
-        "  driver with compute fusion (the 'warm' column): the token",
-        "  driver pays per-record parsing on this record-dominated",
-        "  trace shape, the compiled driver does not,",
-        "- the incr column adds ONLY the certified incremental re-solve",
-        "  on top of warm (same driver, same single core): patches",
-        "  replace multi-level progressive fillings of the whole",
-        "  sharing group with a small certified sub-solve, so it pays",
-        "  on lu-2d's contention waves and is gated off (level gate +",
-        "  periodic probe) on chain-1d's single-level solves — every",
-        "  patch is certified against the max-min optimality conditions",
-        "  and falls back, counted, to the full solve otherwise,",
-        "- phase batching advances each synchronizing collective as one",
-        "  dependency graph instead of per-rank generator scheduling,",
-        "- sharding's win on one core is WORK reduction, not",
-        "  parallelism: each worker's coupled max-min system is its",
-        "  band + guard ring instead of the whole machine, so the",
-        "  engine's O(group) solve cost per event collapses; with",
-        "  multiple cores the forked workers additionally overlap,",
-        "- sharding does not pay on the lu-2d row: the 2-D pencil's",
-        "  stencil reach (max_dist=32 at 1024 ranks) makes the guard",
-        "  ring swallow most of each band, so the workers re-simulate",
-        "  nearly the whole machine (total simulated work EXCEEDS one",
-        "  sequential replay); the row is kept as the counter-example,",
-        "- all paths are exact, not approximate: the run asserts 1e-9",
-        "  equivalence with the token driver in-process (the",
-        "  incremental solver is bit-identical in practice), and",
-        "  sharded replay additionally cross-validates its guard",
-        "  rings at every window (any drift fails the replay loudly).",
-    ]
-    emit_table("fig9_parallel.txt", lines)
-    return series
-
-
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_parallel(benchmark):
-    series = benchmark.pedantic(run_parallel_comparison, rounds=1,
-                                iterations=1)
-    chain = series["chain-1d@1024"]
-    # Acceptance bar: >= 5x end-to-end over the token driver at 1024
-    # ranks with warm sidecars, batching, and 4 shards (equivalence to
-    # 1e-9 is asserted inside the run itself).
-    assert chain["token"] / chain["sharded"] >= PARALLEL_SPEEDUP_MIN
-    # Incremental-solver bars: >= 3x over the token driver on lu-2d's
-    # multi-level contention waves, and no regression on chain-1d's
-    # patch-hostile single-level solves.
-    lu = series["lu-2d@1024"]
-    assert lu["token"] / lu["incremental"] >= INCREMENTAL_SPEEDUP_MIN
-    assert chain["incremental"] <= INCREMENTAL_REGRESSION_MAX * chain["warm"]
-
-
 _RSS_WORKER = r"""
-import resource, sys
+import sys
 from repro.core.replay import TraceReplayer
 from repro.simkernel import Platform
 from repro.smpi import round_robin_deployment
@@ -675,8 +300,12 @@ replayer = TraceReplayer(platform,
                          round_robin_deployment(platform, n_ranks),
                          compiled=compiled)
 result = replayer.replay(trace_dir)
-print(result.n_actions,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# VmHWM is this process's own peak: ru_maxrss would start from the RSS
+# of the process that spawned it, the bench's pytest process.
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status
+                if line.startswith("VmHWM:"))
+print(result.n_actions, peak)
 """
 
 #: The feeds ``test_fig9_streaming_rss`` measures: whole programs (the
@@ -701,8 +330,8 @@ def test_fig9_streaming_rss(benchmark):
     per-rank event count, under each form of the compiled feed: ingest
     state is bounded per rank (a window of text, or the rank's columns
     read through memoryviews), never a boxed copy of every action.
-    Measured in fresh subprocesses via ``ru_maxrss`` on a short and a
-    7x-longer trace of the same shape."""
+    Measured in fresh subprocesses via their ``VmHWM`` (Linux) on a
+    short and a 7x-longer trace of the same shape."""
     n_ranks = SWEEP_RANKS[-1]
     iters_short, iters_long = 2, 14
 

@@ -73,26 +73,17 @@ the *sign* of the error depends on which instance calibrates the rate
     (
         "Fig. 9 — replay time",
         """Wall-clock time to replay the traces.  As in the paper, replay time
-is directly proportional to the action count (B/8's ~1.7 M actions up
-to C/64's ~31 M).  Our Python replayer moves ~40-90 k actions/s where
-SimGrid's C kernel managed ~100 k/s on 2010 hardware — same order, same
-linear shape; the paper's remedy (bypass the higher API; distribute the
-replay) is the same one that would apply here.""",
+grows with the action count (B/8's ~1.7 M actions up to C/64's
+~31 M).  At 8 to 32 processes our Python replayer moves ~43-53 k
+actions/s (one run each), where SimGrid's C kernel managed ~100 k/s on
+2010 hardware: same order, same linear shape.  At 64 processes the
+rate drops to ~14-16 k actions/s, so B/64 and C/64 sit well above the
+line.  The cause is the solver, not the trace: on B/64 one sharing
+group goes array-backed early and stays so while it holds ~5
+activities, and `lmm_mode="reference"` replays the same trace 2-3x
+faster to the same makespan (docs/replay-performance.md, "Array-backed
+groups are monotone").""",
         ["fig9_replay_time.txt"],
-    ),
-    (
-        "Fig. 9 addendum — replay drivers and the incremental solver",
-        """The paper's remedy for replay cost, implemented rather than cited:
-trace compilation with compute fusion (`warm`), the certified
-incremental max-min re-solve (`incr`, the default solver), phase
-batching (`batched`), and forked sharded replay (`sharded`), each
-measured against the token driver at 256 and 1024 ranks with in-run
-1e-9 equivalence checks.  The incremental column pays on lu-2d's
-multi-level contention waves (2.82x → 3.83x at 1024 ranks) and gates
-itself off on chain-1d's single-level solves; sharding is kept
-honest by the lu-2d counter-example row, where the guard ring
-swallows the bands.""",
-        ["fig9_parallel.txt"],
     ),
     (
         "§6.5 — acquiring a large trace (class D, 1024 processes)",

@@ -32,6 +32,7 @@ history as credit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 import time
@@ -46,7 +47,7 @@ __all__ = [
     "STATE_QUEUED", "STATE_STAGING", "STATE_RUNNING", "STATE_DONE",
     "STATE_FAILED", "STATE_CANCELLED", "TERMINAL_STATES",
     "UNIT_PENDING", "UNIT_LEASED", "UNIT_DONE", "UNIT_QUARANTINED",
-    "UNIT_CANCELLED", "UNIT_STATES",
+    "UNIT_CANCELLED", "UNIT_STATES", "positive_finite",
 ]
 
 #: The worker name in-process slots lease units under (reserved: a
@@ -82,6 +83,20 @@ UNIT_CANCELLED = "CANCELLED"
 
 UNIT_STATES = (UNIT_PENDING, UNIT_LEASED, UNIT_DONE, UNIT_QUARANTINED,
                UNIT_CANCELLED)
+
+
+def positive_finite(value: float, what: str) -> float:
+    """``value`` as a float, or ``ValueError`` unless it is finite and
+    > 0.  A lease of NaN or inf seconds never expires, and a tenant of
+    weight inf is never charged: both would wedge the queue."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"{what} must be a finite number > 0, "
+                         f"got {value!r}")
+    return number
 
 
 class LeaseLostError(Exception):
@@ -316,14 +331,14 @@ class JobQueue:
         """Create the tenant row if needed; set its weight if given."""
         if not name:
             raise ValueError("tenant name must be non-empty")
-        if weight is not None and weight <= 0:
-            raise ValueError("tenant weight must be > 0")
+        if weight is not None:
+            weight = positive_finite(weight, "tenant weight")
         self._db.execute(
             "INSERT OR IGNORE INTO tenants (name) VALUES (?)", (name,))
         if weight is not None:
             self._db.execute(
                 "UPDATE tenants SET weight = ? WHERE name = ?",
-                (float(weight), name))
+                (weight, name))
         self._db.commit()
 
     def tenants(self) -> List[Dict[str, Any]]:
@@ -552,6 +567,7 @@ class JobQueue:
         Returns ``{"unit", "token", "deadline", "speculative"}`` or None
         when there is nothing to hand out.
         """
+        lease_s = positive_finite(lease_s, "lease_s")
         now = time.time() if now is None else now
         self.worker_seen(worker, now)
         only_job = " AND u.job_id = ?" if job_id is not None else ""
@@ -581,7 +597,7 @@ class JobQueue:
         token = uuid.uuid4().hex
         attempt = unit.attempts + 1
         lease = {"worker": worker, "token": token, "attempt": attempt,
-                 "granted_at": now, "deadline": now + float(lease_s),
+                 "granted_at": now, "deadline": now + lease_s,
                  "speculative": speculative}
         self._update_unit(
             unit, state=UNIT_LEASED, attempts=attempt,
@@ -609,6 +625,7 @@ class JobQueue:
                        lease_s: float,
                        now: Optional[float] = None) -> float:
         """Renew a lease; raises :class:`LeaseLostError` if superseded."""
+        lease_s = positive_finite(lease_s, "lease_s")
         now = time.time() if now is None else now
         unit = self.get_unit(unit_id)
         self.worker_seen(worker, now)
@@ -618,7 +635,7 @@ class JobQueue:
             raise LeaseLostError(
                 f"unit {unit_id}: no active lease held by {worker!r}"
                 f" (unit is {unit.state})")
-        lease["deadline"] = now + float(lease_s)
+        lease["deadline"] = now + lease_s
         self._update_unit(unit, leases=unit.leases)
         return lease["deadline"]
 

@@ -20,6 +20,7 @@ import asyncio
 import sys
 from typing import Dict, List, Optional
 
+from ..campaign.queue import positive_finite
 from .server import serve
 
 __all__ = ["main_service"]
@@ -31,13 +32,9 @@ def _parse_weight(text: str) -> Dict[str, float]:
         raise argparse.ArgumentTypeError(
             f"expected NAME=WEIGHT, got {text!r}")
     try:
-        weight = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"weight in {text!r} is not a number")
-    if weight <= 0:
-        raise argparse.ArgumentTypeError("weight must be > 0")
-    return {name: weight}
+        return {name: positive_finite(value, f"weight in {text!r}")}
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def main_service(argv: Optional[List[str]] = None) -> int:

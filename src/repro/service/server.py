@@ -64,6 +64,24 @@ class _HttpError(Exception):
         self.message = message
 
 
+def _number(value: Any, field: str, kind: type = int, default: Any = 0,
+            minimum: Optional[int] = None) -> Any:
+    """A numeric header, query or body field as ``kind``; absent or empty
+    reads as ``default``.  A malformed value is the client's mistake: a
+    400 naming the field, never a 500 with Python's text."""
+    if value is None or value == "":
+        return default
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _HttpError(400, f"{field} must be "
+                              f"{'an integer' if kind is int else 'a number'}"
+                              f", got {value!r}")
+    if minimum is not None and number < minimum:
+        raise _HttpError(400, f"{field} must be >= {minimum}, got {value!r}")
+    return number
+
+
 class ServiceServer:
     """Router + scheduler tick around one Supervisor."""
 
@@ -161,7 +179,8 @@ class ServiceServer:
                 break
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = _number(headers.get("content-length"), "Content-Length",
+                         minimum=0)
         if length > _MAX_BODY:
             raise _HttpError(400, f"body too large ({length} bytes)")
         split = urlsplit(target)
@@ -202,8 +221,8 @@ class ServiceServer:
                 raise _HttpError(400, "tenant needs a 'name'")
             try:
                 self.supervisor.queue.ensure_tenant(
-                    name, float(body.get("weight", 1.0)))
-            except (TypeError, ValueError) as exc:
+                    name, _number(body.get("weight"), "weight", float, 1.0))
+            except ValueError as exc:
                 raise _HttpError(400, str(exc))
             return 200, {"tenants": self.supervisor.queue.tenants()}
         if tail == ["jobs"]:
@@ -217,7 +236,8 @@ class ServiceServer:
             job_id = tail[1]
             if len(tail) == 2:
                 self._need(method, "GET")
-                after = int(query.get("events_after", "0") or "0")
+                after = _number(query.get("events_after"), "events_after",
+                                minimum=0)
                 return 200, self._job(job_id, after)
             if tail[2:] == ["results"]:
                 self._need(method, "GET")
@@ -248,10 +268,12 @@ class ServiceServer:
             self._need(method, "POST")
             worker = self._remote_worker(body.get("worker"),
                                          "lease request needs a 'worker'")
-            lease_s = float(body.get("lease_s", 15.0))
-            if lease_s <= 0:
-                raise _HttpError(400, "lease_s must be > 0")
-            grant = self.supervisor.queue.lease_unit(worker, lease_s)
+            try:
+                grant = self.supervisor.queue.lease_unit(
+                    worker, _number(body.get("lease_s"), "lease_s", float,
+                                    15.0))
+            except ValueError as exc:
+                raise _HttpError(400, str(exc))
             if grant is None:
                 return 200, {"unit": None}
             return 200, {"unit": grant["unit"].to_dict(),
@@ -303,7 +325,7 @@ class ServiceServer:
         try:
             job = self.supervisor.submit(
                 spec, tenant=str(body.get("tenant", "default")),
-                priority=int(body.get("priority", 0)))
+                priority=_number(body.get("priority"), "priority"))
         except (TypeError, ValueError, KeyError) as exc:
             raise _HttpError(400, f"bad campaign spec: {exc}")
         return 201, {"job": job.to_dict()}
@@ -362,9 +384,11 @@ class ServiceServer:
         try:
             deadline = self.supervisor.queue.heartbeat_unit(
                 unit_id, worker, token,
-                float(body.get("lease_s", 15.0)))
+                _number(body.get("lease_s"), "lease_s", float, 15.0))
         except LeaseLostError as exc:
             raise _HttpError(409, str(exc))
+        except ValueError as exc:
+            raise _HttpError(400, str(exc))
         return 200, {"deadline": deadline}
 
     def _unit_result(self, unit_id: str,
@@ -383,7 +407,7 @@ class ServiceServer:
         """A worker finished staging a unit's artifacts: fold its cache
         economics (bytes it did NOT have to fetch) into the counters."""
         unit = self._unit(unit_id)
-        saved = int(body.get("cached_bytes", 0) or 0)
+        saved = _number(body.get("cached_bytes"), "cached_bytes")
         if saved > 0:
             self.supervisor.queue.incr_counter("bytes_saved_by_cache",
                                                saved)

@@ -48,6 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..campaign.cache import digest_tree, tree_files
 from ..campaign.dispatch import verdict_doc
+from ..campaign.queue import positive_finite
 from ..campaign.runner import ScenarioChild
 from .artifacts import unpack_tree_tar
 from .client import ServiceClient, ServiceError
@@ -63,14 +64,12 @@ class Worker:
                  lease_s: float = 15.0, poll_s: float = 1.0,
                  max_units: int = 0, idle_exit_s: float = 0.0,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        if lease_s <= 0:
-            raise ValueError("lease_s must be > 0")
+        self.lease_s = positive_finite(lease_s, "lease_s")
         self.client = ServiceClient(server_url)
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.root = os.path.abspath(root)
         self.traces_dir = os.path.join(self.root, "traces")
         os.makedirs(self.traces_dir, exist_ok=True)
-        self.lease_s = lease_s
         self.poll_s = poll_s
         self.max_units = max_units
         self.idle_exit_s = idle_exit_s
@@ -282,6 +281,13 @@ class Worker:
                        f"ok in {wall:.2f}s")
 
 
+def _lease_seconds(text: str) -> float:
+    try:
+        return positive_finite(text, "--lease-s")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def main_worker(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-worker",
@@ -295,7 +301,7 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
                         help="worker root (the artifact cache)")
     parser.add_argument("--name", default=None,
                         help="worker name (default: <host>-<pid>)")
-    parser.add_argument("--lease-s", type=float, default=15.0,
+    parser.add_argument("--lease-s", type=_lease_seconds, default=15.0,
                         help="lease duration; heartbeats every third "
                              "of it (default 15)")
     parser.add_argument("--poll-s", type=float, default=1.0,

@@ -9,7 +9,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: (pattern, paths — a ``!`` prefix excludes one, what was deleted).
+#: (pattern, paths — a ``!`` prefix excludes a file or a directory,
+#: what was deleted).
 DELETED = [
     (r"native_fill|native_available|simkernel\._native|repro\[native\]",
      ("src", "pyproject.toml", ".github"),
@@ -63,6 +64,12 @@ DELETED = [
     (r"write_binary_trace|binary_trace_file_name|trace_file_name\(",
      ("src", "!src/repro/core/trace.py", "!src/repro/core/binfmt.py"),
      "rank-file writing outside the one writer"),
+    (r"test_fig9_replay_throughput_kernel|test_fig9_compiled"
+     r"|test_fig9_parallel|fig9_compiled\.txt|fig9_parallel\.txt"
+     r"|run_(compiled|parallel)_comparison|def write_chain_trace",
+     ("benchmarks", "!benchmarks/perf", "docs", "README.md",
+      "EXPERIMENTS.md", ".github"),
+     "Fig. 9's unpaired copy of the ledger's driver legs"),
 ]
 
 
@@ -80,7 +87,8 @@ def _files(paths):
                              and not d.endswith(".egg-info"))
             for name in sorted(names):
                 path = os.path.join(dirpath, name)
-                if path not in skip:
+                if not any(path == s or path.startswith(s + os.sep)
+                           for s in skip):
                     yield path
 
 
