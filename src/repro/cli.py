@@ -197,12 +197,18 @@ def main_convert(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from .core.trace import (
-        discover_trace_paths, stream_trace_dir, write_rank_file,
+        discover_trace_paths, is_rank_file, stream_trace_dir,
+        write_rank_file,
     )
 
     try:
         if os.path.realpath(args.src_dir) == os.path.realpath(args.dst_dir):
             raise ValueError("source and destination are the same directory")
+        if os.path.isdir(args.dst_dir) and any(
+                map(is_rank_file, os.listdir(args.dst_dir))):
+            raise ValueError(
+                f"{args.dst_dir} already holds rank files; convert into "
+                "an empty directory")
         in_bytes = sum(map(os.path.getsize,
                            discover_trace_paths(args.src_dir)))
         os.makedirs(args.dst_dir, exist_ok=True)

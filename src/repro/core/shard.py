@@ -422,8 +422,11 @@ def _worker_main(replayer, programs, w: int, sim_lo: int, sim_hi: int,
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
         import traceback
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}",
-                       traceback.format_exc()))
+            if isinstance(exc, ValueError):  # a refusal, not a crash
+                conn.send(("refused", str(exc)))
+            else:
+                conn.send(("error", f"{type(exc).__name__}: {exc}",
+                           traceback.format_exc()))
         except OSError:  # parent already gone
             pass
     finally:
@@ -614,6 +617,8 @@ def replay_sharded(replayer, source):
                     f"shard worker {w} died without a report "
                     f"(exitcode {workers[w].exitcode})"
                 ) from None
+            if msg[0] == "refused":
+                raise ValueError(f"shard worker {w}: {msg[1]}")
             if msg[0] == "error":
                 raise RuntimeError(
                     f"shard worker {w} failed: {msg[1]}\n{msg[2]}"

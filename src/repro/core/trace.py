@@ -32,6 +32,7 @@ __all__ = [
     "trace_file_name",
     "write_rank_file",
     "discover_trace_paths",
+    "is_rank_file",
     "read_trace_file",
     "read_trace_dir",
     "stream_trace_dir",
@@ -98,6 +99,11 @@ def write_rank_file(directory: str, rank: int, actions: Iterable[Action],
 _RANK_FILE = re.compile(r"SG_process(0|[1-9][0-9]*)\.(trace|trace\.gz|btrace)")
 
 
+def is_rank_file(name: str) -> bool:
+    """Whether ``name`` names a rank file, in any of its encodings."""
+    return _RANK_FILE.fullmatch(name) is not None
+
+
 def _open_maybe_gzip(path: str):
     if path.endswith(".gz"):
         return gzip.open(path, "rt", encoding="ascii")
@@ -157,10 +163,11 @@ def read_trace_file(path: str, expect_rank: Optional[int] = None
 def discover_trace_paths(directory: str) -> List[str]:
     """Per-rank trace paths in ``directory``, indexed by rank.
 
-    Ranks run densely from 0 (the Fig. 2 layout); each rank may be
-    stored as ``SG_process<rank>.trace``, its ``.gz`` variant, or the
+    Ranks run densely from 0 (the Fig. 2 layout); each rank is stored
+    once, as ``SG_process<rank>.trace``, its ``.gz`` variant, or the
     ``.btrace`` binary format, mixed freely.  A rank file past a missing
-    rank is a :class:`ValueError`, never a shorter trace set.  Every
+    rank is a :class:`ValueError`, never a shorter trace set, and so is
+    a rank stored twice, never a silent pick of one file.  Every
     reader, the converter and the replayer discover through here, so
     they can never disagree on which files make up a trace set.
     """
@@ -179,10 +186,17 @@ def discover_trace_paths(directory: str) -> List[str]:
         )
     for name in sorted(os.listdir(directory)):
         match = _RANK_FILE.fullmatch(name)
-        if match and int(match[1]) > len(paths):
+        if not match:
+            continue
+        rank = int(match[1])
+        if rank > len(paths):
             raise ValueError(
                 f"{directory}: no trace file for p{len(paths)}, but "
                 f"{name} exists; ranks must be contiguous from 0")
+        if rank < len(paths) and os.path.basename(paths[rank]) != name:
+            raise ValueError(
+                f"{directory}: p{rank} is stored twice, as "
+                f"{os.path.basename(paths[rank])} and {name}; remove one")
     return paths
 
 

@@ -2,10 +2,11 @@
 
 ``repro.core.actions.ACTION_TABLE`` is the one place an action's keyword,
 opcode and shape are written down; the text, ``.btrace`` and ``.tic``
-encodings, the compiler and both replay drivers all read it.  These
+encodings, the compiler and the replay loop all read it.  These
 tests pin that: every row round-trips through every encoding, the
-on-disk bytes cannot drift, every row replays on both drivers, and one
-strict input contract holds for every reader.
+on-disk bytes cannot drift, and one strict input contract holds for
+every reader.  (Every row replays alike on every path:
+tests/test_differential.py's ``every-keyword`` member.)
 """
 
 import hashlib
@@ -46,35 +47,14 @@ from repro.core.binfmt import (
     write_binary_trace,
 )
 from repro.core.compile import compile_source, op_tokens
-from repro.core.replay import TraceReplayer
 from repro.core.trace import (
     InMemoryTrace,
     read_merged_trace,
     stream_trace_dir,
     trace_file_name,
 )
-from repro.simkernel import Platform
-from repro.smpi import round_robin_deployment
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def make_replayer(n_ranks, **kwargs):
-    platform = Platform("t")
-    platform.add_cluster("c", n_ranks, speed=1e9, link_bw=1.25e8,
-                         link_lat=1e-5, backbone_bw=1.25e9,
-                         backbone_lat=1e-5)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         **kwargs)
-
-
-def write_ranks(directory, per_rank_lines):
-    os.makedirs(directory, exist_ok=True)
-    for rank, lines in enumerate(per_rank_lines):
-        with open(os.path.join(directory, trace_file_name(rank)), "w",
-                  encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-    return str(directory)
+from .lattice import DATA, replay, write_program
 
 
 # ---------------------------------------------------------------------------
@@ -225,53 +205,8 @@ def test_tic_written_by_an_older_layout_is_a_silent_miss(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Every row replays, identically, on both drivers
-# ---------------------------------------------------------------------------
-def every_keyword_lines(rank):
-    peer = 1 - rank
-    lines = [f"p{rank} comm_size 2", f"p{rank} compute {1e6 * (rank + 1)}"]
-    if rank == 0:
-        lines += ["p0 send p1 163840", "p0 Isend p1 520",
-                  "p0 recv p1 1040"]
-    else:
-        lines += ["p1 Irecv p0 163840", "p1 recv p0 520", "p1 wait",
-                  "p1 send p0 1040"]
-    lines += [f"p{rank} bcast 4096", f"p{rank} reduce 4096 100",
-              f"p{rank} allReduce 8192 200", f"p{rank} barrier",
-              f"p{rank} allToAll 2048",
-              f"p{rank} allToAllv 3072 {1024 * (1 + peer)} "
-              f"{1024 * (2 - peer)}",
-              f"p{rank} allGather 1024", f"p{rank} reduceScatter 4096 50"]
-    return lines
-
-
-@pytest.mark.parametrize("algorithm", ["binomial", "flat"])
-def test_every_keyword_replays_identically_on_both_drivers(algorithm,
-                                                           tmp_path):
-    directory = write_ranks(tmp_path / "all",
-                            [every_keyword_lines(r) for r in range(2)])
-    used = {line.split()[1] for r in range(2)
-            for line in every_keyword_lines(r)}
-    assert used == set(ACTION_NAMES)
-    results = {
-        mode: make_replayer(2, compiled=mode, collect_metrics=True,
-                            collective_algorithm=algorithm).replay(directory)
-        for mode in ("never", "auto")
-    }
-    token, compiled = results["never"], results["auto"]
-    assert token.simulated_time > 0
-    assert compiled.simulated_time == token.simulated_time
-    assert compiled.per_rank_time == token.per_rank_time
-    assert compiled.n_actions == token.n_actions
-    for key in ("actions_by_type", "volumes_by_type"):
-        assert compiled.metrics["replay"][key] == token.metrics["replay"][key]
-    assert set(token.metrics["replay"]["volumes_by_type"]) == (
-        set(ACTION_NAMES) - {"barrier", "wait", "comm_size"})
-
-
-# ---------------------------------------------------------------------------
-# One input contract: parse_action, the streamed and the compiled feed
-# reject the same lines with the same typed message
+# One input contract: parse_action, the windowed and the whole-program
+# feed reject the same lines with the same typed message
 # ---------------------------------------------------------------------------
 #: (the offending line's tail, lines before it on p0, p1's lines).  The
 #: context makes sure nothing but the decoder can reject the line first.
@@ -306,11 +241,11 @@ def test_hostile_line_is_rejected_with_one_typed_message(tail, before, other,
         if reader == "parse_action":
             parse_action(bad)
         else:
-            directory = write_ranks(tmp_path / "bad", [
-                [f"p0 {line}" for line in before] + [bad],
-                [f"p1 {line}" for line in other or ["compute 1"]],
-            ])
-            make_replayer(2, compiled=reader).replay(directory)
+            directory = write_program(tmp_path / "bad", {
+                0: [f"p0 {line}" for line in before] + [bad],
+                1: [f"p1 {line}" for line in other or ["compute 1"]],
+            })
+            replay(directory, 2, compiled=reader)
     message = str(excinfo.value)
     assert "malformed trace line" in message
     assert repr(bad) in message
@@ -336,8 +271,8 @@ def test_field_past_int32_is_a_value_error_naming_its_source(
     tail, record = PAST_INT32[field]
     directory = tmp_path / "ti"
     if encoding == "text":
-        write_ranks(directory, [["p0 compute 1", f"p0 {tail}"],
-                                ["p1 compute 1"]])
+        write_program(directory, {0: ["p0 compute 1", f"p0 {tail}"],
+                                  1: ["p1 compute 1"]})
         source = repr(f"p0 {tail}")
     else:
         os.makedirs(directory)
@@ -349,7 +284,7 @@ def test_field_past_int32_is_a_value_error_naming_its_source(
             handle.write(record)
         source += ": record at byte 18"
     with pytest.raises(ValueError) as excinfo:
-        make_replayer(2, compiled=mode).replay(str(directory))
+        replay(str(directory), 2, compiled=mode)
     assert source in str(excinfo.value)
     assert "2147483647" in str(excinfo.value)
 
@@ -366,7 +301,7 @@ def test_btrace_whose_header_names_another_rank_is_refused(mode, tmp_path):
     victim = str(directory / binary_trace_file_name(1))
     write_binary_trace([Compute(7, 1.0)], 7, victim)
     with pytest.raises(ValueError, match="p7") as excinfo:
-        make_replayer(2, compiled=mode).replay(str(directory))
+        replay(str(directory), 2, compiled=mode)
     assert victim in str(excinfo.value)
     assert list(read_binary_trace(victim)) == [Compute(7, 1.0)]
     with pytest.raises(ValueError, match="expected p1"):
@@ -384,6 +319,6 @@ def test_merged_file_with_a_malformed_process_id_is_refused(bad, reader,
         if reader == "read_merged_trace":
             read_merged_trace(path)
         else:
-            make_replayer(2, compiled=reader).replay(path)
+            replay(path, 2, compiled=reader)
     assert path in str(excinfo.value)
     assert repr(bad) in str(excinfo.value)

@@ -1,13 +1,13 @@
 """AI-workload generators, importer, and the new-collective replay edges.
 
-Covers the PR's tentpole surface end to end: the dp/pp/moe synthetic
-generators (determinism, metadata addressing, validator cleanliness),
-cross-driver replay equivalence for the new collectives (token text ==
-token binary == compiled cold == compiled warm == batched, to 1e-9),
-the ``.tic`` opcode-space invalidation, the per-opcode shard/batch
-refusals, the param comms importer against the checked-in golden trace,
-the importer leg of the chaos fuzz sweep, and the campaign-layer
-family wiring (moe seeds always address; dp/pp normalise like LU).
+Covers the dp/pp/moe synthetic generators (determinism, metadata
+addressing, validator cleanliness), the ``.tic`` opcode-space
+invalidation, the per-opcode shard/batch refusals, the param comms
+importer against the checked-in golden trace, the importer leg of the
+chaos fuzz sweep, and the campaign-layer family wiring (moe seeds
+always address; dp/pp normalise like LU).
+That the families and the golden import replay alike on every path and
+in every source form is tests/test_differential.py's.
 """
 
 import json
@@ -16,8 +16,6 @@ import shutil
 import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.campaign import Scenario, TraceSpec, scenario_cache_key
 from repro.core import compile as compile_mod
@@ -25,12 +23,8 @@ from repro.core.actions import (
     AllGather, AllToAll, AllToAllv, CommSize, ReduceScatter, parse_action,
 )
 from repro.core.batch import CollectiveBatcher
-from repro.core.binfmt import (
-    OPCODE_SPACE_VERSION, binary_trace_file_name, read_binary_trace,
-    write_binary_trace,
-)
+from repro.core.binfmt import OPCODE_SPACE_VERSION, binary_trace_file_name
 from repro.core.compile import compile_source, op_tokens, sidecar_path
-from repro.core.replay import TraceReplayer
 from repro.core.synth_ai import (
     AI_FAMILIES, moe_dispatch_splits, synth_dp_metadata, synth_moe_metadata,
     synthetic_dp_actions, synthetic_moe_actions, synthetic_pp_actions,
@@ -40,56 +34,13 @@ from repro.core.trace import read_trace_dir, trace_file_name
 from repro.core.validate import validate_trace
 from repro.extract.tau2ti import _RankExtractor
 from repro.importers import import_param_comms, normalize_comm_name
-from repro.simkernel import Platform
-from repro.simkernel.pwl import IDENTITY_MODEL
-from repro.smpi import round_robin_deployment
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "param_comms")
+from .lattice import (
+    AI_PARAMS, DATA, assert_equivalent, fatpipe_platform, make_replayer,
+    replay, write_program,
+)
 
-# Small-but-representative parameter sets: every family exercises each
-# of its collective kinds at least once.
-FAMILY_PARAMS = {
-    "dp": dict(n_buckets=2, bucket_bytes=1 << 16, step_flops=1e7),
-    "pp": dict(microbatches=2, activation_bytes=1 << 14, stage_flops=1e6,
-               grad_bytes=1 << 12),
-    "moe": dict(layers=1, tokens_bytes=1 << 14, gate_flops=1e5,
-                expert_flops=1e6, dense_bytes=1 << 12),
-}
-
-
-def shared_platform(n_hosts, speed=1e9):
-    platform = Platform("t")
-    platform.add_cluster("c", n_hosts, speed=speed, link_bw=1.25e8,
-                         link_lat=1e-5, backbone_bw=1.25e9,
-                         backbone_lat=1e-5)
-    return platform
-
-
-def fatpipe_platform(n_hosts, speed=1e9):
-    platform = Platform("t")
-    platform.add_cluster("c", n_hosts, speed=speed, link_bw=1.25e8,
-                         link_lat=1e-6, backbone_bw=1.25e10,
-                         backbone_lat=1e-6, backbone_sharing="fatpipe")
-    return platform
-
-
-def make_replayer(platform, n_ranks, **kw):
-    kw.setdefault("comm_model", IDENTITY_MODEL)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         **kw)
-
-
-def replay_dir(directory, n_ranks, **kw):
-    return make_replayer(shared_platform(n_ranks), n_ranks, **kw).replay(
-        directory)
-
-
-def assert_same_makespan(a, b, tol=1e-9):
-    assert abs(a.simulated_time - b.simulated_time) <= \
-        tol * max(1.0, abs(a.simulated_time))
-    for ra, rb in zip(a.per_rank_time, b.per_rank_time):
-        assert abs(ra - rb) <= tol * max(1.0, abs(ra))
-    assert a.n_actions == b.n_actions
+GOLDEN = os.path.join(DATA, "param_comms")
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +48,7 @@ def assert_same_makespan(a, b, tol=1e-9):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", AI_FAMILIES)
 def test_generator_is_deterministic(family):
-    params = FAMILY_PARAMS[family]
+    params = AI_PARAMS[family]
     for rank in range(4):
         a = list({"dp": synthetic_dp_actions, "pp": synthetic_pp_actions,
                   "moe": synthetic_moe_actions}[family](
@@ -112,7 +63,7 @@ def test_generator_is_deterministic(family):
 @pytest.mark.parametrize("family", AI_FAMILIES)
 def test_generated_trace_validates_clean(family, tmp_path):
     write_synthetic_ai_trace(family, str(tmp_path), 4, 2,
-                             **FAMILY_PARAMS[family])
+                             **AI_PARAMS[family])
     report = validate_trace(read_trace_dir(str(tmp_path)))
     assert report.ok, [str(f) for f in report.findings]
 
@@ -134,7 +85,7 @@ def test_moe_combine_is_transpose_of_dispatch(tmp_path):
     n = 4
     traces = {}
     write_synthetic_ai_trace("moe", str(tmp_path), n, 1,
-                             **FAMILY_PARAMS["moe"])
+                             **AI_PARAMS["moe"])
     trace = read_trace_dir(str(tmp_path))
     for rank in range(n):
         traces[rank] = [a for a in trace.actions_of(rank)
@@ -163,80 +114,11 @@ def test_unknown_family_rejected(tmp_path):
         write_synthetic_ai_trace("transformerz", str(tmp_path), 4, 1)
 
 
-# ----------------------------------------------------------------------
-# Cross-driver equivalence: token text == token binary == compiled cold
-# == compiled warm (.tic) == batched, per family
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("family,extra", [
-    ("dp", {}),
-    ("dp", {"algo": "zero"}),
-    ("pp", {}),
-    ("moe", {}),
-])
-def test_family_replays_identically_across_drivers(family, extra, tmp_path):
-    n = 4
-    params = dict(FAMILY_PARAMS[family], **extra)
-    text_dir = tmp_path / "text"
-    bin_dir = tmp_path / "bin"
-    write_synthetic_ai_trace(family, str(text_dir), n, 2, seed=11, **params)
-    write_synthetic_ai_trace(family, str(bin_dir), n, 2, seed=11,
-                             binary=True, **params)
-
-    token_text = replay_dir(str(text_dir), n, compiled="never")
-    token_bin = replay_dir(str(bin_dir), n, compiled="never")
-    compiled_cold = replay_dir(str(text_dir), n, compiled="auto")
-    assert os.path.exists(sidecar_path(str(text_dir)))
-    compiled_warm = replay_dir(str(text_dir), n, compiled="auto")
-    batched = replay_dir(str(text_dir), n, compiled="auto",
-                         batch_phases=True)
-
-    for other in (token_bin, compiled_cold, compiled_warm, batched):
-        assert_same_makespan(token_text, other)
-    assert token_text.simulated_time > 0.0
-
-
-@settings(max_examples=8, deadline=None)
-@given(family=st.sampled_from(AI_FAMILIES),
-       n_ranks=st.integers(2, 5),
-       steps=st.integers(1, 2),
-       seed=st.integers(0, 3))
-def test_property_roundtrip_generator_to_replay(family, n_ranks, steps,
-                                                seed, tmp_path_factory):
-    """Generator -> text -> binfmt -> .tic -> replay: every
-    representation replays to the same makespan under every driver."""
-    tmp_path = tmp_path_factory.mktemp("ai")
-    params = FAMILY_PARAMS[family]
-    text_dir = tmp_path / "text"
-    write_synthetic_ai_trace(family, str(text_dir), n_ranks, steps,
-                             seed=seed, **params)
-
-    # Text -> binary by re-encoding the parsed actions (the binfmt leg).
-    bin_dir = tmp_path / "bin"
-    os.makedirs(str(bin_dir))
-    trace = read_trace_dir(str(text_dir))
-    for rank in range(n_ranks):
-        write_binary_trace(
-            trace.actions_of(rank), rank,
-            os.path.join(str(bin_dir), binary_trace_file_name(rank)))
-        decoded = list(read_binary_trace(
-            os.path.join(str(bin_dir), binary_trace_file_name(rank))))
-        assert decoded == trace.actions_of(rank)
-
-    token = replay_dir(str(text_dir), n_ranks, compiled="never")
-    token_bin = replay_dir(str(bin_dir), n_ranks, compiled="never")
-    compiled_cold = replay_dir(str(bin_dir), n_ranks, compiled="auto")
-    compiled_warm = replay_dir(str(bin_dir), n_ranks, compiled="auto")
-    batched = replay_dir(str(text_dir), n_ranks, compiled="auto",
-                         batch_phases=True)
-    for other in (token_bin, compiled_cold, compiled_warm, batched):
-        assert_same_makespan(token, other)
-
-
 def test_op_tokens_roundtrip_new_collectives(tmp_path):
     """Compiled programs decompile to tokens that re-parse to the same
     actions — including the allToAllv split table from the aux plane."""
     write_synthetic_ai_trace("moe", str(tmp_path), 3, 1,
-                             **FAMILY_PARAMS["moe"])
+                             **AI_PARAMS["moe"])
     source = read_trace_dir(str(tmp_path))
     programs, _ = compile_source(str(tmp_path))
     for prog in programs:
@@ -249,7 +131,7 @@ def test_op_tokens_roundtrip_new_collectives(tmp_path):
 # Satellite 3: .tic sidecar staleness includes the opcode space
 # ----------------------------------------------------------------------
 def test_tic_with_stale_opcode_space_is_recompiled(tmp_path):
-    write_synthetic_ai_trace("dp", str(tmp_path), 2, 1, **FAMILY_PARAMS["dp"])
+    write_synthetic_ai_trace("dp", str(tmp_path), 2, 1, **AI_PARAMS["dp"])
     _, cold = compile_source(str(tmp_path))
     assert cold.cache_misses == 2
     _, warm = compile_source(str(tmp_path))
@@ -269,7 +151,7 @@ def test_tic_with_stale_opcode_space_is_recompiled(tmp_path):
 
 
 def test_tic_with_wrong_opcode_space_but_current_version_misses(tmp_path):
-    write_synthetic_ai_trace("dp", str(tmp_path), 1, 1, **FAMILY_PARAMS["dp"])
+    write_synthetic_ai_trace("dp", str(tmp_path), 1, 1, **AI_PARAMS["dp"])
     compile_source(str(tmp_path))
     sidecar = sidecar_path(str(tmp_path))
     blob = bytearray(open(sidecar, "rb").read())
@@ -310,44 +192,11 @@ def test_shard_coordinator_refuses_each_new_collective(line, name, tmp_path):
         replayer.replay(str(tmp_path))
 
 
-def test_batched_replay_of_mixed_new_collectives_is_exact(tmp_path):
-    """allReduce/barrier get batched, the new collectives walk their
-    schedule rows — and the result still matches the sequential driver
-    to 1e-9."""
-    n = 4
-    for rank in range(n):
-        path = os.path.join(str(tmp_path), trace_file_name(rank))
-        splits = " ".join(str((d + 1) * 1024) for d in range(n))
-        total = sum((d + 1) * 1024 for d in range(n))
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(
-                f"p{rank} comm_size {n}\n"
-                f"p{rank} compute {1e7 * (rank + 1)}\n"
-                f"p{rank} allReduce 8192 1e5\n"
-                f"p{rank} allToAll 4096\n"
-                f"p{rank} allToAllv {total} {splits}\n"
-                f"p{rank} allGather 2048\n"
-                f"p{rank} barrier\n"
-                f"p{rank} reduceScatter 8192 1e5\n"
-                f"p{rank} allReduce 1024 0\n")
-    sequential = replay_dir(str(tmp_path), n, compiled="auto")
-    batched = replay_dir(str(tmp_path), n, compiled="auto",
-                         batch_phases=True)
-    assert_same_makespan(sequential, batched)
-
-
 # ----------------------------------------------------------------------
 # Validator: allToAllv contracts
 # ----------------------------------------------------------------------
-def _write_lines(directory, lines):
-    for rank, rank_lines in lines.items():
-        with open(os.path.join(directory, trace_file_name(rank)), "w",
-                  encoding="ascii") as handle:
-            handle.write("\n".join(rank_lines) + "\n")
-
-
 def test_validator_flags_alltoallv_split_count_mismatch(tmp_path):
-    _write_lines(str(tmp_path), {
+    write_program(str(tmp_path), {
         0: ["p0 comm_size 2", "p0 allToAllv 200 100 100"],
         1: ["p1 comm_size 2", "p1 allToAllv 300 100 100 100"],
     })
@@ -360,7 +209,7 @@ def test_validator_flags_alltoallv_split_count_mismatch(tmp_path):
 def test_validator_accepts_asymmetric_alltoallv_volumes(tmp_path):
     """Per-rank totals legitimately differ (that is the point of the v
     variant); only the split *count* must agree."""
-    _write_lines(str(tmp_path), {
+    write_program(str(tmp_path), {
         0: ["p0 comm_size 2", "p0 allToAllv 100 0 100"],
         1: ["p1 comm_size 2", "p1 allToAllv 900 900 0"],
     })
@@ -435,10 +284,7 @@ def test_golden_import_produces_valid_replayable_trace(tmp_path):
     validation = validate_trace(trace)
     assert validation.ok, [str(f) for f in validation.findings]
 
-    token = replay_dir(str(out), 4, compiled="never")
-    compiled = replay_dir(str(out), 4, compiled="auto")
-    assert_same_makespan(token, compiled)
-    assert token.simulated_time > 0.0
+    assert replay(str(out), 4).simulated_time > 0.0
 
 
 def test_golden_import_volume_mapping(tmp_path):
@@ -466,8 +312,7 @@ def test_golden_import_binary_output_replays_identically(tmp_path):
     assert os.path.exists(os.path.join(str(bin_out),
                                        binary_trace_file_name(0)))
     assert report.n_actions == 38
-    assert_same_makespan(replay_dir(str(text_out), 4),
-                         replay_dir(str(bin_out), 4))
+    assert_equivalent(replay(str(text_out), 4), replay(str(bin_out), 4))
 
 
 def test_single_file_import_replicates_collectives(tmp_path):

@@ -69,7 +69,7 @@ def test_cg_trace_replays_consistently(tmp_path):
     replayer = TraceReplayer(platform, round_robin_deployment(platform, 4))
     replay = replayer.replay(result.trace_dir)
     assert replay.simulated_time == pytest.approx(
-        result.application_time, rel=0.05
+        result.application_time, rel=1e-12
     )
 
 

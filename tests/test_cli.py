@@ -1,10 +1,13 @@
 """Tests for the command-line tools."""
 
+import gzip
 import os
 
 import pytest
 
 from repro.cli import main_acquire, main_calibrate, main_replay, main_tau2ti
+
+from .lattice import write_program
 
 
 def test_cli_acquire_and_replay_roundtrip(tmp_path, capsys):
@@ -232,12 +235,37 @@ def test_cli_convert_refuses_to_overwrite_its_source(layouts, capsys):
         assert handle.read() == before
 
 
+def test_cli_convert_refuses_a_destination_holding_rank_files(tmp_path,
+                                                            capsys):
+    from repro.cli import main_convert
+
+    a = write_program(tmp_path / "a", {r: [f"p{r} compute 1e6"]
+                                       for r in range(8)})
+    b = write_program(tmp_path / "b", {r: [f"p{r} compute 2e6"]
+                                       for r in range(4)})
+    out = tmp_path / "out"
+    assert main_convert([a, str(out), "--to", "text"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main_convert([b, str(out), "--to", "binary"]) == 2
+    assert "already holds rank files" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def rank_gap(tmp_path):
     gap = tmp_path / "gap"
     gap.mkdir()
     for rank in (0, 1, 3):
         (gap / f"SG_process{rank}.trace").write_text(f"p{rank} compute 1\n")
     return str(gap), "no trace file for p2"
+
+
+def stored_twice(tmp_path):
+    twice = tmp_path / "twice"
+    twice.mkdir()
+    (twice / "SG_process0.trace").write_text("p0 compute 1\n")
+    with gzip.open(twice / "SG_process0.trace.gz", "wt") as handle:
+        handle.write("p0 compute 1\n")
+    return str(twice), "p0 is stored twice"
 
 
 def missing(tmp_path):
@@ -253,7 +281,8 @@ def corrupt_btrace(tmp_path):
 
 
 @pytest.mark.parametrize("tool", ["validate", "stats", "convert"])
-@pytest.mark.parametrize("broken", [rank_gap, missing, corrupt_btrace])
+@pytest.mark.parametrize("broken", [rank_gap, stored_twice, missing,
+                                    corrupt_btrace])
 def test_cli_trace_readers_fail_typed(tool, broken, tmp_path, capsys):
     from repro import cli
 

@@ -1,10 +1,10 @@
-"""Tests for repro.core.compile and the compiled replay driver.
+"""Tests for repro.core.compile and the compiled replay feed.
 
-Covers: windowed/whole-program feed equivalence across trace sources
-and lmm modes, compute-fusion exactness, ``.tic`` sidecar caching and
-byte-level invalidation, the campaign cache's handling of sidecars,
-error-message parity between the feeds, feed-selection rules, the
-timed-trace pins, and fault-plan parity (byte-identical FaultReports).
+Covers: compute fusion, ``.tic`` sidecar caching and byte-level
+invalidation, the campaign cache's handling of sidecars, error-message
+parity between the whole-program and the windowed feed, feed-selection
+rules and the timed-trace pins.  That both feeds replay alike on every
+path is tests/test_differential.py's.
 """
 
 import os
@@ -15,181 +15,48 @@ from repro.campaign import (
     CalibrationSpec, PlatformSpec, ReplaySpec, Scenario, TraceSpec,
     scenario_cache_key,
 )
-from repro.core.actions import Compute, Irecv, Send, Wait
-from repro.core.binfmt import write_binary_trace
+from repro.core.actions import Compute
 from repro.core.compile import (
-    CompiledProgram, compile_source, fuse_computes, op_tokens, sidecar_path,
+    compile_source, fuse_computes, op_tokens, sidecar_path,
 )
 from repro.core.replay import TraceReplayer
 from repro.core.trace import InMemoryTrace, trace_file_name
-from repro.simkernel import Platform
-from repro.simkernel.pwl import IDENTITY_MODEL
-from repro.smpi import round_robin_deployment
 
-RENDEZVOUS = 1e6
-
-
-def make_platform(n_hosts, speed=1e9):
-    platform = Platform("t")
-    platform.add_cluster("c", n_hosts, speed=speed, link_bw=1.25e8,
-                         link_lat=1e-5, backbone_bw=1.25e9,
-                         backbone_lat=1e-5)
-    return platform
-
-
-def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
-    kw.setdefault("comm_model", IDENTITY_MODEL)
-    replayer = TraceReplayer(platform,
-                             round_robin_deployment(platform, n_ranks), **kw)
-    if vector_threshold is not None:
-        replayer.engine.vector_threshold = vector_threshold
-    return replayer
-
-
-MIXED_LINES = {
-    0: ["p0 comm_size 4",
-        "p0 compute 1e8", "p0 compute 2e8", "p0 compute 5e7",
-        "p0 send p1 100000",
-        "p0 Irecv p3 200000", "p0 compute 1.5e8", "p0 wait",
-        "p0 bcast 65536",
-        "p0 allReduce 4096 1e6",
-        "p0 compute 1e8", "p0 compute 1e8",
-        "p0 reduce 8192 2e6",
-        "p0 barrier"],
-    1: ["p1 comm_size 4",
-        "p1 recv p0 100000",
-        "p1 compute 3e8",
-        "p1 send p2 150000",
-        "p1 bcast 65536",
-        "p1 allReduce 4096 1e6",
-        "p1 compute 0.5e8",
-        "p1 reduce 8192 2e6",
-        "p1 barrier"],
-    2: ["p2 comm_size 4",
-        "p2 Irecv p1 150000", "p2 compute 2e8", "p2 wait",
-        "p2 bcast 65536",
-        "p2 allReduce 4096 1e6",
-        "p2 reduce 8192 2e6",
-        "p2 barrier"],
-    3: ["p3 comm_size 4",
-        "p3 Isend p0 200000",
-        "p3 compute 1e8", "p3 compute 1e8", "p3 compute 1e8",
-        "p3 bcast 65536",
-        "p3 allReduce 4096 1e6",
-        "p3 reduce 8192 2e6",
-        "p3 barrier"],
-}
-
-
-def write_mixed_dir(directory):
-    os.makedirs(directory, exist_ok=True)
-    for rank, lines in MIXED_LINES.items():
-        path = os.path.join(directory, trace_file_name(rank))
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-    return str(directory)
+from .lattice import (
+    MIXED_LINES, RENDEZVOUS, assert_equivalent, make_replayer, replay,
+    shared_platform, source_forms, write_program,
+)
 
 
 @pytest.fixture()
 def mixed_dir(tmp_path):
-    return write_mixed_dir(tmp_path / "ti")
-
-
-def replay_dir(directory, n_ranks=4, **kw):
-    platform = make_platform(n_ranks)
-    return make_replayer(platform, n_ranks, **kw).replay(directory)
-
-
-def assert_equivalent(a, b, tol=1e-9):
-    assert abs(a.simulated_time - b.simulated_time) <= \
-        tol * max(1.0, abs(a.simulated_time))
-    for ra, rb in zip(a.per_rank_time, b.per_rank_time):
-        assert abs(ra - rb) <= tol * max(1.0, abs(ra))
-    assert a.n_ranks == b.n_ranks
-    assert a.n_actions == b.n_actions
+    return write_program(tmp_path / "ti", MIXED_LINES)
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: compiled vs streamed, across sources, collectives, lmm modes
+# What the compiled feed does on top of the windowed one (their results
+# agree: tests/test_differential.py)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("solver", [
-    pytest.param({}, id="auto"),
-    pytest.param({"lmm_mode": "reference"}, id="reference"),
-    # The array filling on every multi-constraint group.
-    pytest.param({"vector_threshold": 1}, id="vectorized"),
-])
-def test_compiled_matches_token_dir_all_lmm_modes(mixed_dir, solver):
-    token = replay_dir(mixed_dir, compiled="never", **solver)
-    comp = replay_dir(mixed_dir, compiled="auto", **solver)
-    assert_equivalent(token, comp)
-
-
-@pytest.mark.parametrize("collectives", ["binomial", "flat"])
-def test_compiled_matches_token_both_collective_algorithms(mixed_dir,
-                                                           collectives):
-    token = replay_dir(mixed_dir, collective_algorithm=collectives,
-                       compiled="never")
-    comp = replay_dir(mixed_dir, collective_algorithm=collectives,
-                      compiled="auto")
-    assert_equivalent(token, comp)
-
-
-def test_compiled_matches_token_merged_file(mixed_dir, tmp_path):
-    # Interleave round-robin so the demux buffers stay small.
-    merged = str(tmp_path / "merged.trace")
-    streams = {r: list(lines) for r, lines in MIXED_LINES.items()}
-    with open(merged, "w", encoding="ascii") as handle:
-        while any(streams.values()):
-            for rank in sorted(streams):
-                if streams[rank]:
-                    handle.write(streams[rank].pop(0) + "\n")
-    token = replay_dir(merged, compiled="never")
-    comp = replay_dir(merged, compiled="auto")
-    ref = replay_dir(mixed_dir, compiled="never")
-    assert_equivalent(token, comp)
-    assert_equivalent(ref, comp)
-    # A merged file gets one multi-rank container sidecar.
-    assert os.path.exists(sidecar_path(merged))
-
-
-def test_compiled_matches_token_binary_trace(tmp_path):
-    n = 3
-    directory = str(tmp_path / "bt")
-    os.makedirs(directory)
-    for rank in range(n):
-        actions = [Compute(rank, 1e8), Compute(rank, 2.5e8 + 0.125)]
-        if rank < n - 1:
-            actions.append(Send(rank, rank + 1, RENDEZVOUS))
-        if rank > 0:
-            actions += [Irecv(rank, rank - 1, RENDEZVOUS),
-                        Compute(rank, 5e7), Wait(rank)]
-        write_binary_trace(actions, rank,
-                           os.path.join(directory, f"SG_process{rank}.btrace"))
-    token = replay_dir(directory, n_ranks=n, compiled="never")
-    comp = replay_dir(directory, n_ranks=n, compiled="auto")
-    assert_equivalent(token, comp)
-
-
-def test_compiled_metrics_match_token(mixed_dir):
-    token = replay_dir(mixed_dir, compiled="never", collect_metrics=True)
-    comp = replay_dir(mixed_dir, compiled="auto", collect_metrics=True)
-    t, c = token.metrics["replay"], comp.metrics["replay"]
-    assert t["actions_by_type"] == c["actions_by_type"]
-    assert t["n_actions"] == c["n_actions"]
-    for name, volume in t["volumes_by_type"].items():
-        assert c["volumes_by_type"][name] == pytest.approx(volume)
-    assert t["ops_compiled"] == 0 and t["computes_fused"] == 0
-    assert c["ops_compiled"] > 0
+def test_compiled_feed_fuses_compute_runs_and_caches_merged_files(
+        mixed_dir, tmp_path):
+    result = replay(mixed_dir, 4, collect_metrics=True)
     # p0 has runs of 3 and 2 computes, p3 a run of 3: 2 + 1 + 2 absorbed.
-    assert c["computes_fused"] == 5
-    assert comp.metrics["engine"]["idle_advances"] > 0
+    assert result.metrics["replay"]["computes_fused"] == 5
+    assert result.metrics["engine"]["idle_advances"] > 0
+    # A merged file gets one multi-rank container sidecar.
+    merged = str(tmp_path / "merged.trace")
+    with open(merged, "w", encoding="ascii") as handle:
+        for lines in MIXED_LINES.values():
+            handle.write("\n".join(lines) + "\n")
+    replay(merged, 4)
+    assert os.path.exists(sidecar_path(merged))
 
 
 def test_in_memory_trace_compiles_whole_under_auto():
     trace = InMemoryTrace()
     for rank in range(2):
         trace.emit(Compute(rank, 1e8))
-    platform = make_platform(2)
+    platform = shared_platform(2)
     replayer = make_replayer(platform, 2, compiled="auto")
     replayer.replay(trace)
     assert replayer.last_compile_report is not None
@@ -292,9 +159,9 @@ def test_unwritable_sidecar_is_best_effort(mixed_dir, monkeypatch):
 
     monkeypatch.setattr(compile_mod, "_write_tic",
                         lambda *a, **kw: False)
-    token = replay_dir(mixed_dir, compiled="never")
-    comp = replay_dir(mixed_dir, compiled="auto")
-    assert_equivalent(token, comp)
+    windowed = replay(mixed_dir, 4, compiled="never")
+    comp = replay(mixed_dir, 4, compiled="auto")
+    assert_equivalent(windowed, comp)
     assert not any(name.endswith(".tic") for name in os.listdir(mixed_dir))
 
 
@@ -302,8 +169,8 @@ def test_unwritable_sidecar_notes_once_and_stays_compiled(
         mixed_dir, monkeypatch, caplog):
     # Repeated replays against a read-only trace directory must stay
     # quiet — a single debug-level note for the directory, never
-    # per-rank warning spam — and must keep running the compiled driver
-    # under compiled='auto' (no silent windowed fallback).
+    # per-rank warning spam — and must keep running the whole-program
+    # feed under compiled='auto' (no silent windowed fallback).
     import logging
 
     from repro.core import compile as compile_mod
@@ -318,13 +185,13 @@ def test_unwritable_sidecar_notes_once_and_stays_compiled(
     monkeypatch.setattr(compile_mod.os, "replace", deny_tic)
     monkeypatch.setattr(compile_mod, "_TIC_WRITE_FAILED_DIRS", set())
 
-    reference = replay_dir(mixed_dir, compiled="never")
+    reference = replay(mixed_dir, 4, compiled="never")
     with caplog.at_level(logging.DEBUG, logger="repro.core.compile"):
-        results = [replay_dir(mixed_dir, compiled="auto",
-                              collect_metrics=True) for _ in range(3)]
+        results = [replay(mixed_dir, 4, compiled="auto",
+                          collect_metrics=True) for _ in range(3)]
     for result in results:
         assert_equivalent(reference, result)
-        # Still the compiled driver: the op programs were built and run.
+        # Still the whole-program feed: the op programs were built and run.
         assert result.metrics["replay"]["ops_compiled"] > 0
     assert not any(name.endswith(".tic") for name in os.listdir(mixed_dir))
     notes = [r for r in caplog.records if "cannot cache" in r.getMessage()]
@@ -389,11 +256,7 @@ def test_example_campaign_cache_key_is_pinned():
 # Error-message parity and driver-selection rules
 # ---------------------------------------------------------------------------
 def write_one_rank(tmp_path, lines):
-    directory = tmp_path / "bad"
-    os.makedirs(directory, exist_ok=True)
-    with open(directory / trace_file_name(0), "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-    return str(directory)
+    return write_program(tmp_path / "bad", {0: lines})
 
 
 @pytest.mark.parametrize("lines,match", [
@@ -401,10 +264,10 @@ def write_one_rank(tmp_path, lines):
     (["p0 bcast 100"], "bcast before comm_size"),
     (["p0 comm_size 99"], "comm_size 99 exceeds the deployment"),
 ])
-def test_compiled_replay_errors_match_token_path(tmp_path, lines, match):
+def test_compiled_replay_errors_match_windowed_feed(tmp_path, lines, match):
     directory = write_one_rank(tmp_path, lines)
     for mode in ("never", "auto"):
-        platform = make_platform(1)
+        platform = shared_platform(1)
         with pytest.raises(ValueError, match=match):
             make_replayer(platform, 1, compiled=mode).replay(directory)
 
@@ -414,11 +277,12 @@ def test_compiled_replay_errors_match_token_path(tmp_path, lines, match):
     (["p0 compute"], "malformed trace line"),
     (["p0 send p1"], "malformed trace line"),
 ])
-def test_compile_time_errors_match_token_wording(tmp_path, lines, match):
+def test_compile_time_errors_match_windowed_feed_wording(tmp_path, lines,
+                                                        match):
     directory = write_one_rank(tmp_path, lines)
     with pytest.raises(ValueError, match=match):
         compile_source(directory)
-    platform = make_platform(1)
+    platform = shared_platform(1)
     with pytest.raises(ValueError, match=match):
         make_replayer(platform, 1, compiled="never").replay(directory)
 
@@ -439,17 +303,17 @@ def test_keywords_outside_the_action_table_fail_under_every_mode(mixed_dir):
     for mode in ("auto", "never"):
         with pytest.raises(ValueError,
                            match="unregistered action 'checkpointmark'"):
-            replay_dir(mixed_dir, compiled=mode)
+            replay(mixed_dir, 4, compiled=mode)
 
 
 def test_timed_trace_runs_on_the_compiled_feed(mixed_dir):
-    results = {mode: replay_dir(mixed_dir, compiled=mode,
-                                record_timed_trace=True, collect_metrics=True)
+    results = {mode: replay(mixed_dir, 4, compiled=mode,
+                            record_timed_trace=True, collect_metrics=True)
                for mode in ("auto", "never")}
-    replay = results["auto"].metrics["replay"]
-    assert replay["ops_compiled"] > 0
+    counters = results["auto"].metrics["replay"]
+    assert counters["ops_compiled"] > 0
     # One record per source action: recording replays run unfused.
-    assert replay["computes_fused"] == 0
+    assert counters["computes_fused"] == 0
     for result in results.values():
         assert len(result.timed_trace) == result.n_actions
         assert result.timed_trace == results["never"].timed_trace
@@ -479,7 +343,7 @@ ALLCOLL_SIZES = (1, 2, 3, 5, 8)
 def write_allcoll_dir(directory, size):
     """Every collective at one eager and one rendezvous volume, after a
     rank-skewed compute so that wildcard receives see a real order."""
-    os.makedirs(directory, exist_ok=True)
+    lines_of = {}
     for rank in range(size):
         lines = [f"p{rank} comm_size {size}"]
         for vol in (4096, int(RENDEZVOUS)):
@@ -492,10 +356,8 @@ def write_allcoll_dir(directory, size):
                     f"allToAllv {sum(splits)} "
                     + " ".join(str(s) for s in splits),
                     f"allGather {vol}", f"reduceScatter {vol} 3000000")]
-        with open(os.path.join(directory, trace_file_name(rank)), "w",
-                  encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-    return str(directory)
+        lines_of[rank] = lines
+    return write_program(directory, lines_of)
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-compiled"]],
@@ -510,7 +372,7 @@ def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
 
     if name.startswith("allcoll-"):
         xml = str(tmp_path / "platform.xml")
-        dump_platform(make_platform(max(ALLCOLL_SIZES)), xml)
+        dump_platform(shared_platform(max(ALLCOLL_SIZES)), xml)
         digest = hashlib.sha256()
         for size in ALLCOLL_SIZES:
             directory = write_allcoll_dir(tmp_path / f"ti{size}", size)
@@ -523,7 +385,7 @@ def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
         assert digest.hexdigest() == TIMED_TRACE_PINS[name]
         return
     if name == "mixed":
-        directory, n_ranks = write_mixed_dir(tmp_path / "ti"), 4
+        directory, n_ranks = write_program(tmp_path / "ti", MIXED_LINES), 4
     else:
         # 16 ranks of MoE dispatch/combine: allToAllv split tables.
         directory, n_ranks = str(tmp_path / "moe"), 16
@@ -532,7 +394,7 @@ def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
             tokens_bytes=1 << 14, gate_flops=1e5, expert_flops=1e6,
             dense_bytes=1 << 12)
     xml = str(tmp_path / "platform.xml")
-    dump_platform(make_platform(n_ranks), xml)
+    dump_platform(shared_platform(n_ranks), xml)
     out = tmp_path / "timed.trace"
     assert main_replay([directory, "--platform-xml", xml, "--ranks",
                         str(n_ranks), "--timed-trace", str(out)]
@@ -541,85 +403,20 @@ def test_timed_trace_file_is_pinned_under_every_mode(tmp_path, name, flags):
     assert digest == TIMED_TRACE_PINS[name]
 
 
-def _merged(tmp_path, mixed_dir):
-    path = str(tmp_path / "merged.trace")
-    with open(path, "w", encoding="ascii") as handle:
-        for rank in sorted(MIXED_LINES):
-            handle.write("\n".join(MIXED_LINES[rank]) + "\n")
-    return path
-
-
-def _btrace_dir(tmp_path, mixed_dir):
-    from repro.core.binfmt import binary_trace_file_name
-    from repro.core.trace import read_trace_dir
-
-    trace = read_trace_dir(mixed_dir)
-    directory = tmp_path / "bt"
-    os.makedirs(directory)
-    for rank in trace.ranks():
-        write_binary_trace(trace.actions_of(rank), rank,
-                           str(directory / binary_trace_file_name(rank)))
-    return str(directory)
-
-
-def _in_memory(tmp_path, mixed_dir):
-    from repro.core.trace import read_trace_dir
-
-    return read_trace_dir(mixed_dir)
-
-
-@pytest.mark.parametrize("build", [_merged, _btrace_dir, _in_memory],
+@pytest.mark.parametrize("form", ["merged", "btrace", "memory"],
                          ids=["merged", "btrace", "in-memory"])
 @pytest.mark.parametrize("mode", ["auto", "never"])
 def test_timed_trace_has_one_record_per_action_for_every_source(
-        tmp_path, mixed_dir, build, mode):
-    source = build(tmp_path, mixed_dir)
-    result = replay_dir(source, compiled=mode, record_timed_trace=True)
+        tmp_path, mixed_dir, form, mode):
+    source = source_forms(MIXED_LINES, tmp_path)[form]
+    result = replay(source, 4, compiled=mode, record_timed_trace=True)
     assert result.n_actions == sum(len(v) for v in MIXED_LINES.values())
     assert len(result.timed_trace) == result.n_actions
-    reference = replay_dir(mixed_dir, record_timed_trace=True)
+    reference = replay(mixed_dir, 4, record_timed_trace=True)
     assert result.timed_trace == reference.timed_trace
 
 
 def test_bad_compiled_mode_rejected():
-    platform = make_platform(2)
+    platform = shared_platform(2)
     with pytest.raises(ValueError, match="compiled mode"):
         make_replayer(platform, 2, compiled="sometimes")
-
-
-# ---------------------------------------------------------------------------
-# Fault-plan parity: the compiled feed runs unfused and produces the very
-# same FaultReport bytes as the streamed one
-# ---------------------------------------------------------------------------
-def ring_dir(tmp_path, n_ranks, iterations):
-    directory = tmp_path / "ring"
-    os.makedirs(directory, exist_ok=True)
-    for rank in range(n_ranks):
-        lines = []
-        for _ in range(iterations):
-            lines += [f"p{rank} Irecv p{(rank - 1) % n_ranks} "
-                      f"{RENDEZVOUS:.0f}",
-                      f"p{rank} compute 1000000",
-                      f"p{rank} compute 500000",
-                      f"p{rank} send p{(rank + 1) % n_ranks} "
-                      f"{RENDEZVOUS:.0f}",
-                      f"p{rank} wait"]
-        with open(directory / trace_file_name(rank), "w",
-                  encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-    return str(directory)
-
-
-def test_fault_reports_byte_identical_across_drivers(tmp_path):
-    from repro.faults import FaultPlan, HostCrash
-
-    n = 4
-    directory = ring_dir(tmp_path, n, iterations=6)
-    plan = FaultPlan(events=(HostCrash("c-2", 0.05),))
-    reports = {}
-    for mode in ("never", "auto"):
-        platform = make_platform(n)
-        result = make_replayer(platform, n, fault_plan=plan,
-                               compiled=mode).replay(directory)
-        reports[mode] = result.fault_report.to_json()
-    assert reports["never"] == reports["auto"]

@@ -1,6 +1,7 @@
 """Deleted code stays deleted: names that went with a removed subsystem
-must not come back under ``src/``, the docs or the CI config, and the
-action table stays the only place that knows an action's shape."""
+must not come back under ``src/``, the docs, the CI config or the tests,
+and the action table stays the only place that knows an action's
+shape."""
 
 import os
 import re
@@ -70,6 +71,10 @@ DELETED = [
      ("benchmarks", "!benchmarks/perf", "docs", "README.md",
       "EXPERIMENTS.md", ".github"),
      "Fig. 9's unpaired copy of the ledger's driver legs"),
+    (r"def (make_platform|fatpipe_platform|shared_platform|assert_equivalent"
+     r"|assert_counters_match)\b",
+     ("tests", "!tests/lattice.py"),
+     "the equivalence suites' own platforms and assertions"),
 ]
 
 

@@ -109,5 +109,5 @@ def test_ring_acquired_trace_replays_close_to_fig1(tmp_path):
     replayer = TraceReplayer(platform, round_robin_deployment(platform, 4))
     result = replayer.replay(acquisition.trace_dir)
     assert result.simulated_time == pytest.approx(
-        acquisition.application_time, rel=0.02
+        acquisition.application_time, rel=1e-12
     )

@@ -8,54 +8,26 @@ The headline contracts exercised here:
 * a host crash mid-replay kills exactly the resident ranks and the
   report attributes every blocked survivor to the rank death that
   started the chain (transitive provenance);
-* the same plan + seed produces *byte-identical* fault reports under
-  the scalar and the vectorized LMM solver;
+* the same plan + seed produces *byte-identical* fault reports on
+  every replay path (tests/test_differential.py) and when faults hit
+  the array solver's absorbed rows (here);
 * both failure-aware replay modes terminate — no fault plan can hang
   the replayer.
 """
 
-import json
 import math
-import os
-import random
 
 import pytest
 
 from repro.core.actions import Compute, Irecv, Send, Wait
-from repro.core.replay import TraceReplayer
 from repro.core.trace import InMemoryTrace
 from repro.faults import (
     CheckpointModel, FaultPlan, HostCrash, LinkDegrade, LinkDown,
     load_fault_plan, random_fault_plan, simulate_checkpoint_restart,
 )
 from repro.simkernel import Platform
-from repro.simkernel.pwl import IDENTITY_MODEL
-from repro.smpi import round_robin_deployment
 
-RENDEZVOUS = 1e6  # bytes, safely above the default eager threshold
-
-
-def make_platform(n_hosts, speed=1e9):
-    platform = Platform("t")
-    platform.add_cluster("c", n_hosts, speed=speed, link_bw=1.25e8,
-                         link_lat=1e-5, backbone_bw=1.25e9,
-                         backbone_lat=1e-5)
-    return platform
-
-
-def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
-    kw.setdefault("comm_model", IDENTITY_MODEL)
-    replayer = TraceReplayer(platform,
-                             round_robin_deployment(platform, n_ranks), **kw)
-    if vector_threshold is not None:
-        replayer.engine.vector_threshold = vector_threshold
-    return replayer
-
-
-#: Solver configurations by name: both modes, and the array filling on
-#: every multi-constraint group.
-SOLVERS = {"auto": {}, "reference": {"lmm_mode": "reference"},
-           "vectorized": {"vector_threshold": 1}}
+from .lattice import RENDEZVOUS, SOLVERS, make_replayer, shared_platform
 
 
 def ring_trace(n_ranks, iterations):
@@ -116,7 +88,7 @@ def test_plan_rejects_bad_documents(doc):
 
 
 def test_plan_validates_resource_names():
-    platform = make_platform(2)
+    platform = shared_platform(2)
     FaultPlan(events=(HostCrash("c-0", 1.0),)).validate(platform)
     with pytest.raises(ValueError, match="unknown host"):
         FaultPlan(events=(HostCrash("nope", 1.0),)).validate(platform)
@@ -125,7 +97,7 @@ def test_plan_validates_resource_names():
 
 
 def test_replayer_rejects_bad_fault_configuration():
-    platform = make_platform(2)
+    platform = shared_platform(2)
     with pytest.raises(ValueError, match="unknown fault mode"):
         make_replayer(platform, 2, fault_mode="retry-forever")
     # checkpoint-restart needs a checkpoint model ...
@@ -149,12 +121,12 @@ def test_ring_rank3_crash_names_root_cause_and_casualties():
     """8-rank ring, rank 3's host dies mid-replay: the report must name
     rank 3 as the root cause and the blocked peers as its casualties."""
     n = 8
-    platform = make_platform(n)
+    platform = shared_platform(n)
     fault_free = make_replayer(platform, n).replay(ring_trace(n, 6))
 
     plan = FaultPlan(events=(
         HostCrash("c-3", 0.5 * fault_free.simulated_time),))
-    platform = make_platform(n)
+    platform = shared_platform(n)
     result = make_replayer(platform, n, fault_plan=plan).replay(
         ring_trace(n, 6))
     report = result.fault_report
@@ -185,7 +157,7 @@ def test_lost_progress_does_not_count_the_action_in_flight(compiled):
     for rank, flops in ((0, 1e9), (0, 1e9), (1, 1e8)):
         trace.emit(Compute(rank, flops))
     plan = FaultPlan(events=(HostCrash("c-0", 0.5),))
-    result = make_replayer(make_platform(2), 2, fault_plan=plan,
+    result = make_replayer(shared_platform(2), 2, fault_plan=plan,
                            compiled=compiled).replay(trace)
     progress = result.fault_report.lost_progress
     assert progress[0]["state"] == "failed"
@@ -197,14 +169,14 @@ def test_lost_progress_does_not_count_the_action_in_flight(compiled):
 
 def test_link_down_fails_transfers_with_typed_provenance():
     n = 2
-    platform = make_platform(n)
+    platform = shared_platform(n)
     fault_free = make_replayer(platform, n).replay(ring_trace(n, 4))
     # 0.45 x makespan lands strictly inside a rendezvous transfer (each
     # ring turn is compute-then-transfer), never on an event boundary
     # where "in-flight" would be a floating-point coin toss.
     plan = FaultPlan(events=(
         LinkDown("c-1.down", 0.45 * fault_free.simulated_time),))
-    platform = make_platform(n)
+    platform = shared_platform(n)
     result = make_replayer(platform, n, fault_plan=plan).replay(
         ring_trace(n, 4))
     report = result.fault_report
@@ -215,11 +187,11 @@ def test_link_down_fails_transfers_with_typed_provenance():
 def test_link_degrade_slows_the_replay_and_matches_across_solvers():
     n = 4
     trace = ring_trace(n, 3)
-    baseline = make_replayer(make_platform(n), n).replay(trace)
+    baseline = make_replayer(shared_platform(n), n).replay(trace)
     plan = FaultPlan(events=(LinkDegrade("c.bb", 0.0, factor=0.1),))
     times = {}
     for mode in ("reference", "vectorized"):
-        result = make_replayer(make_platform(n), n, fault_plan=plan,
+        result = make_replayer(shared_platform(n), n, fault_plan=plan,
                                **SOLVERS[mode]).replay(trace)
         assert not result.fault_report.failures
         times[mode] = result.simulated_time
@@ -229,7 +201,7 @@ def test_link_degrade_slows_the_replay_and_matches_across_solvers():
 
 def test_empty_plan_reports_clean_run():
     n = 2
-    platform = make_platform(n)
+    platform = shared_platform(n)
     result = make_replayer(platform, n, fault_plan=FaultPlan()).replay(
         ring_trace(n, 2))
     report = result.fault_report
@@ -242,8 +214,8 @@ def test_empty_plan_reports_clean_run():
 def test_fault_free_replay_is_bit_identical_without_a_plan():
     n = 4
     trace = ring_trace(n, 3)
-    a = make_replayer(make_platform(n), n).replay(trace)
-    b = make_replayer(make_platform(n), n).replay(trace)
+    a = make_replayer(shared_platform(n), n).replay(trace)
+    b = make_replayer(shared_platform(n), n).replay(trace)
     assert a.simulated_time == b.simulated_time
     assert a.per_rank_time == b.per_rank_time
     assert a.fault_report is None
@@ -300,8 +272,7 @@ def test_checkpoint_makespan_monotone_in_crash_count():
 
 
 # ---------------------------------------------------------------------------
-# 32-rank acceptance: both modes terminate, reports are byte-identical
-# across LMM solvers
+# 32-rank acceptance: both modes terminate
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -314,11 +285,11 @@ def lu32(tmp_path_factory):
 
 def test_lu32_host_crash_both_modes_terminate(lu32):
     n = 32
-    fault_free = make_replayer(make_platform(n), n).replay(lu32)
+    fault_free = make_replayer(shared_platform(n), n).replay(lu32)
     t_crash = 0.5 * fault_free.simulated_time
 
     abort = make_replayer(
-        make_platform(n), n,
+        shared_platform(n), n,
         fault_plan=FaultPlan(events=(HostCrash("c-3", t_crash),)),
     ).replay(lu32)
     assert abort.fault_report.failed_ranks == [3]
@@ -328,7 +299,7 @@ def test_lu32_host_crash_both_modes_terminate(lu32):
                      checkpoint=CheckpointModel(
                          interval=max(t_crash / 4, 1e-6),
                          cost=t_crash / 100, restart=t_crash / 50))
-    cr = make_replayer(make_platform(n), n, fault_plan=plan,
+    cr = make_replayer(shared_platform(n), n, fault_plan=plan,
                        fault_mode="checkpoint-restart").replay(lu32)
     report = cr.fault_report
     assert report.mode == "checkpoint-restart"
@@ -337,43 +308,6 @@ def test_lu32_host_crash_both_modes_terminate(lu32):
     # the fault-free run.
     assert cr.simulated_time > fault_free.simulated_time
     assert cr.simulated_time == pytest.approx(report.makespan)
-
-
-def test_lu32_reports_byte_identical_across_lmm_solvers(lu32):
-    n = 32
-    fault_free = make_replayer(make_platform(n), n).replay(lu32)
-    plan = FaultPlan(events=(
-        HostCrash("c-3", 0.5 * fault_free.simulated_time),
-        LinkDegrade("c.bb", 0.25 * fault_free.simulated_time, factor=0.5),
-    ))
-    reports = []
-    for mode in ("reference", "vectorized"):
-        result = make_replayer(make_platform(n), n, fault_plan=plan,
-                               **SOLVERS[mode]).replay(lu32)
-        reports.append(result.fault_report.to_json())
-    assert reports[0] == reports[1]
-    json.loads(reports[0])  # and it is valid JSON
-
-
-def test_lu32_reports_byte_identical_across_every_lmm_config(lu32):
-    """Every solver configuration — both lmm modes and the all-array
-    threshold, crossed with the incremental re-solve toggle — yields
-    byte-for-byte the same fault report under the same crash plan."""
-    n = 32
-    fault_free = make_replayer(make_platform(n), n).replay(lu32)
-    plan = FaultPlan(events=(
-        HostCrash("c-5", 0.4 * fault_free.simulated_time),))
-    reports = {}
-    for mode, solver in SOLVERS.items():
-        for incremental in (True, False):
-            result = make_replayer(
-                make_platform(n), n, fault_plan=plan,
-                lmm_incremental=incremental, **solver).replay(lu32)
-            reports[(mode, incremental)] = result.fault_report.to_json()
-    baseline = reports[("auto", True)]
-    json.loads(baseline)
-    assert all(doc == baseline for doc in reports.values()), (
-        sorted(k for k, doc in reports.items() if doc != baseline))
 
 
 def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
@@ -440,7 +374,7 @@ def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_random_fault_plan_is_deterministic_per_seed():
-    platform = make_platform(4)
+    platform = shared_platform(4)
     a = random_fault_plan(platform, seed=11, horizon=10.0, n_events=5)
     b = random_fault_plan(platform, seed=11, horizon=10.0, n_events=5)
     assert a == b
@@ -455,10 +389,10 @@ def test_chaos_replay_never_hangs_and_raises_only_typed_errors():
     untyped error."""
     n = 4
     trace = ring_trace(n, 4)
-    horizon = make_replayer(make_platform(n), n).replay(
+    horizon = make_replayer(shared_platform(n), n).replay(
         trace).simulated_time
     for seed in range(8):
-        platform = make_platform(n)
+        platform = shared_platform(n)
         plan = random_fault_plan(platform, seed=seed, horizon=horizon,
                                  n_events=4)
         replayer = make_replayer(platform, n, fault_plan=plan)

@@ -8,7 +8,6 @@ program, replays must be bit-identical to whole-program replays, errors
 must be the oracle's, and no ``.tic`` sidecar is read or written.
 """
 
-import gzip
 import os
 import tempfile
 
@@ -18,38 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile as compile_mod
-from repro.core.binfmt import binary_trace_file_name, write_binary_trace
 from repro.core.compile import CompiledProgram, compile_windows
-from repro.core.replay import TraceReplayer
 from repro.core.synth import write_synthetic_lu_trace
 from repro.core.synth_ai import write_synthetic_ai_trace
-from repro.core.trace import read_trace_dir, stream_trace_dir, trace_file_name
-from repro.simkernel import Platform
-from repro.simkernel.pwl import IDENTITY_MODEL
-from repro.smpi import round_robin_deployment
+from repro.core.trace import stream_trace_dir, trace_file_name
 
+from .lattice import (
+    AI_PARAMS, MIXED_LINES, replay, source_forms, write_program,
+)
 from .test_block_compile import (
     HOSTILE_BTRACE, hostile_trees, oracle_outcome, outcome,
     write_hostile_btrace, write_rank_files,
 )
-from .test_compile import MIXED_LINES, write_mixed_dir
-
-
-def make_replayer(n_ranks, **kw):
-    platform = Platform("t")
-    platform.add_cluster("c", n_ranks, speed=1e9, link_bw=1.25e8,
-                         link_lat=1e-5, backbone_bw=1.25e9, backbone_lat=1e-5)
-    return TraceReplayer(platform, round_robin_deployment(platform, n_ranks),
-                         comm_model=IDENTITY_MODEL, **kw)
-
-
-def write_lines(directory, lines_of, end="\n"):
-    os.makedirs(directory, exist_ok=True)
-    for rank, lines in lines_of.items():
-        with open(os.path.join(directory, trace_file_name(rank)), "w",
-                  encoding="ascii") as handle:
-            handle.write("\n".join(lines) + end)
-    return str(directory)
 
 
 def concat(rank, windows):
@@ -75,15 +54,6 @@ def windows_outcome(directory):
 # ---------------------------------------------------------------------------
 # Sources: (directory, ranks)
 # ---------------------------------------------------------------------------
-AI_PARAMS = {
-    "dp": dict(n_buckets=2, bucket_bytes=1 << 16, step_flops=1e7),
-    "pp": dict(microbatches=2, activation_bytes=1 << 14, stage_flops=1e6,
-               grad_bytes=1 << 12),
-    "moe": dict(layers=1, tokens_bytes=1 << 14, gate_flops=1e5,
-                expert_flops=1e6, dense_bytes=1 << 12),
-}
-
-
 def lu_source(tmp_path, binary=False):
     directory = str(tmp_path / "lu")
     write_synthetic_lu_trace(directory, 4, 1, cls="B", inorm=1, seed=3,
@@ -105,7 +75,7 @@ def chain_source(tmp_path):
                 lines.append(f"p{rank} send p{rank + 1} 4096")
         lines.append(f"p{rank} allReduce 64 1000")
         lines_of[rank] = lines
-    return write_lines(tmp_path / "chain", lines_of), n
+    return write_program(tmp_path / "chain", lines_of), n
 
 
 def ai_source(family):
@@ -117,35 +87,19 @@ def ai_source(family):
     return build
 
 
-def gz_source(tmp_path):
-    directory = write_mixed_dir(tmp_path / "gz")
-    for rank in MIXED_LINES:
-        path = os.path.join(directory, trace_file_name(rank))
-        with open(path, "rb") as plain, gzip.open(path + ".gz", "wb") as out:
-            out.write(plain.read())
-        os.unlink(path)
-    return directory, 4
-
-
-def btrace_source(tmp_path):
-    trace = read_trace_dir(write_mixed_dir(tmp_path / "text"))
-    directory = tmp_path / "bt"
-    os.makedirs(directory)
-    for rank in trace.ranks():
-        write_binary_trace(trace.actions_of(rank), rank,
-                           str(directory / binary_trace_file_name(rank)))
-    return str(directory), 4
+def mixed_form(form):
+    return lambda tmp_path: (source_forms(MIXED_LINES, tmp_path)[form], 4)
 
 
 def no_final_newline_source(tmp_path):
-    return write_lines(tmp_path / "nonl", MIXED_LINES, end=""), 4
+    return write_program(tmp_path / "nonl", MIXED_LINES, end=""), 4
 
 
 def commented_source(tmp_path):
     lines_of = {rank: [text for line in lines
                        for text in (f"# before {line}", line, "", "   ")]
                 for rank, lines in MIXED_LINES.items()}
-    return write_lines(tmp_path / "comments", lines_of), 4
+    return write_program(tmp_path / "comments", lines_of), 4
 
 
 SOURCES = {
@@ -155,8 +109,8 @@ SOURCES = {
     "dp": ai_source("dp"),
     "pp": ai_source("pp"),
     "moe": ai_source("moe"),
-    "gz": gz_source,
-    "mixed-btrace": btrace_source,
+    "gz": mixed_form("gz"),
+    "mixed-btrace": mixed_form("btrace"),
     "no-final-newline": no_final_newline_source,
     "comments-and-blanks": commented_source,
 }
@@ -168,13 +122,11 @@ def test_windowed_replay_is_bit_identical_to_whole_programs(
         tmp_path, monkeypatch, name, window):
     source, n = SOURCES[name](tmp_path)
     # A timed trace keeps the whole programs unfused, op for op.
-    whole = make_replayer(n, record_timed_trace=True, collect_metrics=True,
-                          compiled="auto").replay(source)
+    whole = replay(source, n, record_timed_trace=True, collect_metrics=True)
     monkeypatch.setattr(compile_mod, "WINDOW_BYTES", window)
     assert len(list(compile_windows(source)[0])) > 1
-    windowed = make_replayer(n, record_timed_trace=True,
-                             collect_metrics=True,
-                             compiled="never").replay(source)
+    windowed = replay(source, n, record_timed_trace=True,
+                      collect_metrics=True, compiled="never")
     assert windowed.timed_trace == whole.timed_trace
     assert windowed.simulated_time == whole.simulated_time
     assert windowed.per_rank_time == whole.per_rank_time
@@ -198,7 +150,7 @@ def test_hostile_line_in_a_late_window_raises_the_oracles_message(
         compile_mod._compile_rank_file(path, 0)
     monkeypatch.setattr(compile_mod, "WINDOW_BYTES", 64)
     with pytest.raises(ValueError) as windowed:
-        make_replayer(1, compiled="never").replay(str(tmp_path))
+        replay(str(tmp_path), 1, compiled="never")
     assert type(windowed.value) is type(oracle.value)
     assert str(windowed.value) == str(oracle.value)
 
@@ -213,7 +165,7 @@ def test_hostile_btrace_names_its_file_and_record_in_any_window(
     path, offset = write_hostile_btrace(directory, name)
     monkeypatch.setattr(compile_mod, "WINDOW_BYTES", window)
     with pytest.raises(ValueError) as windowed:
-        make_replayer(2, compiled="never").replay(directory)
+        replay(directory, 2, compiled="never")
     with pytest.raises(ValueError) as streamed:
         [list(stream) for stream in stream_trace_dir(directory)]
     for excinfo in (windowed, streamed):
@@ -223,12 +175,12 @@ def test_hostile_btrace_names_its_file_and_record_in_any_window(
 
 
 def test_never_reads_and_writes_no_sidecar(tmp_path, monkeypatch):
-    directory = write_mixed_dir(tmp_path / "ti")
+    directory = write_program(tmp_path / "ti", MIXED_LINES)
     merged = str(tmp_path / "merged.trace")
     with open(merged, "w", encoding="ascii") as handle:
         for lines in MIXED_LINES.values():
             handle.write("\n".join(lines) + "\n")
-    reference = make_replayer(4).replay(directory)
+    reference = replay(directory, 4)
     os.unlink(compile_mod.sidecar_path(directory))
 
     def no_sidecar(*args, **kwargs):
@@ -238,7 +190,7 @@ def test_never_reads_and_writes_no_sidecar(tmp_path, monkeypatch):
     monkeypatch.setattr(compile_mod, "_write_tic", no_sidecar)
     monkeypatch.setattr(compile_mod, "WINDOW_BYTES", 16)
     for source in (directory, merged):
-        result = make_replayer(4, compiled="never").replay(source)
+        result = replay(source, 4, compiled="never")
         assert result.simulated_time == pytest.approx(
             reference.simulated_time, rel=1e-9)
     assert not [name for _, _, names in os.walk(tmp_path)
