@@ -74,15 +74,18 @@ the *sign* of the error depends on which instance calibrates the rate
         "Fig. 9 — replay time",
         """Wall-clock time to replay the traces.  As in the paper, replay time
 grows with the action count (B/8's ~1.7 M actions up to C/64's
-~31 M).  At 8 to 32 processes our Python replayer moves ~43-53 k
+~31 M).  At 8 to 32 processes our Python replayer moves ~59-72 k
 actions/s (one run each), where SimGrid's C kernel managed ~100 k/s on
 2010 hardware: same order, same linear shape.  At 64 processes the
-rate drops to ~14-16 k actions/s, so B/64 and C/64 sit well above the
-line.  The cause is the solver, not the trace: on B/64 one sharing
-group goes array-backed early and stays so while it holds ~5
-activities, and `lmm_mode="reference"` replays the same trace 2-3x
-faster to the same makespan (docs/replay-performance.md, "Array-backed
-groups are monotone").""",
+rate is ~54 k (B) and ~43 k (C) actions/s, up from ~14-16 k before
+array-backed sharing groups demoted once they shrink: on B/64 one
+group used to stay array-backed at ~5 activities, and the default
+solver now replays that trace as fast as `lmm_mode="reference"`, to
+the same makespan (docs/replay-performance.md, "Array-backed groups
+follow their size").  What keeps the 64-process rows below the band
+is the trace, not the solver choice: B/32 and B/64 both re-rate a
+sharing group ~0.46 times per action, but a B/64 re-rate settles 4.7
+activities on average against 1.9 at B/32.""",
         ["fig9_replay_time.txt"],
     ),
     (

@@ -116,7 +116,8 @@ def format_metrics_report(metrics: Optional[Dict],
     lines.append(
         f"groups: {_fmt_count(engine.get('group_merges', 0))} merges, "
         f"{_fmt_count(engine.get('vector_attaches', 0))} array-backed "
-        f"attaches"
+        f"attaches, {_fmt_count(engine.get('vector_demotions', 0))} "
+        f"demotions"
     )
     hist = engine.get("filling_level_histogram") or {}
     if hist:

@@ -187,10 +187,15 @@ class _Group:
     by swap-remove slot management, so a re-rate performs no
     per-activity Python work at all.  While array-backed, the arrays —
     not the activities' attributes — are authoritative for that state.
-    Array-backing is monotone too: a vectorized group stays vectorized
-    and *absorbs* whatever it merges with by appending rows
-    (:meth:`Engine._merge_groups`); only a group that is itself being
-    absorbed hands its state back to the attributes.  Constraint
+    An array-backed group *absorbs* whatever it merges with by appending
+    rows (:meth:`Engine._merge_groups`), and a group that is itself
+    being absorbed hands its state back to the attributes.  Array-backing
+    follows the group's current size with hysteresis: a group attaches
+    once it reaches the engine's ``vector_threshold`` activities and
+    *demotes* — hands its state back and drops its arrays — once a
+    re-rate finds it below a quarter of that, so a group that shrinks
+    from a contention wave back to a handful of flows is solved by the
+    scalar filling again (:meth:`Engine._vec_detach`).  Constraint
     columns are created lazily, by a constraint's first user.
 
     ``acts`` (like ``Constraint.users`` and the engine's dirty set) is
@@ -203,8 +208,8 @@ class _Group:
         "cons", "acts", "vectorized",
         # Array-backed state (meaningful when vectorized is True):
         "acts_list", "row", "mem_of", "col", "n", "m", "ncols",
-        "rem", "rate", "settled", "bnd", "mem_var", "mem_cons", "caps",
-        "loadv", "work", "armed",
+        "rem", "rate", "settled", "bnd", "joined", "joins", "mem_var",
+        "mem_cons", "caps", "loadv", "work", "armed",
         # Incremental-patch state (array-backed groups only): the
         # constraint columns dirtied since the last solve, whether the
         # rate array holds a certified previous solution the incremental
@@ -279,8 +284,10 @@ class Engine:
         # ``vector_threshold`` activities goes array-backed
         # (fill_vectorized / patch_solve); smaller ones are re-rated by
         # lmm.solve_reference (small groups are faster without
-        # array-building overhead).  "reference" is the threshold at
-        # infinity: every group stays on the scalar oracle.
+        # array-building overhead), and so is an array-backed group
+        # that shrank below a quarter of the threshold (see
+        # _recompute_dirty).  "reference" is the threshold at infinity:
+        # every group stays on the scalar oracle.
         self.vector_threshold = (INF if lmm_mode == "reference"
                                  else int(vector_threshold))
         # Incremental certified re-solve of array-backed groups
@@ -316,11 +323,13 @@ class Engine:
         self._full_resolves = 0
         self._calendar_rebuilds = 0
         self._level_hist: dict = {}
-        # Sharing-topology provenance (same pattern): group unions, and
-        # groups switched to array-backed state (each group at most
-        # once — see _merge_groups).
+        # Sharing-topology provenance (same pattern): group unions,
+        # groups switched to array-backed state (a merge never
+        # re-attaches — see _merge_groups) and array-backed groups
+        # demoted back to scalar state once they shrank (_vec_detach).
         self._group_merges = 0
         self._vector_attaches = 0
+        self._vector_demotions = 0
         # Optional telemetry; the counters themselves are loop-locals or
         # plain integer accumulators, so enabling metrics never changes
         # the arithmetic the hot paths execute.
@@ -447,6 +456,7 @@ class Engine:
         rebuilds0 = self._calendar_rebuilds
         merges0 = self._group_merges
         attaches0 = self._vector_attaches
+        demotions0 = self._vector_demotions
         try:
             while True:
                 self._run_ready()
@@ -546,6 +556,8 @@ class Engine:
                 metrics.group_merges += self._group_merges - merges0
                 metrics.vector_attaches += (self._vector_attaches
                                             - attaches0)
+                metrics.vector_demotions += (self._vector_demotions
+                                             - demotions0)
                 mh = metrics.level_hist
                 for levels, count in hist.items():
                     mh[levels] = mh.get(levels, 0) + count
@@ -740,6 +752,12 @@ class Engine:
         # points at its group (maintained by _enter_phase/_end_phase).
         now = self.now
         threshold = self.vector_threshold
+        # Demotion cut: an array-backed group re-rated below a quarter
+        # of the attach threshold goes back to the scalar filling (the
+        # gap between the two is the hysteresis that keeps a group
+        # hovering near one size from flapping).  A threshold of 1 gives
+        # a cut of 0, so "array filling on every group" never demotes.
+        cut = threshold // 4 if threshold < INF else 0
         done_groups: Set[int] = set()
         total = 0
         for seed in seeds:
@@ -751,9 +769,11 @@ class Engine:
                 continue
             done_groups.add(gid)
             if group.vectorized:
-                total += group.n
-                self._solve_group(group, now)
-                continue
+                if group.n >= cut:
+                    total += group.n
+                    self._solve_group(group, now)
+                    continue
+                self._vec_detach(group)
             acts = group.acts
             if not acts:
                 continue
@@ -786,13 +806,14 @@ class Engine:
         return new
 
     def _vec_attach(self, group: _Group) -> None:
-        """Switch a group to array-backed sharing state, for good.
+        """Switch a group to array-backed sharing state.
 
-        From here on the group's arrays are authoritative for
-        remaining / rate / settled_at of its member activities.  The
-        arrays start empty and every member is appended like a late
-        arrival, so a column exists only for a constraint that has had
-        a user (an idle link of the group costs nothing until then).
+        From here on (until :meth:`_vec_detach`) the group's arrays are
+        authoritative for remaining / rate / settled_at of its member
+        activities.  The arrays start empty and every member is appended
+        like a late arrival, so a column exists only for a constraint
+        that has had a user (an idle link of the group costs nothing
+        until then).
         """
         # loadv: per-constraint membership counts, maintained
         # incrementally by _vec_add/_vec_remove.  Counts are integers,
@@ -801,6 +822,11 @@ class Engine:
         # every solve.
         for name in ("rem", "rate", "settled", "bnd", "caps", "loadv"):
             setattr(group, name, np.empty(64))
+        # joined: each row's join sequence number, so a drained wave
+        # completes in group.acts order (the scalar groups' order), not
+        # in the row order swap-removal scrambles.
+        group.joined = np.empty(64, dtype=np.int64)
+        group.joins = 0
         group.mem_var = np.empty(256, dtype=np.intp)
         group.mem_cons = np.empty(256, dtype=np.intp)
         group.acts_list = []
@@ -831,9 +857,9 @@ class Engine:
 
     def _devectorize(self, group: _Group) -> None:
         """Hand an array-backed group's state back to its activities'
-        attributes.  Only a group about to be absorbed by another
-        array-backed one gets here (see _merge_groups); it is dropped
-        right after, so its arrays are simply left behind."""
+        attributes: a group about to be absorbed by another array-backed
+        one (see _merge_groups; it is dropped right after, so its arrays
+        are simply left behind), or one being demoted (_vec_detach)."""
         n = group.n
         for a, r, q, s in zip(group.acts_list, group.rem[:n].tolist(),
                               group.rate[:n].tolist(),
@@ -841,6 +867,21 @@ class Engine:
             a.remaining = r
             a.rate = q
             a.settled_at = s
+
+    def _vec_detach(self, group: _Group) -> None:
+        """Demote an array-backed group that shrank below the cut: its
+        state goes back to the activities' attributes and its arrays are
+        dropped, so the caller re-rates it on the scalar path at once —
+        whose epoch sweep (_arm_earliest) also retires the event armed
+        from the arrays.  It re-attaches only if it grows back to
+        ``vector_threshold``."""
+        self._devectorize(group)
+        group.vectorized = False
+        for name in ("acts_list", "row", "mem_of", "col", "rem", "rate",
+                     "settled", "bnd", "joined", "mem_var", "mem_cons",
+                     "caps", "loadv", "work", "armed", "seeds"):
+            setattr(group, name, None)
+        self._vector_demotions += 1
 
     def _vec_add(self, group: _Group, act: Activity) -> None:
         """O(1) amortized: append one activity's row and memberships."""
@@ -850,9 +891,12 @@ class Engine:
             group.rate = self._grown(group.rate, i + 1)
             group.settled = self._grown(group.settled, i + 1)
             group.bnd = self._grown(group.bnd, i + 1)
+            group.joined = self._grown(group.joined, i + 1)
         group.rem[i] = act.remaining
         group.rate[i] = act.rate
         group.settled[i] = act.settled_at
+        group.joined[i] = group.joins
+        group.joins += 1
         b = act.bound
         group.bnd[i] = INF if b is None else b
         group.row[act] = i
@@ -920,6 +964,7 @@ class Engine:
             group.rate[i] = group.rate[last]
             group.settled[i] = group.settled[last]
             group.bnd[i] = group.bnd[last]
+            group.joined[i] = group.joined[last]
             for s in mem_of[last_act]:
                 mem_var[s] = i
         group.n = last
@@ -960,12 +1005,14 @@ class Engine:
                 done = _drained(now, rem, rate)
             if done.any():
                 # Inline-completion contract — see _settle:
-                # finish the drained wave now (each completion
-                # swap-removes its rows), survivors re-rate on the main
-                # loop's immediately following pass.
+                # finish the drained wave now, in join order (each
+                # completion swap-removes its rows), survivors re-rate
+                # on the main loop's immediately following pass.
+                rows = np.nonzero(done)[0]
+                if len(rows) > 1:
+                    rows = rows[np.argsort(group.joined[rows])]
                 acts_list = group.acts_list
-                for a in [acts_list[i]
-                          for i in np.nonzero(done)[0].tolist()]:
+                for a in [acts_list[i] for i in rows.tolist()]:
                     self._end_phase(a)
                 return
         seeds = group.seeds

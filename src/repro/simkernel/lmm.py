@@ -20,10 +20,10 @@ The filling is written twice, once per shape of sharing group:
 
 * :func:`solve_reference` — the scalar filling: one Python pass per
   level over the variables and a dict of constraint loads.  The engine
-  runs it on every multi-constraint group below
-  :data:`VECTOR_THRESHOLD` activities (on every group under
-  ``lmm_mode="reference"``), and it is the oracle the array path is
-  tested against.
+  runs it on every multi-constraint group that has not grown to
+  :data:`VECTOR_THRESHOLD` activities, or has shrunk back below a
+  quarter of that (on every group under ``lmm_mode="reference"``), and
+  it is the oracle the array path is tested against.
 * :func:`fill_vectorized` — the same filling expressed over NumPy
   arrays: constraint remaining/load vectors, a variable bound vector,
   and boolean fix masks, so one filling level costs a handful of
@@ -75,15 +75,19 @@ __all__ = [
 _EPS = 1e-12
 INF = float("inf")
 
-#: Group size at which the engine's lazy recompute switches from
-#: :func:`solve_reference` to :func:`fill_vectorized`.  Picked
-#: from the ``EngineMetrics`` component-size counters of replay telemetry:
-#: replay traffic is bimodal — single-digit components for point-to-point
-#: wavefronts and folded CPU bursts (where NumPy call overhead loses), and
-#: contention waves of hundreds of activities (where it wins by an order
-#: of magnitude).  The crossover sits around four dozen activities
-#: (~50 us either way); see docs/replay-performance.md for the
-#: measurement behind this number.
+#: Group size at which the engine's lazy recompute switches a sharing
+#: group from :func:`solve_reference` to :func:`fill_vectorized` (it
+#: goes array-backed).  Picked from the ``EngineMetrics`` component-size
+#: counters of replay telemetry: replay traffic is bimodal — single-digit
+#: components for point-to-point wavefronts and folded CPU bursts (where
+#: NumPy call overhead loses), and contention waves of hundreds of
+#: activities (where it wins by an order of magnitude).  The crossover
+#: sits around four dozen activities (~50 us either way).  The switch
+#: has hysteresis: an array-backed group goes back to
+#: :func:`solve_reference` once a re-rate finds it below a quarter of
+#: the threshold (12 activities), so a group follows its current size,
+#: not the largest it ever reached.  See docs/replay-performance.md for
+#: the measurements behind both numbers.
 VECTOR_THRESHOLD = 48
 
 #: Every solver mode accepted across the stack (``Engine(lmm_mode=...)``,

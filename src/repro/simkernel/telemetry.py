@@ -81,7 +81,7 @@ class EngineMetrics:
                  "maxmin_iterations", "vectorized_recomputes",
                  "idle_advances", "incremental_patches", "patch_fallbacks",
                  "full_resolves", "calendar_rebuilds", "group_merges",
-                 "vector_attaches", "level_hist")
+                 "vector_attaches", "vector_demotions", "level_hist")
 
     def __init__(self) -> None:
         self.reset()
@@ -108,7 +108,9 @@ class EngineMetrics:
         self.calendar_rebuilds = 0    # event-calendar compaction sweeps
         self.group_merges = 0         # sharing-group unions
         self.vector_attaches = 0      # groups switched to array-backed
-        #                               state (at most once per group)
+        #                               state (never by a merge)
+        self.vector_demotions = 0     # array-backed groups handed back to
+        #                               scalar state once they shrank
         # Per-solve filling-level histogram {levels: solves} over the
         # generic solves (scalar, vectorized and certified patches; the
         # single-constraint fast path is not a filling and is excluded).
@@ -151,12 +153,16 @@ class EngineMetrics:
             "full_resolves": self.full_resolves,
             # Event-calendar compaction sweeps.
             "calendar_rebuilds": self.calendar_rebuilds,
-            # Sharing-topology provenance: group unions, and groups
-            # switched to array-backed state.  A merge never re-attaches
-            # (the array-backed side absorbs the other in place), so
-            # attaches stay a handful however many merges there are.
+            # Sharing-topology provenance: group unions, groups
+            # switched to array-backed state, and array-backed groups
+            # demoted back to scalar state below the cut.  A merge never
+            # re-attaches (the array-backed side absorbs the other in
+            # place), so attaches stay a handful however many merges
+            # there are: each one is a group's first growth past the
+            # threshold or its regrowth after a demotion.
             "group_merges": self.group_merges,
             "vector_attaches": self.vector_attaches,
+            "vector_demotions": self.vector_demotions,
             # {filling levels -> solve count}, string keys for JSON;
             # shard/batch merges sum these per-bucket.
             "filling_level_histogram": {

@@ -197,19 +197,15 @@ def test_every_source_form_replays_alike(corpus, member, tmp_path):
 # Generated programs
 # ---------------------------------------------------------------------------
 #: The unsharded cells: generated programs replay on a shared backbone.
-#: Left out: the array solver under flat collectives, which breaks
-#: completion ties unlike the oracle (pinned just below).
-UNSHARDED = sorted(name for name, cell in CELLS.items() if not (
-    cell["shards"] or cell["solver"] == "vectorized"
-    and cell["collective_algorithm"] == "flat"))
+UNSHARDED = sorted(name for name, cell in CELLS.items()
+                   if not cell["shards"])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "an array-backed group completes a same-instant wave in row order, "
-    "which swap-removal scrambles; the scalar oracle completes it in the "
-    "order the flows joined, so the flat reduce's root matches p3 "
-    "before p2"))
 def test_array_solver_breaks_completion_ties_like_the_oracle(tmp_path):
+    """An array-backed group completes a same-instant wave in the order
+    its flows joined, as the scalar oracle does, not in the row order
+    swap-removal scrambles: otherwise the flat reduce's root matches p3
+    before p2."""
     lines = {r: [f"p{r} comm_size 4", f"p{r} bcast 1000",
                  f"p{r} reduce 65537 1000"] for r in range(4)}
     source = write_program(tmp_path, lines)

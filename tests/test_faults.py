@@ -10,7 +10,7 @@ The headline contracts exercised here:
   started the chain (transitive provenance);
 * the same plan + seed produces *byte-identical* fault reports on
   every replay path (tests/test_differential.py) and when faults hit
-  the array solver's absorbed rows (here);
+  the array solver's absorbed rows or a group it just demoted (here);
 * both failure-aware replay modes terminate — no fault plan can hang
   the replayer.
 """
@@ -311,8 +311,9 @@ def test_lu32_host_crash_both_modes_terminate(lu32):
 
 
 def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
-    """Faults against the monotone array-backed groups (vector threshold
-    2, host links only: a flow a->b crosses a.up and b.down).
+    """Faults against array-backed groups that never demote (vector
+    threshold 2, so a demotion cut of 0; host links only: a flow a->b
+    crosses a.up and b.down).
 
     * 0->1 and 2->1 share c-1.down: an array-backed group from t=0;
       4->5 runs alone, scalar.  At ~20 ms 2->5 bridges the two and the
@@ -363,6 +364,48 @@ def test_reports_byte_identical_when_faults_hit_absorbed_rows(monkeypatch):
     assert probe.simulated_time == pytest.approx(0.176, rel=0.01)
     baseline = probe.fault_report.to_json()
     for mode, solver in dict(SOLVERS, auto={"vector_threshold": 2}).items():
+        for incremental in (True, False):
+            result = replay(lmm_incremental=incremental, **solver)
+            assert result.fault_report.to_json() == baseline, (
+                mode, incremental)
+
+
+def test_reports_byte_identical_when_faults_hit_a_demoted_group():
+    """Ranks 1-12 send 1..12 MB to rank 0 at once: twelve flows share
+    c-0.down, and at vector threshold 12 their group attaches at once.
+    They drain in size order; at ~600 ms two are left, under the
+    demotion cut of 3, and the group goes back to scalar state.  Right
+    after, c-0.down is degraded (set_capacity on the demoted group) and
+    c-12.up goes down (fail_activity on one of its two flows).  Every
+    solver configuration reports the same bytes."""
+    n = 14
+    trace = InMemoryTrace()
+    for rank in range(1, 13):
+        trace.emit(Irecv(0, rank, 1e6 * rank))
+    for rank in range(1, 13):
+        trace.emit(Wait(0))
+        trace.emit(Send(rank, 0, 1e6 * rank))
+    plan = FaultPlan(events=(
+        LinkDegrade("c-0.down", 0.605, factor=0.5),
+        LinkDown("c-12.up", 0.607),
+    ))
+
+    def replay(**kw):
+        platform = Platform("t")
+        platform.add_cluster("c", n, speed=1e9, link_bw=1.25e8,
+                             link_lat=1e-5, backbone_bw=1.25e9,
+                             backbone_lat=1e-5, backbone_sharing="fatpipe")
+        return make_replayer(platform, n, fault_plan=plan, **kw).replay(
+            trace)
+
+    probe = replay(collect_metrics=True, vector_threshold=12)
+    engine = probe.metrics["engine"]
+    assert engine["vector_attaches"] == 1
+    assert engine["vector_demotions"] == 1
+    assert probe.metrics["faults"]["requests_failed"] > 0
+    assert probe.fault_report.failed_ranks == [0, 12]
+    baseline = probe.fault_report.to_json()
+    for mode, solver in dict(SOLVERS, auto={"vector_threshold": 12}).items():
         for incremental in (True, False):
             result = replay(lmm_incremental=incremental, **solver)
             assert result.fault_report.to_json() == baseline, (

@@ -406,7 +406,7 @@ def test_incremental_toggle_defaults_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# Monotone array-backed groups: merges are absorbed in place
+# Array-backed groups: merges are absorbed in place, shrunk groups demote
 # ---------------------------------------------------------------------------
 
 def _scripted_run(script, n_links, caps=None, metrics=None, lmm_mode="auto",
@@ -618,6 +618,83 @@ def test_absorbed_activities_with_infinite_rate_and_zero_remaining(
     assert ends[3] == 0.5       # the drained flow: on time
 
 
+def _live_rate(act):
+    """An activity's current rate: its row while its group is
+    array-backed, its attribute otherwise."""
+    group = act.constraints[0].group
+    if group.vectorized:
+        return float(group.rate[group.row[act]])
+    return act.rate
+
+
+def _demotion_run(**engine_kwargs):
+    """Two waves of eight flows over l0+l1 / l1+l2 (mixed bounds), the
+    second at t=1.  A daemon probes every 13.7 ms — between events —
+    and records each live flow's rate and the shared group's state.
+    Returns ``(probes, metrics)``."""
+    metrics = EngineMetrics()
+    engine = Engine(metrics=metrics, **engine_kwargs)
+    links = [Constraint(1e8, f"l{i}") for i in range(3)]
+    bounds = [None, 4e6, None, None, 2e7, None, 6e6, None]
+    acts = {}
+    probes = []
+
+    def flow(k):
+        if k >= 8:
+            yield engine.timer(1.0)
+        idx = (0, 1) if k % 2 else (1, 2)
+        acts[k] = engine.comm_activity([links[i] for i in idx],
+                                       size=1e6 * (k % 8 + 1), latency=0.0,
+                                       bound=bounds[k % 8])
+        yield acts[k]
+
+    def probe():
+        while engine.now < 2.5:
+            yield engine.timer(0.0137)
+            group = links[1].group
+            rates = {k: _live_rate(a) for k, a in acts.items()
+                     if a.registered}
+            probes.append((rates, group.vectorized,
+                           getattr(group, "rem", None) is None))
+
+    for k in range(16):
+        engine.add_process(f"f{k}", flow(k))
+    engine.add_process("probe", probe(), daemon=True)
+    engine.run()
+    return probes, metrics.as_dict()
+
+
+def test_shrunk_group_demotes_to_scalar_and_regrows_into_arrays():
+    """Threshold 8 puts the demotion cut at 2: the first wave attaches
+    the group at t=0 and drains until one flow is left, the re-rate
+    that finds it alone hands the group back to the scalar filling and
+    drops its arrays, and the second wave re-attaches it.  At every
+    probe each live flow's rate equals the reference engine's."""
+    probes, doc = _demotion_run(vector_threshold=8)
+    oracle, _ = _demotion_run(lmm_mode="reference")
+    assert len(probes) == len(oracle)
+    for (rates, _, _), (want, _, _) in zip(probes, oracle):
+        assert rates.keys() == want.keys()
+        for k, rate in rates.items():
+            assert rate == pytest.approx(want[k], rel=1e-9)
+    states = [(vectorized, dropped) for rates, vectorized, dropped in probes
+              if rates]
+    first_scalar = states.index((False, True))
+    assert states[0] == (True, False)
+    assert (True, False) in states[first_scalar:]
+    assert all(state in ((True, False), (False, True)) for state in states)
+    assert doc["vector_attaches"] == 2
+    assert doc["vector_demotions"] == 2
+
+
+def test_threshold_one_never_demotes():
+    """vector_threshold=1 (array filling on every group) gives a cut of
+    0: the group stays array-backed down to its last flow."""
+    probes, doc = _demotion_run(vector_threshold=1)
+    assert all(vectorized for rates, vectorized, _ in probes if rates)
+    assert doc["vector_demotions"] == 0
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf * 0
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
@@ -627,17 +704,21 @@ def test_random_merge_histories_match_the_scalar_oracle(data):
     merges while the survivor holds an armed event, absorbed activities
     with finite bounds, infinite rates (an uncapped link) and zero
     remaining (starts quantised so that merges land on completion
-    instants).  Every completion time equals the reference engine's to
-    1e-9, with and without incremental patching."""
+    instants).  Threshold 8 puts the demotion cut at 2, and a second
+    wave of arrivals 30 s in regrows groups that drained and demoted,
+    so demote/re-attach cycles are drawn too.  Every completion time
+    equals the reference engine's to 1e-9, with and without incremental
+    patching."""
     n_links = data.draw(st.integers(3, 8), label="links")
     caps = [data.draw(st.sampled_from([1e8, 1e8, 5e7, 2.5e7, _INF]),
                       label=f"cap{i}") for i in range(n_links)]
     script = []
-    for k in range(data.draw(st.integers(2, 14), label="flows")):
+    for k in range(data.draw(st.integers(2, 24), label="flows")):
         width = data.draw(st.integers(1, min(3, n_links)))
         idx = tuple(data.draw(st.permutations(range(n_links)))[:width])
         script.append((
-            0.25 * data.draw(st.integers(0, 6)),
+            0.25 * data.draw(st.integers(0, 6))
+            + 30.0 * data.draw(st.integers(0, 1), label="wave"),
             idx,
             2.5e7 * data.draw(st.integers(1, 8)),
             data.draw(st.sampled_from([None, None, 1e8, 5e7, 1.25e7])),
@@ -647,7 +728,13 @@ def test_random_merge_histories_match_the_scalar_oracle(data):
     assert None not in oracle
     # (not the monkeypatch fixture: it is function-scoped, @given is not)
     with mock.patch("repro.simkernel.engine._PATCH_MIN_LEVELS", 0):
-        for incremental in (True, False):
-            got, _, _ = _scripted_run(script, n_links, caps=caps,
-                                      incremental=incremental)
-            _assert_ends_close(got, oracle)
+        for threshold in (2, 8):
+            for incremental in (True, False):
+                metrics = EngineMetrics()
+                got, _, _ = _scripted_run(script, n_links, caps=caps,
+                                          metrics=metrics,
+                                          vector_threshold=threshold,
+                                          incremental=incremental)
+                _assert_ends_close(got, oracle)
+                doc = metrics.as_dict()
+                assert doc["vector_demotions"] <= doc["vector_attaches"]

@@ -58,6 +58,28 @@ def test_sharded_explicit_halo_and_metrics_merge(tmp_path):
     assert b.metrics["engine"]["vector_attaches"] == 0   # 16 ranks: scalar
 
 
+def test_sharded_metrics_sum_each_engines_demotions(tmp_path):
+    """Vector threshold 8 (demotion cut 2): every worker engine attaches
+    and demotes its own groups, and the merge sums them like the other
+    sharing-topology counters."""
+    from repro.core.shard import _merge_counters
+    from repro.simkernel.telemetry import EngineMetrics
+
+    write_synthetic_lu_trace(str(tmp_path), 16, 2, inorm=1)
+    a, b = (replay(str(tmp_path), 16, fatpipe_platform, collect_metrics=True,
+                   vector_threshold=8, **kw)
+            for kw in ({}, {"shards": 2, "shard_halo": 16}))
+    assert_equivalent(a, b)
+    assert 0 < a.metrics["engine"]["vector_demotions"] \
+        < b.metrics["engine"]["vector_demotions"]
+    blobs = []
+    for demotions in (2, 3):
+        metrics = EngineMetrics()
+        metrics.vector_demotions = demotions
+        blobs.append({"engine": metrics.as_dict(), "comm": {}})
+    assert _merge_counters(blobs)["engine"]["vector_demotions"] == 5
+
+
 # ----------------------------------------------------------------------
 # Option and platform gates
 # ----------------------------------------------------------------------

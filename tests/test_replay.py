@@ -346,9 +346,7 @@ def test_replay_is_a_pure_function_of_its_inputs_on_a_reused_platform():
 
     platform = _fatpipe_platform(n)
     first = replay_on(platform)
-    assert any(link.constraint.group is not None
-               and link.constraint.group.vectorized
-               for link in platform.iter_links())
+    assert first.metrics["engine"]["vector_attaches"] > 0
     second = replay_on(platform)
     assert second.simulated_time == first.simulated_time
     assert second.per_rank_time == first.per_rank_time
@@ -373,17 +371,22 @@ def test_chain_merges_never_reattach_an_array_backed_group(monkeypatch):
     """256-rank chain: the pipeline wave merges about one link group per
     rank into the big array-backed one.  Each merge used to devectorize
     it and the next re-rate to rebuild it (55 attaches for 254 merges
-    here, ~one per rank at 1024); now the group absorbs in place, so
-    every attach is accounted for by an array-backed group that still
-    exists or was itself absorbed by another array-backed one."""
+    here, ~one per rank at 1024); now the group absorbs in place, and an
+    array-backed group hands its state back only when absorbed by
+    another or demoted once it shrank below the cut.  So every attach is
+    accounted for by an array-backed group that still exists, one that
+    was absorbed, or a demotion — and attaches stay a handful."""
     from repro.simkernel.engine import Engine
 
-    absorbed_arrays = []
-    devectorize = Engine._devectorize
-    monkeypatch.setattr(
-        Engine, "_devectorize",
-        lambda self, group: (absorbed_arrays.append(group),
-                             devectorize(self, group)))
+    absorbed = []
+    merge = Engine._merge_groups
+
+    def counting_merge(self, a, b):
+        if a.vectorized and b.vectorized:
+            absorbed.append(b)
+        return merge(self, a, b)
+
+    monkeypatch.setattr(Engine, "_merge_groups", counting_merge)
     n = 256
     platform = _fatpipe_platform(n)
     result = TraceReplayer(platform, round_robin_deployment(platform, n),
@@ -392,14 +395,16 @@ def test_chain_merges_never_reattach_an_array_backed_group(monkeypatch):
     groups = {id(link.constraint.group): link.constraint.group
               for link in platform.iter_links()
               if link.constraint.group is not None}
-    array_backed = sum(g.vectorized for g in groups.values())
-    assert array_backed >= 1
+    alive = sum(g.vectorized for g in groups.values())
+    demotions = engine["vector_demotions"]
+    assert demotions >= 1
     assert engine["group_merges"] >= n // 2
-    assert engine["vector_attaches"] == array_backed + len(absorbed_arrays)
+    assert engine["vector_attaches"] == alive + len(absorbed) + demotions
     assert engine["vector_attaches"] <= 4      # not one per merge
     from repro.analysis import format_metrics_report
     assert (f"{engine['group_merges']:,} merges, "
-            f"{engine['vector_attaches']:,} array-backed attaches"
+            f"{engine['vector_attaches']:,} array-backed attaches, "
+            f"{demotions:,} demotions"
             ) in format_metrics_report(result.metrics)
 
 
