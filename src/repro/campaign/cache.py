@@ -51,7 +51,9 @@ __all__ = ["CACHE_FORMAT_VERSION", "canonical_json", "digest_of",
 #: v5: TraceSpec grew family/params (AI-workload generators) and the
 #: opcode space grew the allToAll/allGather/reduceScatter/allToAllv
 #: collectives.
-CACHE_FORMAT_VERSION = 5
+#: v6: ReplaySpec lost batch_phases/shards/shard_halo (path selectors
+#: are not part of a scenario).
+CACHE_FORMAT_VERSION = 6
 
 
 def canonical_json(obj: Any) -> str:

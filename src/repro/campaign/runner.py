@@ -210,9 +210,6 @@ def execute_scenario(sdict: dict) -> dict:
             fault_plan=fault_plan,
             fault_mode=fault_mode,
             compiled=scenario.replay.compiled,
-            batch_phases=scenario.replay.batch_phases,
-            shards=scenario.replay.shards,
-            shard_halo=scenario.replay.shard_halo,
         )
         return replayer.replay(source)
 

@@ -277,11 +277,6 @@ class ReplaySpec:
     # "never" (windows).  Part of the cache address even though both
     # agree to 1e-9: a cached record must say which form produced it.
     compiled: str = "auto"
-    # Event-loop batching and sharded parallel replay (exact, validated
-    # at run time); cache-addressed for the same provenance reason.
-    batch_phases: bool = False
-    shards: int = 0
-    shard_halo: int = 0
 
     def __post_init__(self) -> None:
         # Deliberately no spec field for the incremental toggle: the
@@ -299,8 +294,6 @@ class ReplaySpec:
                 f"unknown compiled mode {self.compiled!r}; use 'auto' or "
                 "'never'"
             )
-        if self.shards < 0 or self.shard_halo < 0:
-            raise ValueError("shards and shard_halo must be >= 0")
 
     def digest_fields(self) -> Dict[str, Any]:
         # collect_metrics changes what is *recorded*, not the simulated

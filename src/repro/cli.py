@@ -38,7 +38,6 @@ from .simkernel import (
     load_deployment,
     load_platform,
 )
-from .simkernel.lmm import LMM_MODES
 from .smpi import round_robin_deployment
 
 
@@ -387,17 +386,6 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
                         help="rank count when no deployment file is given")
     parser.add_argument("--collectives", default="binomial",
                         choices=["binomial", "flat"])
-    parser.add_argument("--lmm", default="auto", choices=LMM_MODES,
-                        help="max-min solver: 'auto' moves large sharing "
-                             "groups to the array solver, 'reference' "
-                             "keeps every group on the scalar oracle "
-                             "(default: auto)")
-    parser.add_argument("--no-lmm-incremental", dest="lmm_incremental",
-                        action="store_false", default=True,
-                        help="disable the certified incremental max-min "
-                             "re-solve of large sharing groups (A/B "
-                             "benchmarking only; results are identical "
-                             "either way)")
     parser.add_argument("--eager-threshold", type=float, default=65536)
     parser.add_argument("--no-compiled", dest="compiled",
                         action="store_const", const="never",
@@ -406,22 +394,6 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
                              "as the replay reaches it, unfused and "
                              "without the .tic cache (default: compile "
                              "every rank whole, cached)")
-    parser.add_argument("--batch-phases", action="store_true",
-                        help="advance synchronizing collectives as one "
-                             "batched dependency graph instead of N "
-                             "per-rank protocols (exact; falls back "
-                             "silently when the replay is not eligible)")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="replay contiguous rank bands in N forked "
-                             "worker processes, merged at collective "
-                             "windows (decoupled platforms only; results "
-                             "are validated against the band owners to "
-                             "1e-9 and the replay fails loudly if the "
-                             "halo is too thin)")
-    parser.add_argument("--shard-halo", type=int, default=0, metavar="R",
-                        help="guard width in ranks each shard simulates "
-                             "beyond its band (default: auto-sized from "
-                             "the trace's communication pattern)")
     parser.add_argument("--faults", default=None, metavar="PLAN_JSON",
                         help="fault plan JSON (host crashes, link outages, "
                              "link degradations) to inject during replay")
@@ -469,18 +441,13 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
             collective_algorithm=args.collectives,
             record_timed_trace=args.timed_trace is not None,
             collect_metrics=args.metrics is not None,
-            lmm_mode=args.lmm,
-            lmm_incremental=args.lmm_incremental,
             fault_plan=fault_plan,
             fault_mode=args.fault_mode,
             compiled=args.compiled,
-            batch_phases=args.batch_phases,
-            shards=args.shards,
-            shard_halo=args.shard_halo,
         )
     except ValueError as exc:
         # Option mismatch (checkpoint-restart without a checkpoint
-        # block, --shards with --no-compiled, ...) is an input error,
+        # block, or a plan with link_down events) is an input error,
         # not a replay failure.
         print(f"bad replay configuration: {exc}", file=sys.stderr)
         return 2

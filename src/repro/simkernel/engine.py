@@ -1076,6 +1076,12 @@ class Engine:
         k = int(times.argmin())
         best_t = float(times[k])
         if best_t < INF:
+            # Ties go to the earliest-joined row, as _arm_earliest's
+            # scan of group.acts does; argmin alone picks the lowest
+            # row, and swap-removal scrambles row order.
+            ties = np.flatnonzero(times == best_t)
+            if len(ties) > 1:
+                k = int(ties[group.joined[ties].argmin()])
             act = group.acts_list[k]
             group.armed = act
             self._push(now + best_t, act)

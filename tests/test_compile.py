@@ -238,8 +238,9 @@ def test_replay_compiled_option_is_part_of_the_key(mixed_dir):
 
 def test_example_campaign_cache_key_is_pinned():
     # The address of an existing cached record must not move unless the
-    # scenario does: this one moved when the example dropped its
-    # explicit feed, leaving the default whole-program form.
+    # scenario or the cache format does: this one moved when the example
+    # dropped its explicit feed, leaving the default whole-program form,
+    # and when format 6 dropped ReplaySpec's path selectors.
     from repro.campaign import load_campaign_spec
 
     examples = os.path.join(os.path.dirname(os.path.dirname(
@@ -249,7 +250,7 @@ def test_example_campaign_cache_key_is_pinned():
                    if s.name == "moe-routing-seed-7"]
     assert scenario.replay.compiled == "auto"
     assert scenario_cache_key(scenario) == (
-        "b77dfc6cec50e5dbd9d5ab163511bd72166330929e58c3fc087ea4b023f2c359")
+        "fc45e5d259d26734cbdd1e9eb611c808128ca205724c2f8119f8883c261c4769")
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,12 @@ DELETED = [
      r"|assert_counters_match)\b",
      ("tests", "!tests/lattice.py"),
      "the equivalence suites' own platforms and assertions"),
+    (r"--batch-phases|--shards\b|--shard-halo|--no-lmm-incremental|--lmm\b",
+     ("src/repro/cli.py", "README.md", "docs", ".github"),
+     "repro-replay's path-selector flags"),
+    (r"replay\.(batch_phases|shards|shard_halo)",
+     ("src/repro/campaign",),
+     "the campaign spec's path-selector fields"),
 ]
 
 

@@ -204,14 +204,22 @@ UNSHARDED = sorted(name for name, cell in CELLS.items()
 def test_array_solver_breaks_completion_ties_like_the_oracle(tmp_path):
     """An array-backed group completes a same-instant wave in the order
     its flows joined, as the scalar oracle does, not in the row order
-    swap-removal scrambles: otherwise the flat reduce's root matches p3
-    before p2."""
-    lines = {r: [f"p{r} comm_size 4", f"p{r} bcast 1000",
-                 f"p{r} reduce 65537 1000"] for r in range(4)}
-    source = write_program(tmp_path, lines)
-    assert_equivalent(
-        replay(source, 4, **oracle_config("flat")),
-        replay(source, 4, collective_algorithm="flat", vector_threshold=1))
+    swap-removal scrambles: otherwise the flat reduce's root matches a
+    later-joined sender first.  The first program drains its wave inline
+    at one settle; in the second the flows tie at the re-arm, which then
+    completes them one event at a time."""
+    cases = (
+        (4, ["comm_size 4", "bcast 1000", "reduce 65537 1000"]),
+        (5, ["comm_size 5", "allReduce 246900.0 32766.0",
+             "reduce 65537.0 1000.0"]),
+    )
+    for i, (n, body) in enumerate(cases):
+        lines = {r: [f"p{r} {line}" for line in body] for r in range(n)}
+        source = write_program(tmp_path / str(i), lines)
+        assert_equivalent(
+            replay(source, n, **oracle_config("flat")),
+            replay(source, n, collective_algorithm="flat",
+                   vector_threshold=1))
 
 
 @settings(max_examples=50, deadline=None)
