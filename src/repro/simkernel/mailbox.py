@@ -146,9 +146,25 @@ class CommSystem:
     def isend(self, src: int, dst: int, size: float, tag: int = 0,
               data: Any = None) -> CommRequest:
         """Post a non-blocking send of ``size`` bytes from rank ``src``."""
-        req = CommRequest("send", src, dst, tag, size, data)
+        return self._post_send(CommRequest("send", src, dst, tag, size, data))
+
+    def irecv(self, dst: int, src: int = ANY_SOURCE,
+              tag: int = ANY_TAG) -> CommRequest:
+        """Post a non-blocking receive at rank ``dst``."""
+        return self._post_recv(CommRequest("recv", src, dst, tag, 0.0))
+
+    def post(self, req: CommRequest) -> CommRequest:
+        """Post a request built earlier, as :meth:`isend` / :meth:`irecv`
+        would have posted it at this instant (the simulated-MPI layer
+        holds back the posts a rank makes while it owes tracing time)."""
+        if req.kind == "send":
+            return self._post_send(req)
+        return self._post_recv(req)
+
+    def _post_send(self, req: CommRequest) -> CommRequest:
+        dst, size = req.dst, req.size
         queue = self._pending_recvs.get(dst)
-        comm = self._match(queue, src, tag) if queue else None
+        comm = self._match(queue, req.src, req.tag) if queue else None
         if comm is not None:
             comm.send_req = req
             req.comm = comm
@@ -169,12 +185,10 @@ class CommSystem:
                 self._start_transfer(comm)
         return req
 
-    def irecv(self, dst: int, src: int = ANY_SOURCE,
-              tag: int = ANY_TAG) -> CommRequest:
-        """Post a non-blocking receive at rank ``dst``."""
-        req = CommRequest("recv", src, dst, tag, 0.0)
+    def _post_recv(self, req: CommRequest) -> CommRequest:
+        dst = req.dst
         queue = self._pending_sends.get(dst)
-        comm = self._match(queue, src, tag) if queue else None
+        comm = self._match(queue, req.src, req.tag) if queue else None
         if comm is not None:
             comm.recv_req = req
             req.comm = comm

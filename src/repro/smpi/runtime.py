@@ -92,17 +92,27 @@ class MpiRuntime:
                 f"counter bank covers {self.papi.n_ranks} ranks, "
                 f"deployment has {self.size}"
             )
+        # The ranks of the current run (see clock()).
+        self._ranks: List[MpiProcess] = []
         if hooks is not None:
             hooks.attach(self)
+
+    def clock(self, rank: int) -> float:
+        """``rank``'s own clock: engine time plus the tracing time the
+        rank owes (what its trace records and MPI_Wtime read)."""
+        return self.engine.now + self._ranks[rank].owed
 
     def run(self, program: RankProgram) -> RunResult:
         """Run ``program`` on every rank to completion."""
         finish = [0.0] * self.size
         procs = []
+        self._ranks = [MpiProcess(self, rank) for rank in range(self.size)]
 
         def rank_main(rank: int):
-            mpi = MpiProcess(self, rank)
+            mpi = self._ranks[rank]
             result = yield from program(mpi)
+            if mpi.owed:
+                yield from mpi._flush()
             finish[rank] = self.engine.now
             return result
 
@@ -165,6 +175,9 @@ class MpiRuntime:
             # tracer's buffered records are the post-mortem evidence.
             if self.hooks is not None:
                 self.hooks.detach()
+            # Each rank references this runtime: without the cycle, a
+            # finished runtime is freed as soon as its caller drops it.
+            self._ranks = []
         fault_report = None
         if injector is not None:
             dead = {f.rank: f for f in rank_failures}

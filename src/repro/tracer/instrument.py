@@ -16,8 +16,13 @@ Instrumented application functions (the SSOR phases of LU) appear as
 instrumentation of ``ssor(itmax)`` shown in §4.1 — and the extractor must
 skip them, which exercises the .edf group metadata.
 
-Each record written charges ``per_record_overhead`` seconds of CPU on the
-traced rank; that is the "tracing overhead" component of Fig. 7.
+Each enter/leave burst of an MPI call or an application function
+charges ``per_record_overhead`` seconds of CPU per record it writes on
+the traced rank; that is the "tracing overhead" component of Fig. 7.
+Message records, collective-volume triggers and the bursts of
+``MPI_Isend`` / ``MPI_Irecv`` charge none.  Records are stamped at the
+rank's clock (``MpiRuntime.clock``), which counts the overhead the rank
+owes but has not yet run on its CPU.
 
 With ``directory=None`` the tracer counts records without writing — the
 size-accounting mode used for paper-scale rows of Table 3.
@@ -44,6 +49,7 @@ from .tracefile import (
     RECORD_BYTES,
     TraceFileWriter,
     edf_file_name,
+    records_struct,
     trc_file_name,
 )
 
@@ -75,6 +81,9 @@ class _CountingSink:
     def write(self, event_id: int, nid: int, tid: int, param: int,
               time_us: float) -> None:
         self.n_records += 1
+
+    def write_packed(self, records: bytes, n: int) -> None:
+        self.n_records += n
 
     def close(self) -> None:
         pass
@@ -150,6 +159,11 @@ class Tracer:
         self._counter_ids = {
             name: _COUNTER_ID_BASE + i for i, name in enumerate(self.counters)
         }
+        # With the default counters (ids 1 and 2, in that order) an
+        # enter/leave burst packs its three records in one call.
+        self._pack_burst = (records_struct(3).pack
+                            if tuple(self.counters) == DEFAULT_COUNTERS
+                            else None)
         self._records_this_event: int = 0
 
     # ------------------------------------------------------------------
@@ -213,10 +227,17 @@ class Tracer:
             self._records_this_event = 0
             return
         event_id = self._function_id(func)
-        now_us = self.runtime.engine.now * 1e6
+        now_us = self.runtime.clock(rank) * 1e6
         sink = self._sinks[rank]
-        sink.write(event_id, rank, 0, ENTRY, now_us)
-        self._write_counters(rank, now_us)
+        pack = self._pack_burst
+        if pack is not None:
+            sink.write_packed(pack(
+                event_id, rank, 0, ENTRY, now_us,
+                1, rank, 0, int(now_us), now_us,
+                2, rank, 0, self.runtime.papi.read(rank), now_us), 3)
+        else:
+            sink.write(event_id, rank, 0, ENTRY, now_us)
+            self._write_counters(rank, now_us)
         self._records_this_event = 1 + len(self.counters)
 
     def on_leave(self, rank: int, func: str) -> None:
@@ -224,15 +245,23 @@ class Tracer:
             self._records_this_event = 0
             return
         event_id = self._function_id(func)
-        now_us = self.runtime.engine.now * 1e6
-        self._write_counters(rank, now_us)
-        self._sinks[rank].write(event_id, rank, 0, EXIT, now_us)
+        now_us = self.runtime.clock(rank) * 1e6
+        sink = self._sinks[rank]
+        pack = self._pack_burst
+        if pack is not None:
+            sink.write_packed(pack(
+                1, rank, 0, int(now_us), now_us,
+                2, rank, 0, self.runtime.papi.read(rank), now_us,
+                event_id, rank, 0, EXIT, now_us), 3)
+        else:
+            self._write_counters(rank, now_us)
+            sink.write(event_id, rank, 0, EXIT, now_us)
         self._records_this_event = 1 + len(self.counters)
 
     def on_send(self, rank: int, dst: int, nbytes: float, tag: int) -> None:
         if not self._enabled[rank]:
             return
-        now_us = self.runtime.engine.now * 1e6
+        now_us = self.runtime.clock(rank) * 1e6
         sink = self._sinks[rank]
         sink.write(_EV_MSG_SIZE_SENT, rank, 0, int(nbytes), now_us)
         sink.write(EV_SEND_MESSAGE, rank, 0,
@@ -241,7 +270,7 @@ class Tracer:
     def on_recv(self, rank: int, src: int, nbytes: float, tag: int) -> None:
         if not self._enabled[rank]:
             return
-        now_us = self.runtime.engine.now * 1e6
+        now_us = self.runtime.clock(rank) * 1e6
         self._sinks[rank].write(EV_RECV_MESSAGE, rank, 0,
                                 pack_message(src, tag & 0xFF, nbytes), now_us)
 
@@ -250,7 +279,7 @@ class Tracer:
         """Volumes of a collective call, recorded as user-event triggers."""
         if not self._traces(rank, func):
             return
-        now_us = self.runtime.engine.now * 1e6
+        now_us = self.runtime.clock(rank) * 1e6
         sink = self._sinks[rank]
         sink.write(_EV_COLL_COMM, rank, 0, int(vcomm), now_us)
         sink.write(_EV_COLL_COMP, rank, 0, int(vcomp), now_us)

@@ -11,15 +11,20 @@ of simulated times across acquisition scenarios to "hardware counter
 accuracy issues".  ``jitter`` reproduces that: each increment is scaled by
 ``1 + jitter * u`` with ``u`` uniform in [-1, 1] from a per-rank seeded
 stream, so acquisition is deterministic per seed yet scenario-dependent.
+The stream is drawn in blocks (``Generator.uniform(-1, 1, n)`` yields
+exactly the next ``n`` scalar draws), so a burst costs no numpy call.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["VirtualCounterBank"]
+
+_DRAW_BLOCK = 256
 
 
 class VirtualCounterBank:
@@ -41,6 +46,8 @@ class VirtualCounterBank:
             np.random.default_rng(None if seed is None else seed + 7919 * r)
             for r in range(n_ranks)
         ]
+        # Per rank, the block's draws not yet used, last one first.
+        self._draws = [array("d") for _ in range(n_ranks)]
 
     def add(self, rank: int, flops: float) -> None:
         """Count ``flops`` operations on ``rank`` (with measurement noise)."""
@@ -48,7 +55,11 @@ class VirtualCounterBank:
             raise ValueError(f"flops must be >= 0, got {flops}")
         self._true_values[rank] += flops
         if self.jitter:
-            noise = 1.0 + self.jitter * self._rngs[rank].uniform(-1.0, 1.0)
+            draws = self._draws[rank]
+            if not draws:
+                block = self._rngs[rank].uniform(-1.0, 1.0, _DRAW_BLOCK)
+                draws.frombytes(block[::-1].tobytes())
+            noise = 1.0 + self.jitter * draws.pop()
             self._values[rank] += flops * noise
         else:
             self._values[rank] += flops

@@ -30,11 +30,19 @@ __all__ = [
     "RECORD_BYTES", "HEADER_BYTES",
     "trc_file_name", "edf_file_name",
     "TraceFileWriter", "iter_record_tuples", "read_records", "record_count",
+    "records_struct",
 ]
 
 _MAGIC = b"TAUTRC01"
 _HEADER = struct.Struct("<8sII")   # magic, version, reserved
-_RECORD = struct.Struct("<IHHqd")  # event_id, nid, tid, param, time_us
+
+
+def records_struct(n: int) -> struct.Struct:
+    """The layout of ``n`` consecutive records, packed by one call."""
+    return struct.Struct("<" + "IHHqd" * n)
+
+
+_RECORD = records_struct(1)  # event_id, nid, tid, param, time_us
 
 RECORD_BYTES = _RECORD.size
 HEADER_BYTES = _HEADER.size
@@ -66,8 +74,12 @@ class TraceFileWriter:
 
     def write(self, event_id: int, nid: int, tid: int, param: int,
               time_us: float) -> None:
-        self._buffer += _RECORD.pack(event_id, nid, tid, param, time_us)
-        self.n_records += 1
+        self.write_packed(_RECORD.pack(event_id, nid, tid, param, time_us), 1)
+
+    def write_packed(self, records: bytes, n: int) -> None:
+        """Append ``n`` records already packed (see :func:`records_struct`)."""
+        self._buffer += records
+        self.n_records += n
         if len(self._buffer) >= (1 << 16):
             self._handle.write(self._buffer)
             self._buffer.clear()

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.simkernel import DeadlockError, Platform
@@ -58,6 +59,21 @@ def test_papi_jitter_is_small_and_seeded():
     assert a.read(0) != 1_000_000  # but noisy
     assert abs(a.read(0) - 1e6) / 1e6 < 0.01
     assert a.read_true(0) == 1e6
+
+
+def test_papi_jitter_matches_one_scalar_draw_per_burst():
+    """Block draws leave every counter value where one ``uniform(-1, 1)``
+    call per burst, from each rank's own seeded stream, puts it."""
+    bank = VirtualCounterBank(2, jitter=0.01, seed=3)
+    rngs = [np.random.default_rng(3 + 7919 * r) for r in range(2)]
+    expected = [0.0, 0.0]
+    for i in range(700):  # past two blocks, ranks interleaved unevenly
+        rank = 0 if i % 3 else 1
+        flops = 1e4 + 37.0 * i
+        bank.add(rank, flops)
+        expected[rank] += flops * (1.0 + 0.01 * rngs[rank].uniform(-1.0, 1.0))
+        assert bank.read(rank) == int(round(expected[rank]))
+    assert bank._values == expected
 
 
 def test_papi_validation():
