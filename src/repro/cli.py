@@ -98,7 +98,10 @@ def main_acquire(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jitter", type=float, default=0.0,
                         help="hardware-counter jitter fraction (e.g. 0.005)")
     parser.add_argument("--skip-application-run", action="store_true",
-                        help="skip the uninstrumented reference run")
+                        help="skip the uninstrumented reference run "
+                             "(it runs in a forked child beside the "
+                             "instrumented one, so skipping it saves CPU "
+                             "more than wall time)")
     args = parser.parse_args(argv)
 
     platform = _build_platform(args.platform, args.hosts, ground_truth=True,

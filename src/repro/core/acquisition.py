@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import os
 import re
+import signal
+import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -154,67 +157,176 @@ def acquire(
     With ``workdir=None`` the tracer runs in size-accounting mode:
     execution times and timed-trace sizes are produced, but no extraction
     happens (the paper-scale mode used for Table 2's timings).
+
+    ``measure_application`` adds the uninstrumented run that gives
+    ``application_time``.  It reads nothing the other steps produce, so
+    it runs in a forked child while this process runs the instrumented
+    run, extraction and gathering:
+
+    * Side effects of that run (a rank program mutating shared state,
+      say) stay in the child; this process sees only its 8-byte time.
+    * The child resets SIGTERM and SIGINT to their defaults, drops any
+      inherited signal wakeup fd, dies with this process where the OS
+      allows (Linux), flushes its own stdio and leaves through
+      ``os._exit``; stdio is flushed before the fork, so no buffered
+      output is written twice.
+    * If the child fails, the bare run is repeated here, so its error
+      (a ``DeadlockError``, say) is raised with its real type, message
+      and traceback.  If this process's own steps raise, the child is
+      killed and reaped first: no child outlives the call.
+    * Where ``os.fork`` is absent, the bare run runs here, after the
+      instrumented one.
     """
     deployment = build_deployment(platform, n_ranks, mode)
 
-    application_time = None
-    if measure_application:
+    def run_application() -> float:
         bare = MpiRuntime(platform, deployment, comm_model=comm_model,
                           papi=VirtualCounterBank(n_ranks))
-        application_time = bare.run(program).time
+        return bare.run(program).time
 
-    tau_dir = os.path.join(workdir, "tau") if workdir is not None else None
-    tracer = (tracer_factory(tau_dir) if tracer_factory is not None
-              else Tracer(tau_dir))
-    papi = VirtualCounterBank(n_ranks, jitter=papi_jitter, seed=papi_seed)
-    runtime = MpiRuntime(platform, deployment, comm_model=comm_model,
-                         hooks=tracer, papi=papi)
-    execution_time = runtime.run(program).time
-    archive = tracer.archive
+    child = (_ForkedRun(run_application)
+             if measure_application and hasattr(os, "fork") else None)
+    try:
+        tau_dir = (os.path.join(workdir, "tau") if workdir is not None
+                   else None)
+        tracer = (tracer_factory(tau_dir) if tracer_factory is not None
+                  else Tracer(tau_dir))
+        papi = VirtualCounterBank(n_ranks, jitter=papi_jitter,
+                                  seed=papi_seed)
+        runtime = MpiRuntime(platform, deployment, comm_model=comm_model,
+                             hooks=tracer, papi=papi)
+        execution_time = runtime.run(program).time
 
-    extraction = None
-    gather = None
-    trace_dir = None
-    if workdir is not None:
-        trace_dir = os.path.join(workdir, "ti")
-        extraction = tau2simgrid(tau_dir, n_ranks, trace_dir,
-                                 processes=extraction_processes)
-        # Gathering: the per-*node* TI trace volumes funnel to the first
-        # node of the deployment over a K-nomial tree.
-        node_hosts: List[Host] = []
-        node_bytes: Dict[int, float] = {}
-        host_index: Dict[int, int] = {}
-        per_rank_bytes = _per_rank_ti_bytes(extraction)
-        for rank, host in enumerate(deployment):
-            idx = host_index.get(id(host))
-            if idx is None:
-                idx = len(node_hosts)
-                host_index[id(host)] = idx
-                node_hosts.append(host)
-                node_bytes[idx] = 0.0
-            node_bytes[idx] += per_rank_bytes[rank]
-        gather = simulate_gather(
-            platform, node_hosts,
-            [node_bytes[i] for i in range(len(node_hosts))],
-            arity=gather_arity,
-        )
+        extraction = None
+        gather = None
+        trace_dir = None
+        if workdir is not None:
+            trace_dir = os.path.join(workdir, "ti")
+            extraction = tau2simgrid(tau_dir, n_ranks, trace_dir,
+                                     processes=extraction_processes)
+            gather = _gather(platform, deployment, extraction.per_rank_bytes,
+                             gather_arity)
+
+        application_time = None
+        if measure_application:
+            if child is not None:
+                application_time = child.result()
+            if application_time is None:
+                application_time = run_application()
+    finally:
+        if child is not None:
+            child.stop()
     return AcquisitionResult(
         mode_label=mode.label,
         n_ranks=n_ranks,
         application_time=application_time,
         execution_time=execution_time,
-        tau_archive=archive,
+        tau_archive=tracer.archive,
         extraction=extraction,
         gather=gather,
         trace_dir=trace_dir,
     )
 
 
-def _per_rank_ti_bytes(extraction: ExtractionReport) -> List[float]:
-    """Approximate per-rank TI bytes from per-rank action counts (exact
-    totals are known; the split only feeds the gather simulation)."""
-    total_actions = max(1, extraction.n_actions)
-    return [
-        extraction.n_bytes * (count / total_actions)
-        for count in extraction.per_rank_actions
-    ]
+def _gather(platform: Platform, deployment: Sequence[Host],
+            per_rank_bytes: Sequence[int], arity: int) -> GatherResult:
+    """Gathering: the per-*node* TI trace volumes funnel to the first
+    node of the deployment over a K-nomial tree."""
+    node_hosts: List[Host] = []
+    node_bytes: List[float] = []
+    host_index: Dict[int, int] = {}
+    for host, n_bytes in zip(deployment, per_rank_bytes):
+        idx = host_index.get(id(host))
+        if idx is None:
+            idx = host_index[id(host)] = len(node_hosts)
+            node_hosts.append(host)
+            node_bytes.append(0.0)
+        node_bytes[idx] += n_bytes
+    return simulate_gather(platform, node_hosts, node_bytes, arity=arity)
+
+
+_TIME = struct.Struct("<d")
+_PR_SET_PDEATHSIG = 1
+
+
+class _ForkedRun:
+    """``run()`` in a forked child that writes its float result back
+    through a pipe (the contract is :func:`acquire`'s docstring)."""
+
+    def __init__(self, run: Callable[[], float]) -> None:
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            self.pid: Optional[int] = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                _child_signals(parent)
+                os.write(write_fd, _TIME.pack(run()))
+                status = 0
+            except BaseException:  # noqa: BLE001 - the parent re-runs it
+                pass
+            finally:
+                try:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+        os.close(write_fd)
+        self.fd = read_fd
+
+    def result(self) -> Optional[float]:
+        """Wait for the child and reap it: its time, or None if it
+        failed (a nonzero exit or a short read)."""
+        data = b""
+        while len(data) < _TIME.size:
+            chunk = os.read(self.fd, _TIME.size - len(data))
+            if not chunk:
+                break
+            data += chunk
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0 or len(data) < _TIME.size:
+            return None
+        return _TIME.unpack(data)[0]
+
+    def stop(self) -> None:
+        """Kill and reap a child that is still there; close the pipe."""
+        if self.pid is not None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:  # pragma: no cover - already gone
+                pass
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.fd)
+
+
+def _child_signals(parent: int) -> None:
+    """The forked child's signal set-up: default SIGTERM / SIGINT, no
+    wakeup fd echoing its signals to the parent's event loop, and a
+    SIGKILL when the parent dies (Linux ``prctl``), so a parent killed
+    outright leaves no bare run behind."""
+    try:
+        signal.set_wakeup_fd(-1)
+    except (ValueError, OSError):  # pragma: no cover - non-main thread
+        pass
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):  # pragma: no cover - no prctl
+        return
+    if os.getppid() != parent:         # it died before prctl took hold
+        os._exit(1)

@@ -83,6 +83,7 @@ class ExtractionReport:
     n_bytes: int           # exact size of the written TI trace files
     wall_seconds: float    # measured extraction time
     per_rank_actions: List[int] = field(default_factory=list)
+    per_rank_bytes: List[int] = field(default_factory=list)  # sums to n_bytes
     burst_samples: List[BurstSample] = field(default_factory=list)
 
     @property
@@ -355,6 +356,7 @@ def tau2simgrid(
         n_bytes=sum(r[2] for r in results),
         wall_seconds=wall,
         per_rank_actions=[r[1] for r in results],
+        per_rank_bytes=[r[2] for r in results],
     )
     for r in results:
         report.burst_samples.extend(r[3])

@@ -2,6 +2,10 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +22,12 @@ from repro.core.acquisition import (
     acquire,
     build_deployment,
 )
+from repro.core.gather import simulate_gather
 from repro.core.trace import read_trace_dir
 from repro.faults import FaultPlan, LinkDegrade
 from repro.platforms import bordereau, grid5000
 from repro.smpi import MpiRuntime, api, round_robin_deployment
-from repro.tracer import Tracer
+from repro.tracer import Tracer, VirtualCounterBank
 from repro.tracer.tracefile import HEADER_BYTES
 
 
@@ -98,6 +103,23 @@ def test_acquire_full_pipeline_writes_everything(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path), "tau",
                                        "tautrace.0.0.0.trc"))
     assert os.path.exists(os.path.join(str(tmp_path), "tau", "events.0.edf"))
+
+
+def test_gather_moves_each_rank_exact_ti_bytes(tmp_path):
+    platform = bordereau(4)
+    result = acquire(LuWorkload("S", 4).program, platform, 4,
+                     workdir=str(tmp_path), measure_application=False)
+    report = result.extraction
+    sizes = [os.path.getsize(os.path.join(result.trace_dir,
+                                          f"SG_process{rank}.trace"))
+             for rank in range(4)]
+    assert report.per_rank_bytes == sizes
+    assert sum(report.per_rank_bytes) == report.n_bytes
+    # Regular mode: one rank per node, so the gathered volumes are the
+    # files themselves.
+    exact = simulate_gather(platform, build_deployment(platform, 4),
+                            [float(size) for size in sizes])
+    assert result.gather.time == exact.time
 
 
 def test_acquire_size_accounting_mode():
@@ -351,3 +373,115 @@ def test_isend_posted_while_owing_time_goes_out_at_its_instant(monkeypatch):
                                               per_burst.rank_results[1])
     assert size_got == size_want == 1000
     assert t_got == pytest.approx(t_want, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# The bare application run, forked beside the instrumented one
+# ---------------------------------------------------------------------------
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("label", ["R", "F-2"])
+@pytest.mark.parametrize("app", ["lu", "ring"])
+def test_forked_application_run_matches_inline_runs(app, label):
+    build, ranks = _FOLD_APPS[app]
+    mode = AcquisitionMode.parse(label)
+    result = acquire(build(), bordereau(), ranks, mode=mode,
+                     papi_jitter=0.01, papi_seed=1)
+    _assert_no_child_left()
+
+    def inline(**kwargs):
+        platform = bordereau()
+        deployment = build_deployment(platform, ranks, mode)
+        return MpiRuntime(platform, deployment, **kwargs).run(build()).time
+
+    assert result.application_time == inline(papi=VirtualCounterBank(ranks))
+    assert result.execution_time == inline(
+        hooks=Tracer(None),
+        papi=VirtualCounterBank(ranks, jitter=0.01, seed=1))
+
+
+def _stuck_untraced(mpi):
+    """Ring, except that untraced rank 0 first waits on a receive no
+    rank ever matches: only the bare run deadlocks."""
+    if mpi.runtime.hooks is None and mpi.rank == 0:
+        yield from mpi.recv(src=1, tag=99)
+    yield from ring_program(mpi)
+
+
+def test_a_failed_application_run_raises_the_inline_error(tmp_path):
+    platform = bordereau(4)
+    with pytest.raises(Exception) as inline:
+        MpiRuntime(platform, build_deployment(platform, 4),
+                   papi=VirtualCounterBank(4)).run(_stuck_untraced)
+    with pytest.raises(Exception) as forked:
+        acquire(_stuck_untraced, bordereau(4), 4, workdir=str(tmp_path))
+    assert type(forked.value) is type(inline.value)
+    assert str(forked.value) == str(inline.value)
+    _assert_no_child_left()
+
+
+def test_a_failed_instrumented_half_kills_the_application_run():
+    def sleeps_untraced(mpi):
+        if mpi.runtime.hooks is None and mpi.rank == 0:
+            time.sleep(60)
+        yield from ring_program(mpi)
+
+    def broken_tracer(tau_dir):
+        raise RuntimeError("no tracer today")
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="no tracer today"):
+        acquire(sleeps_untraced, bordereau(4), 4,
+                tracer_factory=broken_tracer)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+_KILLED_CALLER = textwrap.dedent("""
+    import ctypes, os, signal, time
+    from repro.apps import ring_program
+    from repro.core.acquisition import acquire
+    from repro.platforms import bordereau
+
+    def program(mpi):
+        if mpi.runtime.hooks is None and mpi.rank == 0:
+            os.write(ready_w, str(os.getpid()).encode())
+            time.sleep(60)
+        yield from ring_program(mpi)
+
+    # Adopt the caller's orphans, so the bare run can be reaped here.
+    ctypes.CDLL(None).prctl(36, 1)          # PR_SET_CHILD_SUBREAPER
+    ready_r, ready_w = os.pipe()
+    caller = os.fork()
+    if caller == 0:
+        acquire(program, bordereau(4), 4)
+        os._exit(0)
+    bare = int(os.read(ready_r, 32))
+    os.kill(caller, signal.SIGKILL)
+    os.waitpid(caller, 0)
+    deadline = time.monotonic() + 10
+    while os.waitpid(bare, os.WNOHANG)[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(bare, signal.SIGKILL)
+            os.waitpid(bare, 0)
+            print("outlived")
+            break
+        time.sleep(0.02)
+    else:
+        print("died with its caller")
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="parent-death signal is Linux-only")
+def test_a_killed_acquisition_leaves_no_application_run():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [p for p in sys.path if p]))
+    done = subprocess.run([sys.executable, "-c", _KILLED_CALLER], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "died with its caller"

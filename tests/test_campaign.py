@@ -176,6 +176,33 @@ def test_execute_scenario_acquire_with_actual():
     assert payload["rel_error"] is not None
 
 
+def test_acquire_unit_forks_its_application_run_in_a_daemonic_child(
+        tmp_path):
+    """A unit runs in a daemonic multiprocessing child, which may not
+    start multiprocessing children; acquire() forks its bare run raw."""
+    from dataclasses import replace
+
+    from repro.apps import LuWorkload, lu_class
+    from repro.core.acquisition import build_deployment
+    from repro.platforms import named_platform
+    from repro.smpi import MpiRuntime
+    from repro.tracer import VirtualCounterBank
+
+    scenario = lu_scenario(
+        trace=TraceSpec(kind="acquire", app="lu", cls="S", itmax_cap=1),
+        measure_actual=True,
+    )
+    result = run_campaign(CampaignSpec(name="acq", scenarios=[scenario]),
+                          str(tmp_path / "camp"))
+    assert result.ok
+    ground = named_platform("bordereau", True, hosts=8)
+    program = LuWorkload(replace(lu_class("S"), itmax=1, inorm=1),
+                         4).program
+    inline = MpiRuntime(ground, build_deployment(ground, 4),
+                        papi=VirtualCounterBank(4)).run(program).time
+    assert result.records["lu"].result["actual_time"] == inline
+
+
 # ----------------------------------------------------------------------
 # The runner fleet
 # ----------------------------------------------------------------------
