@@ -85,8 +85,11 @@ class _Node(Waitable):
     def satisfy(self, _source=None) -> None:
         self.need -= 1
         if self.need == 0:
-            if self.action is not None:
-                self.action()
+            # Cleared once run: an exit node's action is a method of the
+            # graph that lists the node.
+            action, self.action = self.action, None
+            if action is not None:
+                action()
             self.engine.complete_waitable(self)
 
 

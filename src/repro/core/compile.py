@@ -417,22 +417,31 @@ def _read_text(path: str, digest: Optional[_SourceDigest], size: int):
             with gzip.GzipFile(fileobj=raw) as text:
                 yield from iter(lambda: text.read(size), b"")
             return
-        for chunk in iter(lambda: handle.read(size), b""):
-            if digest is not None:
-                digest.update(chunk)
+        chunks = iter(lambda: handle.read(size), b"")
+        if digest is None:
+            # Delegated, so that no local of this suspended generator
+            # holds the chunk its caller is working on.
+            yield from chunks
+            return
+        for chunk in chunks:
+            digest.update(chunk)
             yield chunk
 
 
 def _whole_lines(chunks):
     """Byte chunks re-cut at line ends; a final line without its newline
-    gets one."""
+    gets one.  Suspended, it holds the carried partial line and the
+    text it yielded, no other copy of the chunk: a windowed replay
+    keeps one of these per rank."""
     carry = b""
-    for chunk in chunks:
-        data = carry + chunk if carry else chunk
+    for data in chunks:
+        if carry:
+            data = carry + data
         cut = data.rfind(b"\n") + 1
         carry = data[cut:]
         if cut:
-            yield data[:cut]
+            data = data[:cut]
+            yield data
     if carry:
         yield carry + b"\n"
 

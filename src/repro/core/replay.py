@@ -379,9 +379,6 @@ class TraceReplayer:
                 replay_metrics.ops_compiled = sum(p.n_ops for p in programs)
                 replay_metrics.computes_fused = sum(
                     p.n_src - p.n_ops for p in programs)
-        self.engine.deadlock_hook = lambda blocked: self._deadlock_report(
-            contexts, blocked
-        )
         # Phase batching only exists on fault-free replays and only when
         # the batched graph is provably the exact protocol (see
         # batch_eligible).  Ineligible replays silently walk the per-rank
@@ -436,17 +433,25 @@ class TraceReplayer:
                         host=self.deployment[rank].name,
                     ))
 
-            self.engine.process_failed_hook = on_proc_failed
             injector.attach()
 
+        # The hooks reference this replayer, which holds the engine: the
+        # finally below unhooks them, so the pair dies by reference
+        # counting once the caller drops it.
+        engine = self.engine
+        engine.deadlock_hook = lambda blocked: self._deadlock_report(
+            contexts, blocked
+        )
+        if fault_state is not None:
+            engine.process_failed_hook = on_proc_failed
         wall_start = time.perf_counter()
         for ctx, feed in zip(contexts, feeds):
-            procs.append(self.engine.add_process(
+            procs.append(engine.add_process(
                 f"p{ctx.rank}",
                 self._rank_process(ctx, feed, finish, replay_metrics,
                                    batcher)))
         try:
-            simulated = self.engine.run()
+            simulated = engine.run()
         except DeadlockError as exc:
             if fault_state is None or not fault_state["failures"]:
                 raise
@@ -464,6 +469,9 @@ class TraceReplayer:
                         "pending_irecv_srcs": [req.src for req
                                                in ctx.pending_irecvs],
                     }
+        finally:
+            engine.deadlock_hook = None
+            engine.process_failed_hook = None
         wall = time.perf_counter() - wall_start
         if telemetry is not None:
             telemetry.comm.finish(self.comms.cache_stats())

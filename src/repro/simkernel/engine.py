@@ -91,6 +91,8 @@ class DeadlockError(RuntimeError):
     and ``details`` (a dict filled in by the engine's ``deadlock_hook``
     — the replayer reports each rank's current action, pending Irecvs,
     and the unmatched (src, dst, tag) communication counts there).
+    The run is over when it is raised: the blocked processes have been
+    closed.
     """
 
     def __init__(self, message: str, blocked: Sequence[str] = (),
@@ -235,8 +237,9 @@ class Process:
 
     ``daemon`` processes (the fault injector) never count toward the
     engine's liveness: the run ends when every *non-daemon* process is
-    done, and daemons are excluded from deadlock reports.  ``failure``
-    holds the :class:`ActivityFailed` that killed the process, if any.
+    done, closing the daemons still waiting, and daemons are excluded
+    from deadlock reports.  ``failure`` holds the
+    :class:`ActivityFailed` that killed the process, if any.
     """
 
     __slots__ = ("name", "generator", "alive", "_wait_token", "result",
@@ -477,6 +480,7 @@ class Engine:
                     # the event heap.
                     continue
                 if self._live_count == 0:
+                    self._close_processes()
                     return self.now
                 item = cal.pop(horizon)
                 if item is None:
@@ -564,6 +568,20 @@ class Engine:
                 if comp_max > metrics.max_component_acts:
                     metrics.max_component_acts = comp_max
 
+    def _close_processes(self) -> None:
+        """The run is over (every non-daemon process finished, or none
+        can progress): close each process still suspended — a daemon
+        waiting for its next event, a deadlocked rank.  A suspended
+        generator's frame references the layer that holds this engine,
+        so an open one would keep the whole run alive in a reference
+        cycle until the cycle collector ran."""
+        for proc in self._processes:
+            if proc.alive:
+                proc.alive = False
+                proc._wait_token += 1
+                proc.generator.close()
+        self._live_count = 0
+
     def _deadlock(self) -> DeadlockError:
         """Build the structured no-progress error, consulting the
         diagnostics hook (the replayer installs one) for layer-specific
@@ -581,6 +599,7 @@ class Engine:
             extra, details = self.deadlock_hook(blocked_procs)
             if extra:
                 message += "\n" + extra
+        self._close_processes()
         return DeadlockError(message, blocked=blocked, details=details)
 
     # ------------------------------------------------------------------
@@ -1316,9 +1335,11 @@ class Engine:
             except ActivityFailed as exc:
                 # The process did not handle the fault: it dies, the rest
                 # of the simulation keeps running (peers blocked on it
-                # surface through the deadlock machinery).
+                # surface through the deadlock machinery).  The failure
+                # is kept for its provenance, not its frames: this one
+                # holds ``proc``, which would close a reference cycle.
                 proc.alive = False
-                proc.failure = exc
+                proc.failure = exc.with_traceback(None)
                 proc._wait_token += 1
                 if not proc.daemon:
                     self._live_count -= 1

@@ -47,7 +47,7 @@ DEFAULT_EAGER_THRESHOLD = 65536
 class CommRequest(Waitable):
     """One side (send or receive) of a matched communication."""
 
-    __slots__ = ("kind", "src", "dst", "tag", "size", "data", "comm")
+    __slots__ = ("kind", "src", "dst", "tag", "size", "data")
 
     def __init__(self, kind: str, src: int, dst: int, tag: int,
                  size: float, data: Any = None) -> None:
@@ -58,7 +58,6 @@ class CommRequest(Waitable):
         self.tag = tag
         self.size = size
         self.data = data
-        self.comm: Optional["_PendingComm"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CommRequest({self.kind} {self.src}->{self.dst} "
@@ -167,13 +166,11 @@ class CommSystem:
         comm = self._match(queue, req.src, req.tag) if queue else None
         if comm is not None:
             comm.send_req = req
-            req.comm = comm
             comm.eager = size <= self.eager_threshold
             self._start_transfer(comm)
         else:
             comm = _PendingComm()
             comm.send_req = req
-            req.comm = comm
             comm.eager = size <= self.eager_threshold
             queue = self._pending_sends.setdefault(dst, deque())
             queue.append(comm)
@@ -191,7 +188,6 @@ class CommSystem:
         comm = self._match(queue, req.src, req.tag) if queue else None
         if comm is not None:
             comm.recv_req = req
-            req.comm = comm
             req.size = comm.send_req.size
             req.src = comm.send_req.src
             req.data = comm.send_req.data
@@ -205,7 +201,6 @@ class CommSystem:
         else:
             comm = _PendingComm()
             comm.recv_req = req
-            req.comm = comm
             queue = self._pending_recvs.setdefault(dst, deque())
             queue.append(comm)
             metrics = self.metrics

@@ -82,7 +82,7 @@ class Host:
     """
 
     __slots__ = ("name", "speed", "cores", "cpu", "up", "down", "loopback",
-                 "cluster", "efficiency_model", "sharing_model",
+                 "efficiency_model", "sharing_model",
                  "resident_ranks", "available", "failed_at")
 
     def __init__(
@@ -105,7 +105,6 @@ class Host:
         self.up: Optional[Link] = None
         self.down: Optional[Link] = None
         self.loopback: Optional[Link] = None
-        self.cluster: Optional["Cluster"] = None
         self.efficiency_model = efficiency_model
         # Resource-sharing penalty when several ranks reside on this host
         # (cache and memory-bus pressure): maps resident-rank count to a
@@ -211,7 +210,6 @@ class Cluster:
         self._cabinet_links: List[Tuple[Link, Link]] = []
 
         for host in hosts:
-            host.cluster = self
             host.up = Link(f"{host.name}.up", link_bw, link_lat)
             host.down = Link(f"{host.name}.down", link_bw, link_lat)
             host.loopback = Link(f"{host.name}.lo", _LOOPBACK_BW, _LOOPBACK_LAT)
@@ -295,6 +293,10 @@ class Platform:
         self.name = name
         self.clusters: Dict[str, Cluster] = {}
         self.hosts: Dict[str, Host] = {}
+        # Host name -> its cluster.  Kept here, not on the host: a host
+        # pointing back at the cluster that lists it would make every
+        # platform a reference cycle.
+        self._cluster_of: Dict[str, Cluster] = {}
         self._wan: Dict[Tuple[str, str], Link] = {}
 
     # -- construction ---------------------------------------------------
@@ -337,6 +339,7 @@ class Platform:
             if host.name in self.hosts:
                 raise ValueError(f"duplicate host name {host.name!r}")
             self.hosts[host.name] = host
+            self._cluster_of[host.name] = cluster
         return cluster
 
     def connect(
@@ -363,6 +366,13 @@ class Platform:
             raise KeyError(
                 f"unknown host {name!r} (platform has {len(self.hosts)} hosts)"
             ) from None
+
+    def cluster_of(self, host: Host) -> Cluster:
+        """The cluster ``host`` belongs to."""
+        cluster = self._cluster_of.get(host.name)
+        if cluster is None or self.hosts[host.name] is not host:
+            raise ValueError(f"host {host.name!r} is not on this platform")
+        return cluster
 
     def host_list(self) -> List[Host]:
         """All hosts, cluster by cluster, in index order."""
@@ -401,18 +411,18 @@ class Platform:
 
     # -- routing ----------------------------------------------------------
     def route(self, src: Host, dst: Host) -> Route:
-        if src.cluster is None or dst.cluster is None:
-            raise ValueError("hosts must belong to a cluster to be routed")
-        if src.cluster is dst.cluster:
-            return src.cluster.internal_route(src, dst)
-        key = tuple(sorted((src.cluster.name, dst.cluster.name)))
+        src_cluster = self.cluster_of(src)
+        dst_cluster = self.cluster_of(dst)
+        if src_cluster is dst_cluster:
+            return src_cluster.internal_route(src, dst)
+        key = tuple(sorted((src_cluster.name, dst_cluster.name)))
         wan = self._wan.get(key)
         if wan is None:
             raise ValueError(
                 f"no WAN link between clusters {key[0]!r} and {key[1]!r}"
             )
-        exit_links, exit_lat = src.cluster.exit_links(src)
-        entry_links, entry_lat = dst.cluster.entry_links(dst)
+        exit_links, exit_lat = src_cluster.exit_links(src)
+        entry_links, entry_lat = dst_cluster.entry_links(dst)
         links = exit_links + [wan] + entry_links
         return Route(
             [l.constraint for l in links],

@@ -175,9 +175,11 @@ class MpiRuntime:
             # tracer's buffered records are the post-mortem evidence.
             if self.hooks is not None:
                 self.hooks.detach()
-            # Each rank references this runtime: without the cycle, a
-            # finished runtime is freed as soon as its caller drops it.
+            # Each rank references this runtime, and the hook closes over
+            # it: without the cycles, a finished runtime is freed as soon
+            # as its caller drops it.
             self._ranks = []
+            self.engine.process_failed_hook = None
         fault_report = None
         if injector is not None:
             dead = {f.rank: f for f in rank_failures}

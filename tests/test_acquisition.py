@@ -65,7 +65,7 @@ def test_build_deployment_folding():
 def test_build_deployment_scattering():
     platform = grid5000(8, 8)
     deployment = build_deployment(platform, 8, AcquisitionMode(sites=2))
-    clusters = [h.cluster.name for h in deployment]
+    clusters = [platform.cluster_of(h).name for h in deployment]
     assert clusters[:4] == ["bordereau"] * 4
     assert clusters[4:] == ["gdx"] * 4
 
@@ -224,12 +224,11 @@ def _tree_sha256(root):
     return digest.hexdigest()
 
 
-def test_acquired_archives_are_pinned_byte_for_byte(tmp_path):
-    result = acquire(LuWorkload("S", 8).program, bordereau(), 8,
-                     workdir=str(tmp_path), papi_jitter=0.01, papi_seed=1)
+def test_acquired_archives_are_pinned_byte_for_byte(acquired):
+    result = acquired("lu", "R")
     assert result.extraction.n_actions == 39447
-    assert _tree_sha256(str(tmp_path / "tau")) == _PINNED_TAU_SHA256
-    assert _tree_sha256(str(tmp_path / "ti")) == _PINNED_TI_SHA256
+    assert _tree_sha256(_tau_dir(result)) == _PINNED_TAU_SHA256
+    assert _tree_sha256(result.trace_dir) == _PINNED_TI_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +244,39 @@ _FOLD_APPS = {
 # label -> (cores per host, ranks per host).  F-2 on one core shares the
 # CPU, so it never folds; on two cores each rank has a core and does.
 _FOLD_DEPLOYMENTS = {"R": (1, 1), "F-2": (1, 2), "F-2-cores2": (2, 2)}
+
+
+#: The (app, deployment) pairs whose forked application run is checked
+#: against inline runs.
+_FORKED = [(app, label) for app in ("lu", "ring") for label in ("R", "F-2")]
+
+
+@pytest.fixture(scope="module")
+def acquired(tmp_path_factory):
+    """``acquired(app, deployment)``: the module's one seeded acquisition
+    of ``app`` under ``deployment`` (archives written,
+    ``papi_jitter=0.01, papi_seed=1``, the application run measured for
+    the :data:`_FORKED` pairs), made on first use and shared by every
+    test that reads it."""
+    done = {}
+
+    def get(app, deployment):
+        if (app, deployment) not in done:
+            build, ranks = _FOLD_APPS[app]
+            cores, folding = _FOLD_DEPLOYMENTS[deployment]
+            workdir = tmp_path_factory.mktemp(f"{app}-{deployment}")
+            done[app, deployment] = acquire(
+                build(), bordereau(cores=cores), ranks,
+                mode=AcquisitionMode(folding=folding), workdir=str(workdir),
+                measure_application=(app, deployment) in _FORKED,
+                papi_jitter=0.01, papi_seed=1)
+        return done[app, deployment]
+
+    return get
+
+
+def _tau_dir(result):
+    return os.path.join(os.path.dirname(result.trace_dir), "tau")
 
 
 def _pay_every_burst(monkeypatch):
@@ -285,22 +317,17 @@ def _assert_same_records(tau_a, tau_b):
 @pytest.mark.parametrize("deployment", sorted(_FOLD_DEPLOYMENTS))
 @pytest.mark.parametrize("app", sorted(_FOLD_APPS))
 def test_folded_overhead_matches_burst_by_burst(tmp_path, monkeypatch, app,
-                                                 deployment):
+                                                 deployment, acquired):
     build, ranks = _FOLD_APPS[app]
     cores, folding = _FOLD_DEPLOYMENTS[deployment]
-
-    def run(workdir):
-        return acquire(build(), bordereau(cores=cores), ranks,
-                       mode=AcquisitionMode(folding=folding),
-                       workdir=str(workdir), measure_application=False,
-                       papi_jitter=0.01, papi_seed=1)
-
-    folded = run(tmp_path / "folded")
+    folded = acquired(app, deployment)
     _pay_every_burst(monkeypatch)
-    per_burst = run(tmp_path / "per_burst")
+    per_burst = acquire(build(), bordereau(cores=cores), ranks,
+                        mode=AcquisitionMode(folding=folding),
+                        workdir=str(tmp_path), measure_application=False,
+                        papi_jitter=0.01, papi_seed=1)
     assert _tree_bytes(folded.trace_dir) == _tree_bytes(per_burst.trace_dir)
-    tau_folded, tau_per_burst = (str(tmp_path / "folded" / "tau"),
-                                 str(tmp_path / "per_burst" / "tau"))
+    tau_folded, tau_per_burst = _tau_dir(folded), _tau_dir(per_burst)
     _assert_same_records(tau_folded, tau_per_burst)
     assert folded.execution_time == pytest.approx(per_burst.execution_time,
                                                   rel=1e-12, abs=0)
@@ -384,13 +411,12 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("label", ["R", "F-2"])
-@pytest.mark.parametrize("app", ["lu", "ring"])
-def test_forked_application_run_matches_inline_runs(app, label):
+@pytest.mark.parametrize("app, label", _FORKED,
+                         ids=[f"{app}-{label}" for app, label in _FORKED])
+def test_forked_application_run_matches_inline_runs(app, label, acquired):
     build, ranks = _FOLD_APPS[app]
     mode = AcquisitionMode.parse(label)
-    result = acquire(build(), bordereau(), ranks, mode=mode,
-                     papi_jitter=0.01, papi_seed=1)
+    result = acquired(app, label)
     _assert_no_child_left()
 
     def inline(**kwargs):

@@ -81,6 +81,15 @@ DELETED = [
     (r"replay\.(batch_phases|shards|shard_halo)",
      ("src/repro/campaign",),
      "the campaign spec's path-selector fields"),
+    (r"\breq\.comm\b|\.comm = comm\b|\"data\", \"comm\"",
+     ("src", "tests", "!tests/test_deleted_code.py", "benchmarks", "docs"),
+     "a request's back-pointer to its match: one reference cycle per "
+     "message"),
+    (r"\b(host|src|dst|h)\.cluster\b|\.cluster = self\b",
+     ("src", "tests", "!tests/test_deleted_code.py", "benchmarks", "docs",
+      "examples"),
+     "a host's back-pointer to its cluster: every platform a reference "
+     "cycle"),
 ]
 
 
