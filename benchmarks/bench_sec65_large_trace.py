@@ -59,13 +59,11 @@ def folded_execution_estimate() -> float:
         return runtime.run(LuWorkload(config, N_RANKS).program).time
 
     host = platform.host_list()[0]
-    host.resident_ranks = FOLDING * 4
     bursts = rank_burst_mix(config, N_RANKS, N_RANKS // 2 + 3, itmax=1)
     per_iter = sum(
-        flops / host.effective_rate_bound(kind, flops)
+        flops / host.effective_rate_bound(kind, flops, FOLDING * 4)
         for kind, flops in bursts
     )
-    host.resident_ranks = 1
     profile = lu_rank_profile(config, N_RANKS, N_RANKS // 2 + 3)
     tracing = profile.tau_records * 1.5e-6  # Tracer default overhead
     # Each rank owns 1/FOLDING of a core: wall time = busy time x folding.

@@ -138,7 +138,6 @@ def _resolve_calibration(scenario: Scenario):
                                 runs=calib.runs, jitter=calib.calib_jitter,
                                 seed=calib.calib_seed)
     network = calibrate_network(ground, deployment[:2])
-    ground.reset_sharing_state()    # see execute_scenario's replay()
     info = {"kind": "auto", "speed": flops.rate,
             "spread": flops.spread, "latency": network.latency}
     return flops.rate, network.model, info
@@ -212,14 +211,7 @@ def execute_scenario(sdict: dict) -> dict:
             fault_mode=fault_mode,
             compiled=scenario.replay.compiled,
         )
-        try:
-            return replayer.replay(source)
-        finally:
-            # The unit built this platform: dropped with the sharing
-            # groups a run leaves on it (each group and its constraints
-            # point at each other), it would wait for the cycle
-            # collector.
-            platform.reset_sharing_state()
+        return replayer.replay(source)
 
     actual_time: Optional[float] = None
     if trace.kind == "synth":
@@ -260,7 +252,6 @@ def execute_scenario(sdict: dict) -> dict:
                 papi_jitter=trace.papi_jitter, papi_seed=trace.papi_seed,
                 measure_application=scenario.measure_actual,
             )
-            ground.reset_sharing_state()
             platform = _replay_platform(scenario, speed)
             result = replay(acq.trace_dir, platform)
         actual_time = acq.application_time

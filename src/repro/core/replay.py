@@ -46,9 +46,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
+from ..faults.injector import run_with_faults
 from ..faults.plan import FaultPlan, LinkDegrade, LinkDown
-from ..faults.report import FaultReport, RankFailure, build_fault_report
-from ..simkernel import CommSystem, DeadlockError, Engine, Host, Platform, Telemetry
+from ..faults.report import FaultReport
+from ..simkernel import CommSystem, Engine, Host, Platform, Telemetry
 from ..simkernel.pwl import DEFAULT_MPI_MODEL, PiecewiseLinearModel
 from ..smpi.collectives import (
     BARRIER_TOKEN_BYTES, ISEND, RECV, SEND, WAIT, schedule,
@@ -122,6 +123,12 @@ class _RankContext:
         if self.current is None:
             return None
         return encode_tokens(self.rank, *self.current)
+
+    def state(self):
+        """Progress, action in flight and pending receive sources, as a
+        fault report records them."""
+        return (self.n_actions, self.action_tokens(),
+                [req.src for req in self.pending_irecvs])
 
 
 class TraceReplayer:
@@ -258,42 +265,14 @@ class TraceReplayer:
         byte-for-byte the fault-free replay (no hooks, no extra state).
         """
         plan = self.fault_plan
-        if plan is None:
-            if self.shards > 1:
-                from .shard import replay_sharded
-                return replay_sharded(self, source)
-            return self._replay_core(source, None)[0]
-        if self.fault_mode == "checkpoint-restart":
+        if plan is None and self.shards > 1:
+            from .shard import replay_sharded
+            return replay_sharded(self, source)
+        if plan is not None and self.fault_mode == "checkpoint-restart":
             return self._replay_checkpoint_restart(source, plan)
-        return self._replay_abort(source, plan)
-
-    def _replay_abort(self, source, plan: FaultPlan) -> ReplayResult:
-        """Fault mode 'abort': stop at quiescence after the first rank
-        death and report provenance + per-rank lost progress."""
-        result, state = self._replay_core(source, plan.sorted_events())
-        failures = state["failures"]
-        dead = {f.rank: f for f in failures}
-        blocked = state["blocked"]
-        progress = {}
-        for ctx in state["contexts"]:
-            if ctx.rank in dead:
-                status, t = "failed", dead[ctx.rank].t
-            elif ctx.rank in blocked:
-                status, t = "blocked", None
-            else:
-                status, t = "finished", result.per_rank_time[ctx.rank]
-            progress[ctx.rank] = {"actions_completed": ctx.n_actions,
-                                  "time": t, "state": status}
-        result.fault_report = build_fault_report(
-            mode="abort",
-            n_ranks=result.n_ranks,
-            makespan=result.simulated_time,
-            events_applied=state["injector"].applied,
-            failures=failures,
-            progress=progress,
-            blocked=blocked,
-        )
-        return result
+        # Fault mode 'abort' stops at quiescence after the first rank
+        # death and reports provenance + per-rank lost progress.
+        return self._replay_core(source, plan)
 
     def _replay_checkpoint_restart(self, source,
                                    plan: FaultPlan) -> ReplayResult:
@@ -303,20 +282,15 @@ class TraceReplayer:
         """
         from ..faults.checkpoint import simulate_checkpoint_restart
 
-        crashes = plan.host_crashes()
-        for crash in crashes:
-            if crash.host not in self.platform.hosts:
-                raise ValueError(
-                    f"fault plan: unknown host {crash.host!r}"
-                )
         degrades = [e for e in plan.sorted_events()
                     if isinstance(e, LinkDegrade)]
-        result, state = self._replay_core(source, degrades)
+        result = self._replay_core(source, plan, degrades)
+        crashes = plan.host_crashes()
         outcome = simulate_checkpoint_restart(
             result.simulated_time, result.per_rank_time,
             [crash.t for crash in crashes], plan.checkpoint,
         )
-        applied = list(state["injector"].applied) if state else []
+        applied = result.fault_report.events_applied
         applied += [{"t": crash.t, "action": "modeled",
                      "event": crash.to_dict()} for crash in crashes]
         model = plan.checkpoint
@@ -341,10 +315,12 @@ class TraceReplayer:
         result.per_rank_time = list(outcome.per_rank)
         return result
 
-    def _replay_core(self, source, fault_events):
-        """One simulation pass; returns ``(result, fault state or None)``.
+    def _replay_core(self, source, plan: Optional[FaultPlan] = None,
+                     events=None) -> ReplayResult:
+        """One simulation pass, under ``plan`` (injecting ``events``, all
+        of the plan's by default) when one is given.
 
-        Fault-free runs (``fault_events`` falsy) execute exactly the
+        Fault-free runs (``plan`` None) execute exactly the
         pre-fault-injection pipeline: no injector daemon, no hooks, no
         deadlock interception.
         """
@@ -353,7 +329,7 @@ class TraceReplayer:
             feeds = [chain.from_iterable(map(CompiledProgram.records, run))
                      for run in compile_windows(source)]
         else:
-            programs = self._compiled_programs(source, fault_events)
+            programs = self._compiled_programs(source, plan)
             feeds = [prog.records() for prog in programs]
         n_ranks = len(feeds)
         if n_ranks > len(self.deployment):
@@ -384,94 +360,39 @@ class TraceReplayer:
         # batch_eligible).  Ineligible replays silently walk the per-rank
         # schedules — same results, fewer assumptions.
         batcher = None
-        if (self.batch_phases and fault_events is None
+        if (self.batch_phases and plan is None
                 and batch_eligible(self, n_ranks)):
             batcher = CollectiveBatcher(
                 self.engine, self.comms.transfer_params, self.deployment,
                 self.comms.eager_threshold,
             )
 
-        procs: List = []
-        fault_state = None
-        if fault_events is not None:
-            from ..faults.injector import FaultInjector
-
-            injector = FaultInjector(
-                self.engine, self.platform, fault_events,
-                comms=self.comms,
-                metrics=telemetry.faults if telemetry is not None else None,
-            )
-            rank_failures: List[RankFailure] = []
-            fault_state = {"injector": injector, "failures": rank_failures,
-                           "blocked": {}, "contexts": contexts}
-            host_ranks: Dict[str, List[int]] = {}
-            for rank in range(n_ranks):
-                host_ranks.setdefault(self.deployment[rank].name,
-                                      []).append(rank)
-            fmetrics = injector.metrics
-
-            def on_host_crash(host, event):
-                # The ranks resident on the dead host die with it; their
-                # never-started messages leave the match queues (eager
-                # flows already in the network drain harmlessly).
-                reason = event.describe()
-                for rank in host_ranks.get(host.name, ()):
-                    if self.engine.kill_process(procs[rank], reason):
-                        fmetrics.processes_killed += 1
-                    fmetrics.queue_entries_purged += \
-                        self.comms.purge_rank(rank)
-
-            injector.host_crash_hooks.append(on_host_crash)
-
-            def on_proc_failed(proc, exc):
-                name = proc.name
-                if name.startswith("p") and name[1:].isdigit():
-                    rank = int(name[1:])
-                    rank_failures.append(RankFailure(
-                        rank, self.engine.now,
-                        exc.reason or "resource failure",
-                        host=self.deployment[rank].name,
-                    ))
-
-            injector.attach()
-
-        # The hooks reference this replayer, which holds the engine: the
-        # finally below unhooks them, so the pair dies by reference
+        # The hook references this replayer, which holds the engine: the
+        # finally below unhooks it, so the pair dies by reference
         # counting once the caller drops it.
         engine = self.engine
         engine.deadlock_hook = lambda blocked: self._deadlock_report(
             contexts, blocked
         )
-        if fault_state is not None:
-            engine.process_failed_hook = on_proc_failed
         wall_start = time.perf_counter()
-        for ctx, feed in zip(contexts, feeds):
-            procs.append(engine.add_process(
-                f"p{ctx.rank}",
-                self._rank_process(ctx, feed, finish, replay_metrics,
-                                   batcher)))
+        ranks = [(f"p{ctx.rank}",
+                  self._rank_process(ctx, feed, finish, replay_metrics,
+                                     batcher))
+                 for ctx, feed in zip(contexts, feeds)]
+        report = None
         try:
-            simulated = engine.run()
-        except DeadlockError as exc:
-            if fault_state is None or not fault_state["failures"]:
-                raise
-            # Survivors blocked forever on a dead rank: the expected end
-            # state of a fatal fault, not a trace bug.  Capture who is
-            # stuck in what for the report's provenance walk.
-            simulated = self.engine.now
-            dead = {f.rank for f in fault_state["failures"]}
-            blocked_names = set(exc.blocked)
-            for ctx in contexts:
-                if f"p{ctx.rank}" in blocked_names and ctx.rank not in dead:
-                    tokens = ctx.action_tokens()
-                    fault_state["blocked"][ctx.rank] = {
-                        "action": list(tokens) if tokens else None,
-                        "pending_irecv_srcs": [req.src for req
-                                               in ctx.pending_irecvs],
-                    }
+            if plan is None:
+                for name, generator in ranks:
+                    engine.add_process(name, generator)
+                simulated = engine.run()
+            else:
+                simulated, report = run_with_faults(
+                    engine, self.comms, plan, ranks, finish, events=events,
+                    metrics=telemetry.faults if telemetry is not None
+                    else None,
+                    rank_state=lambda rank: contexts[rank].state())
         finally:
             engine.deadlock_hook = None
-            engine.process_failed_hook = None
         wall = time.perf_counter() - wall_start
         if telemetry is not None:
             telemetry.comm.finish(self.comms.cache_stats())
@@ -485,12 +406,13 @@ class TraceReplayer:
             wall_seconds=wall,
             timed_trace=self.timed_trace,
             metrics=telemetry.as_dict() if telemetry is not None else None,
-        ), fault_state
+            fault_report=report,
+        )
 
     # ------------------------------------------------------------------
     # The rank loop and its feeds
     # ------------------------------------------------------------------
-    def _compiled_programs(self, source, fault_events):
+    def _compiled_programs(self, source, plan: Optional[FaultPlan]):
         """Every rank's whole :class:`~.compile.CompiledProgram`, fused
         where that is exact."""
         programs, report = compile_source(source)
@@ -501,7 +423,7 @@ class TraceReplayer:
         # per-action granularity: fault runs count per-action progress
         # for the report's provenance walk, and a timed trace holds one
         # record per source action, so both run unfused.
-        if fault_events is None and not self.record_timed_trace and all(
+        if plan is None and not self.record_timed_trace and all(
             host.efficiency_model is None
             for host in self.deployment[:len(programs)]
         ):

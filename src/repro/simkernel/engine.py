@@ -305,6 +305,9 @@ class Engine:
         self._live_count = 0
         self._calendar = _Calendar()
         self._dirty: Dict[Constraint, None] = {}
+        # Every constraint given a sharing group by this engine: the
+        # ones whose ``users`` / ``group`` it releases when a run ends.
+        self._bound: List[Constraint] = []
         # Calendar-compaction watermark: rebuild when the heap doubles
         # past the live-entry count observed at the previous compaction.
         self._heap_floor = 4096
@@ -431,6 +434,11 @@ class Engine:
         """Run until all processes finish (or ``until`` seconds of simulated
         time elapse).  Returns the final simulated time.
 
+        A run that ends (every process done, a deadlock, or an exception
+        out of a process) releases the sharing state it left on the
+        constraints, so the platform they belong to carries nothing into
+        its next run; a pause at ``until`` keeps it.
+
         Every valid event due at the next instant is applied as one
         batch before any woken process runs or any group is re-rated,
         so a sharing group touched by several simultaneous events is
@@ -460,6 +468,7 @@ class Engine:
         merges0 = self._group_merges
         attaches0 = self._vector_attaches
         demotions0 = self._vector_demotions
+        paused = False
         try:
             while True:
                 self._run_ready()
@@ -489,6 +498,7 @@ class Engine:
                         # pause the clock there.  The event keeps its
                         # calendar entry, so it resumes in FIFO order.
                         self.now = until
+                        paused = True
                         return until
                     raise self._deadlock()
                 now, act = item
@@ -535,6 +545,8 @@ class Engine:
                     act = item[1]
                     batched += 1
         finally:
+            if not paused:
+                self._release_constraints()
             hist, self._level_hist = self._level_hist, {}
             if metrics is not None:
                 metrics.events_popped += popped
@@ -581,6 +593,16 @@ class Engine:
                 proc._wait_token += 1
                 proc.generator.close()
         self._live_count = 0
+
+    def _release_constraints(self) -> None:
+        """Forget this engine's sharing state on the constraints it
+        bound: their ``users`` and ``group``.  Each group and its
+        constraints point at each other, and the constraints belong to a
+        platform that outlives the run."""
+        for cons in self._bound:
+            cons.users = {}
+            cons.group = None
+        self._bound = []
 
     def _deadlock(self) -> DeadlockError:
         """Build the structured no-progress error, consulting the
@@ -639,6 +661,7 @@ class Engine:
                         g = _Group()
                         cons.group = g
                         g.cons.append(cons)
+                        self._bound.append(cons)
                     g.acts[act] = None
                     act.registered = True
                     self._idle_advances += 1
@@ -675,6 +698,7 @@ class Engine:
                     if cons.group is not group:
                         cons.group = group
                         grouped.append(cons)
+                        self._bound.append(cons)
                 group.acts[act] = None
                 if group.vectorized:
                     self._vec_add(group, act)

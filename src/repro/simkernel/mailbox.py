@@ -103,9 +103,6 @@ class CommSystem:
     ) -> None:
         self.engine = engine
         self.platform = platform
-        # Binding a new engine to the platform: whatever a previous
-        # engine left on its constraints is not ours.
-        platform.reset_sharing_state()
         self.rank_hosts = dict(rank_hosts)
         self.comm_model = comm_model
         self.eager_threshold = eager_threshold

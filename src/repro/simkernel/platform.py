@@ -26,16 +26,9 @@ _INF = float("inf")
 
 
 class Link:
-    """A network link: a bandwidth constraint plus a latency figure.
+    """A network link: a bandwidth constraint plus a latency figure."""
 
-    ``available``/``failed_at`` hold the fault-injection availability
-    state (see :mod:`repro.faults`): a down link refuses new flows and
-    fails in-flight ones.  ``degrade_factor`` scales the constraint's
-    effective capacity; degradations survive a down/up cycle.
-    """
-
-    __slots__ = ("name", "bandwidth", "latency", "constraint", "fatpipe",
-                 "available", "failed_at", "degrade_factor")
+    __slots__ = ("name", "bandwidth", "latency", "constraint", "fatpipe")
 
     def __init__(self, name: str, bandwidth: float, latency: float,
                  fatpipe: bool = False) -> None:
@@ -55,13 +48,6 @@ class Link:
         self.fatpipe = fatpipe
         self.constraint = Constraint(self.bandwidth, name=name,
                                      fatpipe=fatpipe)
-        self.available = True
-        self.failed_at: Optional[float] = None
-        self.degrade_factor = 1.0
-
-    def effective_bandwidth(self) -> float:
-        """Nominal bandwidth after the current degradation factor."""
-        return self.bandwidth * self.degrade_factor
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name}, bw={self.bandwidth:g}, lat={self.latency:g})"
@@ -79,11 +65,17 @@ class Host:
     depend on the computation: it maps ``(kind, flops)`` to a factor in
     (0, 1] applied to the nominal rate.  Ground-truth platform variants use
     it to model cache effects; calibrated variants leave it ``None``.
+
+    ``sharing_model``, when set, is the penalty of several ranks residing
+    on the host (cache and memory-bus pressure): it maps the resident-rank
+    count to a factor in (0, 1].  This is what makes folded acquisitions
+    slightly *more* than x times slower in Table 2.  The count belongs to
+    a run's deployment, not to the host: the rate methods take it as
+    ``residents`` (1 when not given).
     """
 
     __slots__ = ("name", "speed", "cores", "cpu", "up", "down", "loopback",
-                 "efficiency_model", "sharing_model",
-                 "resident_ranks", "available", "failed_at")
+                 "efficiency_model", "sharing_model")
 
     def __init__(
         self,
@@ -106,19 +98,10 @@ class Host:
         self.down: Optional[Link] = None
         self.loopback: Optional[Link] = None
         self.efficiency_model = efficiency_model
-        # Resource-sharing penalty when several ranks reside on this host
-        # (cache and memory-bus pressure): maps resident-rank count to a
-        # factor in (0, 1].  ``resident_ranks`` is set by the runtime at
-        # deployment time.  This is what makes folded acquisitions slightly
-        # *more* than x times slower in Table 2.
         self.sharing_model = sharing_model
-        self.resident_ranks = 1
-        # Fault-injection availability state (see repro.faults): a crashed
-        # host kills its resident ranks and refuses further work.
-        self.available = True
-        self.failed_at: Optional[float] = None
 
-    def _efficiency_factor(self, kind: str, flops: float) -> float:
+    def _efficiency_factor(self, kind: str, flops: float,
+                           residents: int) -> float:
         factor = 1.0
         if self.efficiency_model is not None:
             eff = self.efficiency_model(kind, flops)
@@ -128,23 +111,26 @@ class Host:
                     "must be in (0, 1]"
                 )
             factor *= eff
-        if self.sharing_model is not None and self.resident_ranks > 1:
-            shared = self.sharing_model(self.resident_ranks)
+        if self.sharing_model is not None and residents > 1:
+            shared = self.sharing_model(residents)
             if not 0.0 < shared <= 1.0:
                 raise ValueError(
                     f"sharing model returned {shared!r} for "
-                    f"{self.resident_ranks} ranks; must be in (0, 1]"
+                    f"{residents} ranks; must be in (0, 1]"
                 )
             factor *= shared
         return factor
 
-    def effective_rate_bound(self, kind: str, flops: float) -> float:
+    def effective_rate_bound(self, kind: str, flops: float,
+                             residents: int = 1) -> float:
         """Achieved flop rate of one burst running alone on one core,
-        after efficiency and sharing models (``speed`` when neither is
-        set — the calibrated-platform case)."""
-        return self.speed * self._efficiency_factor(kind, flops)
+        with ``residents`` ranks on the host, after efficiency and
+        sharing models (``speed`` when neither is set — the
+        calibrated-platform case)."""
+        return self.speed * self._efficiency_factor(kind, flops, residents)
 
-    def work_inflation(self, kind: str, flops: float) -> float:
+    def work_inflation(self, kind: str, flops: float,
+                       residents: int = 1) -> float:
         """Factor by which a burst's *amount* must be inflated so that the
         efficiency/sharing losses apply at any CPU share.
 
@@ -155,7 +141,7 @@ class Host:
         regimes: alone, duration = flops / (speed * eff); folded n ways,
         duration = n * flops / (speed * eff).
         """
-        return 1.0 / self._efficiency_factor(kind, flops)
+        return 1.0 / self._efficiency_factor(kind, flops, residents)
 
     def private_links(self) -> List["Link"]:
         """The host's own links (up/down/loopback), those that die with it."""
@@ -386,18 +372,6 @@ class Platform:
         for cluster in self.clusters.values():
             yield from cluster.iter_links()
         yield from self._wan.values()
-
-    def reset_sharing_state(self) -> None:
-        """Forget the sharing state an engine left on the constraints
-        (``users``, ``group``).  A platform outlives the engines that
-        run on it; a new engine must start from the same blank state
-        whether or not the platform has carried a run before — replay
-        is a pure function of its inputs."""
-        constraints = [host.cpu for host in self.hosts.values()]
-        constraints.extend(link.constraint for link in self.iter_links())
-        for cons in constraints:
-            cons.users = {}
-            cons.group = None
 
     def link(self, name: str) -> Link:
         """Look up a link by name (fault plans address links this way)."""

@@ -48,7 +48,8 @@ def _owed_time_is_delay(runtime, host) -> bool:
     else: the rank runs at full speed on a core of its own, so paying
     the time later (within its next burst) lands every event at the same
     instant, and no fault plan can fail or slow the CPU in between."""
-    return runtime.fault_plan is None and host.resident_ranks <= host.cores
+    return (runtime.fault_plan is None
+            and runtime.residents[host.name] <= host.cores)
 
 
 class MpiProcess:
@@ -58,6 +59,7 @@ class MpiProcess:
         self.runtime = runtime
         self.rank = rank
         self.host = runtime.rank_hosts[rank]
+        self.residents = runtime.residents[self.host.name]
         self._coll_seq = 0
         # Tracing seconds accrued but not yet paid on the CPU, and the
         # requests posted meanwhile, each with the owed time it waits for.
@@ -111,7 +113,8 @@ class MpiProcess:
         self.runtime.papi.add(self.rank, flops)
         if flops > 0:
             host = self.host
-            amount = flops * host.work_inflation(kind, flops)
+            amount = flops * host.work_inflation(kind, flops,
+                                                 self.residents)
             if self._queued:
                 yield from self._post_queued()
             if self.owed:
@@ -258,7 +261,9 @@ class MpiProcess:
                 if fl:
                     self.runtime.papi.add(rank, fl)
                     yield self.runtime.engine.exec_activity(
-                        host.cpu, fl * host.work_inflation("reduce_op", fl),
+                        host.cpu,
+                        fl * host.work_inflation("reduce_op", fl,
+                                                 self.residents),
                         bound=host.speed, name=f"p{rank}.reduce_op")
                 if op is not None:
                     data = op(data, req.data)

@@ -16,12 +16,14 @@ traces; ``hooks=None`` gives the bare application time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
+from ..faults.injector import run_with_faults
 from ..faults.plan import FaultPlan
-from ..faults.report import FaultReport, RankFailure, build_fault_report
-from ..simkernel import CommSystem, DeadlockError, Engine, Host, Platform
+from ..faults.report import FaultReport
+from ..simkernel import CommSystem, Engine, Host, Platform
 from ..simkernel.pwl import DEFAULT_MPI_MODEL, PiecewiseLinearModel
 from ..tracer.papi import VirtualCounterBank
 from .api import MpiProcess
@@ -70,13 +72,9 @@ class MpiRuntime:
         self.platform = platform
         self.rank_hosts: List[Host] = list(rank_hosts)
         self.size = len(self.rank_hosts)
-        # Record deployment density so hosts can apply their sharing
-        # (cache/memory-pressure) model under folded deployments.
-        residents: Dict[int, int] = {}
-        for host in self.rank_hosts:
-            residents[id(host)] = residents.get(id(host), 0) + 1
-        for host in self.rank_hosts:
-            host.resident_ranks = residents[id(host)]
+        # Ranks per host name: the deployment density a host's sharing
+        # (cache/memory-pressure) model prices under folded deployments.
+        self.residents = Counter(host.name for host in self.rank_hosts)
         self.engine = Engine()
         self.comms = CommSystem(
             self.engine,
@@ -105,7 +103,7 @@ class MpiRuntime:
     def run(self, program: RankProgram) -> RunResult:
         """Run ``program`` on every rank to completion."""
         finish = [0.0] * self.size
-        procs = []
+        results: List[object] = [None] * self.size
         self._ranks = [MpiProcess(self, rank) for rank in range(self.size)]
 
         def rank_main(rank: int):
@@ -114,99 +112,35 @@ class MpiRuntime:
             if mpi.owed:
                 yield from mpi._flush()
             finish[rank] = self.engine.now
-            return result
+            results[rank] = result
 
-        injector = None
-        rank_failures: List[RankFailure] = []
+        ranks = [(f"rank{rank}", rank_main(rank))
+                 for rank in range(self.size)]
+        fault_report = None
         plan = self.fault_plan
-        if plan is not None and plan.events:
-            from ..faults.injector import FaultInjector
-
-            injector = FaultInjector(self.engine, self.platform,
-                                     plan.sorted_events(), comms=self.comms)
-            host_ranks: Dict[str, List[int]] = {}
-            for rank, host in enumerate(self.rank_hosts):
-                host_ranks.setdefault(host.name, []).append(rank)
-            fmetrics = injector.metrics
-
-            def on_host_crash(host, event):
-                reason = event.describe()
-                for rank in host_ranks.get(host.name, ()):
-                    if self.engine.kill_process(procs[rank], reason):
-                        fmetrics.processes_killed += 1
-                    fmetrics.queue_entries_purged += \
-                        self.comms.purge_rank(rank)
-
-            injector.host_crash_hooks.append(on_host_crash)
-
-            def on_proc_failed(proc, exc):
-                name = proc.name
-                if name.startswith("rank") and name[4:].isdigit():
-                    rank = int(name[4:])
-                    rank_failures.append(RankFailure(
-                        rank, self.engine.now,
-                        exc.reason or "resource failure",
-                        host=self.rank_hosts[rank].name,
-                    ))
-
-            self.engine.process_failed_hook = on_proc_failed
-            injector.attach()
-
-        for rank in range(self.size):
-            procs.append(self.engine.add_process(f"rank{rank}", rank_main(rank)))
-        blocked: Dict[int, dict] = {}
         try:
-            makespan = self.engine.run()
-        except DeadlockError as exc:
-            if injector is None or not rank_failures:
-                raise
-            # Survivors blocked forever on a dead peer: report provenance
-            # instead of surfacing a bare deadlock.
-            makespan = self.engine.now
-            dead_ranks = {f.rank for f in rank_failures}
-            for name in exc.blocked:
-                if name.startswith("rank") and name[4:].isdigit():
-                    rank = int(name[4:])
-                    if rank not in dead_ranks:
-                        blocked[rank] = {"action": None,
-                                         "pending_irecv_srcs": []}
+            if plan is not None and plan.events:
+                makespan, fault_report = run_with_faults(
+                    self.engine, self.comms, plan, ranks, finish)
+            else:
+                for name, generator in ranks:
+                    self.engine.add_process(name, generator)
+                makespan = self.engine.run()
         finally:
             # Also on a deadlock or a rank program's exception: the
             # tracer's buffered records are the post-mortem evidence.
             if self.hooks is not None:
                 self.hooks.detach()
-            # Each rank references this runtime, and the hook closes over
-            # it: without the cycles, a finished runtime is freed as soon
-            # as its caller drops it.
+            # Each rank references this runtime: without the cycle, a
+            # finished runtime is freed as soon as its caller drops it.
             self._ranks = []
-            self.engine.process_failed_hook = None
-        fault_report = None
-        if injector is not None:
-            dead = {f.rank: f for f in rank_failures}
-            progress = {}
-            for rank in range(self.size):
-                if rank in dead:
-                    status, t = "failed", dead[rank].t
-                elif rank in blocked:
-                    status, t = "blocked", None
-                else:
-                    status, t = "finished", finish[rank]
-                # The runtime replays programs, not action streams, so
-                # there is no per-action counter to report here.
-                progress[rank] = {"actions_completed": 0, "time": t,
-                                  "state": status}
-            fault_report = build_fault_report(
-                mode="abort", n_ranks=self.size, makespan=makespan,
-                events_applied=injector.applied, failures=rank_failures,
-                progress=progress, blocked=blocked,
-            )
         return RunResult(
             time=makespan,
             per_rank_time=finish,
             n_ranks=self.size,
             n_transfers=self.comms.n_transfers,
             bytes_transferred=self.comms.bytes_transferred,
-            rank_results=[p.result for p in procs],
+            rank_results=results,
             fault_report=fault_report,
         )
 

@@ -122,9 +122,7 @@ def make_replayer(platform, n_ranks, vector_threshold=None, **kw):
 
 
 def replay(source, n_ranks, platform=shared_platform, **config):
-    """Replay ``source`` on a fresh platform of ``n_ranks`` hosts: a
-    platform that carried a replay keeps solver state in its
-    constraints."""
+    """Replay ``source`` on a fresh platform of ``n_ranks`` hosts."""
     return make_replayer(platform(n_ranks), n_ranks, **config).replay(source)
 
 

@@ -2,8 +2,9 @@
 
 Each entry point runs once with the collector disabled, its result is
 dropped, and ``gc.collect()`` must then find nothing: every object the
-run made died by reference counting.  The platform is built before the
-measured block (a run parks its sharing groups on it), and each entry
+run made died by reference counting.  Most cases build the platform
+before the measured block; the ``inline`` ones build it inside, so a
+platform dropped after its run is held to the same standard.  Each entry
 point runs once beforehand so that first-use imports are not counted.
 """
 
@@ -193,6 +194,27 @@ def test_an_acquisition_leaves_no_cycles(tmp_path, measure_application):
                 measure_application=measure_application)
 
     assert_cycle_free(lambda: bordereau(8), run)
+
+
+@pytest.mark.parametrize("entry", ["acquire", "replay"])
+def test_a_run_on_an_inline_platform_leaves_no_cycles(tmp_path, trace_dir,
+                                                     entry):
+    """The platform is built, run on and dropped inside the measured
+    block: whatever the run left on it would be cyclic garbage."""
+    program = lu_program()
+    workdirs = iter(("warm", "measured"))
+
+    def run(_):
+        if entry == "acquire":
+            acquire(program, bordereau(), 4,
+                    workdir=str(tmp_path / next(workdirs)),
+                    measure_application=False)
+        else:
+            platform = cluster()
+            TraceReplayer(platform, round_robin_deployment(
+                platform, RANKS)).replay(trace_dir)
+
+    assert_cycle_free(lambda: None, run)
 
 
 def test_a_campaign_unit_leaves_no_cycles():

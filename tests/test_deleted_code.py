@@ -90,6 +90,22 @@ DELETED = [
       "examples"),
      "a host's back-pointer to its cluster: every platform a reference "
      "cycle"),
+    (r"reset_sharing_state",
+     ("src", "tests", "!tests/test_deleted_code.py", "benchmarks", "docs",
+      ".github", "examples"),
+     "the bind-time reset of the sharing state a previous engine left on "
+     "a platform"),
+    (r"\.available\b|\.failed_at\b|degrade_factor|effective_bandwidth",
+     ("src", "tests", "!tests/test_deleted_code.py", "benchmarks", "docs",
+      "examples"),
+     "fault state kept on a platform's hosts and links"),
+    (r"resident_ranks\s*=(?!=)|\.resident_ranks\b",
+     ("src", "tests", "!tests/test_deleted_code.py", "benchmarks", "docs",
+      "examples"),
+     "a run's resident-rank counts written onto the platform's hosts"),
+    (r"\bname\[[14]:\]\.isdigit\(\)",
+     ("src",),
+     "rank numbers parsed back out of process names"),
 ]
 
 

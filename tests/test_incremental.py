@@ -513,13 +513,20 @@ def test_array_backed_group_absorbs_an_array_backed_group(monkeypatch):
     script = [(0.0, (0, 1), 4e7, None), (0.0, (0, 1), 5e7, 2e7),
               (0.0, (2, 3), 7e7, None), (0.0, (2, 3), 3e7, None),
               (0.2, (1, 2), 6e7, None), (0.9, (0, 3), 1e7, None)]
+    probed = []
+
+    def probe(links):
+        # Inside the run: the engine releases its groups when it ends.
+        assert len({id(link.group) for link in links}) == 1
+        assert links[0].group.vectorized
+        probed.append(True)
+
     metrics = EngineMetrics()
-    _, _, links = _scripted_run(script, 4, metrics=metrics)
+    _scripted_run(script, 4, metrics=metrics, faults=[(0.5, "call", probe)])
     doc = metrics.as_dict()
     assert doc["group_merges"] == 1
     assert doc["vector_attaches"] == 2
-    assert len({id(link.group) for link in links}) == 1
-    assert links[0].group.vectorized
+    assert probed
     _assert_all_configs_agree(script, 4, monkeypatch)
 
 
@@ -587,10 +594,17 @@ def test_fail_absorbed_activity_and_lazy_column_capacity_change(monkeypatch):
     # The lazily created column really carries the reduced capacity.
     assert ends[7] >= 0.4 + 4e7 / 1e7
 
-    _, _, links = _scripted_run(script, 7, faults=faults[:3])
-    group = links[0].group
-    assert group.vectorized and links[6].group is group
-    assert links[6] in group.col and links[5] in group.col
+    probed = []
+
+    def probe(links):
+        # Inside the run: the engine releases its groups when it ends.
+        group = links[0].group
+        assert group.vectorized and links[6].group is group
+        assert links[6] in group.col and links[5] in group.col
+        probed.append(True)
+
+    _scripted_run(script, 7, faults=faults[:3] + [(0.45, "call", probe)])
+    assert probed
 
 
 _INF = float("inf")

@@ -142,9 +142,7 @@ def test_work_inflation_includes_sharing_penalty():
     )
     host = platform.host_list()[0]
     assert host.work_inflation("x", 1.0) == pytest.approx(1.0)  # alone
-    host.resident_ranks = 4
-    assert host.work_inflation("x", 1.0) == pytest.approx(1.25)
-    host.resident_ranks = 1
+    assert host.work_inflation("x", 1.0, 4) == pytest.approx(1.25)
 
 
 def test_named_platform_is_the_one_catalog_lookup():

@@ -2,22 +2,27 @@
 
 Replay maps a trace, a platform and a deployment to a simulated time
 (§5, Fig. 4), so a platform that has carried runs must give the same
-answers as a fresh one.  The pins below hold the fault reports of the
-fault-injecting entry points byte for byte (SHA-256 of
+answers as a fresh one: no fault state, resident-rank count or sharing
+group outlives the run that made it.  The pins hold the fault reports of
+the fault-injecting entry points byte for byte (SHA-256 of
 ``FaultReport.to_json()``).
 """
 
 import hashlib
+import os
 from dataclasses import replace
 
 import pytest
 
 from repro.apps import LuWorkload, lu_class
+from repro.core.acquisition import acquire
+from repro.core.replay import TraceReplayer
 from repro.core.synth import write_synthetic_lu_trace
 from repro.faults import (
     CheckpointModel, FaultPlan, HostCrash, LinkDegrade, LinkDown,
 )
 from repro.platforms import bordereau
+from repro.simkernel import Constraint, DeadlockError, Engine
 from repro.smpi import MpiRuntime, round_robin_deployment
 
 from .lattice import make_replayer, shared_platform
@@ -117,3 +122,160 @@ PINNED = {
 def test_fault_report_is_pinned(case, lu_dir):
     run, want = PINNED[case]
     assert digest(run(lu_dir)) == want
+
+
+# ---------------------------------------------------------------------------
+# Reuse: the same Platform object across runs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def lu_s8(tmp_path_factory):
+    """LU class S on 8 ranks, acquired on bordereau."""
+    workdir = str(tmp_path_factory.mktemp("lu_s8"))
+    return acquire(LuWorkload("S", RANKS).program, bordereau(RANKS), RANKS,
+                   workdir=workdir, measure_application=False).trace_dir
+
+
+def replay(platform, source, **kwargs):
+    return TraceReplayer(platform, round_robin_deployment(platform, RANKS),
+                         **kwargs).replay(source)
+
+
+def assert_as_built(platform):
+    """No constraint keeps a run's sharing state or a changed capacity."""
+    for host in platform.hosts.values():
+        assert (host.cpu.users, host.cpu.group) == ({}, None), host.name
+    for link in platform.iter_links():
+        cons = link.constraint
+        assert (cons.users, cons.group) == ({}, None), link.name
+        assert cons.capacity == link.bandwidth, link.name
+
+
+def host_of_rank(platform, rank):
+    return round_robin_deployment(platform, RANKS)[rank].name
+
+
+def test_a_fault_free_replay_after_a_degraded_one_reads_as_fresh(lu_s8):
+    fresh = replay(bordereau(RANKS, ground_truth=False), lu_s8)
+    assert fresh.simulated_time == pytest.approx(0.06626, abs=5e-6)
+    platform = bordereau(RANKS, ground_truth=False)
+    plan = FaultPlan(events=(
+        LinkDegrade(host_of_rank(platform, 1) + ".up", 0.0, factor=0.01),))
+    degraded = replay(platform, lu_s8, fault_plan=plan)
+    assert degraded.simulated_time > 10 * fresh.simulated_time
+    assert_as_built(platform)
+    assert replay(platform, lu_s8).simulated_time == fresh.simulated_time
+
+
+def test_a_crash_plan_strikes_every_run(lu_s8):
+    platform = bordereau(RANKS, ground_truth=False)
+    t = replay(platform, lu_s8).simulated_time
+    plan = FaultPlan(events=(HostCrash(host_of_rank(platform, 3), 0.5 * t),))
+    first = replay(platform, lu_s8, fault_plan=plan).fault_report
+    second = replay(platform, lu_s8, fault_plan=plan).fault_report
+    assert first.failed_ranks == second.failed_ranks == [3]
+    assert first.to_json() == second.to_json()
+    assert_as_built(platform)
+
+
+def test_a_regular_replay_after_a_folded_run_reads_as_fresh(lu_s8):
+    fresh = replay(bordereau(RANKS), lu_s8)
+    assert fresh.simulated_time == pytest.approx(0.09244, abs=5e-6)
+    platform = bordereau(RANKS)
+    MpiRuntime(platform, round_robin_deployment(
+        platform, RANKS, ranks_per_host=2)).run(
+        LuWorkload("S", RANKS).program)
+    assert_as_built(platform)
+    assert replay(platform, lu_s8).simulated_time == fresh.simulated_time
+
+
+def _truncated(lu_dir, tmp_path):
+    """A copy of ``lu_dir`` whose rank 1 lost its tail: a deadlock."""
+    for name in os.listdir(lu_dir):
+        with open(os.path.join(lu_dir, name), "rb") as handle:
+            data = handle.read()
+        if name == "SG_process1.trace":
+            data = b"\n".join(data.splitlines()[:-5]) + b"\n"
+        with open(tmp_path / name, "wb") as handle:
+            handle.write(data)
+    return str(tmp_path)
+
+
+def _bad_wait(lu_dir, tmp_path):
+    """A copy of ``lu_dir`` whose rank 2 waits on nothing: a process
+    raises out of the run."""
+    for name in os.listdir(lu_dir):
+        with open(os.path.join(lu_dir, name), "rb") as handle:
+            data = handle.read()
+        if name == "SG_process2.trace":
+            data = b"p2 wait\n" + data
+        with open(tmp_path / name, "wb") as handle:
+            handle.write(data)
+    return str(tmp_path)
+
+
+#: ending -> (replayer keywords, the fault plan for a fault-free
+#: makespan, how the trace is damaged, the error the replay raises).
+ENDINGS = {
+    "completion": ({}, None, None, None),
+    "deadlock": ({}, None, _truncated, DeadlockError),
+    "process-exception": ({}, None, _bad_wait, ValueError),
+    "link-down": ({}, lambda t: FaultPlan(
+        events=(LinkDown("c-5.up", 0.3 * t),)), None, None),
+    "checkpoint-restart": ({"fault_mode": "checkpoint-restart"},
+                           lambda t: FaultPlan(
+        events=(LinkDegrade("c.bb", 0.2 * t, factor=0.5),
+                HostCrash("c-3", 0.4 * t),
+                LinkDegrade("c-2.up", 10 * t, factor=0.5)),
+        checkpoint=CheckpointModel(interval=0.25 * t)), None, None),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_every_way_a_replay_ends_releases_the_platform(ending, lu_dir,
+                                                        tmp_path):
+    kwargs, plan, damage, error = ENDINGS[ending]
+    fresh = replay(shared_platform(RANKS), lu_dir).simulated_time
+    if plan is not None:
+        kwargs = dict(kwargs, fault_plan=plan(fresh))
+    platform = shared_platform(RANKS)
+    if damage is None:
+        replay(platform, lu_dir, **kwargs)
+    else:
+        with pytest.raises(error):
+            replay(platform, damage(lu_dir, tmp_path), **kwargs)
+    assert_as_built(platform)
+    assert replay(platform, lu_dir).simulated_time == fresh
+
+
+def test_an_application_run_under_a_crash_releases_the_platform():
+    program = LuWorkload(replace(lu_class("S"), itmax=1, inorm=1),
+                         4).program
+    platform = bordereau(8)
+    t = MpiRuntime(platform, round_robin_deployment(platform, 4)).run(
+        program).time
+    assert_as_built(platform)
+    plan = FaultPlan(events=(HostCrash(host_of_rank(platform, 1), 0.5 * t),
+                             LinkDegrade(host_of_rank(platform, 2) + ".up",
+                                         0.0, factor=0.5)))
+    for _ in range(2):
+        report = MpiRuntime(platform, round_robin_deployment(platform, 4),
+                            fault_plan=plan).run(program).fault_report
+        assert report.failed_ranks == [1]
+        assert_as_built(platform)
+
+
+def test_a_paused_run_keeps_its_sharing_state():
+    """``run(until=)`` is a pause, not an end: the groups stay until the
+    run completes."""
+    engine = Engine()
+    links = [Constraint(1e8, f"l{i}") for i in range(2)]
+
+    def flow():
+        yield engine.comm_activity(links, size=1e8, latency=0.0)
+
+    engine.add_process("f", flow())
+    assert engine.run(until=0.5) == 0.5
+    assert links[0].group is not None and links[0].group is links[1].group
+    assert engine.run() == pytest.approx(1.0)
+    assert [(c.users, c.group) for c in links] == [({}, None)] * 2
