@@ -120,6 +120,8 @@ class MpiRuntime:
         plan = self.fault_plan
         try:
             if plan is not None and plan.events:
+                # Programs, not action streams: no per-action progress
+                # to report, so the driver's default rank state.
                 makespan, fault_report = run_with_faults(
                     self.engine, self.comms, plan, ranks, finish)
             else:
