@@ -435,9 +435,10 @@ class Engine:
         time elapse).  Returns the final simulated time.
 
         A run that ends (every process done, a deadlock, or an exception
-        out of a process) releases the sharing state it left on the
-        constraints, so the platform they belong to carries nothing into
-        its next run; a pause at ``until`` keeps it.
+        out of a process) closes the processes still suspended and
+        releases the sharing state it left on the constraints, so the
+        platform they belong to carries nothing into its next run; a
+        pause at ``until`` keeps both.
 
         Every valid event due at the next instant is applied as one
         batch before any woken process runs or any group is re-rated,
@@ -489,7 +490,6 @@ class Engine:
                     # the event heap.
                     continue
                 if self._live_count == 0:
-                    self._close_processes()
                     return self.now
                 item = cal.pop(horizon)
                 if item is None:
@@ -546,6 +546,7 @@ class Engine:
                     batched += 1
         finally:
             if not paused:
+                self._close_processes()
                 self._release_constraints()
             hist, self._level_hist = self._level_hist, {}
             if metrics is not None:
@@ -581,9 +582,10 @@ class Engine:
                     metrics.max_component_acts = comp_max
 
     def _close_processes(self) -> None:
-        """The run is over (every non-daemon process finished, or none
-        can progress): close each process still suspended — a daemon
-        waiting for its next event, a deadlocked rank.  A suspended
+        """The run is over (every non-daemon process finished, none can
+        progress, or one raised): close each process still suspended —
+        a daemon waiting for its next event, a deadlocked rank, the peers
+        of a rank that raised.  A suspended
         generator's frame references the layer that holds this engine,
         so an open one would keep the whole run alive in a reference
         cycle until the cycle collector ran."""
@@ -621,7 +623,6 @@ class Engine:
             extra, details = self.deadlock_hook(blocked_procs)
             if extra:
                 message += "\n" + extra
-        self._close_processes()
         return DeadlockError(message, blocked=blocked, details=details)
 
     # ------------------------------------------------------------------

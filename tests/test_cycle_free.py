@@ -158,6 +158,29 @@ def test_a_replay_that_deadlocks_leaves_no_cycles(tmp_path, trace_dir):
     assert_cycle_free(cluster, run)
 
 
+def test_a_replay_whose_rank_raises_leaves_no_cycles(tmp_path, trace_dir):
+    """The other error path: rank 2 waits on no Irecv, its process
+    raises out of the run, and its peers are left suspended.  The
+    platform is built inline: one kept alive outside would hide a run
+    that its constraints still reference."""
+    for name in os.listdir(trace_dir):
+        with open(os.path.join(trace_dir, name), "rb") as handle:
+            data = handle.read()
+        if name == "SG_process2.trace":
+            data = b"p2 wait\n" + data
+        with open(tmp_path / name, "wb") as handle:
+            handle.write(data)
+
+    def run(_):
+        platform = cluster()
+        replayer = TraceReplayer(platform,
+                                 round_robin_deployment(platform, RANKS))
+        with pytest.raises(ValueError, match="no pending Irecv"):
+            replayer.replay(str(tmp_path))
+
+    assert_cycle_free(lambda: None, run)
+
+
 def lu_program():
     return LuWorkload(replace(lu_class("S"), itmax=1, inorm=1), 4).program
 
