@@ -189,37 +189,35 @@ def test_a_regular_replay_after_a_folded_run_reads_as_fresh(lu_s8):
     assert replay(platform, lu_s8).simulated_time == fresh.simulated_time
 
 
-def _truncated(lu_dir, tmp_path):
-    """A copy of ``lu_dir`` whose rank 1 lost its tail: a deadlock."""
+def _damaged(lu_dir, tmp_path, rank, edit):
+    """A copy of ``lu_dir`` with ``edit`` applied to ``rank``'s file."""
     for name in os.listdir(lu_dir):
         with open(os.path.join(lu_dir, name), "rb") as handle:
             data = handle.read()
-        if name == "SG_process1.trace":
-            data = b"\n".join(data.splitlines()[:-5]) + b"\n"
+        if name == f"SG_process{rank}.trace":
+            data = edit(data)
         with open(tmp_path / name, "wb") as handle:
             handle.write(data)
     return str(tmp_path)
 
 
-def _bad_wait(lu_dir, tmp_path):
-    """A copy of ``lu_dir`` whose rank 2 waits on nothing: a process
-    raises out of the run."""
-    for name in os.listdir(lu_dir):
-        with open(os.path.join(lu_dir, name), "rb") as handle:
-            data = handle.read()
-        if name == "SG_process2.trace":
-            data = b"p2 wait\n" + data
-        with open(tmp_path / name, "wb") as handle:
-            handle.write(data)
-    return str(tmp_path)
+def _truncated(data):
+    """Rank 1 loses its tail: its peers deadlock."""
+    return b"\n".join(data.splitlines()[:-5]) + b"\n"
+
+
+def _bad_wait(data):
+    """Rank 2 waits on no Irecv: its process raises out of the run."""
+    return b"p2 wait\n" + data
 
 
 #: ending -> (replayer keywords, the fault plan for a fault-free
-#: makespan, how the trace is damaged, the error the replay raises).
+#: makespan, (rank, edit) damaging the trace, the error the replay
+#: raises).
 ENDINGS = {
     "completion": ({}, None, None, None),
-    "deadlock": ({}, None, _truncated, DeadlockError),
-    "process-exception": ({}, None, _bad_wait, ValueError),
+    "deadlock": ({}, None, (1, _truncated), DeadlockError),
+    "process-exception": ({}, None, (2, _bad_wait), ValueError),
     "link-down": ({}, lambda t: FaultPlan(
         events=(LinkDown("c-5.up", 0.3 * t),)), None, None),
     "checkpoint-restart": ({"fault_mode": "checkpoint-restart"},
@@ -243,7 +241,7 @@ def test_every_way_a_replay_ends_releases_the_platform(ending, lu_dir,
         replay(platform, lu_dir, **kwargs)
     else:
         with pytest.raises(error):
-            replay(platform, damage(lu_dir, tmp_path), **kwargs)
+            replay(platform, _damaged(lu_dir, tmp_path, *damage), **kwargs)
     assert_as_built(platform)
     assert replay(platform, lu_dir).simulated_time == fresh
 
