@@ -101,7 +101,9 @@ def format_metrics_report(metrics: Optional[Dict],
     lines.append(
         f"max-min: {_fmt_count(engine.get('maxmin_calls', 0))} fillings "
         f"({_fmt_count(engine.get('vectorized_recomputes', 0))} "
-        f"vectorized), "
+        f"vectorized, "
+        f"{_fmt_count(engine.get('single_bottleneck_rerates', 0))} of "
+        f"them single-bottleneck), "
         f"{_fmt_count(engine.get('maxmin_iterations', 0))} levels"
     )
     patches = engine.get("incremental_patches", 0)

@@ -18,12 +18,17 @@ one per event.  The cost of an event is proportional to the size of its
 component, not to the number of activities in flight — which is what
 lets thousand-rank replays run in reasonable time.
 
-Re-rates of array-backed groups additionally try an *incremental*
-certified patch (:func:`repro.simkernel.lmm.patch_solve`) before paying
-for a full progressive filling: each group tracks the constraint
-columns dirtied since its last solve, and when the patch certificate
-holds only the affected cone is re-filled.  Fallbacks to the full
-solve are counted (``patch_fallbacks``), never silent.
+An array-backed group whose rows all cross one column holding the
+smallest fair share (:func:`repro.simkernel.lmm.single_bottleneck`; a
+shared backbone under all-to-all traffic) needs no filling: every row
+gets that share, and while that holds the group runs on one virtual
+clock, so a settle is one scalar add and the next completion is the
+earliest finish tag.  Other re-rates of array-backed groups try an
+*incremental* certified patch (:func:`repro.simkernel.lmm.patch_solve`)
+before paying for a full progressive filling: each group tracks the
+constraint columns dirtied since its last solve, and when the patch
+certificate holds only the affected cone is re-filled.  Fallbacks to
+the full solve are counted (``patch_fallbacks``), never silent.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .activity import (
 )
 from .lmm import (
     Constraint, LMM_MODES, VECTOR_THRESHOLD, fill_vectorized, patch_solve,
-    solve_reference,
+    single_bottleneck, solve_reference,
 )
 from .telemetry import EngineMetrics
 
@@ -212,6 +217,10 @@ class _Group:
         "acts_list", "row", "mem_of", "col", "n", "m", "ncols",
         "rem", "rate", "settled", "bnd", "joined", "joins", "mem_var",
         "mem_cons", "caps", "loadv", "work", "armed",
+        # Virtual clock of a single-bottleneck group (see _solve_group):
+        # the work served to each member (None: rows in general form),
+        # the common rate and the instant the clock was last settled.
+        "clock", "clock_rate", "clock_at",
         # Incremental-patch state (array-backed groups only): the
         # constraint columns dirtied since the last solve, whether the
         # rate array holds a certified previous solution the incremental
@@ -226,6 +235,7 @@ class _Group:
         self.acts: Dict[Activity, None] = {}
         self.vectorized = False
         self.armed: Optional[Activity] = None
+        self.clock: Optional[float] = None
         self.seeds: Optional[Set[int]] = None
         self.inc_ok = False
         self.last_levels = 0
@@ -314,9 +324,12 @@ class Engine:
         # Progressive-filling levels, accumulated unconditionally (one
         # integer add per filling) and windowed into the metrics by run().
         self._maxmin_iters = 0
-        # Count of recomputes settled by the vectorized filling (same
-        # accumulate-then-window pattern).
+        # Count of array-backed group full solves (not certified
+        # patches), and of those the ones that took the single-bottleneck
+        # share instead of a filling (same accumulate-then-window
+        # pattern).
         self._vector_fillings = 0
+        self._bottleneck_rerates = 0
         # Solo activities started or completed on an otherwise-idle
         # constraint without any sharing recompute (same pattern).
         self._idle_advances = 0
@@ -461,6 +474,7 @@ class Engine:
         stale0 = cal.stale
         maxmin_iters0 = self._maxmin_iters
         vector_fillings0 = self._vector_fillings
+        bottleneck0 = self._bottleneck_rerates
         idle_advances0 = self._idle_advances
         inc_patches0 = self._inc_patches
         patch_fallbacks0 = self._patch_fallbacks
@@ -560,6 +574,8 @@ class Engine:
                                               - maxmin_iters0)
                 metrics.vectorized_recomputes += (self._vector_fillings
                                                   - vector_fillings0)
+                metrics.single_bottleneck_rerates += (
+                    self._bottleneck_rerates - bottleneck0)
                 metrics.idle_advances += (self._idle_advances
                                           - idle_advances0)
                 metrics.incremental_patches += (self._inc_patches
@@ -880,6 +896,7 @@ class Engine:
         group.n = group.m = group.ncols = 0
         group.work = {}
         group.armed = None
+        group.clock = None
         group.seeds = set()
         group.vectorized = True
         self._vector_attaches += 1
@@ -893,7 +910,11 @@ class Engine:
         rates they bring may predate pending membership changes without
         any seed record of them, so the next array solve must be a full
         one; it then certifies the rate array and (re)arms the
-        incremental path."""
+        incremental path.  A group on its clock goes back to the general
+        form first: an adopted row's progress dates from its own
+        ``settled_at``, at its own old rate."""
+        if group.clock is not None:
+            self._clock_stop(group)
         for act in acts:
             act.epoch += 1
             self._vec_add(group, act)
@@ -904,6 +925,8 @@ class Engine:
         attributes: a group about to be absorbed by another array-backed
         one (see _merge_groups; it is dropped right after, so its arrays
         are simply left behind), or one being demoted (_vec_detach)."""
+        if group.clock is not None:
+            self._clock_stop(group)
         n = group.n
         for a, r, q, s in zip(group.acts_list, group.rem[:n].tolist(),
                               group.rate[:n].tolist(),
@@ -936,9 +959,15 @@ class Engine:
             group.settled = self._grown(group.settled, i + 1)
             group.bnd = self._grown(group.bnd, i + 1)
             group.joined = self._grown(group.joined, i + 1)
-        group.rem[i] = act.remaining
-        group.rate[i] = act.rate
-        group.settled[i] = act.settled_at
+        if group.clock is None:
+            group.rem[i] = act.remaining
+            group.rate[i] = act.rate
+            group.settled[i] = act.settled_at
+        else:
+            # A late joiner (settled now): its finish tag is the clock
+            # advanced to now, exactly as the next settle advances it.
+            group.rem[i] = (group.clock + group.clock_rate
+                            * (self.now - group.clock_at)) + act.remaining
         group.joined[i] = group.joins
         group.joins += 1
         b = act.bound
@@ -1017,56 +1046,96 @@ class Engine:
         """Settle, re-rate and re-arm one array-backed group — no
         per-activity Python work at all on this path.
 
-        Re-rating tries the certified incremental patch first (when
-        enabled and the group carries a previous certified solution):
-        only the cone of constraints/variables affected by the seed
-        columns is re-filled, and the patched vector is accepted only
-        when the max-min optimality certificate holds — otherwise the
-        full progressive filling runs, and the fallback is counted.
+        A group with a single bottleneck (:func:`lmm.single_bottleneck`:
+        a column every row crosses holds the smallest share, no bound
+        reaches the threshold) takes that share for every row and skips
+        the filling.  While the test keeps holding it runs on one
+        virtual clock instead of per-row progress: ``clock`` is the work
+        served to each member, each row's ``rem`` slot holds its finish
+        tag (clock at join + remaining), a settle advances the clock and
+        the earliest tag is the only row the drained check and the
+        re-arm read.  The rows go back to the general form
+        (:meth:`_clock_stop`) at the first re-rate that fails the test,
+        before a merge adopts rows, and when the group is demoted or
+        absorbed.
+
+        Any other re-rate tries the certified incremental patch first
+        (when enabled and the group carries a previous certified
+        solution): only the cone of constraints/variables affected by
+        the seed columns is re-filled, and the patched vector is
+        accepted only when the max-min optimality certificate holds —
+        otherwise the full progressive filling runs, and the fallback is
+        counted.
         """
         n = group.n
+        seeds = group.seeds
         if n == 0:
-            if group.seeds:
-                group.seeds.clear()
+            group.clock = None
+            if seeds:
+                seeds.clear()
             return
         rem = group.rem[:n]
+        if group.clock is not None:
+            if group.clock_at < now:
+                r = group.clock_rate
+                group.clock += r * (now - group.clock_at)
+                group.clock_at = now
+                if r > 0.0 and _drained(
+                        now, float(rem[rem.argmin()]) - group.clock, r):
+                    # Inline completion, as below: every drained row
+                    # finishes now, in join order.
+                    rows = np.nonzero(_drained(now, rem - group.clock, r))[0]
+                    self._finish_rows(group, rows)
+                    return
+        else:
+            rate = group.rate[:n]
+            settled = group.settled[:n]
+            inf_mask = np.isinf(rate)
+            has_inf = bool(inf_mask.any())
+            # When nothing accrued progress since the last settle (the
+            # common re-rate immediately after an inline-completion wave
+            # at the same instant), the settle is arithmetic identity —
+            # skip it.
+            if has_inf or float(settled.min()) < now:
+                rem -= rate * (now - settled)
+                if has_inf:
+                    # An infinite old rate drains instantly (and inf * 0
+                    # time deltas would otherwise leave NaNs behind).
+                    rem[inf_mask] = 0.0
+                np.maximum(rem, 0.0, out=rem)
+                settled[:] = now
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    done = _drained(now, rem, rate)
+                if done.any():
+                    # Inline-completion contract — see _settle: finish
+                    # the drained wave now, survivors re-rate on the main
+                    # loop's immediately following pass.
+                    self._finish_rows(group, np.nonzero(done)[0])
+                    return
+        ncols = group.ncols
+        share = single_bottleneck(group.caps[:ncols], group.loadv[:ncols],
+                                  group.bnd[:n])
+        if share is not None:
+            if group.clock is None:
+                # Every row is settled now: its remaining is its tag.
+                group.clock = 0.0
+                group.clock_at = now
+            group.clock_rate = share
+            seeds.clear()
+            self._bottleneck_rerates += 1
+            self._note_levels(group, 1)
+            self._rearm_group(group, now, rem, None)
+            return
+        if group.clock is not None:
+            self._clock_stop(group)
         rate = group.rate[:n]
-        settled = group.settled[:n]
-        inf_mask = np.isinf(rate)
-        has_inf = bool(inf_mask.any())
-        # When nothing accrued progress since the last settle (the
-        # common re-rate immediately after an inline-completion wave at
-        # the same instant), the settle is arithmetic identity — skip it.
-        if has_inf or float(settled.min()) < now:
-            rem -= rate * (now - settled)
-            if has_inf:
-                # An infinite old rate drains instantly (and inf * 0
-                # time deltas would otherwise leave NaNs behind).
-                rem[inf_mask] = 0.0
-            np.maximum(rem, 0.0, out=rem)
-            settled[:] = now
-            with np.errstate(divide="ignore", invalid="ignore"):
-                done = _drained(now, rem, rate)
-            if done.any():
-                # Inline-completion contract — see _settle:
-                # finish the drained wave now, in join order (each
-                # completion swap-removes its rows), survivors re-rate
-                # on the main loop's immediately following pass.
-                rows = np.nonzero(done)[0]
-                if len(rows) > 1:
-                    rows = rows[np.argsort(group.joined[rows])]
-                acts_list = group.acts_list
-                for a in [acts_list[i] for i in rows.tolist()]:
-                    self._end_phase(a)
-                return
-        seeds = group.seeds
         if (self.incremental and group.inc_ok and seeds
                 and group.last_levels >= _PATCH_MIN_LEVELS
                 and group.patch_streak < _PATCH_PROBE_EVERY):
             seed_cols = np.fromiter(seeds, dtype=np.intp, count=len(seeds))
             seeds.clear()
             ok, levels, _cone = patch_solve(
-                group.caps[:group.ncols],
+                group.caps[:ncols],
                 group.bnd[:n],
                 rate,  # patched in place; restored on failure
                 group.mem_var[:group.m],
@@ -1085,46 +1154,84 @@ class Engine:
             self._patch_fallbacks += 1
         elif seeds:
             seeds.clear()
-        self._vector_fillings += 1
-        self._full_resolves += 1
         rates, iterations = fill_vectorized(
-            group.caps[:group.ncols],
+            group.caps[:ncols],
             group.bnd[:n],
             group.mem_var[:group.m],
             group.mem_cons[:group.m],
-            load=group.loadv[:group.ncols],
+            load=group.loadv[:ncols],
             work=group.work,
         )
-        self._maxmin_iters += iterations
-        hist = self._level_hist
-        hist[iterations] = hist.get(iterations, 0) + 1
         rate[:] = rates
-        group.inc_ok = True
-        group.last_levels = iterations
-        group.patch_streak = 0
+        self._note_levels(group, iterations)
         self._rearm_group(group, now, rem, rate)
 
+    def _note_levels(self, group: _Group, levels: int) -> None:
+        """Book a full solve of ``levels`` filling levels; its rate array
+        (or clock rate) is the certified solution a patch may start
+        from."""
+        self._vector_fillings += 1
+        self._full_resolves += 1
+        self._maxmin_iters += levels
+        hist = self._level_hist
+        hist[levels] = hist.get(levels, 0) + 1
+        group.inc_ok = True
+        group.last_levels = levels
+        group.patch_streak = 0
+
+    def _finish_rows(self, group: _Group, rows: np.ndarray) -> None:
+        """Complete a drained wave of rows in join order (each completion
+        swap-removes its rows); the survivors re-rate on the main loop's
+        immediately following pass."""
+        if len(rows) > 1:
+            rows = rows[np.argsort(group.joined[rows])]
+        acts_list = group.acts_list
+        for a in [acts_list[i] for i in rows.tolist()]:
+            self._end_phase(a)
+
+    def _clock_stop(self, group: _Group) -> None:
+        """Put a clock group's rows back in the general form: remaining
+        is tag minus clock, at the common rate, settled when the clock
+        was."""
+        n = group.n
+        rem = group.rem[:n]
+        rem -= group.clock
+        np.maximum(rem, 0.0, out=rem)
+        group.rate[:n] = group.clock_rate
+        group.settled[:n] = group.clock_at
+        group.clock = None
+
     def _rearm_group(self, group: _Group, now: float,
-                     rem: np.ndarray, rate: np.ndarray) -> None:
+                     rem: np.ndarray, rate: Optional[np.ndarray]) -> None:
         """Min-arm one array-backed group after a re-rate.
 
         O(1) invalidation: only the previously armed activity can hold
         a live calendar event for this group, so one epoch bump replaces
-        the per-activity sweep.
+        the per-activity sweep.  ``rate`` is None for a group on its
+        clock: ``rem`` then holds finish tags and every row runs at the
+        clock rate, so the earliest tag finishes first.
         """
         prev = group.armed
         if prev is not None:
             prev.epoch += 1
-        with np.errstate(divide="ignore"):
-            times = rem / rate
-        k = int(times.argmin())
-        best_t = float(times[k])
+        if rate is None:
+            r = group.clock_rate
+            times = rem
+            k = int(times.argmin())
+            best_t = ((float(times[k]) - group.clock) / r if r > 0.0
+                      else INF)
+        else:
+            with np.errstate(divide="ignore"):
+                times = rem / rate
+            k = int(times.argmin())
+            best_t = float(times[k])
         if best_t < INF:
             # Ties go to the earliest-joined row, as _arm_earliest's
             # scan of group.acts does; argmin alone picks the lowest
             # row, and swap-removal scrambles row order.
-            ties = np.flatnonzero(times == best_t)
-            if len(ties) > 1:
+            ties = times == times[k]
+            if np.count_nonzero(ties) > 1:
+                ties = np.flatnonzero(ties)
                 k = int(ties[group.joined[ties].argmin()])
             act = group.acts_list[k]
             group.armed = act

@@ -35,6 +35,13 @@ The filling is written twice, once per shape of sharing group:
 (A group of one constraint needs no filling at all: the engine's
 ``_rerate_single_constraint`` splits it directly.)
 
+:func:`single_bottleneck` recognises the array groups whose filling
+ends in one level that gives every variable the same share: one column
+crossed by every variable holds the smallest fair share, and no bound
+reaches the filling threshold.  It returns that share, the same
+division the filling does, so an engine that skips the filling for it
+gets bit-identical rates.
+
 On top of any full filling, :func:`patch_solve` performs an
 *incremental* certified re-solve: given the rate vector of the previous
 solve and the constraints whose membership or capacity changed since,
@@ -67,6 +74,7 @@ __all__ = [
     "Variable",
     "solve_reference",
     "fill_vectorized",
+    "single_bottleneck",
     "patch_solve",
     "VECTOR_THRESHOLD",
     "LMM_MODES",
@@ -368,6 +376,49 @@ def fill_vectorized(
         unfixed &= ~fixed
         n_unfixed -= n_fixed
     return rates, iterations
+
+
+def single_bottleneck(
+    caps: np.ndarray,
+    load: np.ndarray,
+    bounds: np.ndarray,
+) -> Optional[float]:
+    """The common rate of a one-level filling with one bottleneck, or
+    ``None``.
+
+    ``caps`` and ``load`` are per-constraint capacities and membership
+    counts, ``bounds`` the variables' private caps (``inf`` for none),
+    as :func:`fill_vectorized` takes them; no variable may cross one
+    constraint twice.  A share is returned when some column crossed by
+    every variable (``load == len(bounds)``) holds the smallest finite
+    fair share ``caps / load`` and every bound lies above the filling
+    threshold.  :func:`fill_vectorized` then fixes every variable at
+    that share in its first level, so the two agree bit for bit.
+    """
+    n = bounds.shape[0]
+    # argmax / argmin, not max / min: on arrays this small the plain
+    # method call is several times cheaper than a ufunc reduction.  No
+    # column counts more than n users, so a full one exists iff the
+    # largest count is n.
+    if not n or load[load.argmax()] != n:
+        return None
+    # An idle column's "share" is its capacity / _EPS: far above any real
+    # share, unless that capacity is (nearly) zero, where the answer is
+    # None and the caller's filling decides.  Cheaper than a masked
+    # divide, and never a wrong share.
+    share = caps / np.maximum(load, _EPS)
+    k = share.argmin()
+    level = float(share[k])
+    if level == INF:
+        return None
+    if load[k] != n and float(share[load == n].min()) != level:
+        # The first smallest share is not on a full column, nor tied by
+        # one.
+        return None
+    if float(bounds[bounds.argmin()]) <= level + _EPS * (
+            level if level > 1.0 else 1.0):
+        return None
+    return level
 
 
 # ---------------------------------------------------------------------------

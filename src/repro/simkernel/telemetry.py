@@ -79,9 +79,10 @@ class EngineMetrics:
                  "fastpath_recomputes", "generic_recomputes",
                  "component_acts", "max_component_acts",
                  "maxmin_iterations", "vectorized_recomputes",
-                 "idle_advances", "incremental_patches", "patch_fallbacks",
-                 "full_resolves", "calendar_rebuilds", "group_merges",
-                 "vector_attaches", "vector_demotions", "level_hist")
+                 "single_bottleneck_rerates", "idle_advances",
+                 "incremental_patches", "patch_fallbacks", "full_resolves",
+                 "calendar_rebuilds", "group_merges", "vector_attaches",
+                 "vector_demotions", "level_hist")
 
     def __init__(self) -> None:
         self.reset()
@@ -98,7 +99,9 @@ class EngineMetrics:
         self.component_acts = 0       # total activities settled+re-rated
         self.max_component_acts = 0   # largest sharing component seen
         self.maxmin_iterations = 0    # filling levels across all fillings
-        self.vectorized_recomputes = 0  # fillings done by the NumPy path
+        self.vectorized_recomputes = 0  # array-backed group full solves
+        self.single_bottleneck_rerates = 0  # of those, one common share
+        #                               and no filling (lmm.single_bottleneck)
         self.idle_advances = 0        # solo activities advanced with no
         #                               recompute at all (fast path)
         self.incremental_patches = 0  # certified incremental patches applied
@@ -136,10 +139,13 @@ class EngineMetrics:
             # The generic path runs one progressive filling per recompute.
             "maxmin_calls": generic,
             "maxmin_iterations": self.maxmin_iterations,
-            # How many of those fillings ran on the vectorized (NumPy)
-            # kernel instead of the pure-Python oracle — the component-size
-            # cutoff in action (docs/replay-performance.md).
+            # How many full solves were of array-backed groups instead of
+            # the pure-Python oracle — the component-size cutoff in
+            # action (docs/replay-performance.md) — and how many of those
+            # found a single bottleneck, so every row took one share with
+            # no filling.
             "vectorized_recomputes": self.vectorized_recomputes,
+            "single_bottleneck_rerates": self.single_bottleneck_rerates,
             # Solo activities started/completed on an otherwise-idle
             # constraint without any sharing recompute — the compiled
             # replay's fused-compute fast path.

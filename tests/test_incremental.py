@@ -633,10 +633,13 @@ def test_absorbed_activities_with_infinite_rate_and_zero_remaining(
 
 
 def _live_rate(act):
-    """An activity's current rate: its row while its group is
+    """An activity's current rate: the clock rate while its group runs
+    on its single-bottleneck clock, its row while the group is otherwise
     array-backed, its attribute otherwise."""
     group = act.constraints[0].group
     if group.vectorized:
+        if group.clock is not None:
+            return group.clock_rate
         return float(group.rate[group.row[act]])
     return act.rate
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.simkernel import Engine, EngineMetrics
 from repro.simkernel.lmm import (
     LMM_MODES, VECTOR_THRESHOLD, Constraint, Variable, fill_vectorized,
-    solve_reference,
+    single_bottleneck, solve_reference,
 )
 
 
@@ -144,6 +144,78 @@ def test_vectorized_path_matches_reference_oracle(caps, topology):
             assert math.isinf(vec), f"{ref.name}: {vec}"
         else:
             assert vec == pytest.approx(ref.rate, rel=1e-9, abs=1e-9)
+
+
+def _bottleneck_instance(caps, rows, bounds):
+    """``(caps, load, bounds, var_idx, cons_idx)`` arrays of an instance
+    given as per-variable column lists."""
+    var_idx = np.asarray([i for i, cols in enumerate(rows) for _ in cols],
+                         dtype=np.intp)
+    cons_idx = np.asarray([j for cols in rows for j in cols], dtype=np.intp)
+    caps = np.asarray(caps, dtype=float)
+    load = np.bincount(cons_idx, minlength=len(caps)).astype(float)
+    return (caps, load, np.asarray(bounds, dtype=float), var_idx, cons_idx)
+
+
+def test_single_bottleneck_recognises_only_one_level_fills():
+    # Three flows over one backbone (column 0) and their own links.
+    rows = [[0, 1], [0, 2], [0, 3]]
+    caps = [30.0, 100.0, 100.0, 100.0]
+    args = _bottleneck_instance(caps, rows, [np.inf] * 3)
+    assert single_bottleneck(*args[:3]) == 10.0
+    # A private link below the backbone's share: two levels.
+    args = _bottleneck_instance([30.0, 100.0, 5.0, 100.0], rows,
+                                [np.inf] * 3)
+    assert single_bottleneck(*args[:3]) is None
+    # A bound at the share fixes its row by bound, not by the column.
+    args = _bottleneck_instance(caps, rows, [np.inf, 10.0, np.inf])
+    assert single_bottleneck(*args[:3]) is None
+    # No column crossed by every row.
+    args = _bottleneck_instance(caps, [[0, 1], [0, 2], [3]], [np.inf] * 3)
+    assert single_bottleneck(*args[:3]) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_bottleneck_share_is_the_filling(data):
+    """Whenever single_bottleneck returns a share, fill_vectorized gives
+    that share to every variable in exactly one level, bit for bit.
+    Instances are drawn with and without a column every variable
+    crosses, integer capacities (so shares tie across columns), zero
+    capacities, and bounds below, at and just above the share."""
+    n_cols = data.draw(st.integers(min_value=1, max_value=5))
+    cap = st.one_of(st.integers(min_value=0, max_value=64).map(float),
+                    st.floats(min_value=0.1, max_value=1e6))
+    caps = data.draw(st.lists(cap, min_size=n_cols, max_size=n_cols))
+    n_vars = data.draw(st.integers(min_value=1, max_value=12))
+    common = data.draw(st.booleans())
+    rows = []
+    for _ in range(n_vars):
+        cols = set(data.draw(st.lists(
+            st.integers(min_value=0, max_value=n_cols - 1),
+            max_size=n_cols)))
+        if common:
+            cols.add(0)
+        rows.append(sorted(cols))
+    share = caps[0] / n_vars
+    threshold = share + 1e-12 * max(share, 1.0)
+    # Unbounded variables, and at most two with a bound near the share.
+    bounds = [np.inf] * n_vars
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        bounds[data.draw(st.integers(min_value=0, max_value=n_vars - 1))] = (
+            data.draw(st.sampled_from([
+                share * 0.5, share, threshold,
+                float(np.nextafter(threshold, np.inf)),
+                share * (1 + 1e-11), share * 2.0])))
+    caps, load, bounds, var_idx, cons_idx = _bottleneck_instance(
+        caps, rows, bounds)
+    got = single_bottleneck(caps, load, bounds)
+    if got is None:
+        return
+    rates, levels = fill_vectorized(caps, bounds, var_idx, cons_idx,
+                                    load=load)
+    assert levels == 1
+    assert (rates == got).all(), (rates, got)
 
 
 def _fan_in(n, lmm_mode):
