@@ -68,6 +68,22 @@ def test_late_joiner_is_tagged_at_the_clock_advanced_to_now():
     _against_reference(script)
 
 
+@pytest.mark.parametrize("script, faults", [
+    # A flow bounded below the backbone's share joins at 0.3.
+    ([(0.0, (0, 1), 4e7, None), (0.0, (0, 2), 6e7, None),
+      (0.0, (0, 3), 8e7, None), (0.3, (0, 4), 2e7, 1e7)], []),
+    # A private link drops below the backbone's share at 0.3.
+    ([(0.0, (0, 1), 4e7, None), (0.0, (0, 2), 6e7, None),
+      (0.0, (0, 3), 8e7, None)], [(0.3, "cap", 2, 1e7)]),
+], ids=["bounded-joiner", "private-link-degraded"])
+def test_a_failed_test_hands_clock_progress_back(script, faults):
+    """The re-rate that finds no single bottleneck any more puts the
+    rows back in per-row form, each with the progress the clock served
+    it, before the filling runs."""
+    doc = _against_reference(script, faults=faults)
+    assert doc["vectorized_recomputes"] > doc["single_bottleneck_rerates"]
+
+
 def test_bottleneck_capacity_to_zero_and_back():
     """The backbone stalls at 0.2 (every row's share is 0, nothing is
     armed) and comes back at 0.5 at half its capacity, then whole."""
