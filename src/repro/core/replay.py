@@ -343,13 +343,13 @@ class TraceReplayer:
         # Fresh output per call: a second replay() on the same instance
         # must not return the first run's tuples.
         self.timed_trace = []
+        # Per-replay counters: the engine's and the comm layer's count
+        # every replay, the replay layer's only a metered one.
+        self.engine.metrics.reset()
+        self.comms.metrics.reset()
         telemetry = self.telemetry
         replay_metrics = telemetry.replay if telemetry is not None else None
         if telemetry is not None:
-            # Per-replay counters: zero the engine/replay groups and open
-            # the comm layer's snapshot window.
-            telemetry.engine.reset()
-            telemetry.comm.begin(self.comms.cache_stats())
             replay_metrics.reset(n_ranks)
             if programs is not None:
                 replay_metrics.ops_compiled = sum(p.n_ops for p in programs)
@@ -394,10 +394,8 @@ class TraceReplayer:
         finally:
             engine.deadlock_hook = None
         wall = time.perf_counter() - wall_start
-        if telemetry is not None:
-            telemetry.comm.finish(self.comms.cache_stats())
-            if batcher is not None:
-                replay_metrics.phase_advances = batcher.phase_advances
+        if telemetry is not None and batcher is not None:
+            replay_metrics.phase_advances = batcher.phase_advances
         return ReplayResult(
             simulated_time=simulated,
             per_rank_time=finish,

@@ -395,10 +395,8 @@ def _worker_main(replayer, programs, w: int, sim_lo: int, sim_hi: int,
         comms = replayer.comms
         # _inflight bookkeeping doubles as the residual-flow gate.
         comms.enable_fault_tracking()
-        telemetry = replayer.telemetry
-        if telemetry is not None:
-            telemetry.engine.reset()
-            telemetry.comm.begin(comms.cache_stats())
+        engine.metrics.reset()
+        comms.metrics.reset()
         runtime = _ShardRuntime(engine, comms, conn, sim_lo, sim_hi,
                                 band_lo, band_hi, halo)
         contexts = [_RankContext(rank, replayer.deployment[rank])
@@ -413,10 +411,9 @@ def _worker_main(replayer, programs, w: int, sim_lo: int, sim_hi: int,
                                     runtime, finish))
         engine.run()
         counters = None
-        if telemetry is not None:
-            telemetry.comm.finish(comms.cache_stats())
-            counters = {"engine": telemetry.engine.as_dict(),
-                        "comm": telemetry.comm.as_dict()}
+        if replayer.telemetry is not None:
+            counters = {"engine": engine.metrics.as_dict(),
+                        "comm": comms.metrics.as_dict()}
         band_finish = {r: finish[r] for r in range(band_lo, band_hi)}
         conn.send(("done", band_finish, engine.now, counters))
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent

@@ -321,38 +321,9 @@ class Engine:
         # Calendar-compaction watermark: rebuild when the heap doubles
         # past the live-entry count observed at the previous compaction.
         self._heap_floor = 4096
-        # Progressive-filling levels, accumulated unconditionally (one
-        # integer add per filling) and windowed into the metrics by run().
-        self._maxmin_iters = 0
-        # Count of array-backed group full solves (not certified
-        # patches), and of those the ones that took the single-bottleneck
-        # share instead of a filling (same accumulate-then-window
-        # pattern).
-        self._vector_fillings = 0
-        self._bottleneck_rerates = 0
-        # Solo activities started or completed on an otherwise-idle
-        # constraint without any sharing recompute (same pattern).
-        self._idle_advances = 0
-        # Incremental-solver provenance (same pattern): certified
-        # patches applied, patch attempts that fell back to a full
-        # solve, full group solves, calendar compaction sweeps, and the
-        # per-solve filling-level histogram {levels: solves}.
-        self._inc_patches = 0
-        self._patch_fallbacks = 0
-        self._full_resolves = 0
-        self._calendar_rebuilds = 0
-        self._level_hist: dict = {}
-        # Sharing-topology provenance (same pattern): group unions,
-        # groups switched to array-backed state (a merge never
-        # re-attaches — see _merge_groups) and array-backed groups
-        # demoted back to scalar state once they shrank (_vec_detach).
-        self._group_merges = 0
-        self._vector_attaches = 0
-        self._vector_demotions = 0
-        # Optional telemetry; the counters themselves are loop-locals or
-        # plain integer accumulators, so enabling metrics never changes
-        # the arithmetic the hot paths execute.
-        self.metrics = metrics
+        # The work counters: the caller's (a replay's telemetry) or this
+        # engine's own.  Each counting site adds to its field directly.
+        self.metrics = metrics if metrics is not None else EngineMetrics()
         # Optional diagnostics callback, called with the blocked processes
         # when a deadlock is detected; returns (extra message, details).
         self.deadlock_hook: Optional[
@@ -464,25 +435,12 @@ class Engine:
         cal = self._calendar
         metrics = self.metrics
         horizon = INF if until is None else until
-        # Telemetry accumulates unconditionally in loop-locals — a few
-        # integer increments per event, immeasurable next to the event
-        # processing itself, and branchless so the loop executes the
-        # exact same bytecode whether metrics are on or off.  Only the
-        # flush (in the finally below, so it also runs on deadlock) is
-        # guarded.
+        # The per-event counters live in loop-locals (a few integer
+        # increments per event) and are added to the metrics in the
+        # finally below, so they also count a deadlocked or failed run;
+        # every other counter is current at every instant.
         popped = batched = fast = generic = comp_total = comp_max = 0
         stale0 = cal.stale
-        maxmin_iters0 = self._maxmin_iters
-        vector_fillings0 = self._vector_fillings
-        bottleneck0 = self._bottleneck_rerates
-        idle_advances0 = self._idle_advances
-        inc_patches0 = self._inc_patches
-        patch_fallbacks0 = self._patch_fallbacks
-        full_resolves0 = self._full_resolves
-        rebuilds0 = self._calendar_rebuilds
-        merges0 = self._group_merges
-        attaches0 = self._vector_attaches
-        demotions0 = self._vector_demotions
         paused = False
         try:
             while True:
@@ -539,7 +497,7 @@ class Engine:
                         if (not group.vectorized and len(group.cons) == 1
                                 and len(group.acts) == 1
                                 and len(cons.users) == 1):
-                            self._idle_advances += 1
+                            metrics.idle_advances += 1
                             act.remaining = 0.0
                             del group.acts[act]
                             del cons.users[act]
@@ -562,40 +520,14 @@ class Engine:
             if not paused:
                 self._close_processes()
                 self._release_constraints()
-            hist, self._level_hist = self._level_hist, {}
-            if metrics is not None:
-                metrics.events_popped += popped
-                metrics.same_instant_events += batched
-                metrics.stale_skipped += cal.stale - stale0
-                metrics.fastpath_recomputes += fast
-                metrics.generic_recomputes += generic
-                metrics.component_acts += comp_total
-                metrics.maxmin_iterations += (self._maxmin_iters
-                                              - maxmin_iters0)
-                metrics.vectorized_recomputes += (self._vector_fillings
-                                                  - vector_fillings0)
-                metrics.single_bottleneck_rerates += (
-                    self._bottleneck_rerates - bottleneck0)
-                metrics.idle_advances += (self._idle_advances
-                                          - idle_advances0)
-                metrics.incremental_patches += (self._inc_patches
-                                                - inc_patches0)
-                metrics.patch_fallbacks += (self._patch_fallbacks
-                                            - patch_fallbacks0)
-                metrics.full_resolves += (self._full_resolves
-                                          - full_resolves0)
-                metrics.calendar_rebuilds += (self._calendar_rebuilds
-                                              - rebuilds0)
-                metrics.group_merges += self._group_merges - merges0
-                metrics.vector_attaches += (self._vector_attaches
-                                            - attaches0)
-                metrics.vector_demotions += (self._vector_demotions
-                                             - demotions0)
-                mh = metrics.level_hist
-                for levels, count in hist.items():
-                    mh[levels] = mh.get(levels, 0) + count
-                if comp_max > metrics.max_component_acts:
-                    metrics.max_component_acts = comp_max
+            metrics.events_popped += popped
+            metrics.same_instant_events += batched
+            metrics.stale_skipped += cal.stale - stale0
+            metrics.fastpath_recomputes += fast
+            metrics.generic_recomputes += generic
+            metrics.component_acts += comp_total
+            if comp_max > metrics.max_component_acts:
+                metrics.max_component_acts = comp_max
 
     def _close_processes(self) -> None:
         """The run is over (every non-daemon process finished, none can
@@ -681,7 +613,7 @@ class Engine:
                         self._bound.append(cons)
                     g.acts[act] = None
                     act.registered = True
-                    self._idle_advances += 1
+                    self.metrics.idle_advances += 1
                     cap = cons.capacity
                     bound = act.bound
                     rate = (bound if bound is not None and bound < cap
@@ -756,7 +688,7 @@ class Engine:
         if a.vectorized:
             self._vec_adopt(a, b.acts)
         a.acts.update(b.acts)
-        self._group_merges += 1
+        self.metrics.group_merges += 1
         return a
 
     def _end_phase(self, act: Activity) -> None:
@@ -848,9 +780,10 @@ class Engine:
             if self._settle(acts, now):
                 continue
             iterations = solve_reference(acts)
-            self._maxmin_iters += iterations
-            self._full_resolves += 1
-            hist = self._level_hist
+            metrics = self.metrics
+            metrics.maxmin_iterations += iterations
+            metrics.full_resolves += 1
+            hist = metrics.level_hist
             hist[iterations] = hist.get(iterations, 0) + 1
             self._arm_earliest(acts, now)
         return total
@@ -899,7 +832,7 @@ class Engine:
         group.clock = None
         group.seeds = set()
         group.vectorized = True
-        self._vector_attaches += 1
+        self.metrics.vector_attaches += 1
         self._vec_adopt(group, group.acts)
 
     def _vec_adopt(self, group: _Group, acts) -> None:
@@ -948,7 +881,7 @@ class Engine:
                      "settled", "bnd", "joined", "mem_var", "mem_cons",
                      "caps", "loadv", "work", "armed", "seeds"):
             setattr(group, name, None)
-        self._vector_demotions += 1
+        self.metrics.vector_demotions += 1
 
     def _vec_add(self, group: _Group, act: Activity) -> None:
         """O(1) amortized: append one activity's row and memberships."""
@@ -1122,7 +1055,7 @@ class Engine:
                 group.clock_at = now
             group.clock_rate = share
             seeds.clear()
-            self._bottleneck_rerates += 1
+            self.metrics.single_bottleneck_rerates += 1
             self._note_levels(group, 1)
             self._rearm_group(group, now, rem, None)
             return
@@ -1142,16 +1075,17 @@ class Engine:
                 group.mem_cons[:group.m],
                 seed_cols,
             )
+            metrics = self.metrics
             if ok:
-                self._inc_patches += 1
+                metrics.incremental_patches += 1
                 group.patch_streak += 1
-                self._maxmin_iters += levels
+                metrics.maxmin_iterations += levels
                 if levels:
-                    hist = self._level_hist
+                    hist = metrics.level_hist
                     hist[levels] = hist.get(levels, 0) + 1
                 self._rearm_group(group, now, rem, rate)
                 return
-            self._patch_fallbacks += 1
+            metrics.patch_fallbacks += 1
         elif seeds:
             seeds.clear()
         rates, iterations = fill_vectorized(
@@ -1170,10 +1104,11 @@ class Engine:
         """Book a full solve of ``levels`` filling levels; its rate array
         (or clock rate) is the certified solution a patch may start
         from."""
-        self._vector_fillings += 1
-        self._full_resolves += 1
-        self._maxmin_iters += levels
-        hist = self._level_hist
+        metrics = self.metrics
+        metrics.vectorized_recomputes += 1
+        metrics.full_resolves += 1
+        metrics.maxmin_iterations += levels
+        hist = metrics.level_hist
         hist[levels] = hist.get(levels, 0) + 1
         group.inc_ok = True
         group.last_levels = levels
@@ -1340,11 +1275,11 @@ class Engine:
         Triggered when the heap doubles past the live count seen at the
         previous compaction — amortised O(1) per event.  The
         dropped-entry count flows into ``stale_skipped`` through the
-        calendar's own ``stale`` counter (windowed by ``run()``)."""
+        calendar's own ``stale`` counter (added by ``run()``)."""
         cal = self._calendar
         if len(cal.heap) > 2 * self._heap_floor:
             cal.compact()
-            self._calendar_rebuilds += 1
+            self.metrics.calendar_rebuilds += 1
             self._heap_floor = max(4096, len(cal.heap))
 
     # ------------------------------------------------------------------

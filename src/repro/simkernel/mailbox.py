@@ -109,10 +109,9 @@ class CommSystem:
         # Unmatched posted sends / receives, per destination rank.
         self._pending_sends: Dict[int, Deque[_PendingComm]] = {}
         self._pending_recvs: Dict[int, Deque[_PendingComm]] = {}
-        self.n_transfers = 0
-        self.bytes_transferred = 0.0
-        # Optional telemetry; None keeps the posting paths increment-free.
-        self.metrics = metrics
+        # The transfer, queue and cache counters: the caller's (a
+        # replay's telemetry) or this layer's own.
+        self.metrics = metrics if metrics is not None else CommMetrics()
         # Routes and model factors are static for a run: memoise them
         # (regular MPI codes reuse a handful of peer pairs and sizes).
         self._route_cache: Dict[tuple, tuple] = {}
@@ -172,7 +171,7 @@ class CommSystem:
             queue = self._pending_sends.setdefault(dst, deque())
             queue.append(comm)
             metrics = self.metrics
-            if metrics is not None and len(queue) > metrics.max_pending_sends:
+            if len(queue) > metrics.max_pending_sends:
                 metrics.max_pending_sends = len(queue)
             if comm.eager:
                 # Buffered mode: the payload flies now.
@@ -201,7 +200,7 @@ class CommSystem:
             queue = self._pending_recvs.setdefault(dst, deque())
             queue.append(comm)
             metrics = self.metrics
-            if metrics is not None and len(queue) > metrics.max_pending_recvs:
+            if len(queue) > metrics.max_pending_recvs:
                 metrics.max_pending_recvs = len(queue)
         return req
 
@@ -270,11 +269,13 @@ class CommSystem:
             route = self.platform.route(src_host, dst_host)
             cached = (route.links, route.latency)
             self._route_cache[route_key] = cached
+            self.metrics.route_cache_misses += 1
         links, latency = cached
         factors = self._factor_cache.get(size)
         if factors is None:
             factors = self.comm_model.factors(size)
             self._factor_cache[size] = factors
+            self.metrics.factor_cache_misses += 1
         lat_factor, bw_factor = factors
         return links, latency * lat_factor, bw_factor
 
@@ -303,12 +304,10 @@ class CommSystem:
         if self._inflight is not None:
             comm.links = links
             self._inflight[comm] = None
-        self.n_transfers += 1
-        self.bytes_transferred += send_req.size
-        # Transfer/byte/cache-rate telemetry is derived from cache_stats()
-        # snapshots; only the eager split needs a live counter.
         metrics = self.metrics
-        if metrics is not None and comm.eager:
+        metrics.transfers += 1
+        metrics.bytes += send_req.size
+        if comm.eager:
             metrics.eager_transfers += 1
         act.on_complete(lambda _act, c=comm: self._on_arrival(c))
         self.engine.start_activity(act)
@@ -399,19 +398,6 @@ class CommSystem:
     # ------------------------------------------------------------------
     # Introspection (used by deadlock diagnostics and tests)
     # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, float]:
-        """Snapshot of the counters the kernel maintains anyway; telemetry
-        (:class:`CommMetrics`) takes begin/finish deltas of this instead
-        of counting per transfer.  Each transfer performs exactly one
-        route lookup and one model-factor lookup, so cache hit counts
-        follow as ``transfers - misses``."""
-        return {
-            "n_transfers": self.n_transfers,
-            "bytes_transferred": self.bytes_transferred,
-            "route_cache_entries": len(self._route_cache),
-            "factor_cache_entries": len(self._factor_cache),
-        }
-
     def unmatched_counts(self, by_key: bool = False) -> Dict[str, object]:
         """Unmatched posted sends and receives.
 

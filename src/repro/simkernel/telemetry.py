@@ -1,20 +1,21 @@
 """Replay observability: cheap, always-consistent counters.
 
-Telemetry is *opt-in*: the kernel objects carry a ``metrics`` attribute
-that is ``None`` by default, and every instrumentation site is guarded by
-a single ``is not None`` test — replays with metrics disabled execute the
-exact same arithmetic as before this module existed.  With metrics
-enabled the design keeps the per-event cost to a few local-variable
+Each counter is kept once, by the layer that counts it.  The engine
+and the communication layer always hold their counter object (the one
+a replay's :class:`Telemetry` passes in, or their own), and each
+counting site adds to its field directly, so the two layers execute the
+same arithmetic whether a replay collects metrics or not.  What
+``collect_metrics`` adds is the replay layer's per-action cells and the
+document on the result.  The per-event cost stays a few integer
 increments, which holds the Fig. 9 replay-time overhead under the 5%
 budget (``benchmarks/bench_fig9_replay_time.py::test_fig9_metrics_overhead``):
 
-* the engine counts events unconditionally in ``run()``-local integers
-  (branchless — the loop executes identical bytecode either way) and
-  flushes them into :class:`EngineMetrics` once, when the loop exits;
-* the communication layer derives almost everything (transfers, bytes,
-  cache hit rates) from counters and cache sizes the kernel maintains
-  anyway, via begin/finish snapshots — only the eager count and the
-  match-queue high-water marks are tracked live;
+* the engine counts events in ``run()``-local integers and adds them to
+  :class:`EngineMetrics` once, when the loop exits; its solver and
+  sharing-topology counters are added where the work is done;
+* the communication layer counts transfers, bytes, eager transfers and
+  route/factor cache misses where they happen, and keeps the
+  match-queue high-water marks;
 * the replay loop charges each action to a per-(rank, opcode) *cell*
   ``[count, volume, time]``, found by list index on the opcode the loop
   already switches on.
@@ -39,7 +40,7 @@ document surfaced as ``ReplayResult.metrics`` and by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["EngineMetrics", "CommMetrics", "ReplayMetrics", "FaultMetrics",
            "Telemetry", "ACTION_CATEGORIES", "action_category"]
@@ -70,9 +71,13 @@ def action_category(name: str) -> str:
 class EngineMetrics:
     """Counters for the lazy discrete-event loop.
 
-    The engine's main loop accumulates into plain locals and adds them
-    here when it exits (including on deadlock), so a mid-run snapshot of
-    this object only reflects completed ``run()`` calls.
+    Every ``Engine`` holds one and adds to each field where the work is
+    done, so the solver and sharing-topology counters are current
+    mid-run.  The per-event counters (``events_popped``,
+    ``same_instant_events``, ``stale_skipped``, the recompute and
+    component counts) are kept in ``run()``'s locals and added here when
+    it exits (including on deadlock), so mid-run they only reflect
+    completed ``run()`` calls.
     """
 
     __slots__ = ("events_popped", "same_instant_events", "stale_skipped",
@@ -180,26 +185,21 @@ class EngineMetrics:
 class CommMetrics:
     """Counters for the matching and eager/rendezvous transfer layer.
 
-    Transfer and cache totals are not counted per event: the kernel
-    already maintains ``n_transfers``/``bytes_transferred`` and its
-    route/factor caches, so :meth:`begin`/:meth:`finish` snapshot those
-    (``CommSystem.cache_stats()``) and take deltas.  Cache *hits* follow
-    from the identity one-route-lookup-and-one-factor-lookup-per-transfer:
-    ``hits = transfers - misses``.  Only the eager-transfer count and the
-    match-queue high-water marks are maintained live (one guarded update
-    per posting).
+    ``CommSystem`` adds to each field where it happens, so every total
+    is current mid-run: a transfer when its flow starts, a cache miss
+    when a route or model factor is first computed and cached.  Cache
+    *hits* follow from the identity one-route-lookup-and-one-factor-
+    lookup-per-transfer: ``hits = transfers - misses``.
     """
 
     __slots__ = ("transfers", "bytes", "eager_transfers",
                  "max_pending_sends", "max_pending_recvs",
-                 "route_cache_misses", "factor_cache_misses", "_snapshot")
+                 "route_cache_misses", "factor_cache_misses")
 
     def __init__(self) -> None:
-        self._snapshot: Optional[Dict[str, float]] = None
-        self.begin(None)
+        self.reset()
 
-    def begin(self, snapshot: Optional[Dict[str, float]]) -> None:
-        """Start a measurement window at the given cache_stats snapshot."""
+    def reset(self) -> None:
         self.transfers = 0
         self.bytes = 0.0
         self.eager_transfers = 0
@@ -207,21 +207,6 @@ class CommMetrics:
         self.max_pending_recvs = 0   # deepest unmatched-recv queue
         self.route_cache_misses = 0
         self.factor_cache_misses = 0
-        self._snapshot = snapshot
-
-    def finish(self, snapshot: Dict[str, float]) -> None:
-        """Close the window: totals are deltas against :meth:`begin`."""
-        base = self._snapshot or {
-            "n_transfers": 0, "bytes_transferred": 0.0,
-            "route_cache_entries": 0, "factor_cache_entries": 0,
-        }
-        self.transfers = snapshot["n_transfers"] - base["n_transfers"]
-        self.bytes = (snapshot["bytes_transferred"]
-                      - base["bytes_transferred"])
-        self.route_cache_misses = (snapshot["route_cache_entries"]
-                                   - base["route_cache_entries"])
-        self.factor_cache_misses = (snapshot["factor_cache_entries"]
-                                    - base["factor_cache_entries"])
 
     @staticmethod
     def _rate(hits: int, misses: int) -> float:

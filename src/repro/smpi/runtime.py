@@ -140,8 +140,8 @@ class MpiRuntime:
             time=makespan,
             per_rank_time=finish,
             n_ranks=self.size,
-            n_transfers=self.comms.n_transfers,
-            bytes_transferred=self.comms.bytes_transferred,
+            n_transfers=self.comms.metrics.transfers,
+            bytes_transferred=self.comms.metrics.bytes,
             rank_results=results,
             fault_report=fault_report,
         )

@@ -106,6 +106,18 @@ DELETED = [
     (r"\bname\[[14]:\]\.isdigit\(\)",
      ("src",),
      "rank numbers parsed back out of process names"),
+    (r"self\._(maxmin_iters|vector_fillings|bottleneck_rerates"
+     r"|idle_advances|inc_patches|patch_fallbacks|full_resolves"
+     r"|calendar_rebuilds|level_hist|group_merges|vector_attaches"
+     r"|vector_demotions)\b",
+     ("src", "tests", "!tests/test_deleted_code.py", "benchmarks", "docs"),
+     "the engine's shadow copies of its work counters, windowed per run"),
+    (r"cache_stats|(comm|metrics)\.(begin|finish)\("
+     r"|def (begin|finish)\(self, snapshot"
+     r"|comms\.(n_transfers|bytes_transferred)\b",
+     ("src/repro/simkernel", "src/repro/core", "src/repro/smpi", "tests",
+      "!tests/test_deleted_code.py", "benchmarks", "docs"),
+     "the comm layer's snapshot deltas and its duplicate transfer totals"),
 ]
 
 

@@ -9,6 +9,7 @@ from repro.core.actions import (
     Compute, Irecv, Isend, Recv, Send, Wait,
 )
 from repro.core.replay import TraceReplayer
+from repro.core.synth import write_synthetic_lu_trace
 from repro.core.trace import InMemoryTrace
 from repro.simkernel import DeadlockError, Platform, Telemetry
 from repro.simkernel.pwl import IDENTITY_MODEL
@@ -46,10 +47,27 @@ def ring_trace():
 def test_metrics_disabled_by_default():
     replayer = make_replayer(4)
     assert replayer.telemetry is None
-    assert replayer.engine.metrics is None
-    assert replayer.comms.metrics is None
     result = replayer.replay(ring_trace())
     assert result.metrics is None
+
+
+@pytest.mark.parametrize("source", ["ring", "lu"])
+def test_kernel_counters_do_not_depend_on_collect_metrics(source,
+                                                          tmp_path):
+    """The engine and comm layer count every replay: a replay without
+    ``collect_metrics`` leaves on them exactly the counters a metered
+    replay of the same trace reports."""
+    if source == "ring":
+        trace, n_ranks = ring_trace, 4
+    else:
+        write_synthetic_lu_trace(str(tmp_path), 8, iterations=2, cls="S",
+                                 inorm=1, seed=3, jitter=0.01)
+        trace, n_ranks = (lambda: str(tmp_path)), 8
+    plain = make_replayer(n_ranks)
+    plain.replay(trace())
+    metered = make_replayer(n_ranks, collect_metrics=True).replay(trace())
+    assert plain.engine.metrics.as_dict() == metered.metrics["engine"]
+    assert plain.comms.metrics.as_dict() == metered.metrics["comm"]
 
 
 def test_metrics_off_results_identical_to_seed():
@@ -144,6 +162,11 @@ def test_replay_metrics_reset_between_replays():
     # Per-replay counters restart; they never accumulate across calls.
     assert second.metrics["replay"]["n_actions"] == 12
     assert sum(r["n_actions"] for r in second.metrics["per_rank"]) == 12
+    # The route and factor caches outlive a replay: the second one moves
+    # as many messages and finds every route and factor cached.
+    comm = second.metrics["comm"]
+    assert comm["transfers"] == first.metrics["comm"]["transfers"] == 4
+    assert comm["route_cache_misses"] == comm["factor_cache_misses"] == 0
 
 
 def test_telemetry_container_as_dict_shape():
