@@ -11,8 +11,9 @@ The injector runs *inside* the simulation as a daemon process (it never
 keeps the run alive, and never appears in deadlock reports): it sleeps on
 kernel timers to each event's instant and applies it —
 
-* ``HostCrash`` — FAILs every compute burst on the host's CPU, kills the
-  ranks resident on it and purges their match-queue entries.
+* ``HostCrash`` — FAILs every compute burst on the host's CPU and every
+  in-flight flow from or to a rank resident on it, kills those ranks and
+  purges their match-queue entries.
 * ``LinkDown`` — the comm system FAILs every in-flight flow crossing the
   link and refuses new ones until the optional ``t_up`` restore.
 * ``LinkDegrade`` — rescales the link constraint's capacity through
@@ -153,10 +154,13 @@ class FaultInjector:
         for act in list(host.cpu.users):
             if engine.fail_activity(act, reason):
                 metrics.activities_failed += 1
-        # The ranks resident on the dead host die with it; their
-        # never-started messages leave the match queues (eager flows
-        # already in the network drain harmlessly).
-        for rank in self._host_ranks.get(event.host, ()):
+        # The flows from or to them leave the network with the host, and
+        # the ranks die with it; their messages still in flight or never
+        # started leave the match queues.
+        residents = self._host_ranks.get(event.host, ())
+        metrics.activities_failed += self.comms.fail_flows_of(
+            set(residents), reason)
+        for rank in residents:
             if engine.kill_process(self.ranks[rank], reason):
                 metrics.processes_killed += 1
             metrics.queue_entries_purged += self.comms.purge_rank(rank)

@@ -356,6 +356,20 @@ class CommSystem:
         if self._down_links is not None:
             self._down_links.discard(constraint)
 
+    def fail_flows_of(self, ranks, reason: str) -> int:
+        """FAIL the in-flight flows with an endpoint among ``ranks`` (the
+        ranks of a crashed host), so they stop sharing links with the
+        survivors.  A surviving endpoint's request is left pending: its
+        rank ends blocked, a casualty of the crash.  Returns the number
+        of flows failed."""
+        victims = [comm for comm in self._inflight
+                   if comm.send_req.src in ranks
+                   or comm.send_req.dst in ranks]
+        for comm in victims:
+            del self._inflight[comm]
+            self.engine.fail_activity(comm.activity, reason)
+        return len(victims)
+
     def _fail_comm(self, comm: _PendingComm, reason: str) -> int:
         """FAIL one in-flight communication: its kernel flow plus both
         posted requests (each waiting process gets an ActivityFailed)."""
@@ -373,22 +387,23 @@ class CommSystem:
     def purge_rank(self, rank: int) -> int:
         """Drop the match-queue entries of a dead rank.
 
-        Receives it posted and rendezvous sends it never started are
-        removed, so peers blocked on them surface as deadlocked
-        casualties instead of matching against a ghost.  Eager sends
-        whose payload already left stay deliverable (the data was on the
-        wire before the crash).  Returns the number of purged entries.
+        Every entry queued at it goes (it will never post or receive
+        again), and so does every send it posted whose payload has not
+        landed: rendezvous sends it never started and eager sends whose
+        flow the crash failed (:meth:`fail_flows_of`).  Peers blocked on
+        them surface as deadlocked casualties instead of matching
+        against a ghost.  Only an eager payload that landed before the
+        crash stays deliverable.  Returns the number of purged entries.
         """
         purged = 0
-        queue = self._pending_recvs.get(rank)
-        if queue:
-            purged += len(queue)
-            queue.clear()
+        for queues in (self._pending_recvs, self._pending_sends):
+            queue = queues.get(rank)
+            if queue:
+                purged += len(queue)
+                queue.clear()
         for dst_queue in self._pending_sends.values():
             keep = [comm for comm in dst_queue
-                    if not (comm.send_req is not None
-                            and comm.send_req.src == rank
-                            and comm.activity is None)]
+                    if comm.send_req.src != rank or comm.arrived]
             if len(keep) != len(dst_queue):
                 purged += len(dst_queue) - len(keep)
                 dst_queue.clear()

@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from repro.core.actions import Compute, Irecv, Send, Wait
+from repro.core.actions import Compute, Irecv, Recv, Send, Wait
 from repro.core.trace import InMemoryTrace
 from repro.faults import (
     CheckpointModel, FaultPlan, HostCrash, LinkDegrade, LinkDown,
@@ -165,6 +165,28 @@ def test_lost_progress_does_not_count_the_action_in_flight(compiled):
     assert progress[1] == {"actions_completed": 1, "time": 0.1,
                            "state": "finished"}
     assert result.n_actions == 1
+
+
+def test_a_crash_fails_an_eager_payload_still_in_flight():
+    """p0's eager send to p1 is still on the wire when p0's host dies:
+    the flow fails and its queue entry is purged, so the receive p1
+    posts later matches nothing and p1 ends as a casualty."""
+    trace = InMemoryTrace()
+    trace.emit(Send(0, 1, 6e4))
+    trace.emit(Compute(0, 1e9))
+    trace.emit(Compute(1, 1e7))
+    trace.emit(Recv(1, 0, 6e4))
+    plan = FaultPlan(events=(HostCrash("c-0", 1e-4),))
+    replayer = make_replayer(shared_platform(2), 2, fault_plan=plan,
+                             collect_metrics=True)
+    result = replayer.replay(trace)
+    report = result.fault_report
+    assert report.failed_ranks == [0] and report.casualty_ranks == [1]
+    faults = result.metrics["faults"]
+    # p0's compute burst and its flow; the flow's queue entry.
+    assert faults["activities_failed"] == 2
+    assert faults["queue_entries_purged"] == 1
+    assert replayer.comms.unmatched_counts() == {"sends": 0, "recvs": 1}
 
 
 def test_link_down_fails_transfers_with_typed_provenance():

@@ -177,19 +177,32 @@ def shifted_exchange(n_ranks):
     return trace
 
 
-def _fault_replays(plan, metric):
+def _fault_replays(plan, metric, probes=()):
     """Replay the exchange under ``plan(t)`` (``t``: the fault-free
     makespan) with every group of two or more array-backed and with the
     reference engine; once their times agree, return both fault
-    reports.  ``metric`` must have been counted."""
+    reports.  ``metric`` must have been counted.  ``probes`` entries are
+    ``(fraction, "call", fn)``: ``fn(replayer)`` runs at ``fraction * t``
+    in both replays."""
     t = make_replayer(_congested(RANKS), RANKS).replay(
         shifted_exchange(RANKS)).simulated_time
     runs = []
     for kw in ({"vector_threshold": 2}, {"lmm_mode": "reference"}):
-        result = make_replayer(_congested(RANKS), RANKS,
-                               fault_plan=plan(t), collect_metrics=True,
-                               **kw).replay(shifted_exchange(RANKS))
-        runs.append(result)
+        replayer = make_replayer(_congested(RANKS), RANKS,
+                                 fault_plan=plan(t), collect_metrics=True,
+                                 **kw)
+        engine = replayer.engine
+
+        def prober():
+            clock = 0.0
+            for fraction, _what, fn in probes:
+                yield engine.timer(fraction * t - clock)
+                clock = fraction * t
+                fn(replayer)
+
+        if probes:
+            engine.add_process("probe", prober(), daemon=True)
+        runs.append(replayer.replay(shifted_exchange(RANKS)))
     got, want = runs
     assert got.simulated_time == pytest.approx(want.simulated_time,
                                                rel=RTOL, abs=0.0)
@@ -208,10 +221,37 @@ def test_link_degrade_of_the_backbone_and_back():
 
 def test_host_crash_with_clock_rows_in_flight():
     """The crashed host's ranks die with their flows on the backbone's
-    clock; the flows drain, the peers blocked on them are casualties."""
+    clock; the flows fail with them, the peers blocked on them are
+    casualties."""
     report = _fault_replays(lambda t: FaultPlan(events=(
         HostCrash("c-3", 0.5 * t),)), "processes_killed")
     assert report.failed_ranks == [3] and report.casualties
+
+
+def test_a_crashed_hosts_flows_leave_the_network():
+    """Just after ``c-3`` crashes, no link carries a flow from or to
+    rank 3 (the only rank on it): the survivors stop sharing the
+    backbone with dead transfers.  No send from or to rank 3 is left in
+    the match queues either (every message here is rendezvous)."""
+    seen = []
+
+    def probe(replayer):
+        endpoints = {
+            int(end)
+            for link in replayer.platform.iter_links()
+            for act in link.constraint.users
+            for end in act.name.split("/")[0].split("->")}
+        seen.append(endpoints)
+        assert 3 not in endpoints
+        sends = replayer.comms.unmatched_counts(by_key=True)["sends"]
+        assert not [key for key in sends if 3 in key[:2]]
+
+    report = _fault_replays(lambda t: FaultPlan(events=(
+        HostCrash("c-3", 0.5 * t),)), "activities_failed",
+        probes=[(0.5 + 1e-9, "call", probe)])
+    assert report.failed_ranks == [3]
+    # Both replays probed, with survivors' flows still on the links.
+    assert len(seen) == 2 and all(seen)
 
 
 def test_link_down_fails_clock_rows():
